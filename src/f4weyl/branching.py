@@ -14,20 +14,11 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .binocta import OMEGA0, GroupElement, build_subsets
-from .orbits import generate_orbit, orbit_size
+from .orbits import _validated, generate_orbit, orbit_size
 from .quat import ONE_Q, Quaternion
-from .rootsys import (LabelLike, Labels, RootSystem, b3r_system, b4_system,
-                      f4_system, format_labels)
-from .scalar import FieldScalar, INV_SQRT2
-
-
-def _checked(sys: RootSystem, labels: Sequence[LabelLike]) -> Labels:
-    labels = sys.coerce_labels(labels)
-    if not sys.is_dominant(labels):
-        raise ValueError("labels must be dominant (all entries >= 0)")
-    if all(x.sign() == 0 for x in labels):
-        raise ValueError("labels must not all vanish")
-    return labels
+from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
+                      format_labels)
+from .scalar import INV_SQRT2, FieldScalar, as_scalar
 
 
 @lru_cache(maxsize=1)
@@ -53,7 +44,7 @@ def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
     images are rotated back to dominant position and coinciding parts
     are merged.  The union of the part orbits is the original orbit.
     """
-    return _branch_b4(_checked(f4_system(), labels))
+    return _branch_b4(_validated(f4_system(), labels))
 
 
 @lru_cache(maxsize=64)
@@ -96,7 +87,7 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
     to its dominant octahedral label and layers are merged first by
     exact coincidence, then across the +/- height mirror.
     """
-    return _branch_b3a1(_checked(f4_system(), labels))
+    return _branch_b3a1(_validated(f4_system(), labels))
 
 
 @lru_cache(maxsize=64)
@@ -124,9 +115,8 @@ def project_3d(labels: Sequence[LabelLike],
     in the layer.
     """
     f4 = f4_system()
-    labels = _checked(f4, labels)
-    if not isinstance(scale, FieldScalar):
-        scale = FieldScalar(scale)
+    labels = _validated(f4, labels)
+    scale = as_scalar(scale)
     if scale.sign() <= 0:
         raise ValueError("scale must be positive")
     scaled = tuple(x * scale for x in labels)
@@ -141,7 +131,7 @@ def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
     """Check that the branched orbits exactly partition the source orbit."""
     f4 = f4_system()
     b4 = b4_system()
-    labels = _checked(f4, labels)
+    labels = _validated(f4, labels)
     union: set = set()
     total = 0
     for part in branch_b4(labels):
@@ -155,7 +145,7 @@ def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
 def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
     """Check that the slice sizes account for every orbit vertex."""
     f4 = f4_system()
-    labels = _checked(f4, labels)
+    labels = _validated(f4, labels)
     slices = branch_b3a1(labels)
     total = sum(s.size * (2 if s.paired else 1) for s in slices)
     return total == generate_orbit(f4, labels).size

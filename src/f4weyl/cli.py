@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import refdata
 from .branching import (branch_b3a1, branch_b4, project_3d,
                         render_b3a1_slices, render_b4_branching)
-from .duals import dual_cell, dual_polytope
+from .duals import dual_cell, dual_polytope, label_pattern
 from .orbits import f_vector, generate_orbit
 from .rootsys import format_labels, f4_system
 from .scalar import FieldScalar, parse_scalar
@@ -140,32 +141,8 @@ def export_off(points: Sequence[Triple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dual_cell_points(labels) -> List[Triple]:
-    """Dual-cell vertex coordinates at the published row scale."""
-    cell = dual_cell(f4_system(), labels)
-    pattern = tuple(1 if a.sign() > 0 else 0 for a in cell.source)
-    row_scale = FieldScalar(1)
-    if pattern in refdata.DUAL_CELL_PRINTED:
-        row_scale = refdata.DUAL_CELL_PRINTED[pattern][0]
-    return [tuple(u * row_scale for u in triple) for _, triple in cell.coords]
-
-
 # ---------------------------------------------------------------------------
-# command renderers (each returns the full output text)
-
-
-def _cmd_verify(args) -> Tuple[str, int]:
-    results = run_all(seed=args.seed)
-    code = 0 if all(r.ok for r in results) else 1
-    if args.format == "json":
-        payload = {
-            "seed": args.seed,
-            "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
-                       for r in results],
-            "ok": code == 0,
-        }
-        return json.dumps(payload, indent=2) + "\n", code
-    return format_report(results) + "\n", code
+# commands: each returns its JSON payload and its text lines
 
 
 def _inventory(entries) -> List[dict]:
@@ -173,145 +150,124 @@ def _inventory(entries) -> List[dict]:
             for e in entries]
 
 
-def _cmd_fvector(args) -> Tuple[str, int]:
+def _row_scale(cell) -> FieldScalar:
+    """The scale of the published dual-cell rows (1 where none is printed)."""
+    printed = refdata.DUAL_CELL_PRINTED.get(label_pattern(cell.source))
+    return printed[0] if printed else FieldScalar(1)
+
+
+def _cmd_verify(args):
+    results = run_all(seed=args.seed)
+    payload = {
+        "seed": args.seed,
+        "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
+                   for r in results],
+        "ok": all(r.ok for r in results),
+    }
+    return payload, [format_report(results)]
+
+
+def _cmd_fvector(args):
     fv = f_vector(f4_system(), args.label)
-    if args.format == "json":
-        payload = {
-            "label": format_labels(fv.labels),
-            "N0": fv.n0, "N1": fv.n1, "N2": fv.n2, "N3": fv.n3,
-            "face_inventory": _inventory(fv.faces),
-            "cell_inventory": _inventory(fv.cells),
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = [f"{format_labels(fv.labels)}  "
-             f"N0={fv.n0} N1={fv.n1} N2={fv.n2} N3={fv.n3}"]
-    lines.append("faces:")
-    for e in fv.faces:
-        lines.append(f"  {e.count} x {e.name}  "
-                     f"(nodes {','.join(map(str, e.nodes))})")
-    lines.append("cells:")
-    for e in fv.cells:
-        lines.append(f"  {e.count} x {e.name}  "
-                     f"(nodes {','.join(map(str, e.nodes))})")
-    return "\n".join(lines) + "\n", 0
+    payload = {
+        "label": format_labels(fv.labels),
+        "N0": fv.n0, "N1": fv.n1, "N2": fv.n2, "N3": fv.n3,
+        "face_inventory": _inventory(fv.faces),
+        "cell_inventory": _inventory(fv.cells),
+    }
+    lines = [f"{payload['label']}  N0={fv.n0} N1={fv.n1} N2={fv.n2} N3={fv.n3}"]
+    for title, entries in (("faces:", fv.faces), ("cells:", fv.cells)):
+        lines.append(title)
+        lines.extend(f"  {e.count} x {e.name}  "
+                     f"(nodes {','.join(map(str, e.nodes))})" for e in entries)
+    return payload, lines
 
 
-def _cmd_orbit(args) -> Tuple[str, int]:
-    sys_f4 = f4_system()
-    orbit = generate_orbit(sys_f4, args.label)
-    fv = f_vector(sys_f4, args.label)
-    verts = sorted(orbit.vertices)
-    if args.format == "json":
-        payload = {
-            "label": format_labels(orbit.labels),
-            "N0": fv.n0, "N1": fv.n1, "N2": fv.n2, "N3": fv.n3,
-            "face_inventory": _inventory(fv.faces),
-            "cell_inventory": _inventory(fv.cells),
-            "vertices": [[str(c) for c in v.components()] for v in verts],
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = [f"{format_labels(orbit.labels)}  {orbit.size} vertices"]
-    lines.extend(str(v) for v in verts)
-    return "\n".join(lines) + "\n", 0
+def _cmd_orbit(args):
+    orbit = generate_orbit(f4_system(), args.label)
+    payload, _ = _cmd_fvector(args)
+    payload["vertices"] = [v.json_obj() for v in orbit.vertices]
+    lines = [f"{payload['label']}  {orbit.size} vertices"]
+    return payload, lines + [str(v) for v in orbit.vertices]
 
 
-def _cmd_branch_b4(args) -> Tuple[str, int]:
-    if args.format == "json":
-        parts = branch_b4(args.label)
-        payload = {
-            "label": format_labels(f4_system().coerce_labels(args.label)),
-            "parts": [{"labels": format_labels(p.labels), "size": p.size}
-                      for p in parts],
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    return render_b4_branching(args.label) + "\n", 0
+def _cmd_branch_b4(args):
+    payload = {
+        "label": format_labels(args.label),
+        "parts": [{"labels": format_labels(p.labels), "size": p.size}
+                  for p in branch_b4(args.label)],
+    }
+    return payload, [render_b4_branching(args.label)]
 
 
-def _cmd_branch_b3a1(args) -> Tuple[str, int]:
-    labels = f4_system().coerce_labels(args.label)
-    if args.format == "json":
-        slices = branch_b3a1(args.label)
-        payload = {
-            "label": format_labels(labels),
-            "slices": [{"labels": format_labels(s.labels),
-                        "height": str(s.height),
-                        "size": s.size,
-                        "paired": s.paired} for s in slices],
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = [format_labels(labels) + "_F4 ="]
-    lines.extend("  " + line for line in render_b3a1_slices(args.label))
-    return "\n".join(lines) + "\n", 0
+def _cmd_branch_b3a1(args):
+    payload = {
+        "label": format_labels(args.label),
+        "slices": [{"labels": format_labels(s.labels),
+                    "height": str(s.height),
+                    "size": s.size,
+                    "paired": s.paired} for s in branch_b3a1(args.label)],
+    }
+    lines = [payload["label"] + "_F4 ="]
+    return payload, lines + ["  " + line
+                             for line in render_b3a1_slices(args.label)]
 
 
-def _cmd_project(args) -> Tuple[str, int]:
+def _cmd_project(args):
     scale = parse_scalar(args.scale)
     layers = project_3d(args.label, scale)
-    label_text = format_labels(f4_system().coerce_labels(args.label))
-    if args.format == "json":
-        payload = {
-            "label": label_text,
-            "scale": str(scale),
-            "layers": [{"height": str(h),
-                        "points": [[str(c) for c in p]
-                                   for p in sorted(pts)]}
-                       for h, pts in layers],
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = [f"{label_text} at scale {scale}: {len(layers)} layers"]
-    for h, pts in layers:
-        noun = "point" if len(pts) == 1 else "points"
-        lines.append(f"h = {h}  ({len(pts)} {noun})")
-        for p in sorted(pts):
-            lines.append("  (" + ",".join(str(c) for c in p) + ")")
-    return "\n".join(lines) + "\n", 0
+    payload = {
+        "label": format_labels(args.label),
+        "scale": str(scale),
+        "layers": [{"height": str(h),
+                    "points": [[str(c) for c in p] for p in sorted(pts)]}
+                   for h, pts in layers],
+    }
+    lines = [f"{payload['label']} at scale {scale}: {len(layers)} layers"]
+    for layer in payload["layers"]:
+        n = len(layer["points"])
+        lines.append(f"h = {layer['height']}  ({n} "
+                     f"{'point' if n == 1 else 'points'})")
+        lines.extend("  (" + ",".join(p) + ")" for p in layer["points"])
+    return payload, lines
 
 
-def _cmd_dual(args) -> Tuple[str, int]:
-    sys_f4 = f4_system()
-    dual = dual_polytope(sys_f4, args.label)
-    cell = dual_cell(sys_f4, args.label)
-    pattern = tuple(1 if a.sign() > 0 else 0 for a in cell.source)
-    row_scale = FieldScalar(1)
-    if pattern in refdata.DUAL_CELL_PRINTED:
-        row_scale = refdata.DUAL_CELL_PRINTED[pattern][0]
-    label_text = format_labels(dual.source)
-    if args.format == "json":
-        payload = {
-            "label": label_text,
-            "vertex_count": len(dual.vertices),
-            "cell_count": dual.cell_count,
-            "scales": [{"node": node, "scale": str(s)}
-                       for node, s in cell.scales],
-            "shells": [{"node": s.node, "size": s.size,
-                        "radius_sq": str(s.radius_sq),
-                        "radius": math.sqrt(float(s.radius_sq))}
-                       for s in dual.shells],
-            "cell": {
-                "row_scale": str(row_scale),
-                "vertices": [{"node": node,
-                              "coords": [str(u * row_scale) for u in triple]}
-                             for node, triple in cell.coords],
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n", 0
-    lines = [f"dual of {label_text}: {len(dual.vertices)} vertices, "
-             f"{dual.cell_count} cells"]
-    lines.append("scales: " + ", ".join(
-        f"node{node} = {s}" for node, s in cell.scales))
-    lines.append("shells:")
-    for s in dual.shells:
-        lines.append(f"  node {s.node}: {s.size} vertices, radius^2 = "
-                     f"{s.radius_sq} ({math.sqrt(float(s.radius_sq)):.6f})")
+def _cmd_dual(args):
+    dual = dual_polytope(f4_system(), args.label)
+    cell = dual_cell(f4_system(), args.label)
+    row_scale = _row_scale(cell)
+    rows = [{"node": node, "coords": [str(u * row_scale) for u in triple]}
+            for node, triple in cell.coords]
+    payload = {
+        "label": format_labels(dual.source),
+        "vertex_count": len(dual.vertices),
+        "cell_count": dual.cell_count,
+        "scales": [{"node": node, "scale": str(s)} for node, s in cell.scales],
+        "shells": [{"node": s.node, "size": s.size,
+                    "radius_sq": str(s.radius_sq),
+                    "radius": math.sqrt(float(s.radius_sq))}
+                   for s in dual.shells],
+        "cell": {"row_scale": str(row_scale), "vertices": rows},
+    }
+    lines = [f"dual of {payload['label']}: {len(dual.vertices)} vertices, "
+             f"{dual.cell_count} cells",
+             "scales: " + ", ".join(f"node{node} = {s}"
+                                    for node, s in cell.scales),
+             "shells:"]
+    lines.extend(f"  node {s['node']}: {s['size']} vertices, radius^2 = "
+                 f"{s['radius_sq']} ({s['radius']:.6f})"
+                 for s in payload["shells"])
     lines.append(f"cell vertices (rows scaled by {row_scale}):")
-    for node, triple in cell.coords:
-        lines.append(f"  node {node}: ("
-                     + ",".join(str(u * row_scale) for u in triple) + ")")
-    return "\n".join(lines) + "\n", 0
+    lines.extend(f"  node {r['node']}: (" + ",".join(r["coords"]) + ")"
+                 for r in rows)
+    return payload, lines
 
 
-def _cmd_export(args) -> Tuple[str, int]:
-    return export_off(_dual_cell_points(args.label)), 0
+def _cmd_export(args):
+    cell = dual_cell(f4_system(), args.label)
+    s = _row_scale(cell)
+    points = [tuple(u * s for u in triple) for _, triple in cell.coords]
+    return None, export_off(points).splitlines()
 
 
 COMMANDS = {
@@ -347,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("dual", "dual polytope: scales, shells, cell"),
             ("export", "OFF mesh of the dual cell")):
         p = sub.add_parser(name, help=help_text)
+        # a label such as -1,0,0,0 is an argument, not an option, so that
+        # it reaches the label validator
+        p._negative_number_matcher = re.compile(r"-(\d|\.|sqrt)")
         p.add_argument("label", help="four comma-separated scalars, "
                                      "e.g. 1,0,0,1")
         if name == "export":
@@ -368,14 +327,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             args.label = parse_label(args.label)
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
-        text, code = COMMANDS[args.command](args)
+        payload, lines = COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         label = getattr(args, "label", None)
         where = f" for label {format_labels(label)}" if label else ""
         print(f"error{where}: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    # verify is the one command whose payload carries "ok"
+    code = 0 if payload is None or payload.get("ok", True) else 1
     if args.output:
         try:
             with open(args.output, "w") as handle:

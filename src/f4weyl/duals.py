@@ -40,7 +40,7 @@ class CellFamily:
     centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
 
 
-def _pattern(labels: Labels) -> Tuple[int, ...]:
+def label_pattern(labels: Labels) -> Tuple[int, ...]:
     return tuple(1 if a.sign() > 0 else 0 for a in labels)
 
 
@@ -77,7 +77,7 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     labels = sys.coerce_labels(labels)
     families = cells_at_vertex(sys, labels)
     present = sorted({fam.center_node for fam in families})
-    ref = refdata.DUAL_REFERENCE.get(_pattern(labels))
+    ref = refdata.DUAL_REFERENCE.get(label_pattern(labels))
     if ref is None or ref not in present:
         ref = present[0]
     lam = sys.label_to_vector(labels)
@@ -190,8 +190,7 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
     out: Dict[FieldScalar, int] = {}
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
-            d = sum(((pts[i][a] - pts[k][a]) ** 2 for a in range(3)),
-                    FieldScalar(0)) * scale_sq
+            d = _dist_sq(pts[i], pts[k]) * scale_sq
             out[d] = out.get(d, 0) + 1
     return out
 

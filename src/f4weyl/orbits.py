@@ -1,5 +1,21 @@
 """Weight orbits, stabilizers, f-vectors and face/cell inventories.
 
+Orbit generation works on Dynkin labels, not on vectors (the standard
+weight-orbit enumeration; D. M. Snow, "Weyl group orbits", ACM TOMS 16
+(1990) 94-108).  A label is carried as Z[sqrt2] integer pairs over one
+common denominator, and the simple reflection s_i acts as
+``mu_j <- mu_j - mu_i * C_ij`` on the integer Cartan matrix (see
+:class:`~f4weyl.rootsys.RootSystem`).  The dominance walk reflects on
+the lowest-index negative label, so every non-dominant orbit point has
+exactly one parent, the point that one walk step reaches.  The search
+inverts that walk: from the dominant label, reflect on each positive
+label i and keep the image exactly when i is its lowest negative label.
+That visits every orbit point once with no visited set.  The vertices
+are then formed once each from the integer weight matrix and sorted on
+their integer coordinates, which over the common positive denominator is
+the :class:`~f4weyl.quat.Quaternion` order.  No float and no quaternion
+product is involved.
+
 Counting scheme.  For a dominant label the vertices are the orbit of
 ``sum(a_i omega_i)``; their number is the index of the parabolic
 subgroup on the zero-label nodes.  Higher faces come from sub-diagrams:
@@ -18,9 +34,9 @@ attaining the exact minimum are counted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 from math import lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -28,8 +44,9 @@ import numpy as np
 
 from .binocta import GroupElement, build_group, generate_from
 from .quat import Quaternion
-from .rootsys import LabelLike, Labels, RootSystem, get_system
-from .scalar import FieldScalar
+from .rootsys import (LabelLike, Labels, RootSystem, first_negative,
+                      format_labels, get_system)
+from .scalar import FieldScalar, surd_sign
 
 #: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
 _B3_CELL_NAMES = {
@@ -103,9 +120,11 @@ class PolytopeComplex:
 
 def _validated(sys: RootSystem, labels: Sequence[LabelLike],
                require_nonzero: bool = True) -> Labels:
+    """The one label check: right length, dominant and (by default) nonzero."""
     lab = sys.coerce_labels(labels)
     if not sys.is_dominant(lab):
-        raise ValueError(f"label {lab} is not dominant (negative entry)")
+        raise ValueError(
+            f"label {format_labels(lab)} is not dominant (negative entry)")
     if require_nonzero and all(a.is_zero() for a in lab):
         raise ValueError("the zero label spans no polytope")
     return lab
@@ -114,19 +133,23 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
 @lru_cache(maxsize=None)
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
-    start = sys.label_to_vector(labels)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new: List[Quaternion] = []
-        for v in frontier:
-            for r in sys.reflections:
-                w = r.apply(v)
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
-        frontier = new
-    return Orbit(sys_name, labels, tuple(sorted(seen)))
+    top, den = sys.integer_labels(labels)
+    found = [top]
+    for mu in found:  # the list grows as it is walked: breadth first
+        for i in range(sys.rank):
+            if surd_sign(mu[2 * i], mu[2 * i + 1]) <= 0:
+                continue
+            child = sys.reflect_labels(mu, i)
+            if first_negative(child) == i:  # mu is the child's parent
+                found.append(child)
+    # over one common positive denominator, integer order is Quaternion order
+    coords = sorted(sys.integer_vector(mu) for mu in found)
+    scale = den * sys.weight_den
+    scalars = {xy: FieldScalar(Fraction(xy[0], scale), Fraction(xy[1], scale))
+               for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
+    vertices = tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
+                     for c in coords)
+    return Orbit(sys_name, labels, vertices)
 
 
 def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
@@ -295,10 +318,17 @@ def geometric_edge_check(orbit: Orbit) -> int:
     """Count vertex pairs at the minimal nonzero squared distance.
 
     Exact: coordinates are scaled to integer pairs (rational and sqrt2
-    parts), pair distances accumulate in int64, a float image picks the
-    approximate minimum and the exact winner is confirmed among the
-    shortlisted (P, Q) classes.
+    parts), pair distances accumulate in int64 as P + Q*sqrt2, and the
+    least distance class is chosen by exact comparison.
+
+    Only the shortest edge class is counted, so the count is N1 only for
+    labels whose nonzero entries are all equal; other labels are refused.
+    So are orbits whose scaled coordinates could overflow int64.
     """
+    if len({a for a in orbit.labels if not a.is_zero()}) > 1:
+        raise ValueError(
+            f"edge oracle needs equal nonzero entries, got "
+            f"{format_labels(orbit.labels)}")
     verts = orbit.vertices
     n = len(verts)
     if n < 2:
@@ -307,10 +337,18 @@ def geometric_edge_check(orbit: Orbit) -> int:
     for v in verts:
         for c in v.components():
             scale = lcm(scale, c.a.denominator, c.b.denominator)
-    rat = np.array([[int(c.a * scale) for c in v.components()] for v in verts],
-                   dtype=np.int64)
-    surd = np.array([[int(c.b * scale) for c in v.components()] for v in verts],
-                    dtype=np.int64)
+    rat = [[int(c.a * scale) for c in v.components()] for v in verts]
+    surd = [[int(c.b * scale) for c in v.components()] for v in verts]
+    # All vertices share one norm, and so do their Galois conjugates, so
+    # P = (|u-v|^2 + conj |u-v|^2) / 2 is at most four times the rational
+    # part of |v|^2; |Q| and every partial sum below stay under that too.
+    bound = 4 * sum(x * x + 2 * y * y for x, y in zip(rat[0], surd[0]))
+    if bound >= 2 ** 63:
+        raise ValueError(
+            f"coordinates of {format_labels(orbit.labels)} are too large "
+            f"for the int64 edge oracle")
+    rat = np.array(rat, dtype=np.int64)
+    surd = np.array(surd, dtype=np.int64)
     p = np.zeros((n, n), dtype=np.int64)
     q = np.zeros((n, n), dtype=np.int64)
     for k in range(4):
@@ -321,14 +359,9 @@ def geometric_edge_check(orbit: Orbit) -> int:
         q += 2 * (da * db)
     iu = np.triu_indices(n, 1)
     pv, qv = p[iu], q[iu]
-    approx = pv.astype(np.float64) + qv.astype(np.float64) * math.sqrt(2.0)
-    positive = approx > 1e-9
-    if not positive.any():
-        return 0
-    mn = approx[positive].min()
-    short = positive & (approx <= mn * (1 + 1e-9) + 1e-9)
-    best = None
-    for pi, qi in {(int(a), int(b)) for a, b in zip(pv[short], qv[short])}:
-        if best is None or FieldScalar(pi - best[0], qi - best[1]).sign() < 0:
-            best = (pi, qi)
+    # distinct vertices, so every class P + Q*sqrt2 is positive: take the
+    # least of the distinct classes by exact comparison
+    classes = set(zip(pv.tolist(), qv.tolist()))
+    best = min(classes, key=cmp_to_key(
+        lambda x, y: surd_sign(x[0] - y[0], x[1] - y[1])))
     return int(np.count_nonzero((pv == best[0]) & (qv == best[1])))

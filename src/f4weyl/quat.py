@@ -15,15 +15,11 @@ they can be cross-checked against each other):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
-from .scalar import FieldScalar, Rational
+from .scalar import FieldScalar, as_scalar
 
 ScalarLike = Union[FieldScalar, int, Fraction]
-
-
-def _fs(x: ScalarLike) -> FieldScalar:
-    return x if isinstance(x, FieldScalar) else FieldScalar(x)
 
 
 class Quaternion:
@@ -33,10 +29,10 @@ class Quaternion:
 
     def __init__(self, q0: ScalarLike = 0, q1: ScalarLike = 0,
                  q2: ScalarLike = 0, q3: ScalarLike = 0) -> None:
-        object.__setattr__(self, "q0", _fs(q0))
-        object.__setattr__(self, "q1", _fs(q1))
-        object.__setattr__(self, "q2", _fs(q2))
-        object.__setattr__(self, "q3", _fs(q3))
+        object.__setattr__(self, "q0", as_scalar(q0))
+        object.__setattr__(self, "q1", as_scalar(q1))
+        object.__setattr__(self, "q2", as_scalar(q2))
+        object.__setattr__(self, "q3", as_scalar(q3))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -46,13 +42,6 @@ class Quaternion:
 
     def components(self) -> Tuple[FieldScalar, FieldScalar, FieldScalar, FieldScalar]:
         return (self.q0, self.q1, self.q2, self.q3)
-
-    @classmethod
-    def from_components(cls, comps: Iterable[ScalarLike]) -> "Quaternion":
-        c = list(comps)
-        if len(c) != 4:
-            raise ValueError("need exactly 4 components")
-        return cls(*c)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components())
@@ -84,7 +73,7 @@ class Quaternion:
                 p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
             )
         if isinstance(other, (FieldScalar, int, Fraction)):
-            s = _fs(other)
+            s = as_scalar(other)
             return Quaternion(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
         return NotImplemented
 
@@ -95,7 +84,7 @@ class Quaternion:
 
     def __truediv__(self, other: ScalarLike) -> "Quaternion":
         if isinstance(other, (FieldScalar, int, Fraction)):
-            s = _fs(other)
+            s = as_scalar(other)
             return Quaternion(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
         return NotImplemented
 

@@ -433,10 +433,6 @@ KITE_GOLDEN = {
 # self-duality of the 24-cell: octahedron cells at the vertex sqrt2*1,
 # with unit-scale centers 1 +/- e_k and their six cell vertices.
 
-def _q(q0, q1, q2, q3) -> Quaternion:
-    return Quaternion(Fraction(q0), Fraction(q1), Fraction(q2), Fraction(q3))
-
-
 def _cell_row(center: Quaternion, axis: Quaternion) -> Tuple[Quaternion, frozenset]:
     others = [e for e in (E1, E2, E3) if e != axis and -e != axis]
     verts = {ONE_Q, axis}

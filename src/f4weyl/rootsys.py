@@ -21,42 +21,33 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from math import lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .binocta import GroupElement, reflection_element
+from .binocta import reflection_element
 from .quat import E1, E2, E3, ONE_Q, Quaternion
-from .scalar import FieldScalar, INV_SQRT2, SQRT2
+from .scalar import INV_SQRT2, SQRT2, FieldScalar, as_scalar, surd_sign
 
 LabelLike = Union[FieldScalar, int, Fraction]
 Labels = Tuple[FieldScalar, ...]
+#: labels (x_1 + y_1*sqrt2, ..., x_r + y_r*sqrt2) / D flattened to
+#: (x_1, y_1, ..., x_r, y_r); the common denominator D travels beside it
+IntLabels = Tuple[int, ...]
 
 _MAX_DOMINANCE_STEPS = 10_000
 
 
-def _fs(x: LabelLike) -> FieldScalar:
-    return x if isinstance(x, FieldScalar) else FieldScalar(x)
+def _denominator(values: Sequence[FieldScalar]) -> int:
+    """Least common denominator of the rational and sqrt2 parts."""
+    return lcm(*(d for v in values for d in (v.a.denominator, v.b.denominator)))
 
 
-def _matrix_inverse(m: Sequence[Sequence[FieldScalar]]) -> Tuple[Tuple[FieldScalar, ...], ...]:
-    """Exact Gauss-Jordan inverse of a small FieldScalar matrix."""
-    n = len(m)
-    aug: List[List[FieldScalar]] = [
-        list(row) + [FieldScalar(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()),
-                     None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = FieldScalar(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def first_negative(mu: IntLabels) -> Optional[int]:
+    """Index of the lowest negative integer label, or None when dominant."""
+    for k in range(0, len(mu), 2):
+        if surd_sign(mu[k], mu[k + 1]) < 0:
+            return k // 2
+    return None
 
 
 class RootSystem:
@@ -72,8 +63,23 @@ class RootSystem:
         self.cartan = tuple(
             tuple(a.dot(b) for b in self.simple_roots) for a in self.simple_roots
         )
-        self.cartan_inv = _matrix_inverse(self.cartan)
+        # the weights are dual to the roots, so their Gram matrix is C^-1
+        self.cartan_inv = tuple(
+            tuple(a.dot(b) for b in self.weights) for a in self.weights)
         self.reflections = tuple(reflection_element(a) for a in self.simple_roots)
+        # the label-space kernel: row i lists (j, c, d) for every nonzero
+        # C_ij = c + d*sqrt2, and the weights are integer pairs over weight_den
+        if _denominator([c for row in self.cartan for c in row]) != 1:
+            raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
+        self._cartan_rows = tuple(
+            tuple((j, int(c.a), int(c.b)) for j, c in enumerate(row) if c)
+            for row in self.cartan)
+        self.weight_den = _denominator(
+            [c for w in self.weights for c in w.components()])
+        self._weight_rows = tuple(
+            tuple((int(c.a * self.weight_den), int(c.b * self.weight_den))
+                  for c in w.components())
+            for w in self.weights)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
@@ -82,7 +88,7 @@ class RootSystem:
         if len(labels) != self.rank:
             raise ValueError(
                 f"{self.name} takes {self.rank} labels, got {len(labels)}")
-        return tuple(_fs(a) for a in labels)
+        return tuple(as_scalar(a) for a in labels)
 
     def label_to_vector(self, labels: Sequence[LabelLike]) -> Quaternion:
         """Sum a_i * omega_i as an exact quaternion."""
@@ -97,24 +103,54 @@ class RootSystem:
         return tuple(v.dot(a) for a in self.simple_roots)
 
     def is_dominant(self, labels: Sequence[LabelLike]) -> bool:
-        return all(_fs(a).sign() >= 0 for a in labels)
+        return all(as_scalar(a).sign() >= 0 for a in labels)
 
-    def dominant_representative(self, v: Quaternion) -> Tuple[Labels, GroupElement]:
-        """Dominant label of the orbit of v plus a witness g with g(v) dominant.
+    # -- label-space kernel ------------------------------------------------
 
-        Standard dominance walk: reflect on the lowest-index negative
-        label until none is left.
+    def integer_labels(self, labels: Labels) -> Tuple[IntLabels, int]:
+        """Labels as flat Z[sqrt2] integer pairs over a common denominator."""
+        den = _denominator(labels)
+        return tuple(int(x * den) for a in labels for x in (a.a, a.b)), den
+
+    def reflect_labels(self, mu: IntLabels, i: int) -> IntLabels:
+        """Simple reflection s_i in label space: mu_j <- mu_j - mu_i * C_ij."""
+        out = list(mu)
+        x, y = mu[2 * i], mu[2 * i + 1]
+        for j, c, d in self._cartan_rows[i]:
+            out[2 * j] -= x * c + 2 * y * d
+            out[2 * j + 1] -= x * d + y * c
+        return tuple(out)
+
+    def integer_vector(self, mu: IntLabels) -> Tuple[int, ...]:
+        """sum mu_i omega_i as flat integer pairs over ``den * weight_den``."""
+        out = [0] * 8
+        for i, row in enumerate(self._weight_rows):
+            x, y = mu[2 * i], mu[2 * i + 1]
+            if not (x or y):
+                continue
+            for k, (p, q) in enumerate(row):
+                out[2 * k] += x * p + 2 * y * q
+                out[2 * k + 1] += x * q + y * p
+        return tuple(out)
+
+    def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
+        """Dominant label of the orbit of v plus the reflection word reaching it.
+
+        Standard dominance walk in label space: reflect on the
+        lowest-index negative label until none is left.  Applying
+        ``reflections[word[0]]``, then ``reflections[word[1]]``, ... to v
+        gives the dominant vector.
         """
-        witness = GroupElement.identity()
-        current = v
+        mu, den = self.integer_labels(self.vector_to_label(v))
+        word: List[int] = []
         for _ in range(_MAX_DOMINANCE_STEPS):
-            labels = self.vector_to_label(current)
-            neg = next((i for i, a in enumerate(labels) if a.sign() < 0), None)
-            if neg is None:
-                return labels, witness
-            r = self.reflections[neg]
-            current = r.apply(current)
-            witness = r.compose(witness)
+            i = first_negative(mu)
+            if i is None:
+                return tuple(FieldScalar(Fraction(mu[k], den),
+                                         Fraction(mu[k + 1], den))
+                             for k in range(0, len(mu), 2)), tuple(word)
+            mu = self.reflect_labels(mu, i)
+            word.append(i)
         raise ArithmeticError("dominance walk failed to terminate")
 
 

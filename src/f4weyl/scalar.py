@@ -31,6 +31,17 @@ def _frac_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def surd_sign(a: Rational, b: Rational) -> int:
+    """Exact sign of ``a + b*sqrt(2)`` for rational (or integer) a and b."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (sb > 0):
+        return sb
+    # mixed signs: the term with the larger square wins (never a tie)
+    return sb if 2 * b * b > a * a else -sb
+
+
 @total_ordering
 class FieldScalar:
     """A number ``a + b*sqrt(2)`` with rational ``a`` and ``b``.
@@ -70,25 +81,9 @@ class FieldScalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
-        a, b = self.a, self.b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: a + b*sqrt2 > 0  iff  |a| vs sqrt2*|b| resolves
-        # in favour of the positive term, i.e. compare a^2 with 2 b^2.
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else (-1 if a * a < 2 * b * b else 0)
-        return 1 if 2 * b * b > a * a else (-1 if 2 * b * b < a * a else 0)
+        return surd_sign(self.a, self.b)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -238,6 +233,10 @@ class FieldScalar:
         return f"{self.a}{sep}{surd}"
 
 
+def as_scalar(x: Union[FieldScalar, Rational]) -> FieldScalar:
+    return x if isinstance(x, FieldScalar) else FieldScalar(x)
+
+
 # Shared constants; FieldScalar is immutable so these are safe to reuse.
 ZERO = FieldScalar(0)
 ONE = FieldScalar(1)
@@ -272,8 +271,15 @@ def parse_scalar(text: str) -> FieldScalar:
     Raises
     ------
     ValueError
-        If the text is not a valid literal.
+        If the text is not a valid literal, a zero denominator included.
     """
+    try:
+        return _parse_terms(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal {text!r}") from None
+
+
+def _parse_terms(text: str) -> FieldScalar:
     s = text.strip().replace(" ", "").lower()
     if not s:
         raise ValueError("empty scalar literal")

@@ -16,9 +16,7 @@ regression in either direction is caught.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
@@ -343,26 +341,10 @@ def _random_quaternion(rng: random.Random) -> Quaternion:
     ])
 
 
-def thread_count() -> int:
-    """Worker threads for the batched numeric checks (F4WEYL_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("F4WEYL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def check_edge_oracle() -> CheckResult:
     sys = f4_system()
-
-    def count(pattern) -> int:
-        return geometric_edge_check(generate_orbit(sys, pattern))
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(count, NINE_PATTERNS))
-    else:
-        counts = [count(pattern) for pattern in NINE_PATTERNS]
+    counts = [geometric_edge_check(generate_orbit(sys, pattern))
+              for pattern in NINE_PATTERNS]
     bad = [(pattern, got, refdata.FVECTOR_GOLDEN[pattern][1])
            for pattern, got in zip(NINE_PATTERNS, counts)
            if got != refdata.FVECTOR_GOLDEN[pattern][1]]

@@ -58,12 +58,25 @@ def test_zero_label_is_an_error():
     assert "(0,0,0,0)" in err
 
 
-def test_malformed_label_is_a_usage_error():
-    try:
-        run_cli(["fvector", "1,0,0"])
-        assert False
-    except SystemExit as exc:
-        assert exc.code == 2
+def test_malformed_label_is_a_usage_error(capsys):
+    for label in ("1,0,0", "1/0,0,0,1", "sqrt2/0,0,0,1"):
+        try:
+            main(["fvector", label])
+            assert False
+        except SystemExit as exc:
+            assert exc.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and label in err, err
+
+
+def test_negative_label_reaches_the_validator():
+    for text, shown in (("-1,0,0,0", "(-1,0,0,0)"),
+                        ("-1/2,1,0,0", "(-1/2,1,0,0)")):
+        for cmd in ("orbit", "branch-b4", "branch-b3a1"):
+            code, out, err = run_cli([cmd, text])
+            assert code == 1 and out == ""
+            assert err == (f"error for label {shown}: label {shown} is not "
+                           "dominant (negative entry)\n")
 
 
 def test_orbit_json_schema():

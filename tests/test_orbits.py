@@ -1,5 +1,7 @@
 from itertools import product
 
+import pytest
+
 from f4weyl.binocta import build_subsets
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
                            orbit_size, parabolic_order, stabilizer_order,
@@ -139,3 +141,18 @@ def test_edge_oracle_small():
     assert geometric_edge_check(generate_orbit(F4, (1, 0, 0, 0))) == 96
     assert geometric_edge_check(generate_orbit(F4, (0, 0, 0, 1))) == 96
     assert geometric_edge_check(generate_orbit(F4, (0, 1, 1, 0))) == 576
+
+
+def test_edge_oracle_refuses_unequal_labels():
+    # only the shortest edge class is counted: 288 here, while N1 is 576
+    with pytest.raises(ValueError, match="equal nonzero entries"):
+        geometric_edge_check(generate_orbit(F4, (100000, 0, 0, 1)))
+
+
+def test_edge_oracle_refuses_int64_overflow():
+    with pytest.raises(ValueError, match="too large"):
+        geometric_edge_check(generate_orbit(F4, (10 ** 19, 0, 0, 0)))
+    # coordinates fit in int64 but their squared distances would wrap
+    with pytest.raises(ValueError, match="too large"):
+        geometric_edge_check(generate_orbit(F4, (10 ** 10, 0, 0, 0)))
+    assert geometric_edge_check(generate_orbit(F4, (10 ** 9, 0, 0, 0))) == 96

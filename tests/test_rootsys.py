@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from f4weyl.binocta import build_group
+from f4weyl.binocta import GroupElement, build_group
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, format_labels,
                             get_system)
@@ -148,18 +148,26 @@ def test_wb4_acts_by_signed_permutations():
     assert images == expected
 
 
+def witness_of(sys, word):
+    """The group element applying the reflections of ``word`` in order."""
+    g = GroupElement.identity()
+    for i in word:
+        g = sys.reflections[i].compose(g)
+    return g
+
+
 def test_dominant_representative():
     f4 = f4_system()
     rng = random.Random(44)
     pool = sorted(build_group("WF4"))
     omega1 = f4.label_to_vector((1, 0, 0, 0))
-    labels, witness = f4.dominant_representative(omega1)
+    labels, word = f4.dominant_representative(omega1)
     assert labels == (S(1), S(0), S(0), S(0))
-    assert witness == witness.identity()
+    assert word == ()
     r1 = f4.reflections[0]
-    labels, witness = f4.dominant_representative(r1.apply(omega1))
+    labels, word = f4.dominant_representative(r1.apply(omega1))
     assert labels == (S(1), S(0), S(0), S(0))
-    assert witness == r1
+    assert witness_of(f4, word) == r1
     for _ in range(25):
         dom = tuple(S(rng.randint(0, 3)) for _ in range(4))
         if all(a.is_zero() for a in dom):
@@ -167,9 +175,9 @@ def test_dominant_representative():
         v = f4.label_to_vector(dom)
         g = rng.choice(pool)
         moved = g.apply(v)
-        labels, witness = f4.dominant_representative(moved)
+        labels, word = f4.dominant_representative(moved)
         assert labels == dom
-        assert witness.apply(moved) == v
+        assert witness_of(f4, word).apply(moved) == v
 
 
 def test_format_labels():

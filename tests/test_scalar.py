@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from f4weyl.scalar import FieldScalar, HALF, ONE, SQRT2, ZERO, parse_scalar
 
 
@@ -112,6 +116,19 @@ def test_str_round_trip():
     assert str(-SQRT2) == "-sqrt2"
     assert str(ZERO) == "0"
     assert str(HALF) == "1/2"
+
+
+@pytest.mark.parametrize("text", ["1/0", "sqrt2/0", "1/0sqrt2", "1+3/0sqrt2"])
+def test_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.fractions(max_denominator=10 ** 6), st.fractions(max_denominator=10 ** 6))
+def test_property_str_round_trip(a, b):
+    x = FieldScalar(a, b)
+    assert parse_scalar(str(x)) == x
 
 
 def test_field_axioms_random():
