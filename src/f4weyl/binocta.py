@@ -22,7 +22,7 @@ from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
-from .scalar import FieldScalar, INV_SQRT2
+from .scalar import INV_SQRT2
 
 SUBSET_ORDER = ("V0", "V+", "V-", "V1", "V2", "V3")
 

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .binocta import OMEGA0, GroupElement, build_subsets
+from .binocta import OMEGA0, build_subsets
 from .orbits import _validated, generate_orbit, orbit_size
-from .quat import ONE_Q, Quaternion
+from .quat import ONE_Q
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
                       format_labels)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar
-
-
-@lru_cache(maxsize=1)
-def signed_permutation_cosets() -> Tuple[GroupElement, ...]:
-    """Left-coset representatives of the index-3 signed-permutation split."""
-    return (GroupElement.identity(),
-            GroupElement(OMEGA0, ONE_Q),
-            GroupElement(OMEGA0 * OMEGA0, ONE_Q))
 
 
 @dataclass(frozen=True)
@@ -40,9 +32,10 @@ class B4Part:
 def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
     """Split a rank-4 orbit into signed-permutation orbits.
 
-    Three coset representatives act on the highest-weight vector; the
-    images are rotated back to dominant position and coinciding parts
-    are merged.  The union of the part orbits is the original orbit.
+    Three coset representatives, left multiplication by 1, OMEGA0 and
+    OMEGA0^2, act on the highest-weight vector; the images are rotated
+    back to dominant position and coinciding parts are merged.  The
+    union of the part orbits is the original orbit.
     """
     return _branch_b4(_validated(f4_system(), labels))
 
@@ -54,8 +47,8 @@ def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
     lam = f4.label_to_vector(labels)
     parts: List[B4Part] = []
     seen = set()
-    for rep in signed_permutation_cosets():
-        part, _ = b4.dominant_representative(rep.apply(lam))
+    for rep in (ONE_Q, OMEGA0, OMEGA0 * OMEGA0):
+        part, _ = b4.dominant_representative(rep * lam)
         if part in seen:
             continue
         seen.add(part)

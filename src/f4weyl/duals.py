@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import refdata
-from .orbits import f_vector, generate_orbit, parabolic_elements
+from .orbits import f_vector, generate_orbit, parabolic_orbit
 from .quat import E1, E2, E3, Quaternion
-from .rootsys import (LabelLike, Labels, RootSystem, f4_system,
-                      format_labels)
+from .rootsys import LabelLike, Labels, RootSystem, format_labels
 from .scalar import FieldScalar
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
@@ -44,24 +43,27 @@ def label_pattern(labels: Labels) -> Tuple[int, ...]:
     return tuple(1 if a.sign() > 0 else 0 for a in labels)
 
 
+def _center_node(entry) -> int:
+    """The 1-based node missing from a rank-4 cell entry's sub-diagram."""
+    return (set(range(1, 5)) - set(entry.nodes)).pop()
+
+
 def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
     """Cell families around the dominant vertex, with their center vectors.
 
     The centers of the type-S cells through the vertex are the images of
-    the complementary fundamental weight under the vertex stabilizer.
+    the complementary fundamental weight under the vertex stabilizer,
+    i.e. the W_J-orbit of the label e_j for J = the zero-label nodes.
     """
     complex_ = f_vector(sys, labels)
-    labels = sys.coerce_labels(labels)
-    inactive = frozenset(i for i, a in enumerate(labels) if a.is_zero())
-    stab = parabolic_elements(sys.name, inactive)
+    inactive = frozenset(i for i, a in enumerate(complex_.labels)
+                         if a.is_zero())
     families: List[CellFamily] = []
     for entry in complex_.cells:
-        nodes0 = set(i - 1 for i in entry.nodes)
-        (j,) = set(range(len(labels))) - nodes0
-        weight = sys.weights[j]
-        centers = sorted({g.apply(weight) for g in stab})
-        families.append(CellFamily(entry.nodes, entry.name, j + 1,
-                                   tuple(centers)))
+        j = _center_node(entry)
+        unit = tuple(FieldScalar(int(i == j - 1)) for i in range(sys.rank))
+        families.append(CellFamily(entry.nodes, entry.name, j,
+                                   parabolic_orbit(sys, unit, inactive)))
     return tuple(families)
 
 
@@ -74,9 +76,9 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     exactly 1) follows the frozen table where defined, else the smallest
     participating node.
     """
-    labels = sys.coerce_labels(labels)
-    families = cells_at_vertex(sys, labels)
-    present = sorted({fam.center_node for fam in families})
+    complex_ = f_vector(sys, labels)
+    labels = complex_.labels
+    present = sorted(_center_node(entry) for entry in complex_.cells)
     ref = refdata.DUAL_REFERENCE.get(label_pattern(labels))
     if ref is None or ref not in present:
         ref = present[0]

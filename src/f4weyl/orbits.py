@@ -1,20 +1,16 @@
 """Weight orbits, stabilizers, f-vectors and face/cell inventories.
 
-Orbit generation works on Dynkin labels, not on vectors (the standard
-weight-orbit enumeration; D. M. Snow, "Weyl group orbits", ACM TOMS 16
-(1990) 94-108).  A label is carried as Z[sqrt2] integer pairs over one
-common denominator, and the simple reflection s_i acts as
-``mu_j <- mu_j - mu_i * C_ij`` on the integer Cartan matrix (see
-:class:`~f4weyl.rootsys.RootSystem`).  The dominance walk reflects on
-the lowest-index negative label, so every non-dominant orbit point has
-exactly one parent, the point that one walk step reaches.  The search
-inverts that walk: from the dominant label, reflect on each positive
-label i and keep the image exactly when i is its lowest negative label.
-That visits every orbit point once with no visited set.  The vertices
-are then formed once each from the integer weight matrix and sorted on
-their integer coordinates, which over the common positive denominator is
-the :class:`~f4weyl.quat.Quaternion` order.  No float and no quaternion
-product is involved.
+Every orbit and subgroup order comes from one search on Dynkin labels,
+:meth:`~f4weyl.rootsys.RootSystem.label_orbit`: the orbit of a label
+under the parabolic subgroup W_J of a node set J, as the inverse of the
+dominance walk (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990)
+94-108).  With J = all nodes it gives the vertex orbit; the vertices are
+formed once each from the integer weight matrix and sorted on their
+integer coordinates (the :class:`~f4weyl.quat.Quaternion` order).
+rho = (1, ..., 1) is regular, so its W_J-orbit has |W_J| points.  No
+float and no quaternion product is involved.  ``parabolic_elements``
+closes the same subgroups as :class:`~f4weyl.binocta.GroupElement`
+sets; it serves only as an oracle.
 
 Counting scheme.  For a dominant label the vertices are the orbit of
 ``sum(a_i omega_i)``; their number is the index of the parabolic
@@ -37,15 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import combinations
 from math import lcm
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-import numpy as np
-
-from .binocta import GroupElement, build_group, generate_from
+from .binocta import GroupElement, generate_from
 from .quat import Quaternion
-from .rootsys import (LabelLike, Labels, RootSystem, first_negative,
-                      format_labels, get_system)
+from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
+                      get_system)
 from .scalar import FieldScalar, surd_sign
 
 #: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
@@ -130,26 +125,26 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
     return lab
 
 
-@lru_cache(maxsize=None)
-def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
-    sys = get_system(sys_name)
+def parabolic_orbit(sys: RootSystem, labels: Labels,
+                    nodes: FrozenSet[int]) -> Tuple[Quaternion, ...]:
+    """Sorted W_J-orbit of the labelled weight vector, J = ``nodes``; the
+    labels must be nonnegative on J."""
     top, den = sys.integer_labels(labels)
-    found = [top]
-    for mu in found:  # the list grows as it is walked: breadth first
-        for i in range(sys.rank):
-            if surd_sign(mu[2 * i], mu[2 * i + 1]) <= 0:
-                continue
-            child = sys.reflect_labels(mu, i)
-            if first_negative(child) == i:  # mu is the child's parent
-                found.append(child)
     # over one common positive denominator, integer order is Quaternion order
-    coords = sorted(sys.integer_vector(mu) for mu in found)
+    coords = sorted(sys.integer_vector(mu)
+                    for mu in sys.label_orbit(top, sorted(nodes)))
     scale = den * sys.weight_den
     scalars = {xy: FieldScalar(Fraction(xy[0], scale), Fraction(xy[1], scale))
                for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
-    vertices = tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
-                     for c in coords)
-    return Orbit(sys_name, labels, vertices)
+    return tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
+                 for c in coords)
+
+
+@lru_cache(maxsize=None)
+def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
+    sys = get_system(sys_name)
+    return Orbit(sys_name, labels,
+                 parabolic_orbit(sys, labels, frozenset(range(sys.rank))))
 
 
 def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
@@ -166,13 +161,16 @@ def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> FrozenSet[GroupE
     return generate_from([sys.reflections[i] for i in sorted(nodes)])
 
 
+@lru_cache(maxsize=None)
 def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
-    """Order of the subgroup generated by the given simple reflections (0-based)."""
-    return len(parabolic_elements(sys_name, nodes))
+    """Order of the subgroup generated by the given simple reflections
+    (0-based): the size of the free orbit of rho = (1, ..., 1)."""
+    sys = get_system(sys_name)
+    return len(sys.label_orbit((1, 0) * sys.rank, sorted(nodes)))
 
 
 def weyl_order(sys: RootSystem) -> int:
-    return len(build_group(sys.weyl_group))
+    return parabolic_order(sys.name, frozenset(range(sys.rank)))
 
 
 def stabilizer_order(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
@@ -238,26 +236,20 @@ def _polygon_name(sys: RootSystem, pair: Tuple[int, int],
 def _chain_order(sys: RootSystem, comp: List[int]) -> List[int]:
     """Order a connected rank-3 component along its path."""
     ends = [i for i in comp if sum(_adjacent(sys, i, j) for j in comp if j != i) == 1]
-    start = ends[0]
     middle = next(j for j in comp if j not in ends)
-    other = next(e for e in ends if e != start)
-    return [start, middle, other]
+    return [ends[0], middle, ends[1]]
 
 
 def _cell_name(sys: RootSystem, comps: List[List[int]],
                active: FrozenSet[int]) -> str:
     if len(comps) == 1:
         chain = _chain_order(sys, comps[0])
-        doubles = [_is_double_bond(sys, chain[0], chain[1]),
-                   _is_double_bond(sys, chain[1], chain[2])]
+        first = _is_double_bond(sys, chain[0], chain[1])
+        second = _is_double_bond(sys, chain[1], chain[2])
         pattern = tuple(1 if i in active else 0 for i in chain)
-        if doubles[1] and not doubles[0]:
-            chain.reverse()
+        if second and not first:  # read from the double-bond end
             pattern = pattern[::-1]
-            doubles = [True, False]
-        if doubles[0]:
-            return _B3_CELL_NAMES[pattern]
-        return _A3_CELL_NAMES[pattern]
+        return (_B3_CELL_NAMES if first or second else _A3_CELL_NAMES)[pattern]
     # a polygon component plus an isolated active node: a prism
     pair = next(c for c in comps if len(c) == 2)
     base = _polygon_name(sys, (pair[0], pair[1]), active)
@@ -279,30 +271,15 @@ def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
         return all(any(i in active for i in comp)
                    for comp in _components(sys, nodes))
 
-    n0 = order // parabolic_order(
-        sys.name, frozenset(i for i in range(4) if i not in active))
+    n0 = count_for(())  # the halo of no nodes: every zero-label node
     n1 = sum(count_for((i,)) for i in sorted(active))
-
-    faces: List[FaceEntry] = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pair = (i, j)
-            if not valid(pair):
-                continue
-            faces.append(FaceEntry((i + 1, j + 1),
-                                   _polygon_name(sys, pair, active),
-                                   count_for(pair)))
-    cells: List[FaceEntry] = []
-    for skip in range(3, -1, -1):
-        nodes = tuple(i for i in range(4) if i != skip)
-        if not valid(nodes):
-            continue
-        comps = _components(sys, nodes)
-        cells.append(FaceEntry(tuple(i + 1 for i in nodes),
-                               _cell_name(sys, comps, active),
-                               count_for(nodes)))
-    cells.sort(key=lambda e: e.nodes)
-
+    faces = [FaceEntry((i + 1, j + 1), _polygon_name(sys, (i, j), active),
+                       count_for((i, j)))
+             for i, j in combinations(range(4), 2) if valid((i, j))]
+    cells = [FaceEntry(tuple(i + 1 for i in nodes),
+                       _cell_name(sys, _components(sys, nodes), active),
+                       count_for(nodes))
+             for nodes in combinations(range(4), 3) if valid(nodes)]
     return PolytopeComplex(
         sys.name, lab, n0, n1,
         sum(f.count for f in faces), sum(c.count for c in cells),
@@ -325,6 +302,8 @@ def geometric_edge_check(orbit: Orbit) -> int:
     labels whose nonzero entries are all equal; other labels are refused.
     So are orbits whose scaled coordinates could overflow int64.
     """
+    import numpy as np  # only this oracle needs it; kept off the CLI import
+
     if len({a for a in orbit.labels if not a.is_zero()}) > 1:
         raise ValueError(
             f"edge oracle needs equal nonzero entries, got "

@@ -16,7 +16,7 @@ quoted variant is kept alongside for the record.  Computation prevails.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
 from .scalar import FieldScalar, parse_scalar as _p

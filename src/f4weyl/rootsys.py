@@ -42,11 +42,12 @@ def _denominator(values: Sequence[FieldScalar]) -> int:
     return lcm(*(d for v in values for d in (v.a.denominator, v.b.denominator)))
 
 
-def first_negative(mu: IntLabels) -> Optional[int]:
-    """Index of the lowest negative integer label, or None when dominant."""
-    for k in range(0, len(mu), 2):
-        if surd_sign(mu[k], mu[k + 1]) < 0:
-            return k // 2
+def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
+    """Lowest node of the ascending ``nodes`` whose label is negative, or
+    None when mu is dominant on them."""
+    for i in nodes:
+        if surd_sign(mu[2 * i], mu[2 * i + 1]) < 0:
+            return i
     return None
 
 
@@ -54,12 +55,11 @@ class RootSystem:
     """Immutable bundle of simple roots, weights and simple reflections."""
 
     def __init__(self, name: str, simple_roots: Sequence[Quaternion],
-                 weights: Sequence[Quaternion], weyl_group: str) -> None:
+                 weights: Sequence[Quaternion]) -> None:
         self.name = name
         self.rank = len(simple_roots)
         self.simple_roots = tuple(simple_roots)
         self.weights = tuple(weights)
-        self.weyl_group = weyl_group
         self.cartan = tuple(
             tuple(a.dot(b) for b in self.simple_roots) for a in self.simple_roots
         )
@@ -121,6 +121,25 @@ class RootSystem:
             out[2 * j + 1] -= x * d + y * c
         return tuple(out)
 
+    def label_orbit(self, mu: IntLabels, nodes: Sequence[int]) -> List[IntLabels]:
+        """Orbit of mu, dominant on the ascending ``nodes`` J, under W_J.
+
+        The walk that reflects on the lowest negative label among J gives
+        every other orbit point one parent, so the search inverts it:
+        reflect on each positive label i in J and keep the image exactly
+        when i is its lowest negative label among J.  Every point is
+        found once, with no visited set.
+        """
+        found = [mu]
+        for nu in found:  # the list grows as it is walked: breadth first
+            for i in nodes:
+                if surd_sign(nu[2 * i], nu[2 * i + 1]) <= 0:
+                    continue
+                child = self.reflect_labels(nu, i)
+                if first_negative(child, nodes) == i:  # nu is its parent
+                    found.append(child)
+        return found
+
     def integer_vector(self, mu: IntLabels) -> Tuple[int, ...]:
         """sum mu_i omega_i as flat integer pairs over ``den * weight_den``."""
         out = [0] * 8
@@ -144,7 +163,7 @@ class RootSystem:
         mu, den = self.integer_labels(self.vector_to_label(v))
         word: List[int] = []
         for _ in range(_MAX_DOMINANCE_STEPS):
-            i = first_negative(mu)
+            i = first_negative(mu, range(self.rank))
             if i is None:
                 return tuple(FieldScalar(Fraction(mu[k], den),
                                          Fraction(mu[k + 1], den))
@@ -169,7 +188,7 @@ def f4_system() -> RootSystem:
         Quaternion(2, 1, 1, 0),
         Quaternion(1, 1, 0, 0),
     )
-    return RootSystem("F4", roots, weights, "WF4")
+    return RootSystem("F4", roots, weights)
 
 
 @lru_cache(maxsize=1)
@@ -181,7 +200,7 @@ def b4_system() -> RootSystem:
         Quaternion(1, 1, 1, 0),
         Quaternion(1, 1, 1, 1) * INV_SQRT2,
     )
-    return RootSystem("B4", roots, weights, "WB4")
+    return RootSystem("B4", roots, weights)
 
 
 @lru_cache(maxsize=1)
@@ -192,7 +211,7 @@ def b3r_system() -> RootSystem:
         E1 + E2,
         E1,
     )
-    return RootSystem("B3R", roots, duals, "WB3R")
+    return RootSystem("B3R", roots, duals)
 
 
 def get_system(name: str) -> RootSystem:

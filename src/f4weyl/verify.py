@@ -29,7 +29,7 @@ from .branching import (branch_b3a1, branch_b4, project_3d,
 from .duals import (cell_vertices_for_center, cells_at_vertex, dual_cell,
                     dual_polytope, frame_vectors, kite_face, solve_scales)
 from .orbits import (f_vector, generate_orbit, geometric_edge_check,
-                     orbit_size, stabilizer_order, weyl_order)
+                     parabolic_elements)
 from .quat import Quaternion, reflect, reflect_classical
 from .rootsys import f4_system
 from .scalar import FieldScalar, SQRT2, parse_scalar
@@ -297,11 +297,16 @@ def check_self_duality() -> CheckResult:
 
 
 def check_orbit_stabilizer() -> CheckResult:
+    # three independent computations: the label-walk orbit, the quaternion
+    # closure of the zero-label reflections and the octet-built group
     sys = f4_system()
-    order = weyl_order(sys)
-    bad = [pattern for pattern in ALL_PATTERNS
-           if orbit_size(sys, pattern) * stabilizer_order(sys, pattern)
-           != order]
+    order = group_order("WF4")
+    bad = []
+    for pattern in ALL_PATTERNS:
+        zeros = frozenset(i for i, a in enumerate(pattern) if a == 0)
+        stabilizer = parabolic_elements(sys.name, zeros)
+        if generate_orbit(sys, pattern).size * len(stabilizer) != order:
+            bad.append(pattern)
     return _result(
         "orbit-stabilizer products", not bad,
         f"15/15 labels: |orbit| * |stabilizer| = {order}",

@@ -22,7 +22,7 @@ from f4weyl.branching import (branch_b3a1, project_3d, render_b4_branching,
 from f4weyl.duals import (cell_vertices_for_center, cells_at_vertex,
                           dual_cell, dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
-                           orbit_size, stabilizer_order, weyl_order)
+                           orbit_size, parabolic_elements)
 from f4weyl.quat import Quaternion, reflect, reflect_classical
 from f4weyl.rootsys import f4_system, format_labels
 from f4weyl.scalar import FieldScalar, SQRT2, parse_scalar
@@ -219,9 +219,13 @@ def test_criterion_09_self_duality():
 
 
 def test_criterion_10_property_suites():
-    order = weyl_order(F4)
-    ok = all(orbit_size(F4, p) * stabilizer_order(F4, p) == order
-             for p in ALL_PATTERNS)
+    # label-walk orbit x quaternion-closure stabilizer = octet-built group
+    order = group_order("WF4")
+    ok = True
+    for p in ALL_PATTERNS:
+        zeros = frozenset(i for i, a in enumerate(p) if a == 0)
+        stabilizer = parabolic_elements("F4", zeros)
+        ok = ok and generate_orbit(F4, p).size * len(stabilizer) == order
 
     rng = random.Random(SEED)
     trials = 0

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 from f4weyl import refdata
-from f4weyl.binocta import build_subsets
+from f4weyl.binocta import OMEGA0, build_subsets
 from f4weyl.branching import (branch_b3a1, branch_b4, project_3d,
-                              render_b4_branching, signed_permutation_cosets,
-                              verify_b3a1_slices, verify_b4_branching)
+                              render_b4_branching, verify_b3a1_slices,
+                              verify_b4_branching)
 from f4weyl.orbits import generate_orbit, orbit_size
-from f4weyl.quat import Quaternion
+from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import b3r_system, b4_system, f4_system
 from f4weyl.scalar import FieldScalar, SQRT2
 
@@ -32,16 +32,9 @@ def test_b4_part_sizes_sum():
 
 
 def test_b4_coset_representatives():
-    reps = signed_permutation_cosets()
-    assert len(reps) == 3
-    assert reps[0] == reps[0].identity()
-    # cubes of the nontrivial representatives are scalar, hence trivial
-    # on vectors: rep^3 acts as +/-1
-    for rep in reps[1:]:
-        cube = rep.compose(rep).compose(rep)
-        for v in (Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0)):
-            w = cube.apply(v)
-            assert w == v or w == -v
+    # the representatives are left multiplication by 1, omega, omega^2,
+    # and omega^3 = -1 acts on vectors as the signed permutation -1
+    assert OMEGA0 * OMEGA0 * OMEGA0 == -ONE_Q
 
 
 def test_b4_part_matrices_match_walk():

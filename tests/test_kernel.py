@@ -1,21 +1,28 @@
-"""The label-space orbit kernel against the quaternion search it replaced.
+"""The label-space orbit kernel against the quaternion searches it replaced.
 
 ``quaternion_orbit`` is the reference: a breadth-first search over
 vectors that applies each simple reflection as a quaternion pair
 product and keeps a visited set.  The kernel must return the same
-sorted vertex tuple.  The property tests draw seeded random dominant
-Q(sqrt2) labels (derandomized, so every run sees the same examples).
+sorted vertex tuple.  Parabolic subgroup orders and dual-cell centers
+are checked against ``parabolic_elements``, the closure of the simple
+reflections as quaternion pairs.  The property tests draw seeded random
+dominant Q(sqrt2) labels (derandomized, so every run sees the same
+examples).
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4weyl.orbits import generate_orbit, orbit_size, stabilizer_order, weyl_order
+from f4weyl.branching import verify_b3a1_slices, verify_b4_branching
+from f4weyl.duals import cells_at_vertex, dual_polytope
+from f4weyl.orbits import (f_vector, generate_orbit, orbit_size,
+                           parabolic_elements, parabolic_order,
+                           stabilizer_order, weyl_order)
 from f4weyl.quat import E1, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system, get_system
 from f4weyl.scalar import INV_SQRT2, FieldScalar
@@ -52,10 +59,30 @@ def test_kernel_matches_quaternion_search_on_01_labels(sys):
             quaternion_orbit(sys, labels), labels
 
 
+@pytest.mark.parametrize("sys", [f4_system(), b4_system(), b3r_system()],
+                         ids=lambda s: s.name)
+def test_parabolic_order_matches_quaternion_closure(sys):
+    for r in range(sys.rank + 1):
+        for nodes in map(frozenset, combinations(range(sys.rank), r)):
+            assert parabolic_order(sys.name, nodes) == \
+                len(parabolic_elements(sys.name, nodes)), sorted(nodes)
+
+
+@pytest.mark.parametrize("labels", zero_one_labels(4), ids=str)
+def test_cell_centers_match_quaternion_closure(labels):
+    f4 = f4_system()
+    zeros = frozenset(i for i, a in enumerate(labels) if a == 0)
+    stabilizer = parabolic_elements("F4", zeros)
+    for family in cells_at_vertex(f4, labels):
+        weight = f4.weights[family.center_node - 1]
+        assert family.centers == \
+            tuple(sorted({g.apply(weight) for g in stabilizer})), family.nodes
+
+
 def test_cartan_must_be_integral():
     roots = (ONE_Q, (ONE_Q + E1) * INV_SQRT2)  # (a1, a2) = sqrt2/2
     with pytest.raises(ValueError, match="Cartan"):
-        RootSystem("X", roots, (ONE_Q, E1), "WF4")
+        RootSystem("X", roots, (ONE_Q, E1))
 
 
 def test_reflect_labels_is_an_involution():
@@ -121,3 +148,52 @@ def test_property_dominance_walk_returns_source(case, data):
     for i in word:
         v = sys.reflections[i].apply(v)
     assert v == sys.label_to_vector(labels)
+
+
+F4_LABELS = system_and_label(systems=("F4",))
+
+
+@settings(max_examples=25, **PROPERTY)
+@given(F4_LABELS)
+def test_property_euler_relation(case):
+    sys, labels = case
+    assert f_vector(sys, labels).euler_ok()
+
+
+@settings(max_examples=15, **PROPERTY)
+@given(F4_LABELS)
+def test_property_b4_parts_partition_the_orbit(case):
+    _, labels = case
+    assert verify_b4_branching(labels)
+
+
+@settings(max_examples=15, **PROPERTY)
+@given(F4_LABELS)
+def test_property_slice_sizes_sum_to_n0(case):
+    _, labels = case
+    assert verify_b3a1_slices(labels)
+
+
+@settings(max_examples=15, **PROPERTY)
+@given(F4_LABELS)
+def test_property_dual_f_vector_is_reversed(case):
+    sys, labels = case
+    fv = f_vector(sys, labels)
+    dual = dual_polytope(sys, labels)
+    assert len(dual.vertices) == sum(s.size for s in dual.shells) == fv.n3
+    assert dual.f_tuple == tuple(reversed(fv.f_tuple()))
+
+
+def _inventory(entries, flip=False):
+    return sorted((tuple(sorted(5 - n for n in e.nodes)) if flip else e.nodes,
+                   e.name, e.count) for e in entries)
+
+
+@settings(max_examples=25, **PROPERTY)
+@given(F4_LABELS)
+def test_property_diagram_flip_mirrors_f_vector(case):
+    sys, labels = case
+    fv, flipped = f_vector(sys, labels), f_vector(sys, labels[::-1])
+    assert flipped.f_tuple() == fv.f_tuple()
+    assert _inventory(flipped.faces, flip=True) == _inventory(fv.faces)
+    assert _inventory(flipped.cells, flip=True) == _inventory(fv.cells)
