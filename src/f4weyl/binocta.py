@@ -183,19 +183,6 @@ def reflection_element(alpha: Quaternion) -> GroupElement:
     return GroupElement(-unit, unit, star=True)
 
 
-@lru_cache(maxsize=1)
-def f4_generators() -> Tuple[GroupElement, ...]:
-    """The four simple reflections r1..r4 of the F4 diagram."""
-    h = Fraction(1, 2)
-    roots = (
-        Quaternion(h, -h, -h, -h),        # (1 - e1 - e2 - e3)/2
-        E3,
-        (E2 - E3) * INV_SQRT2,
-        (E1 - E2) * INV_SQRT2,
-    )
-    return tuple(reflection_element(a) for a in roots)
-
-
 def diagram_symmetry() -> GroupElement:
     """The order-2 outer symmetry swapping r1<->r4 and r2<->r3."""
     return GroupElement(-(E2 + E3) * INV_SQRT2, E2, False)

@@ -19,19 +19,19 @@ import json
 import math
 import re
 import sys
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import refdata
 from .branching import (branch_b3a1, branch_b4, project_3d,
                         render_b3a1_slices, render_b4_branching)
-from .duals import dual_cell, dual_polytope, label_pattern
+from .duals import (Triple, cross3, dot3, dual_cell, dual_polytope,
+                    label_pattern, sub3)
 from .orbits import f_vector, generate_orbit
 from .rootsys import format_labels, f4_system
 from .scalar import FieldScalar, parse_scalar
 from .verify import DEFAULT_SEED, format_report, run_all
-
-Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
 
 
 def parse_label(text: str) -> Tuple[FieldScalar, ...]:
@@ -49,29 +49,14 @@ def parse_label(text: str) -> Tuple[FieldScalar, ...]:
 # OFF meshes
 
 
-def _cross(a: Triple, b: Triple) -> Triple:
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot3(a: Triple, b: Triple) -> FieldScalar:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _sub3(a: Triple, b: Triple) -> Triple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
     """Faces of the convex hull of exact 3D points, as index cycles.
 
     Supporting planes are found exactly: a triple spans a face when
     every point lies weakly on one side of its plane.  Each face's
-    vertices are then ordered counter-clockwise as seen from outside
-    (float angles around the centroid only break ties that the convex
-    position already makes strict).  Intended for the small dual cells
-    (at most ten vertices), where the cubic scan is instant.
+    vertices are then ordered counter-clockwise as seen from outside,
+    by exact orientation tests.  Intended for the small dual cells (at
+    most ten vertices), where the cubic scan is instant.
     """
     pts = list(points)
     n = len(pts)
@@ -81,10 +66,10 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
         raise ValueError("duplicate points")
     planes: Dict[frozenset, Triple] = {}
     for i, j, k in combinations(range(n), 3):
-        normal = _cross(_sub3(pts[j], pts[i]), _sub3(pts[k], pts[i]))
+        normal = cross3(sub3(pts[j], pts[i]), sub3(pts[k], pts[i]))
         if all(c.is_zero() for c in normal):
             continue
-        dots = [_dot3(_sub3(pts[m], pts[i]), normal) for m in range(n)]
+        dots = [dot3(sub3(pts[m], pts[i]), normal) for m in range(n)]
         signs = {d.sign() for d in dots} - {0}
         if len(signs) > 1:
             continue
@@ -102,29 +87,17 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
 
 def _order_face(pts: Sequence[Triple], members: frozenset,
                 normal: Triple) -> Tuple[int, ...]:
-    idx = sorted(members)
-    nf = [float(c) for c in normal]
-    centroid = [sum(float(pts[m][a]) for m in idx) / len(idx)
-                for a in range(3)]
-    base = None
-    for m in idx:
-        off = [float(pts[m][a]) - centroid[a] for a in range(3)]
-        if sum(x * x for x in off) > 1e-18:
-            base = off
-            break
-    u = base
-    v = [nf[1] * u[2] - nf[2] * u[1],
-         nf[2] * u[0] - nf[0] * u[2],
-         nf[0] * u[1] - nf[1] * u[0]]
+    """The face's cycle from its lowest index, counter-clockwise about the
+    outward ``normal``: a comes before b when (a - p0) x (b - p0) points
+    along it.  The face is convex, so every other vertex lies within a
+    half-turn of the first vertex p0 and this order is total."""
+    first, *rest = sorted(members)
+    p0 = pts[first]
 
-    def angle(m: int) -> float:
-        off = [float(pts[m][a]) - centroid[a] for a in range(3)]
-        return math.atan2(sum(a * b for a, b in zip(off, v)),
-                          sum(a * b for a, b in zip(off, u)))
+    def turn(a: int, b: int) -> int:
+        return -dot3(normal, cross3(sub3(pts[a], p0), sub3(pts[b], p0))).sign()
 
-    cycle = sorted(idx, key=angle)
-    start = cycle.index(min(cycle))
-    return tuple(cycle[start:] + cycle[:start])
+    return (first, *sorted(rest, key=cmp_to_key(turn)))
 
 
 def export_off(points: Sequence[Triple]) -> str:

@@ -21,12 +21,31 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import refdata
-from .orbits import f_vector, generate_orbit, parabolic_orbit
+from .orbits import _validated, f_vector, generate_orbit, parabolic_orbit
 from .quat import E1, E2, E3, Quaternion
 from .rootsys import LabelLike, Labels, RootSystem, format_labels
 from .scalar import FieldScalar
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
+
+
+def sub3(a: Triple, b: Triple) -> Triple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def dot3(a: Triple, b: Triple) -> FieldScalar:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a: Triple, b: Triple) -> Triple:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def dist_sq(p: Triple, q: Triple) -> FieldScalar:
+    d = sub3(p, q)
+    return dot3(d, d)
 
 
 @dataclass(frozen=True)
@@ -118,7 +137,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     Its vertex count equals the source cell count and vice versa; the
     dual f-vector is the reversed source f-vector.
     """
-    labels = sys.coerce_labels(labels)
+    labels = _validated(sys, labels)
     scales = solve_scales(sys, labels)
     source = f_vector(sys, labels)
     shells: List[Shell] = []
@@ -145,11 +164,6 @@ def frame_vectors(lam: Quaternion) -> Tuple[Quaternion, Quaternion, Quaternion]:
     return (E1 * lam, E2 * lam, E3 * lam)
 
 
-def local_coordinates(lam: Quaternion, c: Quaternion) -> Triple:
-    f1, f2, f3 = frame_vectors(lam)
-    return (c.dot(f1), c.dot(f2), c.dot(f3))
-
-
 @dataclass(frozen=True)
 class DualCell:
     """The dual cell at the dominant vertex in local u-coordinates."""
@@ -161,15 +175,16 @@ class DualCell:
 
 
 def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
-    labels = sys.coerce_labels(labels)
-    lam = sys.label_to_vector(labels)
+    labels = _validated(sys, labels)
+    frame = frame_vectors(sys.label_to_vector(labels))
     scales = solve_scales(sys, labels)
     families = cells_at_vertex(sys, labels)
     coords: List[Tuple[int, Triple]] = []
     for fam in families:
         s = scales[fam.center_node]
         for c in fam.centers:
-            coords.append((fam.center_node, local_coordinates(lam, c * s)))
+            coords.append((fam.center_node,
+                           tuple(c.dot(f) * s for f in frame)))
     return DualCell(labels, families, tuple(sorted(scales.items())),
                     tuple(coords))
 
@@ -183,7 +198,7 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
     to use another convention, e.g. the square of a quoted overall
     coordinate factor.
     """
-    labels = sys.coerce_labels(labels)
+    labels = _validated(sys, labels)
     lam = sys.label_to_vector(labels)
     if scale_sq is None:
         scale_sq = FieldScalar(1) / lam.dot(lam)
@@ -192,13 +207,9 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
     out: Dict[FieldScalar, int] = {}
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
-            d = _dist_sq(pts[i], pts[k]) * scale_sq
+            d = dist_sq(pts[i], pts[k]) * scale_sq
             out[d] = out.get(d, 0) + 1
     return out
-
-
-def _dist_sq(p: Triple, q: Triple) -> FieldScalar:
-    return sum(((p[a] - q[a]) ** 2 for a in range(3)), FieldScalar(0))
 
 
 def kite_face(sys: RootSystem, labels: Sequence[LabelLike],
@@ -210,7 +221,7 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike],
     squared diagonals and the exact squared area, plus a float area
     computed independently by triangulation as a cross-check.
     """
-    labels = sys.coerce_labels(labels)
+    labels = _validated(sys, labels)
     cell = dual_cell(sys, labels)
     by_node: Dict[int, List[Triple]] = {}
     for node, u in cell.coords:
@@ -224,30 +235,24 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike],
         scale = FieldScalar(1)
     apex = by_node[apex_nodes[0]][0]
     near_ring = min(ring_nodes,
-                    key=lambda n: min(_dist_sq(apex, u) for u in by_node[n]))
+                    key=lambda n: min(dist_sq(apex, u) for u in by_node[n]))
     far_ring = ring_nodes[0] if near_ring == ring_nodes[1] else ring_nodes[1]
     w = sorted(by_node[far_ring])[0]
-    v1, v2 = sorted(by_node[near_ring], key=lambda u: _dist_sq(u, w))[:2]
+    v1, v2 = sorted(by_node[near_ring], key=lambda u: dist_sq(u, w))[:2]
 
     def scaled(p: Triple) -> Triple:
         return tuple(x * scale for x in p)
 
     a, b1, c, b2 = scaled(apex), scaled(v1), scaled(w), scaled(v2)
-    sides = (_dist_sq(a, b1), _dist_sq(b1, c), _dist_sq(c, b2), _dist_sq(b2, a))
-    d_axis = _dist_sq(a, c)
-    d_cross = _dist_sq(b1, b2)
+    sides = (dist_sq(a, b1), dist_sq(b1, c), dist_sq(c, b2), dist_sq(b2, a))
+    d_axis = dist_sq(a, c)
+    d_cross = dist_sq(b1, b2)
     # planarity: the three edge vectors from the apex are linearly dependent
-    rows = [tuple(p[i] - a[i] for i in range(3)) for p in (b1, c, b2)]
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    if not det.is_zero():
+    r0, r1, r2 = (sub3(p, a) for p in (b1, c, b2))
+    if not dot3(cross3(r0, r1), r2).is_zero():
         raise ArithmeticError("kite is not planar")
     # the diagonals must be perpendicular for the half-product area rule
-    diag1 = tuple(c[i] - a[i] for i in range(3))
-    diag2 = tuple(b2[i] - b1[i] for i in range(3))
-    dot = sum((diag1[i] * diag2[i] for i in range(3)), FieldScalar(0))
-    if not dot.is_zero():
+    if not dot3(sub3(c, a), sub3(b2, b1)).is_zero():
         raise ArithmeticError("kite diagonals are not perpendicular")
     area_sq = d_axis * d_cross / 4
 
@@ -255,12 +260,8 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike],
         return (float(p[0]), float(p[1]), float(p[2]))
 
     def tri_area(p, q, r) -> float:
-        ux = [q[i] - p[i] for i in range(3)]
-        vx = [r[i] - p[i] for i in range(3)]
-        cx = (ux[1] * vx[2] - ux[2] * vx[1],
-              ux[2] * vx[0] - ux[0] * vx[2],
-              ux[0] * vx[1] - ux[1] * vx[0])
-        return 0.5 * (cx[0] ** 2 + cx[1] ** 2 + cx[2] ** 2) ** 0.5
+        cx = cross3(sub3(q, p), sub3(r, p))
+        return 0.5 * dot3(cx, cx) ** 0.5
 
     fa, fb1, fc, fb2 = fl(a), fl(b1), fl(c), fl(b2)
     area_float = tri_area(fa, fb1, fc) + tri_area(fa, fc, fb2)

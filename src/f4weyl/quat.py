@@ -130,12 +130,6 @@ class Quaternion:
 
     # -- formatting --------------------------------------------------------
 
-    def __float__(self):  # pragma: no cover - guard
-        raise TypeError("quaternions have no single float value; use floats()")
-
-    def floats(self) -> Tuple[float, float, float, float]:
-        return tuple(float(c) for c in self.components())  # type: ignore[return-value]
-
     def __repr__(self) -> str:
         return f"Quaternion({self.q0!r}, {self.q1!r}, {self.q2!r}, {self.q3!r})"
 

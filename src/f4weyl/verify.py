@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 from . import refdata
-from .binocta import (build_group, diagram_symmetry, f4_generators,
-                      generate_from, group_order, subset_product_table)
+from .binocta import (build_group, diagram_symmetry, generate_from,
+                      group_order, subset_product_table)
 from .branching import (branch_b3a1, branch_b4, project_3d,
                         verify_b3a1_slices, verify_b4_branching)
 from .duals import (cell_vertices_for_center, cells_at_vertex, dual_cell,
@@ -87,7 +87,7 @@ def check_subset_table() -> CheckResult:
 
 
 def check_presentation() -> CheckResult:
-    r1, r2, r3, r4 = f4_generators()
+    r1, r2, r3, r4 = f4_system().reflections
     orders = [r.order() for r in (r1, r2, r3, r4)]
     pair = {
         (1, 2): r1.compose(r2).order(),

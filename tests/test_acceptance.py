@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from f4weyl import refdata
-from f4weyl.binocta import (build_group, f4_generators, generate_from,
-                            group_order, subset_product_table)
+from f4weyl.binocta import (build_group, generate_from, group_order,
+                            subset_product_table)
 from f4weyl.branching import (branch_b3a1, project_3d, render_b4_branching,
                               verify_b4_branching)
 from f4weyl.duals import (cell_vertices_for_center, cells_at_vertex,
@@ -61,7 +61,7 @@ def test_criterion_02_coset_product_table():
 
 
 def test_criterion_03_coxeter_presentation():
-    r1, r2, r3, r4 = f4_generators()
+    r1, r2, r3, r4 = F4.reflections
     ok = all(r.order() == 2 for r in (r1, r2, r3, r4))
     ok = ok and (r1.compose(r2).order(), r2.compose(r3).order(),
                  r3.compose(r4).order()) == (3, 4, 3)

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 from f4weyl.binocta import (GROUP_NAMES, OMEGA0, GroupElement, build_group,
                             build_subsets, coset_decompose, diagram_symmetry,
-                            f4_generators, generate_from, group_order,
-                            quaternion_cosets, reflection_element,
-                            subset_product_table)
+                            generate_from, group_order, quaternion_cosets,
+                            reflection_element, subset_product_table)
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.refdata import SUBSET_TABLE_GOLDEN
+from f4weyl.rootsys import f4_system
 from f4weyl.scalar import INV_SQRT2
 
 IDENT = GroupElement.identity()
 
 # computed once per run; the groups are cached anyway
 WF4 = build_group("WF4")
+
+# the simple reflections r1..r4 of the F4 diagram
+F4_REFLECTIONS = f4_system().reflections
 
 
 def test_subset_sizes_and_norms():
@@ -81,7 +84,7 @@ def test_compose_matches_action():
 
 
 def test_coxeter_relations():
-    r1, r2, r3, r4 = f4_generators()
+    r1, r2, r3, r4 = F4_REFLECTIONS
     for r in (r1, r2, r3, r4):
         assert r.order() == 2
     assert r1.compose(r2).order() == 3
@@ -93,14 +96,14 @@ def test_coxeter_relations():
 
 
 def test_generated_equals_listed_wf4():
-    assert generate_from(f4_generators()) == WF4
+    assert generate_from(F4_REFLECTIONS) == WF4
 
 
 def test_autf4_is_wf4_extended():
     d = diagram_symmetry()
     assert d.compose(d) == IDENT
     assert d not in WF4
-    r1, r2, r3, r4 = f4_generators()
+    r1, r2, r3, r4 = F4_REFLECTIONS
     dinv = d.inverse()
     assert d.compose(r1).compose(dinv) == r4
     assert d.compose(r2).compose(dinv) == r3
@@ -118,7 +121,7 @@ def test_wb4_generated_by_reflections():
 
 
 def test_wb3r_is_r234():
-    _, r2, r3, r4 = f4_generators()
+    _, r2, r3, r4 = F4_REFLECTIONS
     wb3r = build_group("WB3R")
     assert generate_from((r2, r3, r4)) == wb3r
     for g in wb3r:
@@ -128,7 +131,7 @@ def test_wb3r_is_r234():
 
 
 def test_wb3l_fixes_axis():
-    r1, r2, r3, _ = f4_generators()
+    r1, r2, r3, _ = F4_REFLECTIONS
     neg = GroupElement(ONE_Q, -ONE_Q)
     group = build_group("WB3L_C2")
     assert generate_from((r1, r2, r3, neg)) == group

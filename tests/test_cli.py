@@ -1,11 +1,21 @@
+import hashlib
 import io
 import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
+from pathlib import Path
 
 from f4weyl.cli import convex_faces, export_off, main, parse_label
+from f4weyl.duals import cross3, dot3, dual_cell, sub3
+from f4weyl.rootsys import f4_system
 from f4weyl.scalar import FieldScalar, parse_scalar
+
+# SHA-256 of stdout for every label subcommand x 0/1 label x format,
+# recorded from the reference implementation
+RECORDED = (Path(__file__).resolve().parents[1]
+            / "perfbench" / "expected" / "cli.json")
 
 
 def run_cli(argv):
@@ -119,6 +129,44 @@ def test_determinism_byte_identical():
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert first == second and first
+
+
+def test_recorded_outputs_byte_identical():
+    recorded = json.loads(RECORDED.read_text())
+    assert len(recorded) == 195
+    wrong = []
+    for key, want in recorded.items():
+        cmd, label, fmt = key.split()
+        argv = [cmd, label] + (["--format", "json"] if fmt == "json" else [])
+        code, out, _ = run_cli(argv)
+        data = out.encode()
+        if (code, len(data), hashlib.sha256(data).hexdigest()) != (
+                0, want["bytes"], want["sha256"]):
+            wrong.append(key)
+    assert not wrong
+
+
+def test_export_faces_counter_clockwise_from_outside():
+    big = 10 ** 17
+    labels = [p for p in product((0, 1), repeat=4) if any(p)]
+    labels += [(1, 0, 0, big), (big, 0, 1, 0), (1, big, 0, 0)]
+    for label in labels:
+        pts = sorted(u for _, u in dual_cell(f4_system(), label).coords)
+        n = len(pts)
+        total = tuple(sum((p[a] for p in pts), FieldScalar(0))
+                      for a in range(3))
+        for cycle in convex_faces(pts):
+            for i in range(len(cycle)):
+                a, b, c = (pts[cycle[i - 2]], pts[cycle[i - 1]],
+                           pts[cycle[i]])
+                # n * a - total points from the centroid out through a
+                out_dir = sub3(tuple(x * n for x in a), total)
+                turn = cross3(sub3(b, a), sub3(c, b))
+                assert dot3(turn, out_dir).sign() > 0, (label, cycle)
+        code, text, _ = run_cli(["export", ",".join(map(str, label))])
+        assert code == 0
+        nv, nf, ne = map(int, text.splitlines()[1].split())
+        assert nv - ne + nf == 2, (label, nv, nf, ne)
 
 
 def test_export_bipyramid_counts():

@@ -4,8 +4,7 @@ from fractions import Fraction
 from f4weyl import refdata
 from f4weyl.duals import (cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, dual_cell, dual_polytope,
-                          frame_vectors, kite_face, local_coordinates,
-                          solve_scales)
+                          frame_vectors, kite_face, solve_scales)
 from f4weyl.orbits import f_vector, generate_orbit
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import f4_system
@@ -85,7 +84,7 @@ def test_local_norm_identity():
         c = Quaternion(*comps[4:])
         if lam.is_zero():
             continue
-        u = local_coordinates(lam, c)
+        u = [c.dot(f) for f in frame_vectors(lam)]
         lhs = sum((x * x for x in u), FieldScalar(0))
         rhs = c.dot(c) * lam.dot(lam) - c.dot(lam) ** 2
         assert lhs == rhs
@@ -226,9 +225,10 @@ def test_solve_scales_general_labels():
 
 
 def test_degenerate_dual_rejected():
-    try:
-        dual_polytope(F4, (0, 0, 0, 0))
-    except ValueError:
-        pass
-    else:
-        assert False
+    for entry in (dual_polytope, dual_cell, cell_metrics, kite_face):
+        try:
+            entry(F4, (0, 0, 0, 0))
+        except ValueError:
+            pass
+        else:
+            assert False, entry.__name__
