@@ -1,10 +1,11 @@
-"""Orbit branching under the two index-reducing subgroup splits.
-
-A rank-4 orbit splits in two useful ways: under the signed-permutation
-subgroup (three left cosets, represented by left multiplication with
-powers of the hurwitz unit) and under the octahedral x reflection
-subgroup (24 cosets, one per unit quaternion of the first kind), the
-latter slicing the orbit into parallel 3D layers.
+"""Orbit branching under the signed-permutation group W(B4) and under
+the octahedral x reflection subgroup W(B3) x A1, whose orbits are the
+parallel 3D layers.  Each suborbit holds one point dominant for its
+subgroup (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990) 94-108).
+B3R's simple roots are F4's alpha_2..alpha_4 and W(B3R) lies in W(B4),
+so the F4 orbit points dominant on nodes 2..4 give both: one per layer,
+whose last three labels are the layer's B3 label, and among them the
+B4-dominant point of each B4 part.
 """
 
 from __future__ import annotations
@@ -13,12 +14,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .binocta import OMEGA0, build_subsets
 from .orbits import _validated, generate_orbit, orbit_size
-from .quat import ONE_Q
+from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
-                      format_labels)
+                      first_negative, format_labels, scalar_labels)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar
+
+
+def _b3_dominant(labels: Labels) -> List[Tuple[Labels, Quaternion]]:
+    """(B3 label, vector) of each F4 orbit point dominant on nodes 2..4."""
+    f4 = f4_system()
+    top, den = f4.integer_labels(labels)
+    return [(scalar_labels(mu[2:], den), f4.vertices([mu], den)[0])
+            for mu in f4.label_orbit(top, range(4))
+            if first_negative(mu, (1, 2, 3)) is None]
 
 
 @dataclass(frozen=True)
@@ -32,29 +41,19 @@ class B4Part:
 def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
     """Split a rank-4 orbit into signed-permutation orbits.
 
-    Three coset representatives, left multiplication by 1, OMEGA0 and
-    OMEGA0^2, act on the highest-weight vector; the images are rotated
-    back to dominant position and coinciding parts are merged.  The
-    union of the part orbits is the original orbit.
+    Each part is the B4 orbit of its one B4-dominant point; the union
+    of the part orbits is the original orbit.
     """
     return _branch_b4(_validated(f4_system(), labels))
 
 
 @lru_cache(maxsize=64)
 def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
-    f4 = f4_system()
     b4 = b4_system()
-    lam = f4.label_to_vector(labels)
-    parts: List[B4Part] = []
-    seen = set()
-    for rep in (ONE_Q, OMEGA0, OMEGA0 * OMEGA0):
-        part, _ = b4.dominant_representative(rep * lam)
-        if part in seen:
-            continue
-        seen.add(part)
-        parts.append(B4Part(part, orbit_size(b4, part)))
-    parts.sort(key=lambda p: p.labels)  # the published row order
-    return tuple(parts)
+    # the points are dominant on B3R's roots, which are B4's alpha_2..alpha_4
+    parts = sorted(b4.vector_to_label(v) for _, v in _b3_dominant(labels)
+                   if b4.simple_roots[0].dot(v).sign() >= 0)  # row order
+    return tuple(B4Part(part, orbit_size(b4, part)) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,9 @@ class Slice:
 def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
     """Slice a rank-4 orbit into octahedral orbits at fixed heights.
 
-    The 24 coset representatives of the height-preserving subgroup send
-    the highest-weight vector into every layer; each image is reduced
-    to its dominant octahedral label and layers are merged first by
-    exact coincidence, then across the +/- height mirror.
+    Each layer is the B3 orbit of its one point dominant on nodes 2..4,
+    whose F4 labels end in the layer's B3 label; layers at heights h
+    and -h share that label and merge into one +/- pair.
     """
     return _branch_b3a1(_validated(f4_system(), labels))
 
@@ -86,17 +84,9 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 @lru_cache(maxsize=64)
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
     b3 = b3r_system()
-    lam = f4_system().label_to_vector(labels)
-    raw: Dict[Tuple[Labels, FieldScalar], FieldScalar] = {}
-    for t in build_subsets()["T"]:
-        image = t * lam
-        part, _ = b3.dominant_representative(image)
-        height = image.q0 * INV_SQRT2
-        raw.setdefault((part, abs(height)), height)
-    slices = []
-    for (part, mag), _h in sorted(raw.items(), key=lambda kv: kv[0]):
-        slices.append(Slice(part, mag, orbit_size(b3, part), mag.sign() > 0))
-    return tuple(slices)
+    layers = {(part, abs(v.q0 * INV_SQRT2)) for part, v in _b3_dominant(labels)}
+    return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
+                 for part, height in sorted(layers))
 
 
 def project_3d(labels: Sequence[LabelLike],
@@ -115,32 +105,28 @@ def project_3d(labels: Sequence[LabelLike],
     scaled = tuple(x * scale for x in labels)
     layers: Dict[FieldScalar, set] = {}
     for v in generate_orbit(f4, scaled).vertices:
-        layers.setdefault(v.q0 * INV_SQRT2, set()).add((v.q1, v.q2, v.q3))
-    return tuple((h, frozenset(pts)) for h, pts in
+        layers.setdefault(v.q0, set()).add((v.q1, v.q2, v.q3))
+    # the height is q0 / sqrt2, a positive factor: q0 order is height order
+    return tuple((q0 * INV_SQRT2, frozenset(pts)) for q0, pts in
                  sorted(layers.items(), key=lambda kv: kv[0], reverse=True))
 
 
 def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
     """Check that the branched orbits exactly partition the source orbit."""
     f4 = f4_system()
-    b4 = b4_system()
     labels = _validated(f4, labels)
-    union: set = set()
-    total = 0
-    for part in branch_b4(labels):
-        orb = generate_orbit(b4, part.labels)
-        union.update(orb.vertices)
-        total += orb.size
-    source = generate_orbit(f4, labels)
-    return total == source.size and union == set(source.vertices)
+    parts = [generate_orbit(b4_system(), p.labels).vertices
+             for p in branch_b4(labels)]
+    source = generate_orbit(f4, labels).vertices
+    return (sum(map(len, parts)) == len(source)
+            and set().union(*parts) == set(source))
 
 
 def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
     """Check that the slice sizes account for every orbit vertex."""
     f4 = f4_system()
     labels = _validated(f4, labels)
-    slices = branch_b3a1(labels)
-    total = sum(s.size * (2 if s.paired else 1) for s in slices)
+    total = sum(s.size * (2 if s.paired else 1) for s in branch_b3a1(labels))
     return total == generate_orbit(f4, labels).size
 
 

@@ -45,6 +45,13 @@ def parse_label(text: str) -> Tuple[FieldScalar, ...]:
         raise ValueError(f"label {text!r}: {exc}") from None
 
 
+def parse_scale(text: str) -> FieldScalar:
+    try:
+        return parse_scalar(text)
+    except ValueError as exc:
+        raise ValueError(f"scale {text!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # OFF meshes
 
@@ -187,16 +194,15 @@ def _cmd_branch_b3a1(args):
 
 
 def _cmd_project(args):
-    scale = parse_scalar(args.scale)
-    layers = project_3d(args.label, scale)
+    layers = project_3d(args.label, args.scale)
     payload = {
         "label": format_labels(args.label),
-        "scale": str(scale),
+        "scale": str(args.scale),
         "layers": [{"height": str(h),
                     "points": [[str(c) for c in p] for p in sorted(pts)]}
                    for h, pts in layers],
     }
-    lines = [f"{payload['label']} at scale {scale}: {len(layers)} layers"]
+    lines = [f"{payload['label']} at scale {args.scale}: {len(layers)} layers"]
     for layer in payload["layers"]:
         n = len(layer["points"])
         lines.append(f"h = {layer['height']}  ({n} "
@@ -296,11 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "label", None) is not None:
-        try:
+    try:
+        if getattr(args, "label", None) is not None:
             args.label = parse_label(args.label)
-        except ValueError as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        if getattr(args, "scale", None) is not None:
+            args.scale = parse_scale(args.scale)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
         payload, lines = COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:

@@ -31,7 +31,6 @@ attaining the exact minimum are counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import lcm
@@ -41,7 +40,7 @@ from .binocta import GroupElement, generate_from
 from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system)
-from .scalar import FieldScalar, surd_sign
+from .scalar import surd_sign
 
 #: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
 _B3_CELL_NAMES = {
@@ -130,14 +129,7 @@ def parabolic_orbit(sys: RootSystem, labels: Labels,
     """Sorted W_J-orbit of the labelled weight vector, J = ``nodes``; the
     labels must be nonnegative on J."""
     top, den = sys.integer_labels(labels)
-    # over one common positive denominator, integer order is Quaternion order
-    coords = sorted(sys.integer_vector(mu)
-                    for mu in sys.label_orbit(top, sorted(nodes)))
-    scale = den * sys.weight_den
-    scalars = {xy: FieldScalar(Fraction(xy[0], scale), Fraction(xy[1], scale))
-               for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
-    return tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
-                 for c in coords)
+    return sys.vertices(sys.label_orbit(top, sorted(nodes)), den)
 
 
 @lru_cache(maxsize=None)

@@ -42,6 +42,12 @@ def _denominator(values: Sequence[FieldScalar]) -> int:
     return lcm(*(d for v in values for d in (v.a.denominator, v.b.denominator)))
 
 
+def scalar_labels(mu: IntLabels, den: int) -> Labels:
+    """Integer pairs over ``den`` back as FieldScalar labels."""
+    return tuple(FieldScalar(Fraction(mu[k], den), Fraction(mu[k + 1], den))
+                 for k in range(0, len(mu), 2))
+
+
 def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
     """Lowest node of the ascending ``nodes`` whose label is negative, or
     None when mu is dominant on them."""
@@ -92,11 +98,8 @@ class RootSystem:
 
     def label_to_vector(self, labels: Sequence[LabelLike]) -> Quaternion:
         """Sum a_i * omega_i as an exact quaternion."""
-        labels = self.coerce_labels(labels)
-        v = Quaternion(0, 0, 0, 0)
-        for a, w in zip(labels, self.weights):
-            v = v + w * a
-        return v
+        mu, den = self.integer_labels(self.coerce_labels(labels))
+        return self.vertices([mu], den)[0]
 
     def vector_to_label(self, v: Quaternion) -> Labels:
         """Coordinates in the weight basis: a_i = (v, alpha_i)."""
@@ -152,6 +155,16 @@ class RootSystem:
                 out[2 * k + 1] += x * q + y * p
         return tuple(out)
 
+    def vertices(self, mus: Sequence[IntLabels], den: int) -> Tuple[Quaternion, ...]:
+        """Sorted vectors sum mu_i omega_i of labels over ``den`` (over one
+        positive denominator, integer order is Quaternion order)."""
+        coords = sorted(self.integer_vector(mu) for mu in mus)
+        scale = den * self.weight_den
+        scalars = {xy: FieldScalar(Fraction(xy[0], scale), Fraction(xy[1], scale))
+                   for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
+        return tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
+                     for c in coords)
+
     def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
         """Dominant label of the orbit of v plus the reflection word reaching it.
 
@@ -165,9 +178,7 @@ class RootSystem:
         for _ in range(_MAX_DOMINANCE_STEPS):
             i = first_negative(mu, range(self.rank))
             if i is None:
-                return tuple(FieldScalar(Fraction(mu[k], den),
-                                         Fraction(mu[k + 1], den))
-                             for k in range(0, len(mu), 2)), tuple(word)
+                return scalar_labels(mu, den), tuple(word)
             mu = self.reflect_labels(mu, i)
             word.append(i)
         raise ArithmeticError("dominance walk failed to terminate")

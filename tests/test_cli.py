@@ -79,6 +79,19 @@ def test_malformed_label_is_a_usage_error(capsys):
         assert err.count("\n") == 1 and label in err, err
 
 
+def test_malformed_scale_is_a_usage_error(capsys):
+    # the error names the scale, not the (valid) label
+    for scale in ("1/0", "x"):
+        try:
+            main(["project", "1,0,0,0", "--scale", scale])
+            assert False
+        except SystemExit as exc:
+            assert exc.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"scale {scale!r}" in err, err
+        assert "label" not in err, err
+
+
 def test_negative_label_reaches_the_validator():
     for text, shown in (("-1,0,0,0", "(-1,0,0,0)"),
                         ("-1/2,1,0,0", "(-1/2,1,0,0)")):

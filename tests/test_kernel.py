@@ -5,9 +5,11 @@ vectors that applies each simple reflection as a quaternion pair
 product and keeps a visited set.  The kernel must return the same
 sorted vertex tuple.  Parabolic subgroup orders and dual-cell centers
 are checked against ``parabolic_elements``, the closure of the simple
-reflections as quaternion pairs.  The property tests draw seeded random
-dominant Q(sqrt2) labels (derandomized, so every run sees the same
-examples).
+reflections as quaternion pairs.  Both branchings are checked against
+the paper's coset route: quaternion left-multiplications of the
+highest-weight vector, each followed by a dominance walk.  The property
+tests draw seeded random dominant Q(sqrt2) labels (derandomized, so
+every run sees the same examples).
 """
 
 from fractions import Fraction
@@ -18,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4weyl.branching import verify_b3a1_slices, verify_b4_branching
+from f4weyl.binocta import OMEGA0, build_group, build_subsets
+from f4weyl.branching import (B4Part, Slice, branch_b3a1, branch_b4,
+                              verify_b3a1_slices, verify_b4_branching)
 from f4weyl.duals import cells_at_vertex, dual_polytope
 from f4weyl.orbits import (f_vector, generate_orbit, orbit_size,
                            parabolic_elements, parabolic_order,
@@ -32,7 +36,7 @@ PROPERTY = dict(derandomize=True, deadline=None, database=None)
 
 def quaternion_orbit(sys, labels):
     """Reference orbit: BFS over quaternion vectors with a visited set."""
-    start = sys.label_to_vector(labels)
+    start = weight_sum(sys, labels)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -45,6 +49,38 @@ def quaternion_orbit(sys, labels):
                     new.append(w)
         frontier = new
     return tuple(sorted(seen))
+
+
+def weight_sum(sys, labels):
+    """Reference highest-weight vector: sum a_i * omega_i in FieldScalars."""
+    v = Quaternion(0, 0, 0, 0)
+    for a, w in zip(sys.coerce_labels(labels), sys.weights):
+        v = v + w * a
+    return v
+
+
+def coset_branch_b4(labels):
+    """Reference B4 parts: the dominant B4 labels of 1, OMEGA0 and
+    OMEGA0^2 times the highest-weight vector, merged."""
+    b4 = b4_system()
+    lam = weight_sum(f4_system(), labels)
+    parts = {b4.dominant_representative(rep * lam)[0]
+             for rep in (ONE_Q, OMEGA0, OMEGA0 * OMEGA0)}
+    return tuple(B4Part(p, orbit_size(b4, p)) for p in sorted(parts))
+
+
+def coset_branch_b3a1(labels):
+    """Reference slices: dominant B3 label and |q0/sqrt2| of each of the 24
+    units of T times the highest-weight vector, merged."""
+    b3 = b3r_system()
+    lam = weight_sum(f4_system(), labels)
+    layers = set()
+    for t in build_subsets()["T"]:
+        image = t * lam
+        layers.add((b3.dominant_representative(image)[0],
+                    abs(image.q0 * INV_SQRT2)))
+    return tuple(Slice(p, h, orbit_size(b3, p), h.sign() > 0)
+                 for p, h in sorted(layers))
 
 
 def zero_one_labels(rank):
@@ -77,6 +113,20 @@ def test_cell_centers_match_quaternion_closure(labels):
         weight = f4.weights[family.center_node - 1]
         assert family.centers == \
             tuple(sorted({g.apply(weight) for g in stabilizer})), family.nodes
+
+
+def test_branching_premises():
+    # the branchings read B3 labels off F4 nodes 2..4, and B4 parts off
+    # the same points, which needs W(B3R) inside W(B4)
+    assert b3r_system().simple_roots == f4_system().simple_roots[1:]
+    assert parabolic_elements("B3R", frozenset({0, 1, 2})) <= \
+        build_group("WB4")
+
+
+@pytest.mark.parametrize("labels", zero_one_labels(4), ids=str)
+def test_branchings_match_coset_route_on_01_labels(labels):
+    assert branch_b4(labels) == coset_branch_b4(labels)
+    assert branch_b3a1(labels) == coset_branch_b3a1(labels)
 
 
 def test_cartan_must_be_integral():
@@ -165,6 +215,15 @@ def test_property_euler_relation(case):
 def test_property_b4_parts_partition_the_orbit(case):
     _, labels = case
     assert verify_b4_branching(labels)
+
+
+@settings(max_examples=15, **PROPERTY)
+@given(F4_LABELS)
+def test_property_branchings_match_coset_route(case):
+    sys, labels = case
+    assert sys.label_to_vector(labels) == weight_sum(sys, labels)
+    assert branch_b4(labels) == coset_branch_b4(labels)
+    assert branch_b3a1(labels) == coset_branch_b3a1(labels)
 
 
 @settings(max_examples=15, **PROPERTY)
