@@ -155,7 +155,7 @@ class GroupElement:
         return h
 
     def key(self) -> tuple:
-        return (self.star, self.p.key(), self.q.key())
+        return (self.star, self.p, self.q)
 
     def __lt__(self, other: "GroupElement") -> bool:
         return self.key() < other.key()

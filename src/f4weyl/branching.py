@@ -21,13 +21,17 @@ from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
 from .scalar import INV_SQRT2, FieldScalar, as_scalar
 
 
-def _b3_dominant(labels: Labels) -> List[Tuple[Labels, Quaternion]]:
-    """(B3 label, vector) of each F4 orbit point dominant on nodes 2..4."""
+@lru_cache(maxsize=64)
+def _b3_dominant(labels: Labels) -> Tuple[Tuple[Labels, Quaternion], ...]:
+    """(B3 label, vector) of each F4 orbit point dominant on nodes 2..4.
+
+    Cached like both branchings, which so share one walk of the orbit.
+    """
     f4 = f4_system()
     top, den = f4.integer_labels(labels)
-    return [(scalar_labels(mu[2:], den), f4.vertices([mu], den)[0])
-            for mu in f4.label_orbit(top, range(4))
-            if first_negative(mu, (1, 2, 3)) is None]
+    return tuple((scalar_labels(mu[2:], den), f4.vertices([mu], den)[0])
+                 for mu in f4.label_orbit(top, range(4))
+                 if first_negative(mu, (1, 2, 3)) is None)
 
 
 @dataclass(frozen=True)

@@ -304,12 +304,9 @@ def geometric_edge_check(orbit: Orbit) -> int:
     n = len(verts)
     if n < 2:
         return 0
-    scale = 1
-    for v in verts:
-        for c in v.components():
-            scale = lcm(scale, c.a.denominator, c.b.denominator)
-    rat = [[int(c.a * scale) for c in v.components()] for v in verts]
-    surd = [[int(c.b * scale) for c in v.components()] for v in verts]
+    scale = lcm(*(c.d for v in verts for c in v.components()))
+    rat = [[c.x * (scale // c.d) for c in v.components()] for v in verts]
+    surd = [[c.y * (scale // c.d) for c in v.components()] for v in verts]
     # All vertices share one norm, and so do their Galois conjugates, so
     # P = (|u-v|^2 + conj |u-v|^2) / 2 is at most four times the rational
     # part of |v|^2; |Q| and every partial sum below stay under that too.

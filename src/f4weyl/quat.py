@@ -120,13 +120,15 @@ class Quaternion:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def key(self) -> tuple:
-        """Sort key: lexicographic over exact components."""
-        return ((self.q0.a, self.q0.b), (self.q1.a, self.q1.b),
-                (self.q2.a, self.q2.b), (self.q3.a, self.q3.b))
-
     def __lt__(self, other: "Quaternion") -> bool:
-        return self.key() < other.key()
+        """Lexicographic over the (rational, sqrt2) parts of q0..q3;
+        denominators are positive, so x/d < x'/d' iff x*d' < x'*d."""
+        for s, o in zip(self.components(), other.components()):
+            if s.x * o.d != o.x * s.d:
+                return s.x * o.d < o.x * s.d
+            if s.y * o.d != o.y * s.d:
+                return s.y * o.d < o.y * s.d
+        return False
 
     # -- formatting --------------------------------------------------------
 

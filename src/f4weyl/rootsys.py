@@ -26,7 +26,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .binocta import reflection_element
 from .quat import E1, E2, E3, ONE_Q, Quaternion
-from .scalar import INV_SQRT2, SQRT2, FieldScalar, as_scalar, surd_sign
+from .scalar import (INV_SQRT2, SQRT2, FieldScalar, as_scalar, from_ints,
+                     surd_sign)
 
 LabelLike = Union[FieldScalar, int, Fraction]
 Labels = Tuple[FieldScalar, ...]
@@ -39,13 +40,12 @@ _MAX_DOMINANCE_STEPS = 10_000
 
 def _denominator(values: Sequence[FieldScalar]) -> int:
     """Least common denominator of the rational and sqrt2 parts."""
-    return lcm(*(d for v in values for d in (v.a.denominator, v.b.denominator)))
+    return lcm(*(v.d for v in values))
 
 
 def scalar_labels(mu: IntLabels, den: int) -> Labels:
     """Integer pairs over ``den`` back as FieldScalar labels."""
-    return tuple(FieldScalar(Fraction(mu[k], den), Fraction(mu[k + 1], den))
-                 for k in range(0, len(mu), 2))
+    return tuple(from_ints(mu[k], mu[k + 1], den) for k in range(0, len(mu), 2))
 
 
 def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
@@ -78,12 +78,12 @@ class RootSystem:
         if _denominator([c for row in self.cartan for c in row]) != 1:
             raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
         self._cartan_rows = tuple(
-            tuple((j, int(c.a), int(c.b)) for j, c in enumerate(row) if c)
+            tuple((j, c.x, c.y) for j, c in enumerate(row) if c)
             for row in self.cartan)
         self.weight_den = _denominator(
             [c for w in self.weights for c in w.components()])
         self._weight_rows = tuple(
-            tuple((int(c.a * self.weight_den), int(c.b * self.weight_den))
+            tuple((c.x * (self.weight_den // c.d), c.y * (self.weight_den // c.d))
                   for c in w.components())
             for w in self.weights)
 
@@ -113,7 +113,7 @@ class RootSystem:
     def integer_labels(self, labels: Labels) -> Tuple[IntLabels, int]:
         """Labels as flat Z[sqrt2] integer pairs over a common denominator."""
         den = _denominator(labels)
-        return tuple(int(x * den) for a in labels for x in (a.a, a.b)), den
+        return tuple(v * (den // a.d) for a in labels for v in (a.x, a.y)), den
 
     def reflect_labels(self, mu: IntLabels, i: int) -> IntLabels:
         """Simple reflection s_i in label space: mu_j <- mu_j - mu_i * C_ij."""
@@ -160,7 +160,7 @@ class RootSystem:
         positive denominator, integer order is Quaternion order)."""
         coords = sorted(self.integer_vector(mu) for mu in mus)
         scale = den * self.weight_den
-        scalars = {xy: FieldScalar(Fraction(xy[0], scale), Fraction(xy[1], scale))
+        scalars = {xy: from_ints(xy[0], xy[1], scale)
                    for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
         return tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
                      for c in coords)

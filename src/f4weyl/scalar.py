@@ -6,7 +6,11 @@ Every coordinate that appears in this package lives in the field
 scale-factor arithmetic exact: two points are equal iff their
 :class:`FieldScalar` coordinates compare equal, full stop.
 
-Floats only appear at export boundaries (``__float__``).
+A value is stored as integers ``(x + y*sqrt2)/d``: an element of Z[sqrt2]
+over one denominator (Cohen, GTM 138, section 4.2), kept canonical with
+``d > 0``, ``gcd(x, y, d) == 1`` and zero as ``(0, 0, 1)``, so equal
+values have equal fields.  Floats only appear at export boundaries
+(``__float__``).
 """
 
 from __future__ import annotations
@@ -14,21 +18,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, sqrt
-from typing import Optional, Union
+from math import gcd, isqrt, lcm, sqrt
+from typing import Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
 
-def _frac_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _isqrt_exact(n: int) -> Optional[int]:
+    """Exact square root of an integer, or None."""
+    r = isqrt(max(n, 0))
+    return r if r * r == n else None
 
 
 def surd_sign(a: Rational, b: Rational) -> int:
@@ -48,7 +47,8 @@ class FieldScalar:
 
     Supports exact ring arithmetic, exact division (the field norm
     ``a**2 - 2*b**2`` vanishes only at zero), exact ordering, and an
-    exact square root when one exists in the field.
+    exact square root when one exists in the field.  The canonical
+    integers are the read-only attributes ``x``, ``y``, ``d``.
 
     Parameters
     ----------
@@ -58,82 +58,86 @@ class FieldScalar:
         Coefficient of sqrt(2).  Defaults to 0.
     """
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "_hash", None)
+        if type(a) is int and type(b) is int:
+            x, y, d = a, b, 1
+        else:  # over the lcm of reduced denominators, gcd(x, y, d) is 1
+            a, b = Fraction(a), Fraction(b)
+            d = lcm(a.denominator, b.denominator)
+            x = a.numerator * (d // a.denominator)
+            y = b.numerator * (d // b.denominator)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_d(self, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldScalar is immutable")
 
+    a = property(lambda self: Fraction(self.x, self.d), doc="Rational part.")
+    b = property(lambda self: Fraction(self.y, self.d), doc="sqrt(2) part.")
+
     # -- basics --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x: Union["FieldScalar", Rational]) -> "FieldScalar":
-        if isinstance(x, FieldScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return FieldScalar(x)
-        return NotImplemented  # type: ignore[return-value]
-
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.x and not self.y
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
-        return surd_sign(self.a, self.b)
+        return surd_sign(self.x, self.y)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        x, y, d = _parts(other)
+        if d is None:
             return NotImplemented
-        return FieldScalar(self.a + o.a, self.b + o.b)
+        if d == self.d:
+            return from_ints(self.x + x, self.y + y, d)
+        return from_ints(self.x * d + x * self.d, self.y * d + y * self.d,
+                         self.d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        x, y, d = _parts(other)
+        if d is None:
             return NotImplemented
-        return FieldScalar(self.a - o.a, self.b - o.b)
+        if d == self.d:
+            return from_ints(self.x - x, self.y - y, d)
+        return from_ints(self.x * d - x * self.d, self.y * d - y * self.d,
+                         self.d * d)
 
     def __rsub__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldScalar(o.a - self.a, o.b - self.b)
+        return (-self).__add__(other)
 
     def __mul__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        x, y, d = _parts(other)
+        if d is None:
             return NotImplemented
-        return FieldScalar(self.a * o.a + 2 * self.b * o.b,
-                           self.a * o.b + self.b * o.a)
+        return from_ints(self.x * x + 2 * self.y * y, self.x * y + self.y * x,
+                         self.d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        x, y, d = _parts(other)
+        if d is None:
             return NotImplemented
-        norm = o.a * o.a - 2 * o.b * o.b
+        norm = x * x - 2 * y * y
         if not norm:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2)
-        return self * FieldScalar(o.a / norm, -o.b / norm)
+        # 1/(x + y s) = (x - y s)/(x^2 - 2 y^2)
+        return from_ints((self.x * x - 2 * self.y * y) * d,
+                         (self.y * x - self.x * y) * d, self.d * norm)
 
     def __rtruediv__(self, other: Rational) -> "FieldScalar":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        x, y, d = _parts(other)
+        return NotImplemented if d is None else _raw(x, y, d) / self
 
     def __neg__(self) -> "FieldScalar":
-        return FieldScalar(-self.a, -self.b)
+        return _raw(-self.x, -self.y, self.d)
 
     def __abs__(self) -> "FieldScalar":
         return -self if self.sign() < 0 else self
@@ -152,60 +156,52 @@ class FieldScalar:
 
     def conj(self) -> "FieldScalar":
         """Galois conjugate ``a - b*sqrt(2)``."""
-        return FieldScalar(self.a, -self.b)
+        return _raw(self.x, -self.y, self.d)
 
     def sqrt(self) -> Optional["FieldScalar"]:
         """Exact square root within the field, or None.
 
-        Solves ``(x + y*sqrt2)**2 = a + b*sqrt2``, i.e. ``x^2 + 2y^2 = a``
-        and ``2xy = b`` over the rationals.
+        The root of (x + y*sqrt2)/d is sqrt(m + n*sqrt2)/d with m = x*d,
+        n = y*d; Z[sqrt2] is integrally closed, so that root is p + q*sqrt2
+        with integers p^2 + 2q^2 = m and 2pq = n.
         """
         if self.sign() < 0:
             return None
-        if self.is_zero():
-            return FieldScalar(0)
-        if not self.b:
-            r = _frac_sqrt(self.a)
+        m, n = self.x * self.d, self.y * self.d
+        if not n:
+            r = _isqrt_exact(m)
             if r is not None:
-                return FieldScalar(r)
-            r = _frac_sqrt(self.a / 2)
-            if r is not None:
-                return FieldScalar(0, r)
-            return None
-        # x^2 is a root of t^2 - a t + b^2/2 = 0
-        disc = _frac_sqrt(self.a * self.a - 2 * self.b * self.b)
-        if disc is None:
-            return None
-        for t in ((self.a + disc) / 2, (self.a - disc) / 2):
-            x = _frac_sqrt(t)
-            if x is not None and x != 0:
-                cand = FieldScalar(x, self.b / (2 * x))
-                if cand * cand == self:
-                    return abs(cand)
+                return from_ints(r, 0, self.d)
+            r = _isqrt_exact(m // 2) if m % 2 == 0 else None
+            return None if r is None else from_ints(0, r, self.d)
+        # p^2 is a root t of t^2 - m t + n^2/2 = 0; the other root, 2q^2,
+        # is never a square
+        disc = _isqrt_exact(m * m - 2 * n * n)
+        for t2 in (() if disc is None else (m + disc, m - disc)):
+            p = _isqrt_exact(t2 // 2) if t2 % 2 == 0 else None
+            if p and n % (2 * p) == 0:
+                return abs(from_ints(p, n // (2 * p), self.d))
         return None
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldScalar):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
+        x, y, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        return self.x == x and self.y == y and self.d == d
 
     def __lt__(self, other: Union["FieldScalar", Rational]) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
+        x, y, d = _parts(other)
+        if d is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return surd_sign(self.x * d - x * self.d, self.y * d - y * self.d) < 0
 
     def __hash__(self) -> int:
-        # Fraction hashing is costly (modular inverse); cache it.
-        h = self._hash
-        if h is None:
-            h = hash(self.a) if self.b == 0 else hash((self.a, self.b))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # a rational value hashes as the int or Fraction it equals
+        if self.y:
+            return hash((self.x, self.y, self.d))
+        return hash(self.x) if self.d == 1 else hash(Fraction(self.x, self.d))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -213,24 +209,62 @@ class FieldScalar:
     # -- conversion / formatting ----------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * sqrt(2.0)
+        # x/d rounds correctly, as float(Fraction(x, d)) does
+        return self.x / self.d + self.y / self.d * sqrt(2.0)
 
     def __repr__(self) -> str:
         return f"FieldScalar({self.a}, {self.b})"
 
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        if self.b == 1:
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        if b == 1:
             surd = "sqrt2"
-        elif self.b == -1:
+        elif b == -1:
             surd = "-sqrt2"
         else:
-            surd = f"{self.b}sqrt2"
-        if not self.a:
+            surd = f"{b}sqrt2"
+        if not a:
             return surd
         sep = "" if surd.startswith("-") else "+"
-        return f"{self.a}{sep}{surd}"
+        return f"{a}{sep}{surd}"
+
+
+_new = object.__new__
+_set_x, _set_y, _set_d = (FieldScalar.x.__set__, FieldScalar.y.__set__,
+                          FieldScalar.d.__set__)
+
+
+def _raw(x: int, y: int, d: int) -> FieldScalar:
+    """A FieldScalar from integers already in canonical form."""
+    s = _new(FieldScalar)
+    _set_x(s, x)
+    _set_y(s, y)
+    _set_d(s, d)
+    return s
+
+
+def from_ints(x: int, y: int, d: int) -> FieldScalar:
+    """The value ``(x + y*sqrt2)/d`` of integers with ``d != 0``."""
+    if d != 1:
+        if d < 0:
+            x, y, d = -x, -y, -d
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    return _raw(x, y, d)
+
+
+def _parts(v: object) -> Tuple[int, int, Optional[int]]:
+    """(x, y, d) of a FieldScalar, int or Fraction; d is None otherwise."""
+    if type(v) is FieldScalar:
+        return v.x, v.y, v.d
+    if isinstance(v, int):
+        return v, 0, 1
+    if isinstance(v, Fraction):
+        return v.numerator, 0, v.denominator
+    return 0, 0, None
 
 
 def as_scalar(x: Union[FieldScalar, Rational]) -> FieldScalar:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from f4weyl.binocta import build_group, sorted_elements
 from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, ZERO_Q, reflect,
                          reflect_classical)
 from f4weyl.scalar import FieldScalar
@@ -125,3 +126,28 @@ def test_sort_key_deterministic():
     s1 = sorted(pts)
     s2 = sorted(list(reversed(pts)))
     assert s1 == s2
+
+
+def seed_key(q):
+    """The order quaternions sorted by: lexicographic over the Fraction
+    parts (q0.a, q0.b), ..., (q3.a, q3.b)."""
+    return tuple((c.a, c.b) for c in q.components())
+
+
+def test_sort_order_matches_fraction_key():
+    rng = random.Random(9)
+    for span in (1, 2, 6):  # small spans give many equal leading parts
+        pts = [rand_quat(rng, span) for _ in range(300)]
+        pts += [Quaternion(p.q0, p.q1, p.q2 + FieldScalar(0, 1), p.q3)
+                for p in pts[:40]]
+        assert sorted(pts) == sorted(pts, key=seed_key)
+        assert [seed_key(p) for p in sorted(pts)] \
+            == sorted(seed_key(p) for p in pts)
+    for p in pts[:50]:
+        assert not p < p
+
+
+def test_group_element_order_matches_fraction_key():
+    group = build_group("WB3R_C2")
+    assert sorted_elements(group) == sorted(
+        group, key=lambda g: (g.star, seed_key(g.p), seed_key(g.q)))

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4weyl.scalar import FieldScalar, HALF, ONE, SQRT2, ZERO, parse_scalar
+from f4weyl.scalar import (FieldScalar, HALF, ONE, SQRT2, ZERO, from_ints,
+                           parse_scalar)
 
 
 def rand_scalar(rng, span=12):
@@ -173,3 +175,236 @@ def test_pow_and_abs():
     assert (ONE - SQRT2) ** 0 == ONE
     assert abs(FieldScalar(1, -1)) == FieldScalar(-1, 1)
     assert abs(FieldScalar(5)) == FieldScalar(5)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the two-Fraction arithmetic
+
+
+def _frac_sqrt(q):
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+class RefScalar:
+    """Oracle: a + b*sqrt2 held as two Fractions, with the textbook
+    arithmetic, ordering, square root and rendering."""
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def of(v):
+        return v if isinstance(v, RefScalar) else RefScalar(v)
+
+    def sign(self):
+        a, b = self.a, self.b
+        if not b:
+            return (a > 0) - (a < 0)
+        sb = 1 if b > 0 else -1
+        if not a or (a > 0) == (sb > 0):
+            return sb
+        return sb if 2 * b * b > a * a else -sb
+
+    def __add__(self, o):
+        o = RefScalar.of(o)
+        return RefScalar(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        o = RefScalar.of(o)
+        return RefScalar(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        o = RefScalar.of(o)
+        return RefScalar(self.a * o.a + 2 * self.b * o.b,
+                         self.a * o.b + self.b * o.a)
+
+    def __truediv__(self, o):
+        o = RefScalar.of(o)
+        norm = o.a * o.a - 2 * o.b * o.b
+        if not norm:
+            raise ZeroDivisionError
+        return self * RefScalar(o.a / norm, -o.b / norm)
+
+    def __neg__(self):
+        return RefScalar(-self.a, -self.b)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def conj(self):
+        return RefScalar(self.a, -self.b)
+
+    def __eq__(self, o):
+        o = RefScalar.of(o)
+        return self.a == o.a and self.b == o.b
+
+    def __lt__(self, o):
+        return (self - o).sign() < 0
+
+    def sqrt(self):
+        if self.sign() < 0:
+            return None
+        if not self.a and not self.b:
+            return RefScalar(0)
+        if not self.b:
+            r = _frac_sqrt(self.a)
+            if r is not None:
+                return RefScalar(r)
+            r = _frac_sqrt(self.a / 2)
+            return None if r is None else RefScalar(0, r)
+        disc = _frac_sqrt(self.a * self.a - 2 * self.b * self.b)
+        if disc is None:
+            return None
+        for t in ((self.a + disc) / 2, (self.a - disc) / 2):
+            x = _frac_sqrt(t)
+            if x:
+                cand = RefScalar(x, self.b / (2 * x))
+                if cand * cand == self:
+                    return abs(cand)
+        return None
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * sqrt(2.0)
+
+    def __repr__(self):
+        return f"FieldScalar({self.a}, {self.b})"
+
+    def __str__(self):
+        if not self.b:
+            return str(self.a)
+        surd = {1: "sqrt2", -1: "-sqrt2"}.get(self.b, f"{self.b}sqrt2")
+        if not self.a:
+            return surd
+        return f"{self.a}{'' if surd.startswith('-') else '+'}{surd}"
+
+
+def assert_same(got, want):
+    """got is the canonical FieldScalar of the reference value want."""
+    assert isinstance(got, FieldScalar)
+    assert (got.a, got.b) == (want.a, want.b)
+    assert got.d > 0 and gcd(got.x, got.y, got.d) == 1
+    if not want.a and not want.b:
+        assert (got.x, got.y, got.d) == (0, 0, 1)
+
+
+rationals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(max_denominator=10 ** 4))
+pairs = st.tuples(rationals, rationals)
+DIFF = settings(max_examples=300, derandomize=True, deadline=None,
+                database=None)
+
+
+@DIFF
+@given(pairs, pairs)
+def test_differential_arithmetic(p, q):
+    x, y = FieldScalar(*p), FieldScalar(*q)
+    rx, ry = RefScalar(*p), RefScalar(*q)
+    assert_same(x, rx)
+    assert_same(x + y, rx + ry)
+    assert_same(x - y, rx - ry)
+    assert_same(x * y, rx * ry)
+    assert_same(-x, -rx)
+    assert_same(abs(x), abs(rx))
+    assert_same(x.conj(), rx.conj())
+    assert x.sign() == rx.sign()
+    assert (x < y) == (rx < ry) and (y < x) == (ry < rx)
+    assert (x == y) == (rx == ry)
+    if ry.sign():
+        assert_same(x / y, rx / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@DIFF
+@given(pairs, rationals)
+def test_differential_mixed_operands(p, q):
+    x, rx = FieldScalar(*p), RefScalar(*p)
+    for got, want in ((x + q, rx + q), (q + x, rx + q), (x - q, rx - q),
+                      (q - x, RefScalar(q) - rx), (x * q, rx * q),
+                      (q * x, rx * q)):
+        assert_same(got, want)
+    if q:
+        assert_same(x / q, rx / q)
+    if rx.sign():
+        assert_same(q / x, RefScalar(q) / rx)
+    assert (x < q) == (rx < q) and (x > q) == (RefScalar(q) < rx)
+    assert (x == q) == (rx == q) and (q == x) == (rx == q)
+
+
+@DIFF
+@given(pairs)
+def test_differential_sqrt_and_rendering(p):
+    x, rx = FieldScalar(*p), RefScalar(*p)
+    for got, want in ((x.sqrt(), rx.sqrt()),
+                      ((x * x).sqrt(), (rx * rx).sqrt()),
+                      ((x * 2).sqrt(), (rx * 2).sqrt())):
+        if want is None:
+            assert got is None
+        else:
+            assert_same(got, want)
+    assert (x * x).sqrt() is not None
+    assert float(x).hex() == float(rx).hex()
+    assert str(x) == str(rx) and repr(x) == repr(rx)
+
+
+def test_canonical_form():
+    def fields(z):
+        return z.x, z.y, z.d
+
+    assert fields(ZERO) == fields(FieldScalar(2, 4) - FieldScalar(2, 4)) \
+        == fields(from_ints(0, 0, -7)) == (0, 0, 1)
+    h = FieldScalar(Fraction(-1, 2), Fraction(3, 4))
+    assert fields(h) == (-2, 3, 4)
+    assert fields(from_ints(6, -4, -8)) == (-3, 2, 4)
+    with pytest.raises(AttributeError):
+        h.x = 1
+
+
+# ---------------------------------------------------------------------------
+# hashing and equality across int, Fraction and FieldScalar
+
+RATIONALS = [0, 1, -1, 7, -12, 2 ** 70 + 1, -(3 ** 50), Fraction(1, 2),
+             Fraction(-3, 4), Fraction(22, 7), Fraction(-1, 10 ** 30),
+             Fraction(2 ** 80 + 1, 3 ** 40)]
+
+
+@pytest.mark.parametrize("q", RATIONALS, ids=str)
+def test_rational_hash_and_equality(q):
+    x = FieldScalar(q)
+    assert hash(x) == hash(q) and x == q and q == x
+    assert hash(x + SQRT2 - SQRT2) == hash(q)
+    assert x != q + 1 and x != FieldScalar(q, 1) and FieldScalar(q, 1) != q
+
+
+def test_equal_values_from_different_routes():
+    routes = [FieldScalar(1, 1) / 2,
+              FieldScalar(Fraction(1, 2), Fraction(1, 2)),
+              HALF + SQRT2 * HALF,
+              parse_scalar("1/2+sqrt2/2"),
+              from_ints(3, 3, 6),
+              (FieldScalar(3, 2) / 4).sqrt() * SQRT2 / 2 * SQRT2]
+    for r in routes:
+        assert r == routes[0] and hash(r) == hash(routes[0])
+    assert len(set(routes)) == 1
+    assert FieldScalar(4) / 2 == 2 and hash(FieldScalar(4) / 2) == hash(2)
+    assert hash(SQRT2 * SQRT2 / 4) == hash(Fraction(1, 2))
+
+
+def test_set_and_dict_lookups_across_types():
+    values = {1: "one", Fraction(1, 2): "half", FieldScalar(0, 1): "sqrt2"}
+    assert values[FieldScalar(1)] == "one"
+    assert values[FieldScalar(Fraction(1, 2))] == "half"
+    assert values[SQRT2 * ONE] == "sqrt2"
+    assert values[HALF] == "half"
+    keyed = {FieldScalar(1): "a", HALF: "b"}
+    assert keyed[1] == "a" and keyed[Fraction(1, 2)] == "b"
+    assert keyed[Fraction(2, 2)] == "a"
+    mixed = {1, Fraction(1, 2), FieldScalar(1), HALF, FieldScalar(2) / 4}
+    assert len(mixed) == 2
+    assert FieldScalar(1) in {1} and Fraction(1, 2) in {HALF}
