@@ -1,11 +1,12 @@
 """Orbit branching under the signed-permutation group W(B4) and under
 the octahedral x reflection subgroup W(B3) x A1, whose orbits are the
-parallel 3D layers.  Each suborbit holds one point dominant for its
-subgroup (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990) 94-108).
-B3R's simple roots are F4's alpha_2..alpha_4 and W(B3R) lies in W(B4),
-so the F4 orbit points dominant on nodes 2..4 give both: one per layer,
-whose last three labels are the layer's B3 label, and among them the
-B4-dominant point of each B4 part.
+parallel 3D layers.  Each suborbit holds one point in its subgroup's
+closed fundamental chamber (J. E. Humphreys, "Reflection Groups and
+Coxeter Groups", section 1.12; D. M. Snow, "Weyl group orbits", ACM
+TOMS 16 (1990) 94-108), and with these roots the chambers are
+coordinate chains: a W(B4) part has one vertex with
+q0 >= q1 >= q2 >= q3 >= 0, a W(B3) layer one with q1 >= q2 >= q3 >= 0.
+Both branchings filter the cached F4 orbit by those chains.
 """
 
 from __future__ import annotations
@@ -15,23 +16,9 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .orbits import _validated, generate_orbit, orbit_size
-from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
-                      first_negative, format_labels, scalar_labels)
+                      format_labels)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar
-
-
-@lru_cache(maxsize=64)
-def _b3_dominant(labels: Labels) -> Tuple[Tuple[Labels, Quaternion], ...]:
-    """(B3 label, vector) of each F4 orbit point dominant on nodes 2..4.
-
-    Cached like both branchings, which so share one walk of the orbit.
-    """
-    f4 = f4_system()
-    top, den = f4.integer_labels(labels)
-    return tuple((scalar_labels(mu[2:], den), f4.vertices([mu], den)[0])
-                 for mu in f4.label_orbit(top, range(4))
-                 if first_negative(mu, (1, 2, 3)) is None)
 
 
 @dataclass(frozen=True)
@@ -45,8 +32,9 @@ class B4Part:
 def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
     """Split a rank-4 orbit into signed-permutation orbits.
 
-    Each part is the B4 orbit of its one B4-dominant point; the union
-    of the part orbits is the original orbit.
+    Each part is the B4 orbit of its one vertex with
+    q0 >= q1 >= q2 >= q3 >= 0; the union of the part orbits is the
+    original orbit.
     """
     return _branch_b4(_validated(f4_system(), labels))
 
@@ -54,9 +42,9 @@ def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
 @lru_cache(maxsize=64)
 def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
     b4 = b4_system()
-    # the points are dominant on B3R's roots, which are B4's alpha_2..alpha_4
-    parts = sorted(b4.vector_to_label(v) for _, v in _b3_dominant(labels)
-                   if b4.simple_roots[0].dot(v).sign() >= 0)  # row order
+    parts = sorted(b4.vector_to_label(v)  # row order
+                   for v in generate_orbit(f4_system(), labels).vertices
+                   if v.q0 >= v.q1 >= v.q2 >= v.q3 >= 0)
     return tuple(B4Part(part, orbit_size(b4, part)) for part in parts)
 
 
@@ -78,9 +66,9 @@ class Slice:
 def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
     """Slice a rank-4 orbit into octahedral orbits at fixed heights.
 
-    Each layer is the B3 orbit of its one point dominant on nodes 2..4,
-    whose F4 labels end in the layer's B3 label; layers at heights h
-    and -h share that label and merge into one +/- pair.
+    Each layer is the B3 orbit of its one vertex with
+    q1 >= q2 >= q3 >= 0; layers at heights h and -h share that label
+    and merge into one +/- pair.
     """
     return _branch_b3a1(_validated(f4_system(), labels))
 
@@ -88,7 +76,9 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 @lru_cache(maxsize=64)
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
     b3 = b3r_system()
-    layers = {(part, abs(v.q0 * INV_SQRT2)) for part, v in _b3_dominant(labels)}
+    layers = {(b3.vector_to_label(v), abs(v.q0 * INV_SQRT2))
+              for v in generate_orbit(f4_system(), labels).vertices
+              if v.q1 >= v.q2 >= v.q3 >= 0}
     return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
                  for part, height in sorted(layers))
 

@@ -169,7 +169,6 @@ class DualCell:
     """The dual cell at the dominant vertex in local u-coordinates."""
 
     source: Labels
-    families: Tuple[CellFamily, ...]
     scales: Tuple[Tuple[int, FieldScalar], ...]
     coords: Tuple[Tuple[int, Triple], ...]  # (center node, u-triple) per vertex
 
@@ -185,8 +184,7 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
         for c in fam.centers:
             coords.append((fam.center_node,
                            tuple(c.dot(f) * s for f in frame)))
-    return DualCell(labels, families, tuple(sorted(scales.items())),
-                    tuple(coords))
+    return DualCell(labels, tuple(sorted(scales.items())), tuple(coords))
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],

@@ -82,7 +82,6 @@ class FaceEntry:
 
 @dataclass(frozen=True)
 class Orbit:
-    system: str
     labels: Labels
     vertices: Tuple[Quaternion, ...]
 
@@ -96,7 +95,6 @@ class Orbit:
 
 @dataclass(frozen=True)
 class PolytopeComplex:
-    system: str
     labels: Labels
     n0: int
     n1: int
@@ -132,10 +130,10 @@ def parabolic_orbit(sys: RootSystem, labels: Labels,
     return sys.vertices(sys.label_orbit(top, sorted(nodes)), den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
-    return Orbit(sys_name, labels,
+    return Orbit(labels,
                  parabolic_orbit(sys, labels, frozenset(range(sys.rank))))
 
 
@@ -273,7 +271,7 @@ def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
                        count_for(nodes))
              for nodes in combinations(range(4), 3) if valid(nodes)]
     return PolytopeComplex(
-        sys.name, lab, n0, n1,
+        lab, n0, n1,
         sum(f.count for f in faces), sum(c.count for c in cells),
         tuple(faces), tuple(cells))
 

@@ -8,7 +8,7 @@ from f4weyl.branching import (branch_b3a1, branch_b4, project_3d,
                               verify_b4_branching)
 from f4weyl.orbits import generate_orbit, orbit_size
 from f4weyl.quat import ONE_Q, Quaternion
-from f4weyl.rootsys import b3r_system, b4_system, f4_system
+from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
 from f4weyl.scalar import FieldScalar, SQRT2
 
 
@@ -90,6 +90,27 @@ def test_b3a1_family_formulas():
             expected.add((lab, abs(h)))
         got = set((s.labels, s.height) for s in branch_b3a1(labels))
         assert got == expected
+
+
+def test_one_walk_per_label(monkeypatch):
+    # the vertex list and both branchings of a label no test has seen
+    # come from one walk of its F4 orbit
+    f4 = f4_system()
+    labels = f4.coerce_labels((Fraction(3, 11), 0, FieldScalar(2, 1),
+                               Fraction(5, 13)))
+    top, _ = f4.integer_labels(labels)
+    starts = []
+    walk = RootSystem.label_orbit
+
+    def counted(self, mu, nodes):
+        starts.append(mu)
+        return walk(self, mu, nodes)
+
+    monkeypatch.setattr(RootSystem, "label_orbit", counted)
+    generate_orbit(f4, labels)
+    branch_b4(labels)
+    branch_b3a1(labels)
+    assert starts.count(top) == 1
 
 
 def test_slice_count_is_24():

@@ -116,8 +116,8 @@ def test_cell_centers_match_quaternion_closure(labels):
 
 
 def test_branching_premises():
-    # the branchings read B3 labels off F4 nodes 2..4, and B4 parts off
-    # the same points, which needs W(B3R) inside W(B4)
+    # B3R's roots are F4's alpha_2..alpha_4, and W(B3R) lies in W(B4),
+    # so every B4 part is a union of B3 layers
     assert b3r_system().simple_roots == f4_system().simple_roots[1:]
     assert parabolic_elements("B3R", frozenset({0, 1, 2})) <= \
         build_group("WB4")
@@ -127,6 +127,22 @@ def test_branching_premises():
 def test_branchings_match_coset_route_on_01_labels(labels):
     assert branch_b4(labels) == coset_branch_b4(labels)
     assert branch_b3a1(labels) == coset_branch_b3a1(labels)
+
+
+def assert_chains_are_chambers(labels):
+    """The coordinate chains that the branchings filter on are exactly the
+    closed B4 and B3R chambers, on every vertex of the F4 orbit."""
+    b4, b3 = b4_system(), b3r_system()
+    for v in generate_orbit(f4_system(), labels).vertices:
+        assert (v.q0 >= v.q1 >= v.q2 >= v.q3 >= 0) == \
+            b4.is_dominant(b4.vector_to_label(v)), v
+        assert (v.q1 >= v.q2 >= v.q3 >= 0) == \
+            b3.is_dominant(b3.vector_to_label(v)), v
+
+
+@pytest.mark.parametrize("labels", zero_one_labels(4), ids=str)
+def test_branching_chains_are_chambers_on_01_labels(labels):
+    assert_chains_are_chambers(labels)
 
 
 def test_cartan_must_be_integral():
@@ -224,6 +240,13 @@ def test_property_branchings_match_coset_route(case):
     assert sys.label_to_vector(labels) == weight_sum(sys, labels)
     assert branch_b4(labels) == coset_branch_b4(labels)
     assert branch_b3a1(labels) == coset_branch_b3a1(labels)
+
+
+@settings(max_examples=15, **PROPERTY)
+@given(F4_LABELS)
+def test_property_branching_chains_are_chambers(case):
+    _, labels = case
+    assert_chains_are_chambers(labels)
 
 
 @settings(max_examples=15, **PROPERTY)
