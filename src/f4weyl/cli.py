@@ -19,15 +19,11 @@ import json
 import math
 import re
 import sys
-from functools import cmp_to_key
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from . import refdata
 from .branching import (branch_b3a1, branch_b4, project_3d,
                         render_b3a1_slices, render_b4_branching)
-from .duals import (Triple, cross3, dot3, dual_cell, dual_polytope,
-                    label_pattern, sub3)
+from .duals import Triple, convex_faces, dual_cell, dual_polytope
 from .orbits import f_vector, generate_orbit
 from .rootsys import format_labels, f4_system
 from .scalar import FieldScalar, parse_scalar
@@ -56,57 +52,6 @@ def parse_scale(text: str) -> FieldScalar:
 # OFF meshes
 
 
-def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
-    """Faces of the convex hull of exact 3D points, as index cycles.
-
-    Supporting planes are found exactly: a triple spans a face when
-    every point lies weakly on one side of its plane.  Each face's
-    vertices are then ordered counter-clockwise as seen from outside,
-    by exact orientation tests.  Intended for the small dual cells (at
-    most ten vertices), where the cubic scan is instant.
-    """
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("empty geometry")
-    if len(set(pts)) != n:
-        raise ValueError("duplicate points")
-    planes: Dict[frozenset, Triple] = {}
-    for i, j, k in combinations(range(n), 3):
-        normal = cross3(sub3(pts[j], pts[i]), sub3(pts[k], pts[i]))
-        if all(c.is_zero() for c in normal):
-            continue
-        dots = [dot3(sub3(pts[m], pts[i]), normal) for m in range(n)]
-        signs = {d.sign() for d in dots} - {0}
-        if len(signs) > 1:
-            continue
-        members = frozenset(m for m, d in enumerate(dots) if d.is_zero())
-        if signs == {1}:  # flip so the normal points away from the body
-            normal = tuple(-c for c in normal)
-        planes[members] = normal
-    if not planes or len(pts) < 4 or any(len(m) == n for m in planes):
-        raise ValueError("degenerate (flat) geometry")
-    faces = [_order_face(pts, members, normal)
-             for members, normal in planes.items()]
-    faces.sort()
-    return faces
-
-
-def _order_face(pts: Sequence[Triple], members: frozenset,
-                normal: Triple) -> Tuple[int, ...]:
-    """The face's cycle from its lowest index, counter-clockwise about the
-    outward ``normal``: a comes before b when (a - p0) x (b - p0) points
-    along it.  The face is convex, so every other vertex lies within a
-    half-turn of the first vertex p0 and this order is total."""
-    first, *rest = sorted(members)
-    p0 = pts[first]
-
-    def turn(a: int, b: int) -> int:
-        return -dot3(normal, cross3(sub3(pts[a], p0), sub3(pts[b], p0))).sign()
-
-    return (first, *sorted(rest, key=cmp_to_key(turn)))
-
-
 def export_off(points: Sequence[Triple]) -> str:
     """Render exact 3D points as OFF text (17 significant digits)."""
     pts = sorted(points)
@@ -128,12 +73,6 @@ def export_off(points: Sequence[Triple]) -> str:
 def _inventory(entries) -> List[dict]:
     return [{"nodes": list(e.nodes), "name": e.name, "count": e.count}
             for e in entries]
-
-
-def _row_scale(cell) -> FieldScalar:
-    """The scale of the published dual-cell rows (1 where none is printed)."""
-    printed = refdata.DUAL_CELL_PRINTED.get(label_pattern(cell.source))
-    return printed[0] if printed else FieldScalar(1)
 
 
 def _cmd_verify(args):
@@ -214,29 +153,29 @@ def _cmd_project(args):
 def _cmd_dual(args):
     dual = dual_polytope(f4_system(), args.label)
     cell = dual_cell(f4_system(), args.label)
-    row_scale = _row_scale(cell)
-    rows = [{"node": node, "coords": [str(u * row_scale) for u in triple]}
-            for node, triple in cell.coords]
+    rows = [{"node": node, "coords": [str(u) for u in triple]}
+            for node, triple in cell.rows()]
     payload = {
         "label": format_labels(dual.source),
         "vertex_count": len(dual.vertices),
         "cell_count": dual.cell_count,
-        "scales": [{"node": node, "scale": str(s)} for node, s in cell.scales],
+        "scales": [{"node": s.node, "scale": str(s.scale)}
+                   for s in dual.shells],
         "shells": [{"node": s.node, "size": s.size,
                     "radius_sq": str(s.radius_sq),
                     "radius": math.sqrt(float(s.radius_sq))}
                    for s in dual.shells],
-        "cell": {"row_scale": str(row_scale), "vertices": rows},
+        "cell": {"row_scale": str(cell.row_scale), "vertices": rows},
     }
     lines = [f"dual of {payload['label']}: {len(dual.vertices)} vertices, "
              f"{dual.cell_count} cells",
-             "scales: " + ", ".join(f"node{node} = {s}"
-                                    for node, s in cell.scales),
+             "scales: " + ", ".join(f"node{s.node} = {s.scale}"
+                                    for s in dual.shells),
              "shells:"]
     lines.extend(f"  node {s['node']}: {s['size']} vertices, radius^2 = "
                  f"{s['radius_sq']} ({s['radius']:.6f})"
                  for s in payload["shells"])
-    lines.append(f"cell vertices (rows scaled by {row_scale}):")
+    lines.append(f"cell vertices (rows scaled by {cell.row_scale}):")
     lines.extend(f"  node {r['node']}: (" + ",".join(r["coords"]) + ")"
                  for r in rows)
     return payload, lines
@@ -244,9 +183,7 @@ def _cmd_dual(args):
 
 def _cmd_export(args):
     cell = dual_cell(f4_system(), args.label)
-    s = _row_scale(cell)
-    points = [tuple(u * s for u in triple) for _, triple in cell.coords]
-    return None, export_off(points).splitlines()
+    return None, export_off([u for _, u in cell.rows()]).splitlines()
 
 
 COMMANDS = {

@@ -18,6 +18,8 @@ by ``(Lambda, Lambda)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import refdata
@@ -46,6 +48,57 @@ def cross3(a: Triple, b: Triple) -> Triple:
 def dist_sq(p: Triple, q: Triple) -> FieldScalar:
     d = sub3(p, q)
     return dot3(d, d)
+
+
+def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
+    """Faces of the convex hull of exact 3D points, as index cycles.
+
+    Supporting planes are found exactly: a triple spans a face when
+    every point lies weakly on one side of its plane.  Each face's
+    vertices are then ordered counter-clockwise as seen from outside,
+    by exact orientation tests.  Intended for the small dual cells (at
+    most ten vertices), where the cubic scan is instant.
+    """
+    pts = list(points)
+    n = len(pts)
+    if n == 0:
+        raise ValueError("empty geometry")
+    if len(set(pts)) != n:
+        raise ValueError("duplicate points")
+    planes: Dict[frozenset, Triple] = {}
+    for i, j, k in combinations(range(n), 3):
+        normal = cross3(sub3(pts[j], pts[i]), sub3(pts[k], pts[i]))
+        if all(c.is_zero() for c in normal):
+            continue
+        dots = [dot3(sub3(pts[m], pts[i]), normal) for m in range(n)]
+        signs = {d.sign() for d in dots} - {0}
+        if len(signs) > 1:
+            continue
+        members = frozenset(m for m, d in enumerate(dots) if d.is_zero())
+        if signs == {1}:  # flip so the normal points away from the body
+            normal = tuple(-c for c in normal)
+        planes[members] = normal
+    if not planes or len(pts) < 4 or any(len(m) == n for m in planes):
+        raise ValueError("degenerate (flat) geometry")
+    faces = [_order_face(pts, members, normal)
+             for members, normal in planes.items()]
+    faces.sort()
+    return faces
+
+
+def _order_face(pts: Sequence[Triple], members: frozenset,
+                normal: Triple) -> Tuple[int, ...]:
+    """The face's cycle from its lowest index, counter-clockwise about the
+    outward ``normal``: a comes before b when (a - p0) x (b - p0) points
+    along it.  The face is convex, so every other vertex lies within a
+    half-turn of the first vertex p0 and this order is total."""
+    first, *rest = sorted(members)
+    p0 = pts[first]
+
+    def turn(a: int, b: int) -> int:
+        return -dot3(normal, cross3(sub3(pts[a], p0), sub3(pts[b], p0))).sign()
+
+    return (first, *sorted(rest, key=cmp_to_key(turn)))
 
 
 @dataclass(frozen=True)
@@ -169,8 +222,13 @@ class DualCell:
     """The dual cell at the dominant vertex in local u-coordinates."""
 
     source: Labels
-    scales: Tuple[Tuple[int, FieldScalar], ...]
+    row_scale: FieldScalar  # published row scale of the 0/1 pattern, else 1
     coords: Tuple[Tuple[int, Triple], ...]  # (center node, u-triple) per vertex
+
+    def rows(self) -> List[Tuple[int, Triple]]:
+        """The vertices as published: each u-triple times ``row_scale``."""
+        return [(node, tuple(x * self.row_scale for x in u))
+                for node, u in self.coords]
 
 
 def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
@@ -184,7 +242,9 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
         for c in fam.centers:
             coords.append((fam.center_node,
                            tuple(c.dot(f) * s for f in frame)))
-    return DualCell(labels, tuple(sorted(scales.items())), tuple(coords))
+    printed = refdata.DUAL_CELL_PRINTED.get(label_pattern(labels))
+    return DualCell(labels, printed[0] if printed else FieldScalar(1),
+                    tuple(coords))
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
@@ -210,45 +270,31 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
     return out
 
 
-def kite_face(sys: RootSystem, labels: Sequence[LabelLike],
-              scale: Optional[FieldScalar] = None) -> Dict[str, object]:
+def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]:
     """Exact geometry of one kite face of a trapezohedral dual cell.
 
     Works for labels whose dual cell is an apex / 4-ring / 4-ring / apex
-    arrangement (the (1,0,0,1) pattern).  Returns squared side lengths,
-    squared diagonals and the exact squared area, plus a float area
-    computed independently by triangulation as a cross-check.
+    arrangement (the (1,0,0,1) pattern).  The kite is the first face of
+    the exact hull of the cell at its published row scale, read as a
+    cycle from its apex (the vertex whose family has one center).
+    Returns squared side lengths, squared diagonals and the exact squared
+    area, plus a float area computed independently by triangulation as a
+    cross-check.
     """
     labels = _validated(sys, labels)
     cell = dual_cell(sys, labels)
-    by_node: Dict[int, List[Triple]] = {}
-    for node, u in cell.coords:
-        by_node.setdefault(node, []).append(u)
-    apex_nodes = sorted(n for n, us in by_node.items() if len(us) == 1)
-    ring_nodes = sorted(n for n, us in by_node.items() if len(us) == 4)
-    if len(apex_nodes) != 2 or len(ring_nodes) != 2:
+    nodes = [node for node, _ in cell.coords]
+    family_size = {node: nodes.count(node) for node in nodes}
+    if sorted(family_size.values()) != [1, 1, 4, 4]:
         raise ValueError("dual cell is not a trapezohedron for %s"
                          % format_labels(labels))
-    if scale is None:
-        scale = FieldScalar(1)
-    apex = by_node[apex_nodes[0]][0]
-    near_ring = min(ring_nodes,
-                    key=lambda n: min(dist_sq(apex, u) for u in by_node[n]))
-    far_ring = ring_nodes[0] if near_ring == ring_nodes[1] else ring_nodes[1]
-    w = sorted(by_node[far_ring])[0]
-    v1, v2 = sorted(by_node[near_ring], key=lambda u: dist_sq(u, w))[:2]
-
-    def scaled(p: Triple) -> Triple:
-        return tuple(x * scale for x in p)
-
-    a, b1, c, b2 = scaled(apex), scaled(v1), scaled(w), scaled(v2)
+    pts = [u for _, u in cell.rows()]
+    face = convex_faces(pts)[0]
+    k = next(k for k, i in enumerate(face) if family_size[nodes[i]] == 1)
+    a, b1, c, b2 = (pts[i] for i in face[k:] + face[:k])
     sides = (dist_sq(a, b1), dist_sq(b1, c), dist_sq(c, b2), dist_sq(b2, a))
     d_axis = dist_sq(a, c)
     d_cross = dist_sq(b1, b2)
-    # planarity: the three edge vectors from the apex are linearly dependent
-    r0, r1, r2 = (sub3(p, a) for p in (b1, c, b2))
-    if not dot3(cross3(r0, r1), r2).is_zero():
-        raise ArithmeticError("kite is not planar")
     # the diagonals must be perpendicular for the half-product area rule
     if not dot3(sub3(c, a), sub3(b2, b1)).is_zero():
         raise ArithmeticError("kite diagonals are not perpendicular")

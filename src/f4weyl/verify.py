@@ -225,9 +225,8 @@ def check_dual_cells() -> CheckResult:
     sys = f4_system()
     bad = []
     flagged = 0
-    for pattern, (s, rows) in refdata.DUAL_CELL_PRINTED.items():
-        cell = dual_cell(sys, pattern)
-        got = sorted(tuple(u * s for u in triple) for _, triple in cell.coords)
+    for pattern, (_, rows) in refdata.DUAL_CELL_PRINTED.items():
+        got = sorted(u for _, u in dual_cell(sys, pattern).rows())
         want = sorted(row for row, _ in rows)
         if got != want:
             bad.append((pattern, "rows"))
@@ -253,7 +252,7 @@ def check_dual_cells() -> CheckResult:
 
 def check_kite() -> CheckResult:
     g = refdata.KITE_GOLDEN
-    face = kite_face(f4_system(), (1, 0, 0, 1), parse_scalar("-1+sqrt2"))
+    face = kite_face(f4_system(), (1, 0, 0, 1))
     sides = sorted(face["sides_sq"])
     ok = (sides == sorted([g["long_side_sq"], g["long_side_sq"],
                            g["short_side_sq"], g["short_side_sq"]])

@@ -1,0 +1,72 @@
+"""Every ``f4weyl`` name the benchmark harness binds still resolves.
+
+The traced run of ``perfbench`` wraps functions by (module, name) and its
+worker imports entry points by name.  CI runs the harness untraced, so a
+rename that only breaks ``--trace 1`` would otherwise go unnoticed.  The
+tracer needs only the standard library and is loaded from its file; the
+worker is read with ``ast``, since importing it starts the harness.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from f4weyl.branching import _branch_b3a1, _branch_b4
+from f4weyl.orbits import _orbit_cached
+from f4weyl.scalar import FieldScalar
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+def _worker_imports():
+    """(module, name) for every ``f4weyl`` import in the worker."""
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "f4weyl":
+            out += [(node.module, a.name) for a in node.names]
+    return out
+
+
+@pytest.mark.parametrize("module,name", TRACER.SPANNED)
+def test_spanned_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module("f4weyl." + module), name))
+
+
+def test_scalar_dunders_resolve():
+    assert [n for n in TRACER.SCALAR_DUNDERS
+            if not callable(getattr(FieldScalar, n, None))] == []
+
+
+def test_worker_imports_resolve():
+    names = _worker_imports()
+    assert ("f4weyl.cli", "export_off") in names
+    missing = []
+    for module, name in names:
+        mod = importlib.import_module(module)
+        if not hasattr(mod, name):
+            try:  # ``from f4weyl import verify`` names a submodule
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append((module, name))
+    assert missing == []
+
+
+def test_traced_caches_expose_cache_info():
+    for cached in (_orbit_cached, _branch_b4, _branch_b3a1):
+        assert callable(cached.cache_info)

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 from f4weyl import refdata
 from f4weyl.duals import (cell_metrics, cell_vertices_for_center,
-                          cells_at_vertex, dual_cell, dual_polytope,
-                          frame_vectors, kite_face, solve_scales)
+                          cells_at_vertex, convex_faces, dist_sq, dual_cell,
+                          dual_polytope, frame_vectors, kite_face,
+                          solve_scales)
 from f4weyl.orbits import f_vector, generate_orbit
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import f4_system
-from f4weyl.scalar import SQRT2, FieldScalar
+from f4weyl.scalar import SQRT2, FieldScalar, parse_scalar
 
 F4 = f4_system()
 
@@ -91,12 +93,22 @@ def test_local_norm_identity():
 
 
 def test_printed_cell_rows():
-    # the quoted local coordinate tables, with the documented corrections
+    # the quoted local coordinate tables, with the documented corrections;
+    # each cell carries its 0/1 pattern's printed row scale, also for a
+    # non-unit label, and 1 where no rows are printed
     for pat, (s, rows) in refdata.DUAL_CELL_PRINTED.items():
         cell = dual_cell(F4, pat)
+        assert cell.row_scale == s, pat
         got = sorted(tuple(x * s for x in u) for _, u in cell.coords)
         want = sorted(r[0] for r in rows)
         assert got == want, pat
+    nonunit = dual_cell(F4, (2, parse_scalar("3+sqrt2"), 0, 1))
+    assert nonunit.row_scale == refdata.DUAL_CELL_PRINTED[(1, 1, 0, 1)][0]
+    unprinted = [p for p in product((0, 1), repeat=4)
+                 if any(p) and p not in refdata.DUAL_CELL_PRINTED]
+    assert len(unprinted) == 7
+    for pat in unprinted:
+        assert dual_cell(F4, pat).row_scale == FieldScalar(1), pat
 
 
 def test_printed_row_errata_differ():
@@ -156,8 +168,7 @@ def test_cell_metric_golden():
 
 
 def test_kite_face_exact():
-    s = refdata.DUAL_CELL_PRINTED[(1, 0, 0, 1)][0]
-    kite = kite_face(F4, (1, 0, 0, 1), scale=s)
+    kite = kite_face(F4, (1, 0, 0, 1))
     g = refdata.KITE_GOLDEN
     assert sorted(kite["sides_sq"]) == sorted([g["long_side_sq"],
                                                g["long_side_sq"],
@@ -171,12 +182,22 @@ def test_kite_face_exact():
     assert abs(kite["area_float"] - exact) < 1e-9
     # and the quoted area value does not (documented misprint)
     assert abs(exact - g["quoted_area"]) > 0.25
+    # every face of the cell at its row scale is this kite
+    pts = [u for _, u in dual_cell(F4, (1, 0, 0, 1)).rows()]
+    faces = convex_faces(pts)
+    assert len(faces) == 8
+    for face in faces:
+        p = [pts[i] for i in face]
+        assert len(p) == 4
+        assert sorted(dist_sq(p[i - 1], p[i]) for i in range(4)) == \
+            sorted(kite["sides_sq"])
+        assert sorted([dist_sq(p[0], p[2]), dist_sq(p[1], p[3])]) == \
+            sorted([kite["axis_diagonal_sq"], kite["cross_diagonal_sq"]])
 
 
 def test_kite_shape_sanity():
     # kite sides pair up adjacent around the quad: (a,b,b,a) order
-    s = refdata.DUAL_CELL_PRINTED[(1, 0, 0, 1)][0]
-    kite = kite_face(F4, (1, 0, 0, 1), scale=s)
+    kite = kite_face(F4, (1, 0, 0, 1))
     a, b, c, d = kite["sides_sq"]
     assert a == d and b == c and a != b
 
@@ -207,7 +228,7 @@ def test_diagram_symmetry_on_dual_cell():
     # the outer symmetry acts on the (1,1,1,1) dual cell as the frame
     # map (u1,u2,u3) -> (-u1,u3,u2), swapping nodes 1<->4 and 2<->3
     cell = dual_cell(F4, (1, 1, 1, 1))
-    scales = dict(cell.scales)
+    scales = solve_scales(F4, (1, 1, 1, 1))
     swap = {1: 4, 2: 3, 3: 2, 4: 1}
     source = {(node, tuple(x * scales[node] for x in u))
               for node, u in cell.coords}
