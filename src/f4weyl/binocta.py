@@ -84,28 +84,42 @@ def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
     return tuple(table)
 
 
-class GroupElement:
-    """Canonicalized pair element [p, q] or [p, q]*."""
+@lru_cache(maxsize=1)
+def unit_tables() -> Tuple[tuple, Dict[Quaternion, int], tuple, tuple]:
+    """The 48 sorted units of O, their index, product and conjugate tables.
+    Negation reverses the order: ``-units[k] == units[47 - k]``, and
+    ``units[24:]`` are the units whose first nonzero component is positive."""
+    units = build_subsets()["O"]
+    index = {u: k for k, u in enumerate(units)}
+    product = tuple(tuple(index[a * b] for b in units) for a in units)
+    conj = tuple(index[u.conj()] for u in units)
+    return units, index, product, conj
 
-    __slots__ = ("p", "q", "star", "_hash")
 
-    def __init__(self, p: Quaternion, q: Quaternion, star: bool = False) -> None:
-        sign = 0
-        for comp in p.components():
-            sign = comp.sign()
-            if sign != 0:
-                break
-        if sign == 0:
-            raise ValueError("group element needs a nonzero first half")
-        if sign < 0:
-            p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "star", star)
-        object.__setattr__(self, "_hash", None)
+def _element(star: bool, i: int, j: int) -> "GroupElement":
+    """[units[i], units[j]] or its star, sign-normalized on its first half."""
+    if i < 24:
+        i, j = 47 - i, 47 - j
+    return tuple.__new__(GroupElement, (star, i, j))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GroupElement is immutable")
+
+class GroupElement(tuple):
+    """Pair element [p, q] or [p, q]* of units of O, stored as the indices
+    (star, i, j) with p = units[i], q = units[j] and i >= 24.  Index order
+    is Quaternion order, so elements sort as (star, p, q)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: Quaternion, q: Quaternion,
+                star: bool = False) -> "GroupElement":
+        i, j = (unit_tables()[1].get(half) for half in (p, q))
+        if i is None or j is None:
+            raise ValueError("group element halves must be units of O")
+        return _element(bool(star), i, j)
+
+    star = property(lambda self: self[0])
+    p = property(lambda self: unit_tables()[0][self[1]])
+    q = property(lambda self: unit_tables()[0][self[2]])
 
     @staticmethod
     def identity() -> "GroupElement":
@@ -118,19 +132,22 @@ class GroupElement:
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        p, q = self.p, self.q
-        r, s = other.p, other.q
-        if not self.star:
+        star, p, q = self
+        other_star, r, s = other
+        _, _, mul, conj = unit_tables()
+        if not star:
             # [p,q][r,s] = [pr, sq], star carried through from other
-            return GroupElement(p * r, s * q, other.star)
+            return _element(other_star, mul[p][r], mul[s][q])
         # [p,q]* [r,s]   = [p conj(s), conj(r) q]*
         # [p,q]* [r,s]*  = [p conj(s), conj(r) q]
-        return GroupElement(p * s.conj(), r.conj() * q, not other.star)
+        return _element(not other_star, mul[p][conj[s]], mul[conj[r]][q])
 
     def inverse(self) -> "GroupElement":
-        if self.star:
-            return GroupElement(self.q, self.p, True)
-        return GroupElement(self.p.conj(), self.q.conj(), False)
+        star, p, q = self
+        if star:
+            return _element(True, q, p)
+        conj = unit_tables()[3]
+        return _element(False, conj[p], conj[q])
 
     def order(self) -> int:
         ident = GroupElement.identity()
@@ -140,25 +157,6 @@ class GroupElement:
                 return n
             g = g.compose(self)
         raise ArithmeticError("element order exceeds sanity bound")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (self.star == other.star and self.p == other.p
-                and self.q == other.q)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.star, self.p, self.q))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def key(self) -> tuple:
-        return (self.star, self.p, self.q)
-
-    def __lt__(self, other: "GroupElement") -> bool:
-        return self.key() < other.key()
 
     def __repr__(self) -> str:
         return f"GroupElement({self.p!r}, {self.q!r}, star={self.star})"
@@ -255,7 +253,7 @@ def group_order(name: str) -> int:
 
 
 def sorted_elements(group: Iterable[GroupElement]) -> List[GroupElement]:
-    return sorted(group, key=GroupElement.key)
+    return sorted(group)
 
 
 def coset_decompose(big: FrozenSet[GroupElement], small: FrozenSet[GroupElement],

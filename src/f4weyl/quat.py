@@ -25,7 +25,7 @@ ScalarLike = Union[FieldScalar, int, Fraction]
 class Quaternion:
     """A quaternion ``q0 + q1*e1 + q2*e2 + q3*e3`` over Q(sqrt2)."""
 
-    __slots__ = ("q0", "q1", "q2", "q3", "_hash")
+    __slots__ = ("q0", "q1", "q2", "q3")
 
     def __init__(self, q0: ScalarLike = 0, q1: ScalarLike = 0,
                  q2: ScalarLike = 0, q3: ScalarLike = 0) -> None:
@@ -33,7 +33,6 @@ class Quaternion:
         object.__setattr__(self, "q1", as_scalar(q1))
         object.__setattr__(self, "q2", as_scalar(q2))
         object.__setattr__(self, "q3", as_scalar(q3))
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quaternion is immutable")
@@ -114,11 +113,7 @@ class Quaternion:
                 self.q2 == other.q2 and self.q3 == other.q3)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.components())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.components())
 
     def __lt__(self, other: "Quaternion") -> bool:
         """Lexicographic over the (rational, sqrt2) parts of q0..q3;

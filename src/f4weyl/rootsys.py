@@ -20,11 +20,11 @@ The three systems:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .binocta import reflection_element
+from .binocta import GroupElement, reflection_element
 from .quat import E1, E2, E3, ONE_Q, Quaternion
 from .scalar import (INV_SQRT2, SQRT2, FieldScalar, as_scalar, from_ints,
                      surd_sign)
@@ -72,7 +72,6 @@ class RootSystem:
         # the weights are dual to the roots, so their Gram matrix is C^-1
         self.cartan_inv = tuple(
             tuple(a.dot(b) for b in self.weights) for a in self.weights)
-        self.reflections = tuple(reflection_element(a) for a in self.simple_roots)
         # the label-space kernel: row i lists (j, c, d) for every nonzero
         # C_ij = c + d*sqrt2, and the weights are integer pairs over weight_den
         if _denominator([c for row in self.cartan for c in row]) != 1:
@@ -89,6 +88,11 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
+
+    @cached_property
+    def reflections(self) -> Tuple[GroupElement, ...]:
+        """Simple reflections, built on first use: label commands skip them."""
+        return tuple(reflection_element(a) for a in self.simple_roots)
 
     def coerce_labels(self, labels: Sequence[LabelLike]) -> Labels:
         if len(labels) != self.rank:

@@ -4,7 +4,8 @@ from fractions import Fraction
 from f4weyl.binocta import (GROUP_NAMES, OMEGA0, GroupElement, build_group,
                             build_subsets, coset_decompose, diagram_symmetry,
                             generate_from, group_order, quaternion_cosets,
-                            reflection_element, subset_product_table)
+                            reflection_element, subset_product_table,
+                            unit_tables)
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.refdata import SUBSET_TABLE_GOLDEN
 from f4weyl.rootsys import f4_system
@@ -62,25 +63,59 @@ def test_canonicalization_and_identity():
     h = GroupElement(E3, -E3, star=True)
     assert g == h and hash(g) == hash(h)
     assert g.compose(g) == IDENT
-    try:
-        GroupElement(Quaternion(0, 0, 0, 0), ONE_Q)
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
+    # both halves must be units of O
+    for p, q in ((Quaternion(0, 0, 0, 0), ONE_Q), (2 * ONE_Q, ONE_Q),
+                 (ONE_Q, E1 + E2), (OMEGA0, 3 * E3)):
+        try:
+            GroupElement(p, q)
+            assert False, (p, q)
+        except ValueError:
+            pass
 
 
 def test_compose_matches_action():
+    # compose and inverse are table lookups: check them against the
+    # quaternion formulas, up to the sign of the pair, and the action
     rng = random.Random(17)
     pool = sorted(build_group("AutF4"))
     basis = (ONE_Q, E1, E2, E3)
+
+    def up_to_sign(star, p, q):
+        return {(star, p, q), (star, -p, -q)}
+
     for _ in range(150):
         g = rng.choice(pool)
         h = rng.choice(pool)
         gh = g.compose(h)
-        for v in basis:
+        p, q, r, s = g.p, g.q, h.p, h.q
+        if g.star:
+            want = up_to_sign(not h.star, p * s.conj(), r.conj() * q)
+            inverse = up_to_sign(True, q, p)
+        else:
+            want = up_to_sign(h.star, p * r, s * q)
+            inverse = up_to_sign(False, p.conj(), q.conj())
+        assert (gh.star, gh.p, gh.q) in want
+        ginv = g.inverse()
+        assert (ginv.star, ginv.p, ginv.q) in inverse
+        generic = Quaternion(*(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            + rng.randint(-3, 3) * INV_SQRT2 for _ in range(4)))
+        for v in basis + (generic,):
             assert gh.apply(v) == g.apply(h.apply(v))
-        assert g.compose(g.inverse()) == IDENT
-        assert g.inverse().compose(g) == IDENT
+        assert g.compose(ginv) == IDENT
+        assert ginv.compose(g) == IDENT
+
+
+def test_unit_tables():
+    units, index, _, _ = unit_tables()
+    assert units == build_subsets()["O"]
+    for k, u in enumerate(units):
+        assert index[u] == k
+        assert units[47 - k] == -u
+        first = next(c for c in u.components() if not c.is_zero())
+        assert (first.sign() > 0) == (k >= 24)
+        # index order is Quaternion order
+        assert all((k < m) == (u < w) for m, w in enumerate(units))
 
 
 def test_coxeter_relations():

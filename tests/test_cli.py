@@ -2,11 +2,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
+import f4weyl
 from f4weyl.cli import convex_faces, export_off, main, parse_label
 from f4weyl.duals import cross3, dot3, dual_cell, sub3
 from f4weyl.rootsys import f4_system
@@ -14,8 +17,8 @@ from f4weyl.scalar import FieldScalar, parse_scalar
 
 # SHA-256 of stdout for every label subcommand x 0/1 label x format,
 # recorded from the reference implementation
-RECORDED = (Path(__file__).resolve().parents[1]
-            / "perfbench" / "expected" / "cli.json")
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+RECORDED = EXPECTED / "cli.json"
 
 
 def run_cli(argv):
@@ -159,6 +162,22 @@ def test_recorded_outputs_byte_identical():
     assert not wrong
 
 
+def test_label_command_leaves_unit_tables_unbuilt():
+    # a label command works in label space: building the group tables
+    # would be a large share of a cold run's time
+    script = ("import io, contextlib\n"
+              "from f4weyl import binocta, cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['dual', '1,1,1,1']) == 0\n"
+              "print(binocta.unit_tables.cache_info().currsize)\n")
+    src = str(Path(f4weyl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "0\n"
+
+
 def test_export_faces_counter_clockwise_from_outside():
     big = 10 ** 17
     labels = [p for p in product((0, 1), repeat=4) if any(p)]
@@ -258,3 +277,10 @@ def test_verify_text_report():
     assert lines[-1] == "all 15 checks passed"
     assert all(line.startswith("[PASS]") for line in lines[:-1])
     assert any("documented misprint" in line for line in lines)
+
+
+def test_verify_report_byte_identical():
+    # the default-seed report, recorded from the reference implementation
+    code, out, _ = run_cli(["verify"])
+    assert code == 0
+    assert out.encode() == (EXPECTED / "verify_report.txt").read_bytes()

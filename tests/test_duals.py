@@ -225,15 +225,14 @@ def test_self_dual_cell_table():
 
 
 def test_diagram_symmetry_on_dual_cell():
-    # the outer symmetry acts on the (1,1,1,1) dual cell as the frame
-    # map (u1,u2,u3) -> (-u1,u3,u2), swapping nodes 1<->4 and 2<->3
-    cell = dual_cell(F4, (1, 1, 1, 1))
-    scales = solve_scales(F4, (1, 1, 1, 1))
+    # on a label fixed by the diagram flip, the outer symmetry acts on the
+    # dual cell as the frame map (u1,u2,u3) -> (-u1,u3,u2), swapping nodes
+    # 1<->4 and 2<->3; dual_cell has already applied the scale factors
     swap = {1: 4, 2: 3, 3: 2, 4: 1}
-    source = {(node, tuple(x * scales[node] for x in u))
-              for node, u in cell.coords}
-    mapped = {(swap[node], (-u[0], u[2], u[1])) for node, u in source}
-    assert mapped == source
+    for labels in ((1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (2, 1, 1, 2)):
+        source = set(dual_cell(F4, labels).coords)
+        mapped = {(swap[node], (-u[0], u[2], u[1])) for node, u in source}
+        assert mapped == source, labels
 
 
 def test_solve_scales_general_labels():
