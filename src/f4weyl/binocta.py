@@ -9,9 +9,11 @@ transformations of 4-space are encoded as pairs::
     [p, q]* : v -> p conj(v) q    (rotary reflection)
 
 with p, q unit quaternions.  [p, q] and [-p, -q] act identically, so
-every stored element is sign-normalized on its first half.  The groups
-assembled here (orders in parentheses): WF4 (1152), AutF4 (2304),
-WB4 (384), WB3R (48), WB3R_C2 (96), WB3L_C2 (96).
+every stored element is sign-normalized on its first half.  An element
+is stored as the indices (star, i, j) of its halves among the 48 sorted
+units, and each of the six groups is a membership rule on those indices
+(orders in parentheses): WF4 (1152), AutF4 (2304), WB4 (384), WB3R (48),
+WB3R_C2 (96), WB3L_C2 (96).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
 from .scalar import INV_SQRT2
@@ -203,49 +205,43 @@ def generate_from(generators: Iterable[GroupElement]) -> FrozenSet[GroupElement]
     return frozenset(seen)
 
 
-def _block(left: Sequence[Quaternion], right: Sequence[Quaternion],
-           star: bool) -> Iterable[GroupElement]:
-    return (GroupElement(p, q, star) for p in left for q in right)
+#: the octet pairs (p, q) of WB4: V+ and V- swap, the rest pair with themselves
+_WB4_PAIRS = frozenset((("V0", "V0"), ("V+", "V-"), ("V-", "V+"),
+                        ("V1", "V1"), ("V2", "V2"), ("V3", "V3")))
 
 
 @lru_cache(maxsize=None)
 def build_group(name: str) -> FrozenSet[GroupElement]:
-    """One of the named groups as a frozen set of canonical elements."""
-    sets = build_subsets()
-    t, tp = sets["T"], sets["T'"]
-    elems: set = set()
-    if name == "WF4":
-        for star in (False, True):
-            elems.update(_block(t, t, star))
-            elems.update(_block(tp, tp, star))
-    elif name == "AutF4":
-        for star in (False, True):
-            elems.update(_block(sets["O"], sets["O"], star))
-    elif name == "WB4":
-        pairs = (("V0", "V0"), ("V+", "V-"), ("V-", "V+"),
-                 ("V1", "V1"), ("V2", "V2"), ("V3", "V3"))
-        for star in (False, True):
-            for a, b in pairs:
-                elems.update(_block(sets[a], sets[b], star))
-    elif name == "WB3R":
-        for star in (False, True):
-            for x in t + tp:
-                elems.add(GroupElement(x, x.conj(), star))
-    elif name == "WB3R_C2":
-        for star in (False, True):
-            for x in t + tp:
-                for sgn in (1, -1):
-                    elems.add(GroupElement(x, x.conj() * sgn, star))
-    elif name == "WB3L_C2":
-        axis = (ONE_Q + E1) * INV_SQRT2
-        for x in t + tp:
-            for sgn in (1, -1):
-                elems.add(GroupElement(x, axis.conj() * x.conj() * axis * sgn,
-                                       False))
-                elems.add(GroupElement(x, axis * x.conj() * axis * sgn, True))
-    else:
+    """One of the named groups as a frozen set of canonical elements.
+
+    Each group is one membership rule on the indices (star, i, j) of its
+    halves, read off their octets and the unit tables; -units[k] is
+    units[47 - k].
+    """
+    if name not in GROUP_NAMES:
         raise ValueError(f"unknown group {name!r}")
-    return frozenset(elems)
+    sets = build_subsets()
+    _, index, mul, conj = unit_tables()
+    octet = {index[u]: v for v in SUBSET_ORDER for u in sets[v]}
+    in_t = {index[u] for u in sets["T"]}
+    a = index[(ONE_Q + E1) * INV_SQRT2]  # the axis WB3L_C2 fixes up to sign
+
+    def wb3l(star: bool, i: int, j: int) -> bool:
+        # [x, +-conj(a) conj(x) a] and [x, +-a conj(x) a]*
+        k = mul[mul[a if star else conj[a]][conj[i]]][a]
+        return j in (k, 47 - k)
+
+    rule = {
+        "WF4": lambda star, i, j: (i in in_t) == (j in in_t),
+        "AutF4": lambda star, i, j: True,
+        "WB4": lambda star, i, j: (octet[i], octet[j]) in _WB4_PAIRS,
+        "WB3R": lambda star, i, j: j == conj[i],
+        "WB3R_C2": lambda star, i, j: j in (conj[i], 47 - conj[i]),
+        "WB3L_C2": wb3l,
+    }[name]
+    return frozenset(_element(star, i, j) for star in (False, True)
+                     for i in range(24, 48) for j in range(48)
+                     if rule(star, i, j))
 
 
 def group_order(name: str) -> int:
@@ -284,23 +280,3 @@ def coset_decompose(big: FrozenSet[GroupElement], small: FrozenSet[GroupElement]
         remaining -= coset
         reps.append(g)
     return reps
-
-
-def quaternion_cosets(ambient: Sequence[Quaternion],
-                      subgroup: Sequence[Quaternion]) -> List[Tuple[Quaternion, FrozenSet[Quaternion]]]:
-    """Left cosets x.H of a quaternion subgroup inside a finite set.
-
-    Returns (representative, coset) pairs; the representative is the
-    least element of its coset under the deterministic sort order.
-    """
-    remaining = set(ambient)
-    out = []
-    for x in sorted(ambient):
-        if x not in remaining:
-            continue
-        coset = frozenset(x * h for h in subgroup)
-        if not coset <= remaining:
-            raise ValueError("subgroup does not partition the ambient set")
-        remaining -= coset
-        out.append((x, coset))
-    return out

@@ -64,6 +64,9 @@ class FieldScalar:
         if type(a) is int and type(b) is int:
             x, y, d = a, b, 1
         else:  # over the lcm of reduced denominators, gcd(x, y, d) is 1
+            if not (isinstance(a, (int, Fraction))
+                    and isinstance(b, (int, Fraction))):
+                raise TypeError("FieldScalar parts must be int or Fraction")
             a, b = Fraction(a), Fraction(b)
             d = lcm(a.denominator, b.denominator)
             x = a.numerator * (d // a.denominator)
@@ -283,8 +286,7 @@ _TERM_RE = re.compile(
     r"""
     (?P<sign>[+-]?)
     (?:
-        (?P<coef>\d+(?:/\d+)?)?          # optional rational coefficient
-        \*?                              # optional explicit multiply
+        (?:(?P<coef>\d+(?:/\d+)?)\*?)?   # optional coefficient, optional *
         sqrt2
         (?:/(?P<sdiv>\d+))?              # optional rational divisor
       |

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from f4weyl.binocta import (GROUP_NAMES, OMEGA0, GroupElement, build_group,
                             build_subsets, coset_decompose, diagram_symmetry,
-                            generate_from, group_order, quaternion_cosets,
-                            reflection_element, subset_product_table,
-                            unit_tables)
+                            generate_from, group_order, reflection_element,
+                            subset_product_table, unit_tables)
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.refdata import SUBSET_TABLE_GOLDEN
 from f4weyl.rootsys import f4_system
@@ -56,6 +57,58 @@ def test_group_orders():
                 "WB3R": 48, "WB3R_C2": 96, "WB3L_C2": 96}
     for name in GROUP_NAMES:
         assert group_order(name) == expected[name], name
+
+
+def _listed_group(name):
+    """Oracle: the named group listed from quaternion blocks of octets."""
+    sets = build_subsets()
+    t, tp = sets["T"], sets["T'"]
+
+    def block(left, right, star):
+        return (GroupElement(p, q, star) for p in left for q in right)
+
+    elems = set()
+    if name == "WF4":
+        for star in (False, True):
+            elems.update(block(t, t, star))
+            elems.update(block(tp, tp, star))
+    elif name == "AutF4":
+        for star in (False, True):
+            elems.update(block(sets["O"], sets["O"], star))
+    elif name == "WB4":
+        pairs = (("V0", "V0"), ("V+", "V-"), ("V-", "V+"),
+                 ("V1", "V1"), ("V2", "V2"), ("V3", "V3"))
+        for star in (False, True):
+            for a, b in pairs:
+                elems.update(block(sets[a], sets[b], star))
+    elif name == "WB3R":
+        for star in (False, True):
+            for x in t + tp:
+                elems.add(GroupElement(x, x.conj(), star))
+    elif name == "WB3R_C2":
+        for star in (False, True):
+            for x in t + tp:
+                for sgn in (1, -1):
+                    elems.add(GroupElement(x, x.conj() * sgn, star))
+    elif name == "WB3L_C2":
+        axis = (ONE_Q + E1) * INV_SQRT2
+        for x in t + tp:
+            for sgn in (1, -1):
+                elems.add(GroupElement(x, axis.conj() * x.conj() * axis * sgn,
+                                       False))
+                elems.add(GroupElement(x, axis * x.conj() * axis * sgn, True))
+    return frozenset(elems)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_index_rules_match_quaternion_listing(name):
+    assert build_group(name) == _listed_group(name)
+
+
+@pytest.mark.parametrize("name", ["wf4", "B4"])
+def test_unknown_group_name(name):
+    with pytest.raises(ValueError, match="unknown group"):
+        build_group(name)
 
 
 def test_canonicalization_and_identity():
@@ -258,6 +311,25 @@ def test_binocta_quotient_is_s3():
     assert any(table[i][j] != table[j][i] for i in range(6) for j in range(6))
     # element orders in S3: 1,2,2,2,3,3
     assert _element_orders(table) == [1, 2, 2, 2, 3, 3]
+
+
+def quaternion_cosets(ambient, subgroup):
+    """Left cosets x.H of a quaternion subgroup inside a finite set.
+
+    Returns (representative, coset) pairs; the representative is the
+    least element of its coset under the deterministic sort order.
+    """
+    remaining = set(ambient)
+    out = []
+    for x in sorted(ambient):
+        if x not in remaining:
+            continue
+        coset = frozenset(x * h for h in subgroup)
+        if not coset <= remaining:
+            raise ValueError("subgroup does not partition the ambient set")
+        remaining -= coset
+        out.append((x, coset))
+    return out
 
 
 def _identity_index(table):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f4weyl.quat import Quaternion
 from f4weyl.scalar import (FieldScalar, HALF, ONE, SQRT2, ZERO, from_ints,
                            parse_scalar)
 
@@ -99,7 +100,7 @@ def test_parse_grammar():
     }
     for text, want in cases.items():
         assert parse_scalar(text) == want, text
-    for bad in ("", "sqrt3", "1++2", "x", "1/2/2/2"):
+    for bad in ("", "sqrt3", "1++2", "x", "1/2/2/2", "*sqrt2", "1+*sqrt2"):
         try:
             parse_scalar(bad)
             assert False, f"expected ValueError for {bad!r}"
@@ -124,6 +125,15 @@ def test_str_round_trip():
 def test_zero_denominator_is_a_value_error(text):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_scalar(text)
+
+
+@pytest.mark.parametrize("cls, args", [(FieldScalar, (0.1,)),
+                                       (FieldScalar, (1, 0.5)),
+                                       (FieldScalar, ("1/3",)),
+                                       (Quaternion, (0.5,))])
+def test_non_rational_parts_are_a_type_error(cls, args):
+    with pytest.raises(TypeError):
+        cls(*args)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
