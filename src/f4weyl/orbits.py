@@ -23,9 +23,11 @@ without moving it).  Face and cell names follow the standard polygon /
 polyhedron names of the corresponding rank-2/rank-3 orbit.
 
 The geometric edge oracle recounts N1 with no group theory at all:
-vertices are scaled to integer pairs (x + y*sqrt2), all pairwise
-squared distances are formed with numpy int64 arithmetic, and pairs
-attaining the exact minimum are counted.
+vertices are scaled to integer pairs (x + y*sqrt2) and swept in the
+numeric order of their first coordinate, and the pairs attaining the
+exact least squared distance are counted on Python integers (the
+closest-pair sweep of M. I. Shamos and D. Hoey, "Closest-point
+problems", FOCS 1975).
 """
 
 from __future__ import annotations
@@ -285,49 +287,37 @@ def geometric_edge_check(orbit: Orbit) -> int:
     """Count vertex pairs at the minimal nonzero squared distance.
 
     Exact: coordinates are scaled to integer pairs (rational and sqrt2
-    parts), pair distances accumulate in int64 as P + Q*sqrt2, and the
-    least distance class is chosen by exact comparison.
+    parts), squared distances are P + Q*sqrt2 on Python integers, and
+    every comparison is an exact sign.  The rows are sorted by the value
+    of q0, so once the q0 gap alone exceeds the least distance found,
+    no later row can be nearer to the current one.
 
     Only the shortest edge class is counted, so the count is N1 only for
     labels whose nonzero entries are all equal; other labels are refused.
-    So are orbits whose scaled coordinates could overflow int64.
     """
-    import numpy as np  # only this oracle needs it; kept off the CLI import
-
     if len({a for a in orbit.labels if not a.is_zero()}) > 1:
         raise ValueError(
             f"edge oracle needs equal nonzero entries, got "
             f"{format_labels(orbit.labels)}")
-    verts = orbit.vertices
-    n = len(verts)
-    if n < 2:
-        return 0
-    scale = lcm(*(c.d for v in verts for c in v.components()))
-    rat = [[c.x * (scale // c.d) for c in v.components()] for v in verts]
-    surd = [[c.y * (scale // c.d) for c in v.components()] for v in verts]
-    # All vertices share one norm, and so do their Galois conjugates, so
-    # P = (|u-v|^2 + conj |u-v|^2) / 2 is at most four times the rational
-    # part of |v|^2; |Q| and every partial sum below stay under that too.
-    bound = 4 * sum(x * x + 2 * y * y for x, y in zip(rat[0], surd[0]))
-    if bound >= 2 ** 63:
-        raise ValueError(
-            f"coordinates of {format_labels(orbit.labels)} are too large "
-            f"for the int64 edge oracle")
-    rat = np.array(rat, dtype=np.int64)
-    surd = np.array(surd, dtype=np.int64)
-    p = np.zeros((n, n), dtype=np.int64)
-    q = np.zeros((n, n), dtype=np.int64)
-    for k in range(4):
-        da = rat[:, k][:, None] - rat[:, k][None, :]
-        db = surd[:, k][:, None] - surd[:, k][None, :]
-        p += da * da
-        p += 2 * (db * db)
-        q += 2 * (da * db)
-    iu = np.triu_indices(n, 1)
-    pv, qv = p[iu], q[iu]
-    # distinct vertices, so every class P + Q*sqrt2 is positive: take the
-    # least of the distinct classes by exact comparison
-    classes = set(zip(pv.tolist(), qv.tolist()))
-    best = min(classes, key=cmp_to_key(
-        lambda x, y: surd_sign(x[0] - y[0], x[1] - y[1])))
-    return int(np.count_nonzero((pv == best[0]) & (qv == best[1])))
+    scale = lcm(*(c.d for v in orbit.vertices for c in v.components()))
+    rows = sorted(
+        (tuple(t * (scale // c.d) for c in v.components() for t in (c.x, c.y))
+         for v in orbit.vertices),
+        key=cmp_to_key(lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1])))
+    best, count = None, 0
+    for i, u in enumerate(rows):
+        for v in rows[i + 1:]:
+            dx, dy = v[0] - u[0], v[1] - u[1]
+            p, q = dx * dx + 2 * dy * dy, 2 * dx * dy
+            if best and surd_sign(p - best[0], q - best[1]) > 0:
+                break  # the q0 gap only grows along the sorted rows
+            for k in (2, 4, 6):
+                dx, dy = v[k] - u[k], v[k + 1] - u[k + 1]
+                p += dx * dx + 2 * dy * dy
+                q += 2 * dx * dy
+            sign = surd_sign(p - best[0], q - best[1]) if best else -1
+            if sign < 0:
+                best, count = (p, q), 1
+            elif sign == 0:
+                count += 1
+    return count

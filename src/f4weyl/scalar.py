@@ -294,7 +294,7 @@ _TERM_RE = re.compile(
         (?:/(?P<den>sqrt2))?             # "1/sqrt2" style
     )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

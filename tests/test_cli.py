@@ -28,6 +28,17 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_script(script):
+    """Stdout of ``script`` run in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(f4weyl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return proc.stdout
+
+
 def test_parse_label():
     lab = parse_label("1,0,sqrt2,1/2")
     assert lab == (FieldScalar(1), FieldScalar(0), parse_scalar("sqrt2"),
@@ -72,7 +83,7 @@ def test_zero_label_is_an_error():
 
 
 def test_malformed_label_is_a_usage_error(capsys):
-    for label in ("1,0,0", "1/0,0,0,1", "sqrt2/0,0,0,1"):
+    for label in ("1,0,0", "1/0,0,0,1", "sqrt2/0,0,0,1", "١,0,0,１"):
         try:
             main(["fvector", label])
             assert False
@@ -170,12 +181,22 @@ def test_label_command_leaves_unit_tables_unbuilt():
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert cli.main(['dual', '1,1,1,1']) == 0\n"
               "print(binocta.unit_tables.cache_info().currsize)\n")
-    src = str(Path(f4weyl.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], check=True,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "0\n"
+    assert _run_script(script) == "0\n"
+
+
+def test_verify_runs_without_numpy():
+    # a checkout runs on an interpreter with no third-party package
+    script = ("import io, sys, contextlib\n"
+              "sys.modules['numpy'] = None\n"
+              "from f4weyl import cli\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    code = cli.main(['verify'])\n"
+              "print(code)\n"
+              "sys.stdout.write(out.getvalue())\n")
+    code, report = _run_script(script).split("\n", 1)
+    assert code == "0"
+    assert report.encode() == (EXPECTED / "verify_report.txt").read_bytes()
 
 
 def test_export_faces_counter_clockwise_from_outside():

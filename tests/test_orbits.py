@@ -1,4 +1,6 @@
-from itertools import product
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +10,7 @@ from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
                            weyl_order)
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import b4_system, f4_system
-from f4weyl.scalar import SQRT2
+from f4weyl.scalar import SQRT2, FieldScalar
 
 F4 = f4_system()
 
@@ -149,10 +151,34 @@ def test_edge_oracle_refuses_unequal_labels():
         geometric_edge_check(generate_orbit(F4, (100000, 0, 0, 1)))
 
 
-def test_edge_oracle_refuses_int64_overflow():
-    with pytest.raises(ValueError, match="too large"):
-        geometric_edge_check(generate_orbit(F4, (10 ** 19, 0, 0, 0)))
-    # coordinates fit in int64 but their squared distances would wrap
-    with pytest.raises(ValueError, match="too large"):
-        geometric_edge_check(generate_orbit(F4, (10 ** 10, 0, 0, 0)))
-    assert geometric_edge_check(generate_orbit(F4, (10 ** 9, 0, 0, 0))) == 96
+def test_edge_oracle_counts_labels_past_int64():
+    # squared distances of these orbits do not fit in 64 bits
+    for label, want in (((10 ** 10, 0, 0, 0), 96), ((10 ** 19, 0, 0, 0), 96),
+                        ((10 ** 19, 0, 0, 10 ** 19), 576)):
+        got = geometric_edge_check(generate_orbit(F4, label))
+        assert got == want == f_vector(F4, label).n1, label
+
+
+def _brute_edge_count(orbit):
+    dists = [(u - v).norm_sq() for u, v in combinations(orbit.vertices, 2)]
+    return dists.count(min(dists))
+
+
+def test_edge_oracle_on_random_surd_labels():
+    # one equal-entry label a + b*sqrt2 > 0 per pattern; on these, a sweep
+    # over rows in tuple order rather than by the value of q0 prunes pairs
+    # it must count
+    rng = random.Random(2024)
+    negative_b = []
+    for pattern in ALL_PATTERNS:
+        entry = FieldScalar(0)
+        while entry.sign() <= 0:
+            entry = FieldScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        negative_b.append(entry.b < 0)
+        orbit = generate_orbit(F4, [entry if a else 0 for a in pattern])
+        got = geometric_edge_check(orbit)
+        assert got == f_vector(F4, orbit.labels).n1, orbit.labels
+        if orbit.size <= 144:
+            assert got == _brute_edge_count(orbit), orbit.labels
+    assert any(negative_b) and not all(negative_b)

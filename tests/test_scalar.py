@@ -100,7 +100,8 @@ def test_parse_grammar():
     }
     for text, want in cases.items():
         assert parse_scalar(text) == want, text
-    for bad in ("", "sqrt3", "1++2", "x", "1/2/2/2", "*sqrt2", "1+*sqrt2"):
+    for bad in ("", "sqrt3", "1++2", "x", "1/2/2/2", "*sqrt2", "1+*sqrt2",
+                "１", "١"):
         try:
             parse_scalar(bad)
             assert False, f"expected ValueError for {bad!r}"
