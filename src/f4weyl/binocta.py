@@ -90,10 +90,23 @@ def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
 def unit_tables() -> Tuple[tuple, Dict[Quaternion, int], tuple, tuple]:
     """The 48 sorted units of O, their index, product and conjugate tables.
     Negation reverses the order: ``-units[k] == units[47 - k]``, and
-    ``units[24:]`` are the units whose first nonzero component is positive."""
+    ``units[24:]`` are the units whose first nonzero component is positive.
+    Product rows compose, row(g a) = row(g) o row(a), so only the rows of
+    two generating units take quaternion products."""
     units = build_subsets()["O"]
     index = {u: k for k, u in enumerate(units)}
-    product = tuple(tuple(index[a * b] for b in units) for a in units)
+    gens = [tuple(index[g * b] for b in units)
+            for g in (OMEGA0, (ONE_Q + E1) * INV_SQRT2)]
+    rows = {index[ONE_Q]: tuple(range(len(units)))}
+    found = list(rows)
+    for a in found:  # the list grows as it is walked
+        for g in gens:
+            if g[a] not in rows:  # g[a] is the index of g * units[a]
+                rows[g[a]] = tuple(g[k] for k in rows[a])
+                found.append(g[a])
+    if len(rows) != len(units):
+        raise ArithmeticError("the generating units do not reach all of O")
+    product = tuple(rows[k] for k in range(len(units)))
     conj = tuple(index[u.conj()] for u in units)
     return units, index, product, conj
 

@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full invariant battery")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", default=str(DEFAULT_SEED),
                    help="seed for the randomized property checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
@@ -244,6 +244,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.label = parse_label(args.label)
         if getattr(args, "scale", None) is not None:
             args.scale = parse_scale(args.scale)
+        if getattr(args, "seed", None) is not None:
+            if not re.fullmatch(r"-?[0-9]+", args.seed):  # not int(): ASCII
+                raise ValueError(f"seed {args.seed!r} must be an integer")
+            args.seed = int(args.seed)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:

@@ -17,16 +17,18 @@ by ``(Lambda, Lambda)``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import refdata
 from .orbits import _validated, f_vector, generate_orbit, parabolic_orbit
 from .quat import E1, E2, E3, Quaternion
 from .rootsys import LabelLike, Labels, RootSystem, format_labels
-from .scalar import FieldScalar
+from .scalar import FieldScalar, surd_sign
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
 
@@ -50,53 +52,84 @@ def dist_sq(p: Triple, q: Triple) -> FieldScalar:
     return dot3(d, d)
 
 
-def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
-    """Faces of the convex hull of exact 3D points, as index cycles.
+def _sub_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(s - t for s, t in zip(a, b))
 
-    Supporting planes are found exactly: a triple spans a face when
-    every point lies weakly on one side of its plane.  Each face's
-    vertices are then ordered counter-clockwise as seen from outside,
-    by exact orientation tests.  Intended for the small dual cells (at
-    most ten vertices), where the cubic scan is instant.
-    """
-    pts = list(points)
-    n = len(pts)
+
+def _dot_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """Exact sign of (a, b) for flat Z[sqrt2] rows (x0, y0, ..., x2, y2)."""
+    return surd_sign(a[0] * b[0] + a[2] * b[2] + a[4] * b[4]
+                     + 2 * (a[1] * b[1] + a[3] * b[3] + a[5] * b[5]),
+                     a[0] * b[1] + a[1] * b[0] + a[2] * b[3] + a[3] * b[2]
+                     + a[4] * b[5] + a[5] * b[4])
+
+
+def _cross_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    out: List[int] = []
+    for i, j in ((2, 4), (4, 0), (0, 2)):  # the axis pairs yz, zx, xy
+        out += (a[i] * b[j] - a[j] * b[i]
+                + 2 * (a[i + 1] * b[j + 1] - a[j + 1] * b[i + 1]),
+                a[i] * b[j + 1] + a[i + 1] * b[j] - a[j] * b[i + 1]
+                - a[j + 1] * b[i])
+    return tuple(out)
+
+
+def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
+    """Faces of the convex hull of exact 3D points, as index cycles
+    counter-clockwise from outside.  A triple spans a face when every
+    point lies weakly on one side of its plane; triples inside a face
+    already found are skipped.  Every test runs on the points scaled to
+    Z[sqrt2] integer rows over the lcm of their denominators, a positive
+    scale (H. Cohen, GTM 138, section 4.2)."""
+    n = len(points)
     if n == 0:
         raise ValueError("empty geometry")
-    if len(set(pts)) != n:
+    scale = lcm(*(c.d for p in points for c in p))
+    rows = [tuple(t * (scale // c.d) for c in p for t in (c.x, c.y))
+            for p in points]
+    if len(set(rows)) != n:
         raise ValueError("duplicate points")
-    planes: Dict[frozenset, Triple] = {}
+    planes: Dict[frozenset, Tuple[int, ...]] = {}
+    covered = set()
     for i, j, k in combinations(range(n), 3):
-        normal = cross3(sub3(pts[j], pts[i]), sub3(pts[k], pts[i]))
-        if all(c.is_zero() for c in normal):
+        if (i, j, k) in covered:
             continue
-        dots = [dot3(sub3(pts[m], pts[i]), normal) for m in range(n)]
-        signs = {d.sign() for d in dots} - {0}
-        if len(signs) > 1:
+        p0 = rows[i]
+        normal = _cross_rows(_sub_rows(rows[j], p0), _sub_rows(rows[k], p0))
+        if not any(normal):
             continue
-        members = frozenset(m for m, d in enumerate(dots) if d.is_zero())
-        if signs == {1}:  # flip so the normal points away from the body
-            normal = tuple(-c for c in normal)
-        planes[members] = normal
-    if not planes or len(pts) < 4 or any(len(m) == n for m in planes):
+        side, members = 0, []
+        for m, r in enumerate(rows):
+            sign = _dot_sign(_sub_rows(r, p0), normal)
+            if not sign:
+                members.append(m)
+            elif not side:
+                side = sign
+            elif sign != side:
+                break
+        else:
+            if side > 0:  # flip so the normal points away from the body
+                normal = tuple(-c for c in normal)
+            planes[frozenset(members)] = normal
+            covered.update(combinations(members, 3))
+    if not planes or n < 4 or any(len(m) == n for m in planes):
         raise ValueError("degenerate (flat) geometry")
-    faces = [_order_face(pts, members, normal)
-             for members, normal in planes.items()]
-    faces.sort()
-    return faces
+    return sorted(_order_face(rows, members, normal)
+                  for members, normal in planes.items())
 
 
-def _order_face(pts: Sequence[Triple], members: frozenset,
-                normal: Triple) -> Tuple[int, ...]:
+def _order_face(rows: Sequence[Tuple[int, ...]], members: frozenset,
+                normal: Tuple[int, ...]) -> Tuple[int, ...]:
     """The face's cycle from its lowest index, counter-clockwise about the
     outward ``normal``: a comes before b when (a - p0) x (b - p0) points
     along it.  The face is convex, so every other vertex lies within a
     half-turn of the first vertex p0 and this order is total."""
     first, *rest = sorted(members)
-    p0 = pts[first]
+    p0 = rows[first]
 
     def turn(a: int, b: int) -> int:
-        return -dot3(normal, cross3(sub3(pts[a], p0), sub3(pts[b], p0))).sign()
+        return -_dot_sign(normal, _cross_rows(_sub_rows(rows[a], p0),
+                                              _sub_rows(rows[b], p0)))
 
     return (first, *sorted(rest, key=cmp_to_key(turn)))
 
@@ -235,16 +268,11 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
     labels = _validated(sys, labels)
     frame = frame_vectors(sys.label_to_vector(labels))
     scales = solve_scales(sys, labels)
-    families = cells_at_vertex(sys, labels)
-    coords: List[Tuple[int, Triple]] = []
-    for fam in families:
-        s = scales[fam.center_node]
-        for c in fam.centers:
-            coords.append((fam.center_node,
-                           tuple(c.dot(f) * s for f in frame)))
+    coords = tuple((fam.center_node,
+                    tuple(c.dot(f) * scales[fam.center_node] for f in frame))
+                   for fam in cells_at_vertex(sys, labels) for c in fam.centers)
     printed = refdata.DUAL_CELL_PRINTED.get(label_pattern(labels))
-    return DualCell(labels, printed[0] if printed else FieldScalar(1),
-                    tuple(coords))
+    return DualCell(labels, printed[0] if printed else FieldScalar(1), coords)
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
@@ -262,12 +290,7 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
         scale_sq = FieldScalar(1) / lam.dot(lam)
     cell = dual_cell(sys, labels)
     pts = [u for _, u in cell.coords]
-    out: Dict[FieldScalar, int] = {}
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            d = dist_sq(pts[i], pts[k]) * scale_sq
-            out[d] = out.get(d, 0) + 1
-    return out
+    return Counter(dist_sq(p, q) * scale_sq for p, q in combinations(pts, 2))
 
 
 def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]:
@@ -293,21 +316,17 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]
     k = next(k for k, i in enumerate(face) if family_size[nodes[i]] == 1)
     a, b1, c, b2 = (pts[i] for i in face[k:] + face[:k])
     sides = (dist_sq(a, b1), dist_sq(b1, c), dist_sq(c, b2), dist_sq(b2, a))
-    d_axis = dist_sq(a, c)
-    d_cross = dist_sq(b1, b2)
+    d_axis, d_cross = dist_sq(a, c), dist_sq(b1, b2)
     # the diagonals must be perpendicular for the half-product area rule
     if not dot3(sub3(c, a), sub3(b2, b1)).is_zero():
         raise ArithmeticError("kite diagonals are not perpendicular")
     area_sq = d_axis * d_cross / 4
 
-    def fl(p: Triple) -> Tuple[float, float, float]:
-        return (float(p[0]), float(p[1]), float(p[2]))
-
     def tri_area(p, q, r) -> float:
         cx = cross3(sub3(q, p), sub3(r, p))
         return 0.5 * dot3(cx, cx) ** 0.5
 
-    fa, fb1, fc, fb2 = fl(a), fl(b1), fl(c), fl(b2)
+    fa, fb1, fc, fb2 = (tuple(map(float, p)) for p in (a, b1, c, b2))
     area_float = tri_area(fa, fb1, fc) + tri_area(fa, fc, fb2)
     return {
         "sides_sq": sides,
@@ -326,13 +345,5 @@ def cell_vertices_for_center(vertices: Sequence[Quaternion],
                              center: Quaternion) -> FrozenSet[Quaternion]:
     """Vertices of the cell supported by the hyperplane of ``center``:
     the orbit points maximizing the scalar product with it."""
-    best: Optional[FieldScalar] = None
-    out: List[Quaternion] = []
-    for v in vertices:
-        d = v.dot(center)
-        if best is None or (d - best).sign() > 0:
-            best = d
-            out = [v]
-        elif (d - best).sign() == 0:
-            out.append(v)
-    return frozenset(out)
+    best = max(v.dot(center) for v in vertices)
+    return frozenset(v for v in vertices if v.dot(center) == best)

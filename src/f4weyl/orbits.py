@@ -4,9 +4,9 @@ Every orbit and subgroup order comes from one search on Dynkin labels,
 :meth:`~f4weyl.rootsys.RootSystem.label_orbit`: the orbit of a label
 under the parabolic subgroup W_J of a node set J, as the inverse of the
 dominance walk (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990)
-94-108).  With J = all nodes it gives the vertex orbit; the vertices are
-formed once each from the integer weight matrix and sorted on their
-integer coordinates (the :class:`~f4weyl.quat.Quaternion` order).
+94-108).  With J = all nodes it gives the vertex orbit; the walk carries
+each point's integer vertex row (a step on node i subtracts mu_i *
+alpha_i), and the sorted rows (Quaternion order) become the vertices.
 rho = (1, ..., 1) is regular, so its W_J-orbit has |W_J| points.  No
 float and no quaternion product is involved.  ``parabolic_elements``
 closes the same subgroups as :class:`~f4weyl.binocta.GroupElement`
@@ -129,7 +129,8 @@ def parabolic_orbit(sys: RootSystem, labels: Labels,
     """Sorted W_J-orbit of the labelled weight vector, J = ``nodes``; the
     labels must be nonnegative on J."""
     top, den = sys.integer_labels(labels)
-    return sys.vertices(sys.label_orbit(top, sorted(nodes)), den)
+    return sys.vertices([row for _, row in sys.label_orbit(top, sorted(nodes))],
+                        den)
 
 
 @lru_cache(maxsize=64)
@@ -184,18 +185,13 @@ def _adjacent(sys: RootSystem, i: int, j: int) -> bool:
 
 
 def _components(sys: RootSystem, nodes: Sequence[int]) -> List[List[int]]:
-    remaining = set(nodes)
-    comps = []
+    remaining, comps = set(nodes), []
     while remaining:
-        stack = [remaining.pop()]
-        comp = {stack[0]}
-        while stack:
-            cur = stack.pop()
-            for other in list(remaining):
-                if _adjacent(sys, cur, other):
-                    remaining.remove(other)
-                    comp.add(other)
-                    stack.append(other)
+        comp = [remaining.pop()]
+        for cur in comp:  # the list grows as it is walked
+            near = sorted(j for j in remaining if _adjacent(sys, cur, j))
+            remaining.difference_update(near)
+            comp += near
         comps.append(sorted(comp))
     return comps
 

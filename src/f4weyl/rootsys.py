@@ -34,6 +34,7 @@ Labels = Tuple[FieldScalar, ...]
 #: labels (x_1 + y_1*sqrt2, ..., x_r + y_r*sqrt2) / D flattened to
 #: (x_1, y_1, ..., x_r, y_r); the common denominator D travels beside it
 IntLabels = Tuple[int, ...]
+IntRow = Tuple[int, ...]  # a vertex (q0, ..., q3), flattened the same way
 
 _MAX_DOMINANCE_STEPS = 10_000
 
@@ -46,6 +47,16 @@ def _denominator(values: Sequence[FieldScalar]) -> int:
 def scalar_labels(mu: IntLabels, den: int) -> Labels:
     """Integer pairs over ``den`` back as FieldScalar labels."""
     return tuple(from_ints(mu[k], mu[k + 1], den) for k in range(0, len(mu), 2))
+
+
+def _add_multiple(v: Tuple[int, ...], x: int, y: int,
+                  w: Sequence[Tuple[int, int, int]]) -> Tuple[int, ...]:
+    """v + (x + y*sqrt2) * w, w sparse: (k, p, q) is w_k = p + q*sqrt2."""
+    out = list(v)
+    for k, p, q in w:
+        out[2 * k] += x * p + 2 * y * q
+        out[2 * k + 1] += x * q + y * p
+    return tuple(out)
 
 
 def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
@@ -72,19 +83,25 @@ class RootSystem:
         # the weights are dual to the roots, so their Gram matrix is C^-1
         self.cartan_inv = tuple(
             tuple(a.dot(b) for b in self.weights) for a in self.weights)
-        # the label-space kernel: row i lists (j, c, d) for every nonzero
-        # C_ij = c + d*sqrt2, and the weights are integer pairs over weight_den
+        # the label-space kernel in sparse integer rows of (k, p, q):
+        # C_ik = p + q*sqrt2, and component k of a weight or simple root
+        # is (p + q*sqrt2) / weight_den
         if _denominator([c for row in self.cartan for c in row]) != 1:
             raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
         self._cartan_rows = tuple(
             tuple((j, c.x, c.y) for j, c in enumerate(row) if c)
             for row in self.cartan)
-        self.weight_den = _denominator(
+        den = self.weight_den = _denominator(
             [c for w in self.weights for c in w.components()])
-        self._weight_rows = tuple(
-            tuple((c.x * (self.weight_den // c.d), c.y * (self.weight_den // c.d))
-                  for c in w.components())
-            for w in self.weights)
+        if _denominator([c * den for a in self.simple_roots
+                         for c in a.components()]) != 1:
+            raise ValueError(f"{name}: a simple root is not over "
+                             f"Z[sqrt2]/{den}")
+        self._weight_rows, self._root_rows = (
+            tuple(tuple((k, c.x * (den // c.d), c.y * (den // c.d))
+                        for k, c in enumerate(v.components()) if c)
+                  for v in vectors)
+            for vectors in (self.weights, self.simple_roots))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
@@ -103,7 +120,7 @@ class RootSystem:
     def label_to_vector(self, labels: Sequence[LabelLike]) -> Quaternion:
         """Sum a_i * omega_i as an exact quaternion."""
         mu, den = self.integer_labels(self.coerce_labels(labels))
-        return self.vertices([mu], den)[0]
+        return self.vertices([self.integer_vector(mu)], den)[0]
 
     def vector_to_label(self, v: Quaternion) -> Labels:
         """Coordinates in the weight basis: a_i = (v, alpha_i)."""
@@ -121,48 +138,44 @@ class RootSystem:
 
     def reflect_labels(self, mu: IntLabels, i: int) -> IntLabels:
         """Simple reflection s_i in label space: mu_j <- mu_j - mu_i * C_ij."""
-        out = list(mu)
-        x, y = mu[2 * i], mu[2 * i + 1]
-        for j, c, d in self._cartan_rows[i]:
-            out[2 * j] -= x * c + 2 * y * d
-            out[2 * j + 1] -= x * d + y * c
-        return tuple(out)
+        return _add_multiple(mu, -mu[2 * i], -mu[2 * i + 1],
+                             self._cartan_rows[i])
 
-    def label_orbit(self, mu: IntLabels, nodes: Sequence[int]) -> List[IntLabels]:
-        """Orbit of mu, dominant on the ascending ``nodes`` J, under W_J.
+    def label_orbit(self, mu: IntLabels,
+                    nodes: Sequence[int]) -> List[Tuple[IntLabels, IntRow]]:
+        """Orbit of mu, dominant on the ascending ``nodes`` J, under W_J,
+        as (label, vertex row) pairs.
 
         The walk that reflects on the lowest negative label among J gives
         every other orbit point one parent, so the search inverts it:
         reflect on each positive label i in J and keep the image exactly
         when i is its lowest negative label among J.  Every point is
-        found once, with no visited set.
+        found once, with no visited set.  s_i moves the vertex row
+        sum mu_j omega_j by -mu_i * alpha_i.
         """
-        found = [mu]
-        for nu in found:  # the list grows as it is walked: breadth first
+        found = [(mu, self.integer_vector(mu))]
+        for nu, row in found:  # the list grows as it is walked: breadth first
             for i in nodes:
-                if surd_sign(nu[2 * i], nu[2 * i + 1]) <= 0:
+                x, y = nu[2 * i], nu[2 * i + 1]
+                if surd_sign(x, y) <= 0:
                     continue
-                child = self.reflect_labels(nu, i)
+                child = _add_multiple(nu, -x, -y, self._cartan_rows[i])
                 if first_negative(child, nodes) == i:  # nu is its parent
-                    found.append(child)
+                    found.append(
+                        (child, _add_multiple(row, -x, -y, self._root_rows[i])))
         return found
 
-    def integer_vector(self, mu: IntLabels) -> Tuple[int, ...]:
+    def integer_vector(self, mu: IntLabels) -> IntRow:
         """sum mu_i omega_i as flat integer pairs over ``den * weight_den``."""
-        out = [0] * 8
-        for i, row in enumerate(self._weight_rows):
-            x, y = mu[2 * i], mu[2 * i + 1]
-            if not (x or y):
-                continue
-            for k, (p, q) in enumerate(row):
-                out[2 * k] += x * p + 2 * y * q
-                out[2 * k + 1] += x * q + y * p
-        return tuple(out)
+        row = (0,) * 8
+        for i, weight in enumerate(self._weight_rows):
+            row = _add_multiple(row, mu[2 * i], mu[2 * i + 1], weight)
+        return row
 
-    def vertices(self, mus: Sequence[IntLabels], den: int) -> Tuple[Quaternion, ...]:
-        """Sorted vectors sum mu_i omega_i of labels over ``den`` (over one
-        positive denominator, integer order is Quaternion order)."""
-        coords = sorted(self.integer_vector(mu) for mu in mus)
+    def vertices(self, rows: Sequence[IntRow], den: int) -> Tuple[Quaternion, ...]:
+        """Sorted quaternions of integer vertex rows over ``den * weight_den``
+        (over one positive denominator, integer order is Quaternion order)."""
+        coords = sorted(rows)
         scale = den * self.weight_den
         scalars = {xy: from_ints(xy[0], xy[1], scale)
                    for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
@@ -230,14 +243,11 @@ def b3r_system() -> RootSystem:
 
 
 def get_system(name: str) -> RootSystem:
-    key = name.upper()
-    if key == "F4":
-        return f4_system()
-    if key == "B4":
-        return b4_system()
-    if key in ("B3", "B3R"):
-        return b3r_system()
-    raise ValueError(f"unknown root system {name!r}")
+    systems = {"F4": f4_system, "B4": b4_system, "B3": b3r_system,
+               "B3R": b3r_system}
+    if name.upper() not in systems:
+        raise ValueError(f"unknown root system {name!r}")
+    return systems[name.upper()]()
 
 
 def format_labels(labels: Sequence[FieldScalar]) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Callable, List, Sequence, Tuple
 
 from . import refdata
@@ -44,10 +45,7 @@ NINE_PATTERNS: Tuple[Tuple[int, int, int, int], ...] = (
 )
 
 ALL_PATTERNS: Tuple[Tuple[int, int, int, int], ...] = tuple(
-    (a, b, c, d)
-    for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
-    if a or b or c or d
-)
+    p for p in product((0, 1), repeat=4) if any(p))
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,8 @@ class CheckResult:
     detail: str = ""
 
     def line(self) -> str:
-        flag = "PASS" if self.ok else "FAIL"
-        text = f"[{flag}] {self.name}"
-        if self.detail:
-            text += f": {self.detail}"
-        return text
+        text = f"[{'PASS' if self.ok else 'FAIL'}] {self.name}"
+        return text + (f": {self.detail}" if self.detail else "")
 
 
 def _result(name: str, ok: bool, good: str, bad: str) -> CheckResult:
@@ -87,20 +82,14 @@ def check_subset_table() -> CheckResult:
 
 
 def check_presentation() -> CheckResult:
-    r1, r2, r3, r4 = f4_system().reflections
-    orders = [r.order() for r in (r1, r2, r3, r4)]
-    pair = {
-        (1, 2): r1.compose(r2).order(),
-        (2, 3): r2.compose(r3).order(),
-        (3, 4): r3.compose(r4).order(),
-        (1, 3): r1.compose(r3).order(),
-        (1, 4): r1.compose(r4).order(),
-        (2, 4): r2.compose(r4).order(),
-    }
+    refl = f4_system().reflections
+    orders = [r.order() for r in refl]
+    pair = {(i + 1, j + 1): refl[i].compose(refl[j]).order()
+            for i, j in combinations(range(4), 2)}
     ok = (orders == [2, 2, 2, 2]
           and pair == {(1, 2): 3, (2, 3): 4, (3, 4): 3,
                        (1, 3): 2, (1, 4): 2, (2, 4): 2})
-    generated = generate_from((r1, r2, r3, r4))
+    generated = generate_from(refl)
     listed = build_group("WF4")
     ok = ok and generated == listed
     d = diagram_symmetry()
@@ -378,20 +367,12 @@ CHECKS: Tuple[Tuple[str, Callable[..., CheckResult]], ...] = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    results = []
-    for name, func in CHECKS:
-        if func is check_reflection_forms:
-            results.append(func(seed))
-        else:
-            results.append(func())
-    return results
+    return [func(seed) if func is check_reflection_forms else func()
+            for _, func in CHECKS]
 
 
 def format_report(results: Sequence[CheckResult]) -> str:
-    lines = [r.line() for r in results]
-    failed = sum(1 for r in results if not r.ok)
-    if failed:
-        lines.append(f"{failed} of {len(results)} checks FAILED")
-    else:
-        lines.append(f"all {len(results)} checks passed")
-    return "\n".join(lines)
+    failed = sum(not r.ok for r in results)
+    last = (f"{failed} of {len(results)} checks FAILED" if failed
+            else f"all {len(results)} checks passed")
+    return "\n".join([r.line() for r in results] + [last])

@@ -106,6 +106,19 @@ def test_malformed_scale_is_a_usage_error(capsys):
         assert "label" not in err, err
 
 
+def test_malformed_seed_is_a_usage_error(capsys):
+    # int() would take the Arabic-Indic and fullwidth digits as seed 1
+    for seed in ("\u0661", "\uff11", "x"):
+        try:
+            main(["verify", "--seed", seed])
+            assert False
+        except SystemExit as exc:
+            assert exc.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"seed {seed!r}" in err, err
+        assert "Traceback" not in err and "usage" not in err, err
+
+
 def test_negative_label_reaches_the_validator():
     for text, shown in (("-1,0,0,0", "(-1,0,0,0)"),
                         ("-1/2,1,0,0", "(-1/2,1,0,0)")):

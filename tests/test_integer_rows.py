@@ -1,0 +1,146 @@
+"""Integer rows against the exact scalar routes they replaced.
+
+The label walk carries each orbit point's vertex row; every carried row
+must equal ``integer_vector`` of the point's label, for every node set J
+of every system.  The dual-cell hull runs on Z[sqrt2] integer rows;
+``oracle_faces`` is the hull it replaced, in ``FieldScalar`` arithmetic,
+and both must give the same face cycles.  Labels are the 0/1 patterns,
+seeded random dominant Q(sqrt2) labels (some with negative rational or
+sqrt2 parts) and three labels with a 10^17 entry.
+"""
+
+import random
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations, product
+from math import comb
+
+import pytest
+
+from f4weyl import duals
+from f4weyl.duals import convex_faces, cross3, dot3, dual_cell, sub3
+from f4weyl.orbits import f_vector
+from f4weyl.rootsys import f4_system, get_system
+from f4weyl.scalar import FieldScalar
+
+F4 = f4_system()
+BIG = 10 ** 17
+HUGE_LABELS = [(1, 0, 0, BIG), (BIG, 0, 1, 0), (1, BIG, 0, 0), (2, 0, 0, 1)]
+
+
+def zero_one_labels(rank):
+    return [p for p in product((0, 1), repeat=rank) if any(p)]
+
+
+def random_labels(rank, count, seed):
+    """Seeded dominant labels: each entry is 0 or a positive x + y*sqrt2
+    with small rational x and y of either sign."""
+    rng = random.Random(seed)
+
+    def entry():
+        while True:
+            a = FieldScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            if a.sign() > 0:
+                return a
+
+    out = []
+    while len(out) < count:
+        labels = tuple(entry() if rng.random() < 0.6 else FieldScalar(0)
+                       for _ in range(rank))
+        if any(labels):
+            out.append(labels)
+    assert any(a.b < 0 for labels in out for a in labels)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the walk carries the vertex
+
+
+@pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
+def test_walk_rows_match_integer_vector(name):
+    sys = get_system(name)
+    for labels in zero_one_labels(sys.rank) + random_labels(sys.rank, 15, 12):
+        mu, _ = sys.integer_labels(sys.coerce_labels(labels))
+        for r in range(sys.rank + 1):
+            for nodes in combinations(range(sys.rank), r):
+                for nu, row in sys.label_orbit(mu, nodes):
+                    assert row == sys.integer_vector(nu), (labels, nodes)
+
+
+# ---------------------------------------------------------------------------
+# the integer hull
+
+
+def oracle_faces(points):
+    """The FieldScalar hull: a triple spans a face when every point lies
+    weakly on one side of its plane; each face is sorted counter-clockwise
+    about its outward normal from its lowest index."""
+    pts = list(points)
+    planes = {}
+    for i, j, k in combinations(range(len(pts)), 3):
+        normal = cross3(sub3(pts[j], pts[i]), sub3(pts[k], pts[i]))
+        if all(c.is_zero() for c in normal):
+            continue
+        dots = [dot3(sub3(p, pts[i]), normal) for p in pts]
+        signs = {d.sign() for d in dots} - {0}
+        if len(signs) > 1:
+            continue
+        if signs == {1}:
+            normal = tuple(-c for c in normal)
+        planes[frozenset(m for m, d in enumerate(dots) if d.is_zero())] = normal
+    faces = []
+    for members, normal in planes.items():
+        first, *rest = sorted(members)
+        p0 = pts[first]
+
+        def turn(a, b):
+            return -dot3(normal, cross3(sub3(pts[a], p0),
+                                        sub3(pts[b], p0))).sign()
+
+        faces.append((first, *sorted(rest, key=cmp_to_key(turn))))
+    return sorted(faces)
+
+
+def cell_points(labels, scaled):
+    cell = dual_cell(F4, labels)
+    return [u for _, u in (cell.rows() if scaled else cell.coords)]
+
+
+@pytest.mark.parametrize("scaled", (False, True), ids=("scale 1", "rows"))
+def test_hull_matches_oracle_on_01_labels(scaled):
+    for labels in zero_one_labels(4):
+        pts = cell_points(labels, scaled)
+        assert convex_faces(pts) == oracle_faces(pts), labels
+
+
+def test_hull_matches_oracle_on_random_and_huge_labels():
+    for labels in random_labels(4, 30, 7) + HUGE_LABELS:
+        pts = cell_points(labels, False)
+        assert convex_faces(pts) == oracle_faces(pts), labels
+
+
+def test_hull_faces_are_the_edges_at_the_vertex():
+    # a face of the dual cell at v is an edge of the source through v,
+    # and every vertex meets 2 * N1 / N0 edges
+    for labels in random_labels(4, 30, 8):
+        fv = f_vector(F4, labels)
+        assert len(convex_faces(cell_points(labels, False))) * fv.n0 == \
+            2 * fv.n1, labels
+
+
+def test_hull_skips_triples_inside_found_faces(monkeypatch):
+    # only the first triple of each face is tested against every point
+    pts = cell_points((1, 0, 0, 1), True)
+    faces = convex_faces(pts)
+    calls = []
+    cross = duals._cross_rows
+    monkeypatch.setattr(duals, "_cross_rows",
+                        lambda a, b: calls.append(1) or cross(a, b))
+    monkeypatch.setattr(duals, "_order_face",
+                        lambda rows, members, normal: tuple(sorted(members)))
+    convex_faces(pts)
+    skipped = sum(comb(len(face), 3) - 1 for face in faces)
+    assert skipped > 0
+    assert len(calls) == comb(len(pts), 3) - skipped

@@ -151,6 +151,15 @@ def test_cartan_must_be_integral():
         RootSystem("X", roots, (ONE_Q, E1))
 
 
+def test_roots_must_be_integral_over_the_weights():
+    # an integral Cartan matrix, but halves against integer weights
+    half = Fraction(1, 2)
+    roots = (Quaternion(half, half, half, half),
+             Quaternion(half, -half, half, -half))
+    with pytest.raises(ValueError, match="simple root"):
+        RootSystem("X", roots, (ONE_Q, E1))
+
+
 def test_reflect_labels_is_an_involution():
     f4 = f4_system()
     mu, _ = f4.integer_labels(f4.coerce_labels((1, 2, 3, 4)))
