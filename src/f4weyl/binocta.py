@@ -40,12 +40,11 @@ def build_subsets() -> Dict[str, Tuple[Quaternion, ...]]:
     units = (ONE_Q, E1, E2, E3)
     v0 = [u * s for u in units for s in (1, -1)]
 
-    vplus: List[Quaternion] = []
-    vminus: List[Quaternion] = []
-    for signs in product((1, -1), repeat=4):
-        q = Quaternion(*[Fraction(s, 2) for s in signs])
-        # parity convention: even number of + signs lands in V+
-        (vplus if signs.count(1) % 2 == 0 else vminus).append(q)
+    # parity convention: an even number of + signs lands in V+
+    halves = {signs: Quaternion(*[Fraction(s, 2) for s in signs])
+              for signs in product((1, -1), repeat=4)}
+    vplus = [q for signs, q in halves.items() if signs.count(1) % 2 == 0]
+    vminus = [q for signs, q in halves.items() if signs.count(1) % 2]
 
     def mix(a: Quaternion, b: Quaternion) -> List[Quaternion]:
         return [(a * sa + b * sb) * INV_SQRT2
@@ -72,18 +71,13 @@ def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
     """
     sets = build_subsets()
     lookup = {frozenset(sets[name]): name for name in SUBSET_ORDER}
-    table = []
-    for row in SUBSET_ORDER:
-        entries = []
-        for col in SUBSET_ORDER:
-            prod = frozenset(x * y for x in sets[row] for y in sets[col])
-            name = lookup.get(prod)
-            if name is None:
-                raise ArithmeticError(
-                    f"{row} * {col} is not a single named subset")
-            entries.append(name)
-        table.append(tuple(entries))
-    return tuple(table)
+    products = {(row, col): frozenset(x * y for x in sets[row] for y in sets[col])
+                for row in SUBSET_ORDER for col in SUBSET_ORDER}
+    for (row, col), prod in products.items():
+        if prod not in lookup:
+            raise ArithmeticError(f"{row} * {col} is not a single named subset")
+    return tuple(tuple(lookup[products[row, col]] for col in SUBSET_ORDER)
+                 for row in SUBSET_ORDER)
 
 
 @lru_cache(maxsize=1)
@@ -204,17 +198,14 @@ def diagram_symmetry() -> GroupElement:
 def generate_from(generators: Iterable[GroupElement]) -> FrozenSet[GroupElement]:
     """Closure of the generators under composition (breadth-first)."""
     gens = list(generators)
-    seen = {GroupElement.identity()}
-    frontier = list(seen)
-    while frontier:
-        new: List[GroupElement] = []
-        for g in frontier:
-            for r in gens:
-                h = g.compose(r)
-                if h not in seen:
-                    seen.add(h)
-                    new.append(h)
-        frontier = new
+    found = [GroupElement.identity()]
+    seen = set(found)
+    for g in found:  # the list grows as it is walked: breadth first
+        for r in gens:
+            h = g.compose(r)
+            if h not in seen:
+                seen.add(h)
+                found.append(h)
     return frozenset(seen)
 
 
@@ -284,10 +275,8 @@ def coset_decompose(big: FrozenSet[GroupElement], small: FrozenSet[GroupElement]
     for g in sorted_elements(big):
         if g not in remaining:
             continue
-        if side == "right":
-            coset = {s.compose(g) for s in small}
-        else:
-            coset = {g.compose(s) for s in small}
+        coset = {s.compose(g) if side == "right" else g.compose(s)
+                 for s in small}
         if not coset <= remaining:
             raise ValueError("small is not a subgroup of big")
         remaining -= coset

@@ -24,13 +24,23 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from . import refdata
 from .orbits import _validated, f_vector, generate_orbit, parabolic_orbit
 from .quat import E1, E2, E3, Quaternion
 from .rootsys import LabelLike, Labels, RootSystem, format_labels
-from .scalar import FieldScalar, surd_sign
+from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, surd_sign
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
+
+#: per published 0/1 pattern: the reference node (cell-center scale 1) and
+#: the row scale of the printed cell rows, printed = row_scale * (c, e_a L);
+#: other patterns take the smallest participating node and row scale 1
+PUBLISHED: Dict[Tuple[int, ...], Tuple[int, FieldScalar]] = {
+    (1, 0, 0, 0): (4, ONE), (0, 1, 0, 0): (4, INV_SQRT2),
+    (0, 0, 1, 0): (1, ONE), (1, 1, 0, 0): (4, SQRT2),
+    (1, 0, 1, 0): (2, ONE), (1, 0, 0, 1): (2, SQRT2 - 1),
+    (0, 1, 1, 0): (1, ONE), (1, 1, 1, 0): (4, SQRT2),
+    (1, 1, 0, 1): (3, SQRT2), (1, 1, 1, 1): (1, SQRT2),
+}
 
 
 def sub3(a: Triple, b: Triple) -> Triple:
@@ -144,8 +154,9 @@ class CellFamily:
     centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
 
 
-def label_pattern(labels: Labels) -> Tuple[int, ...]:
-    return tuple(1 if a.sign() > 0 else 0 for a in labels)
+def published(labels: Labels) -> Tuple[Optional[int], FieldScalar]:
+    """(reference node or None, row scale) of the labels' 0/1 pattern."""
+    return PUBLISHED.get(tuple(int(a.sign() > 0) for a in labels), (None, ONE))
 
 
 def _center_node(entry) -> int:
@@ -178,14 +189,14 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     The center of the type-S cell is proportional to the complementary
     weight; scaling node j by ``(w_ref, L) / (w_j, L)`` puts every center
     into the hyperplane of the reference one.  The reference node (scale
-    exactly 1) follows the frozen table where defined, else the smallest
+    exactly 1) follows ``PUBLISHED`` where defined, else the smallest
     participating node.
     """
     complex_ = f_vector(sys, labels)
     labels = complex_.labels
     present = sorted(_center_node(entry) for entry in complex_.cells)
-    ref = refdata.DUAL_REFERENCE.get(label_pattern(labels))
-    if ref is None or ref not in present:
+    ref, _ = published(labels)
+    if ref not in present:
         ref = present[0]
     lam = sys.label_to_vector(labels)
     ref_dot = sys.weights[ref - 1].dot(lam)
@@ -271,8 +282,7 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
     coords = tuple((fam.center_node,
                     tuple(c.dot(f) * scales[fam.center_node] for f in frame))
                    for fam in cells_at_vertex(sys, labels) for c in fam.centers)
-    printed = refdata.DUAL_CELL_PRINTED.get(label_pattern(labels))
-    return DualCell(labels, printed[0] if printed else FieldScalar(1), coords)
+    return DualCell(labels, published(labels)[1], coords)
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],

@@ -38,7 +38,6 @@ from itertools import combinations
 from math import lcm
 from typing import FrozenSet, List, Sequence, Tuple
 
-from .binocta import GroupElement, generate_from
 from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system)
@@ -146,8 +145,9 @@ def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
 
 
 @lru_cache(maxsize=None)
-def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> FrozenSet[GroupElement]:
-    """Elements of the subgroup generated by the given simple reflections (0-based)."""
+def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
+    """GroupElements of the subgroup of the given simple reflections (0-based)."""
+    from .binocta import GroupElement, generate_from
     sys = get_system(sys_name)
     if not nodes:
         return frozenset([GroupElement.identity()])
@@ -197,13 +197,9 @@ def _components(sys: RootSystem, nodes: Sequence[int]) -> List[List[int]]:
 
 
 def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> FrozenSet[int]:
-    out = set(nodes)
-    for j in range(sys.rank):
-        if j in out or j in active:
-            continue
-        if not any(_adjacent(sys, j, s) for s in nodes):
-            out.add(j)
-    return frozenset(out)
+    return frozenset(nodes).union(
+        j for j in range(sys.rank) if j not in active
+        and not any(_adjacent(sys, j, s) for s in nodes))
 
 
 def _is_double_bond(sys: RootSystem, i: int, j: int) -> bool:
@@ -245,10 +241,15 @@ def _cell_name(sys: RootSystem, comps: List[List[int]],
 
 
 def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
-    """Counts of vertices/edges/faces/cells plus named inventories."""
+    """Counts of vertices/edges/faces/cells plus named inventories (cached)."""
     if sys.rank != 4:
         raise ValueError("f_vector needs a rank-4 system")
-    lab = _validated(sys, labels)
+    return _complex_cached(sys.name, _validated(sys, labels))
+
+
+@lru_cache(maxsize=64)
+def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
+    sys = get_system(sys_name)
     active = frozenset(i for i, a in enumerate(lab) if not a.is_zero())
     order = weyl_order(sys)
 

@@ -27,12 +27,10 @@ class Quaternion:
 
     __slots__ = ("q0", "q1", "q2", "q3")
 
-    def __init__(self, q0: ScalarLike = 0, q1: ScalarLike = 0,
-                 q2: ScalarLike = 0, q3: ScalarLike = 0) -> None:
-        object.__setattr__(self, "q0", as_scalar(q0))
-        object.__setattr__(self, "q1", as_scalar(q1))
-        object.__setattr__(self, "q2", as_scalar(q2))
-        object.__setattr__(self, "q3", as_scalar(q3))
+    def __new__(cls, q0: ScalarLike = 0, q1: ScalarLike = 0,
+                q2: ScalarLike = 0, q3: ScalarLike = 0) -> "Quaternion":
+        return from_scalars(as_scalar(q0), as_scalar(q1), as_scalar(q2),
+                            as_scalar(q3))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quaternion is immutable")
@@ -50,22 +48,22 @@ class Quaternion:
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
+        return from_scalars(self.q0 + other.q0, self.q1 + other.q1,
+                            self.q2 + other.q2, self.q3 + other.q3)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 - other.q0, self.q1 - other.q1,
-                          self.q2 - other.q2, self.q3 - other.q3)
+        return from_scalars(self.q0 - other.q0, self.q1 - other.q1,
+                            self.q2 - other.q2, self.q3 - other.q3)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        return from_scalars(-self.q0, -self.q1, -self.q2, -self.q3)
 
     def __mul__(self, other: Union["Quaternion", ScalarLike]) -> "Quaternion":
         if isinstance(other, Quaternion):
             p, q = self, other
-            return Quaternion(
+            return from_scalars(
                 p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
                 p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
                 p.q0 * q.q2 + p.q2 * q.q0 + p.q3 * q.q1 - p.q1 * q.q3,
@@ -73,22 +71,19 @@ class Quaternion:
             )
         if isinstance(other, (FieldScalar, int, Fraction)):
             s = as_scalar(other)
-            return Quaternion(self.q0 * s, self.q1 * s, self.q2 * s, self.q3 * s)
+            return from_scalars(*(c * s for c in self.components()))
         return NotImplemented
 
-    def __rmul__(self, other: ScalarLike) -> "Quaternion":
-        if isinstance(other, (FieldScalar, int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar commutes with every quaternion
 
     def __truediv__(self, other: ScalarLike) -> "Quaternion":
         if isinstance(other, (FieldScalar, int, Fraction)):
             s = as_scalar(other)
-            return Quaternion(self.q0 / s, self.q1 / s, self.q2 / s, self.q3 / s)
+            return from_scalars(*(c / s for c in self.components()))
         return NotImplemented
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
+        return from_scalars(self.q0, -self.q1, -self.q2, -self.q3)
 
     def dot(self, other: "Quaternion") -> FieldScalar:
         """Euclidean scalar product, a FieldScalar."""
@@ -137,22 +132,34 @@ class Quaternion:
             if comp.is_zero():
                 continue
             text = str(comp)
-            if name:
-                if text == "1":
-                    text = name
-                elif text == "-1":
-                    text = "-" + name
-                else:
-                    needs_parens = ("+" in text[1:]) or ("-" in text[1:])
-                    text = (f"({text}){name}" if needs_parens else f"{text}{name}")
-            if parts and not text.startswith("-"):
-                parts.append("+" + text)
+            if text in ("1", "-1") and name:
+                text = text[:-1] + name
+            elif ("+" in text[1:] or "-" in text[1:]) and name:
+                text = f"({text}){name}"
             else:
-                parts.append(text)
+                text += name
+            parts.append(text if not parts or text.startswith("-")
+                         else "+" + text)
         return "".join(parts) if parts else "0"
 
     def json_obj(self) -> list:
         return [str(c) for c in self.components()]
+
+
+_new = object.__new__
+_set0, _set1, _set2, _set3 = (Quaternion.q0.__set__, Quaternion.q1.__set__,
+                              Quaternion.q2.__set__, Quaternion.q3.__set__)
+
+
+def from_scalars(q0: FieldScalar, q1: FieldScalar, q2: FieldScalar,
+                 q3: FieldScalar) -> Quaternion:
+    """A Quaternion of four FieldScalars taken as they are (no coercion)."""
+    q = _new(Quaternion)
+    _set0(q, q0)
+    _set1(q, q1)
+    _set2(q, q2)
+    _set3(q, q3)
+    return q
 
 
 ZERO_Q = Quaternion(0, 0, 0, 0)

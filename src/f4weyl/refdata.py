@@ -4,6 +4,7 @@ Everything in this module is data the implementation must reproduce:
 branching tables, slice decompositions, dual scale factors, dual-cell
 local coordinates and the worked 3D projections.  Values were checked
 by hand against independent derivations before being frozen here.
+Only ``verify`` and the tests load this module, never a label command.
 
 Known misprints.  A handful of the commonly quoted values for these
 polytopes do not survive exact recomputation.  Each such case is listed
@@ -297,21 +298,7 @@ PROJECTED_DUAL24 = (
 
 
 # ---------------------------------------------------------------------------
-# dual polytopes: reference nodes, scale factors, printed cell rows
-
-#: node (1-based) whose cell-center scale is fixed to 1
-DUAL_REFERENCE: Dict[Tuple[int, int, int, int], int] = {
-    (1, 0, 0, 0): 4,
-    (0, 1, 0, 0): 4,
-    (0, 0, 1, 0): 1,
-    (1, 1, 0, 0): 4,
-    (1, 0, 1, 0): 2,
-    (1, 0, 0, 1): 2,
-    (0, 1, 1, 0): 1,
-    (1, 1, 1, 0): 4,
-    (1, 1, 0, 1): 3,
-    (1, 1, 1, 1): 1,
-}
+# dual polytopes: scale factors, printed cell rows
 
 #: exact scale factors per center node, after fixing the reference to 1
 DUAL_SCALES_GOLDEN: Dict[Tuple[int, int, int, int], Dict[int, FieldScalar]] = {
@@ -435,11 +422,9 @@ KITE_GOLDEN = {
 
 def _cell_row(center: Quaternion, axis: Quaternion) -> Tuple[Quaternion, frozenset]:
     others = [e for e in (E1, E2, E3) if e != axis and -e != axis]
-    verts = {ONE_Q, axis}
-    for si in (1, -1):
-        for sj in (1, -1):
-            verts.add((ONE_Q + axis + others[0] * si + others[1] * sj) * Fraction(1, 2))
-    return center, frozenset(verts)
+    return center, frozenset(
+        [ONE_Q, axis] + [(ONE_Q + axis + others[0] * si + others[1] * sj)
+                         * Fraction(1, 2) for si in (1, -1) for sj in (1, -1)])
 
 
 SELF_DUAL_CELL_TABLE = tuple(
@@ -517,7 +502,4 @@ ERRATA = (
 
 
 def erratum(erratum_id: str) -> dict:
-    for entry in ERRATA:
-        if entry["id"] == erratum_id:
-            return entry
-    raise KeyError(erratum_id)
+    return {entry["id"]: entry for entry in ERRATA}[erratum_id]

@@ -24,8 +24,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .binocta import GroupElement, reflection_element
-from .quat import E1, E2, E3, ONE_Q, Quaternion
+from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
 from .scalar import (INV_SQRT2, SQRT2, FieldScalar, as_scalar, from_ints,
                      surd_sign)
 
@@ -107,8 +106,10 @@ class RootSystem:
         return f"RootSystem({self.name})"
 
     @cached_property
-    def reflections(self) -> Tuple[GroupElement, ...]:
-        """Simple reflections, built on first use: label commands skip them."""
+    def reflections(self) -> tuple:
+        """Simple reflections as GroupElements, built on first use: label
+        commands skip them."""
+        from .binocta import reflection_element
         return tuple(reflection_element(a) for a in self.simple_roots)
 
     def coerce_labels(self, labels: Sequence[LabelLike]) -> Labels:
@@ -179,7 +180,7 @@ class RootSystem:
         scale = den * self.weight_den
         scalars = {xy: from_ints(xy[0], xy[1], scale)
                    for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
-        return tuple(Quaternion(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
+        return tuple(from_scalars(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
                      for c in coords)
 
     def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:

@@ -15,9 +15,9 @@ values have equal fields.  Floats only appear at export boundaries
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, isqrt, lcm, sqrt
 from typing import Optional, Tuple, Union
 
@@ -41,7 +41,17 @@ def surd_sign(a: Rational, b: Rational) -> int:
     return sb if 2 * b * b > a * a else -sb
 
 
-@total_ordering
+def _order(op):
+    """FieldScalar's ``op`` comparison: op(exact sign of self - other, 0)."""
+    def method(self, other):
+        x, y, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        sign = surd_sign(self.x * d - x * self.d, self.y * d - y * self.d)
+        return op(sign, 0)
+    return method
+
+
 class FieldScalar:
     """A number ``a + b*sqrt(2)`` with rational ``a`` and ``b``.
 
@@ -194,11 +204,8 @@ class FieldScalar:
             return NotImplemented
         return self.x == x and self.y == y and self.d == d
 
-    def __lt__(self, other: Union["FieldScalar", Rational]) -> bool:
-        x, y, d = _parts(other)
-        if d is None:
-            return NotImplemented
-        return surd_sign(self.x * d - x * self.d, self.y * d - y * self.d) < 0
+    __lt__, __le__ = _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
 
     def __hash__(self) -> int:
         # a rational value hashes as the int or Fraction it equals

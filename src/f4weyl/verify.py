@@ -310,15 +310,13 @@ def check_reflection_forms(seed: int) -> CheckResult:
             continue
         v = _random_quaternion(rng)
         image = reflect(alpha, v)
-        if image != reflect_classical(alpha, v):
+        problem = ("forms disagree" if image != reflect_classical(alpha, v)
+                   else "not an involution" if reflect(alpha, image) != v
+                   else "norm not preserved"
+                   if image.norm_sq() != v.norm_sq() else None)
+        if problem:
             return CheckResult("reflection forms", False,
-                               f"forms disagree at trial {i}")
-        if reflect(alpha, image) != v:
-            return CheckResult("reflection forms", False,
-                               f"not an involution at trial {i}")
-        if image.norm_sq() != v.norm_sq():
-            return CheckResult("reflection forms", False,
-                               f"norm not preserved at trial {i}")
+                               f"{problem} at trial {i}")
     return CheckResult(
         "reflection forms", True,
         f"{trials} random trials (seed {seed}): quaternionic and "

@@ -95,7 +95,7 @@ def test_malformed_label_is_a_usage_error(capsys):
 
 def test_malformed_scale_is_a_usage_error(capsys):
     # the error names the scale, not the (valid) label
-    for scale in ("1/0", "x"):
+    for scale in ("1/0", "x", "0", "-1", "-sqrt2"):
         try:
             main(["project", "1,0,0,0", "--scale", scale])
             assert False
@@ -195,6 +195,32 @@ def test_label_command_leaves_unit_tables_unbuilt():
               "    assert cli.main(['dual', '1,1,1,1']) == 0\n"
               "print(binocta.unit_tables.cache_info().currsize)\n")
     assert _run_script(script) == "0\n"
+
+
+LABEL_COMMANDS = (["orbit", "1,1,0,1"], ["fvector", "1,0,0,1"],
+                  ["branch-b4", "1,1,1,1"], ["branch-b3a1", "0,1,1,0"],
+                  ["project", "1,0,0,1", "--scale", "1/2"],
+                  ["dual", "1,0,1,0", "--format", "json"],
+                  ["export", "1,0,0,1"])
+
+
+def test_label_commands_leave_verify_refdata_binocta_unloaded():
+    # the golden tables, the battery and the group layer cost a cold start
+    # more than a label; no label command reads them
+    script = ("import io, sys, contextlib\n"
+              "from f4weyl import cli\n"
+              f"for argv in {list(LABEL_COMMANDS)!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in ('f4weyl.refdata', 'f4weyl.verify',\n"
+              "                         'f4weyl.binocta') if m in sys.modules))\n")
+    assert _run_script(script) == "[]\n"
+
+
+def test_verify_json_default_seed():
+    code, out, _ = run_cli(["verify", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] and payload["seed"] == 314159
 
 
 def test_verify_runs_without_numpy():

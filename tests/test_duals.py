@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from f4weyl import refdata
-from f4weyl.duals import (cell_metrics, cell_vertices_for_center,
+from f4weyl import orbits, refdata
+from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, convex_faces, dist_sq, dual_cell,
                           dual_polytope, frame_vectors, kite_face,
                           solve_scales)
@@ -252,3 +252,29 @@ def test_degenerate_dual_rejected():
             pass
         else:
             assert False, entry.__name__
+
+
+def test_published_table_matches_the_golden_data():
+    # duals.PUBLISHED is the label path's copy of the published data
+    for pattern in product((0, 1), repeat=4):
+        if not any(pattern):
+            continue
+        printed = refdata.DUAL_CELL_PRINTED.get(pattern)
+        want = printed[0] if printed else FieldScalar(1)
+        assert PUBLISHED.get(pattern, (None, 1))[1] == want, pattern
+        assert dual_cell(F4, pattern).row_scale == want, pattern
+    for pattern, golden in refdata.DUAL_SCALES_GOLDEN.items():
+        ref = PUBLISHED[pattern][0]
+        assert golden[ref] == 1 and solve_scales(F4, pattern)[ref] == 1
+
+
+def test_dual_steps_build_the_complex_once(monkeypatch):
+    # cells_at_vertex, solve_scales and dual_polytope all read the f-vector
+    built = []
+    real = orbits.PolytopeComplex
+    monkeypatch.setattr(orbits, "PolytopeComplex",
+                        lambda *args: built.append(args) or real(*args))
+    orbits._complex_cached.cache_clear()
+    dual_polytope(F4, (2, 1, 0, 1))
+    dual_cell(F4, (2, 1, 0, 1))
+    assert len(built) == 1

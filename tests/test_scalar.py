@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
@@ -61,6 +62,25 @@ def test_exact_ordering():
     assert FieldScalar(Fraction(3, 2)) < FieldScalar(0, Fraction(17, 16))
     x = FieldScalar(Fraction(22, 7), Fraction(-1, 3))
     assert not x < x and x == x
+
+
+def test_orders_match_the_exact_sign():
+    # each of <, <=, >, >= is read off the exact sign of the difference,
+    # with FieldScalar, int and Fraction operands on either side
+    rng = random.Random(11)
+    for _ in range(300):
+        x = rand_scalar(rng)
+        for y in (rand_scalar(rng), x, FieldScalar(x.a), rng.randint(-4, 4),
+                  Fraction(rng.randint(-12, 12), rng.randint(1, 6))):
+            s = (x - y).sign()
+            assert (x < y, x <= y, x > y, x >= y) == \
+                (s < 0, s <= 0, s > 0, s >= 0), (x, y)
+            assert (y < x, y <= x, y > x, y >= x) == \
+                (s > 0, s >= 0, s < 0, s <= 0), (x, y)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((ONE, "1"), ("1", ONE)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def test_sqrt():
