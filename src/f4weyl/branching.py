@@ -6,7 +6,12 @@ Coxeter Groups", section 1.12; D. M. Snow, "Weyl group orbits", ACM
 TOMS 16 (1990) 94-108), and with these roots the chambers are
 coordinate chains: a W(B4) part has one vertex with
 q0 >= q1 >= q2 >= q3 >= 0, a W(B3) layer one with q1 >= q2 >= q3 >= 0.
-Both branchings filter the cached F4 orbit by those chains.
+Both branchings read the cached F4 orbit's integer points, with each
+row coordinate a pair x + y*sqrt2 over one denominator S > 0.  The B4
+test takes the signs of q0-q1, q1-q2, q2-q3 and sqrt2*q3, the entries
+of the B4 label.  B3R's simple roots are F4's alpha_2..alpha_4, so the
+B3 test is F4 labels 2..4 >= 0, which are the B3 label; the height
+|q0/sqrt2| is the pair (2*y0, x0) over 2S.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .orbits import _validated, generate_orbit, orbit_size
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
-                      format_labels)
-from .scalar import INV_SQRT2, FieldScalar, as_scalar
+                      first_negative, format_labels, scalar_labels)
+from .scalar import (INV_SQRT2, FieldScalar, as_scalar, from_ints,
+                     surd_sign)
 
 
 @dataclass(frozen=True)
@@ -41,11 +47,20 @@ def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
 
 @lru_cache(maxsize=64)
 def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
-    b4 = b4_system()
-    parts = sorted(b4.vector_to_label(v)  # row order
-                   for v in generate_orbit(f4_system(), labels).vertices
-                   if v.q0 >= v.q1 >= v.q2 >= v.q3 >= 0)
-    return tuple(B4Part(part, orbit_size(b4, part)) for part in parts)
+    f4, b4 = f4_system(), b4_system()
+    orbit = generate_orbit(f4, labels)
+    s = orbit.den * f4.weight_den
+    parts = []  # the B4 labels (q0-q1, q1-q2, q2-q3, sqrt2*q3) >= 0
+    for x0, y0, x1, y1, x2, y2, x3, y3 in orbit.rows:
+        if (surd_sign(x0 - x1, y0 - y1) >= 0
+                and surd_sign(x1 - x2, y1 - y2) >= 0
+                and surd_sign(x2 - x3, y2 - y3) >= 0
+                and surd_sign(x3, y3) >= 0):
+            parts.append((from_ints(x0 - x1, y0 - y1, s),
+                          from_ints(x1 - x2, y1 - y2, s),
+                          from_ints(x2 - x3, y2 - y3, s),
+                          from_ints(2 * y3, x3, s)))
+    return tuple(B4Part(part, orbit_size(b4, part)) for part in sorted(parts))
 
 
 @dataclass(frozen=True)
@@ -75,10 +90,13 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 
 @lru_cache(maxsize=64)
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
-    b3 = b3r_system()
-    layers = {(b3.vector_to_label(v), abs(v.q0 * INV_SQRT2))
-              for v in generate_orbit(f4_system(), labels).vertices
-              if v.q1 >= v.q2 >= v.q3 >= 0}
+    f4, b3 = f4_system(), b3r_system()
+    orbit = generate_orbit(f4, labels)
+    den = orbit.den
+    layers = {(scalar_labels(mu[2:], den),
+               abs(from_ints(2 * row[1], row[0], 2 * den * f4.weight_den)))
+              for mu, row in orbit.points
+              if first_negative(mu, (1, 2, 3)) is None}
     return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
                  for part, height in sorted(layers))
 
@@ -96,13 +114,18 @@ def project_3d(labels: Sequence[LabelLike],
     scale = as_scalar(scale)
     if scale.sign() <= 0:
         raise ValueError("scale must be positive")
-    scaled = tuple(x * scale for x in labels)
-    layers: Dict[FieldScalar, set] = {}
-    for v in generate_orbit(f4, scaled).vertices:
-        layers.setdefault(v.q0, set()).add((v.q1, v.q2, v.q3))
+    orbit = generate_orbit(f4, tuple(x * scale for x in labels))
+    den = orbit.den * f4.weight_den
+    pairs = {r[k:k + 2] for r in orbit.rows for k in (0, 2, 4, 6)}
+    scalars = {xy: from_ints(*xy, den) for xy in pairs}  # one per pair
+    layers: Dict[Tuple[int, int], set] = {}  # keyed by the q0 pair
+    for r in sorted(orbit.rows):  # vertex order: the sets print in it
+        layers.setdefault(r[:2], set()).add(
+            (scalars[r[2:4]], scalars[r[4:6]], scalars[r[6:]]))
     # the height is q0 / sqrt2, a positive factor: q0 order is height order
-    return tuple((q0 * INV_SQRT2, frozenset(pts)) for q0, pts in
-                 sorted(layers.items(), key=lambda kv: kv[0], reverse=True))
+    return tuple((scalars[q0] * INV_SQRT2, frozenset(pts)) for q0, pts in
+                 sorted(layers.items(), key=lambda kv: scalars[kv[0]],
+                        reverse=True))
 
 
 def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:

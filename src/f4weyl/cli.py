@@ -87,7 +87,9 @@ def _cmd_verify(args):
                    for r in results],
         "ok": all(r.ok for r in results),
     }
-    return payload, [verify.format_report(results)]
+    if args.timings:
+        payload["timings"] = {r.name: r.seconds for r in results}
+    return payload, [verify.format_report(results, args.timings)]
 
 
 def _cmd_fvector(args):
@@ -159,9 +161,10 @@ def _cmd_dual(args):
     cell = dual_cell(f4_system(), args.label)
     rows = [{"node": node, "coords": [str(u) for u in triple]}
             for node, triple in cell.rows()]
+    count = sum(s.size for s in dual.shells)  # the shells are disjoint
     payload = {
         "label": format_labels(dual.source),
-        "vertex_count": len(dual.vertices),
+        "vertex_count": count,
         "cell_count": dual.cell_count,
         "scales": [{"node": s.node, "scale": str(s.scale)}
                    for s in dual.shells],
@@ -171,7 +174,7 @@ def _cmd_dual(args):
                    for s in dual.shells],
         "cell": {"row_scale": str(cell.row_scale), "vertices": rows},
     }
-    lines = [f"dual of {payload['label']}: {len(dual.vertices)} vertices, "
+    lines = [f"dual of {payload['label']}: {count} vertices, "
              f"{dual.cell_count} cells",
              "scales: " + ", ".join(f"node{s.node} = {s.scale}"
                                     for s in dual.shells),
@@ -213,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the randomized property checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
+    p.add_argument("--timings", action="store_true",
+                   help="report the wall time of each check")
 
     for name, help_text in (
             ("orbit", "orbit vertices and counts"),

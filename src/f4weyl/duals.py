@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import _validated, f_vector, generate_orbit, parabolic_orbit
+from .orbits import Orbit, _validated, f_vector, generate_orbit
 from .quat import E1, E2, E3, Quaternion
-from .rootsys import LabelLike, Labels, RootSystem, format_labels
+from .rootsys import LabelLike, Labels, RootSystem, format_labels, get_system
 from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, surd_sign
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
@@ -172,14 +172,14 @@ def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellF
     i.e. the W_J-orbit of the label e_j for J = the zero-label nodes.
     """
     complex_ = f_vector(sys, labels)
-    inactive = frozenset(i for i, a in enumerate(complex_.labels)
-                         if a.is_zero())
+    inactive = [i for i, a in enumerate(complex_.labels) if a.is_zero()]
     families: List[CellFamily] = []
     for entry in complex_.cells:
         j = _center_node(entry)
-        unit = tuple(FieldScalar(int(i == j - 1)) for i in range(sys.rank))
+        unit = tuple(v for i in range(sys.rank) for v in (int(i == j - 1), 0))
+        rows = [row for _, row in sys.label_orbit(unit, inactive)]
         families.append(CellFamily(entry.nodes, entry.name, j,
-                                   parabolic_orbit(sys, unit, inactive)))
+                                   sys.vertices(rows, 1)))
     return tuple(families)
 
 
@@ -223,32 +223,48 @@ class Shell:
 class DualPolytope:
     source: Labels
     shells: Tuple[Shell, ...]
-    vertices: FrozenSet[Quaternion]
     cell_count: int
     f_tuple: Tuple[int, int, int, int]
+    units: Tuple[Orbit, ...]  # per shell node j, the orbit of omega_j
+
+    def __repr__(self) -> str:
+        return (f"DualPolytope(source={self.source!r}, shells={self.shells!r}"
+                f", vertices={self.vertices!r}, cell_count={self.cell_count!r}"
+                f", f_tuple={self.f_tuple!r})")
+
+    @cached_property
+    def vertices(self) -> FrozenSet[Quaternion]:
+        """The union of the shells, built on first read: the rows of the
+        orbit of omega_j times the shell's scale s = (x + y*sqrt2)/d."""
+        vertices: set = set()
+        for shell, unit in zip(self.shells, self.units):
+            x, y, d = shell.scale.x, shell.scale.y, shell.scale.d
+            vertices.update(get_system(unit.system).vertices(
+                [tuple(v for a, b in zip(r[::2], r[1::2])
+                       for v in (a * x + 2 * b * y, a * y + b * x))
+                 for r in unit.rows], unit.den * d))
+        return frozenset(vertices)
 
 
 def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     """The dual as a union of rescaled single-node orbits.
 
-    Its vertex count equals the source cell count and vice versa; the
-    dual f-vector is the reversed source f-vector.
+    The orbit of s*omega_j is s times the unit orbit of omega_j, so a
+    shell's size is the unit orbit's.  Its vertex count equals the
+    source cell count and vice versa; the dual f-vector is the reversed
+    source f-vector.
     """
     labels = _validated(sys, labels)
-    scales = solve_scales(sys, labels)
     source = f_vector(sys, labels)
-    shells: List[Shell] = []
-    vertices: set = set()
-    for j, s in sorted(scales.items()):
-        single = tuple(s if i == j - 1 else FieldScalar(0)
-                       for i in range(len(labels)))
-        orb = generate_orbit(sys, single)
+    shells, units = [], []
+    for j, s in sorted(solve_scales(sys, labels).items()):
         w = sys.weights[j - 1]
-        shells.append(Shell(j, s, w.dot(w) * s * s, orb.size))
-        vertices.update(orb.vertices)
-    return DualPolytope(labels, tuple(shells), frozenset(vertices),
-                        source.n0,
-                        (source.n3, source.n2, source.n1, source.n0))
+        units.append(generate_orbit(sys, [int(i == j - 1)
+                                          for i in range(sys.rank)]))
+        shells.append(Shell(j, s, w.dot(w) * s * s, units[-1].size))
+    return DualPolytope(labels, tuple(shells), source.n0,
+                        (source.n3, source.n2, source.n1, source.n0),
+                        tuple(units))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ under the parabolic subgroup W_J of a node set J, as the inverse of the
 dominance walk (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990)
 94-108).  With J = all nodes it gives the vertex orbit; the walk carries
 each point's integer vertex row (a step on node i subtracts mu_i *
-alpha_i), and the sorted rows (Quaternion order) become the vertices.
-rho = (1, ..., 1) is regular, so its W_J-orbit has |W_J| points.  No
-float and no quaternion product is involved.  ``parabolic_elements``
-closes the same subgroups as :class:`~f4weyl.binocta.GroupElement`
-sets; it serves only as an oracle.
+alpha_i).  :class:`Orbit` keeps these (label, row) points and sorts the
+rows (Quaternion order) into vertices only when those are read.  For k
+in J the dominant omega_k has W_J-stabilizer W_{J-k} (J. E. Humphreys,
+"Reflection Groups and Coxeter Groups", section 1.12), so |W_J| =
+|W_{J-k}| * |W_J omega_k|; peeling k = max J, |W(F4)| walks 24 + 8 + 3 +
+2 points.  No float and no quaternion product is involved.
+``parabolic_elements`` closes the same subgroups as
+:class:`~f4weyl.binocta.GroupElement` sets; it serves only as an oracle.
 
 Counting scheme.  For a dominant label the vertices are the orbit of
 ``sum(a_i omega_i)``; their number is the index of the parabolic
@@ -23,7 +26,7 @@ without moving it).  Face and cell names follow the standard polygon /
 polyhedron names of the corresponding rank-2/rank-3 orbit.
 
 The geometric edge oracle recounts N1 with no group theory at all:
-vertices are scaled to integer pairs (x + y*sqrt2) and swept in the
+the vertex rows, integer pairs (x + y*sqrt2), are swept in the
 numeric order of their first coordinate, and the pairs attaining the
 exact least squared distance are counted on Python integers (the
 closest-pair sweep of M. I. Shamos and D. Hoey, "Closest-point
@@ -33,14 +36,13 @@ problems", FOCS 1975).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
-from math import lcm
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .quat import Quaternion
-from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
-                      get_system)
+from .rootsys import (IntLabels, IntRow, LabelLike, Labels, RootSystem,
+                      format_labels, get_system)
 from .scalar import surd_sign
 
 #: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
@@ -83,12 +85,27 @@ class FaceEntry:
 
 @dataclass(frozen=True)
 class Orbit:
+    """The label walk's (label, vertex row) points: labels over ``den``,
+    rows over ``den * weight_den``; vertices are built on first read."""
+    system: str
     labels: Labels
-    vertices: Tuple[Quaternion, ...]
+    points: Tuple[Tuple[IntLabels, IntRow], ...]
+    den: int
+
+    def __repr__(self) -> str:
+        return f"Orbit(labels={self.labels!r}, vertices={self.vertices!r})"
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.points)
+
+    @property
+    def rows(self) -> List[IntRow]:
+        return [row for _, row in self.points]
+
+    @cached_property
+    def vertices(self) -> Tuple[Quaternion, ...]:
+        return get_system(self.system).vertices(self.rows, self.den)
 
     def vertex_set(self) -> FrozenSet[Quaternion]:
         return frozenset(self.vertices)
@@ -123,20 +140,12 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
     return lab
 
 
-def parabolic_orbit(sys: RootSystem, labels: Labels,
-                    nodes: FrozenSet[int]) -> Tuple[Quaternion, ...]:
-    """Sorted W_J-orbit of the labelled weight vector, J = ``nodes``; the
-    labels must be nonnegative on J."""
-    top, den = sys.integer_labels(labels)
-    return sys.vertices([row for _, row in sys.label_orbit(top, sorted(nodes))],
-                        den)
-
-
 @lru_cache(maxsize=64)
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
-    return Orbit(labels,
-                 parabolic_orbit(sys, labels, frozenset(range(sys.rank))))
+    mu, den = sys.integer_labels(labels)
+    points = tuple(sys.label_orbit(mu, range(sys.rank)))
+    return Orbit(sys_name, labels, points, den)
 
 
 def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
@@ -156,10 +165,14 @@ def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
 
 @lru_cache(maxsize=None)
 def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
-    """Order of the subgroup generated by the given simple reflections
-    (0-based): the size of the free orbit of rho = (1, ..., 1)."""
+    """Order of the subgroup W_J of the given simple reflections (0-based)."""
+    if not nodes:
+        return 1
     sys = get_system(sys_name)
-    return len(sys.label_orbit((1, 0) * sys.rank, sorted(nodes)))
+    k = max(nodes)
+    unit = tuple(v for i in range(sys.rank) for v in (int(i == k), 0))
+    return (parabolic_order(sys_name, nodes - {k})
+            * len(sys.label_orbit(unit, sorted(nodes))))
 
 
 def weyl_order(sys: RootSystem) -> int:
@@ -283,11 +296,12 @@ def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
 def geometric_edge_check(orbit: Orbit) -> int:
     """Count vertex pairs at the minimal nonzero squared distance.
 
-    Exact: coordinates are scaled to integer pairs (rational and sqrt2
-    parts), squared distances are P + Q*sqrt2 on Python integers, and
-    every comparison is an exact sign.  The rows are sorted by the value
-    of q0, so once the q0 gap alone exceeds the least distance found,
-    no later row can be nearer to the current one.
+    Exact: the walk's vertex rows are integer pairs (rational and sqrt2
+    parts) over one positive denominator, squared distances are
+    P + Q*sqrt2 on Python integers, and every comparison is an exact
+    sign.  The rows are sorted by the value of q0, so once the q0 gap
+    alone exceeds the least distance found, no later row can be nearer
+    to the current one.
 
     Only the shortest edge class is counted, so the count is N1 only for
     labels whose nonzero entries are all equal; other labels are refused.
@@ -296,11 +310,8 @@ def geometric_edge_check(orbit: Orbit) -> int:
         raise ValueError(
             f"edge oracle needs equal nonzero entries, got "
             f"{format_labels(orbit.labels)}")
-    scale = lcm(*(c.d for v in orbit.vertices for c in v.components()))
-    rows = sorted(
-        (tuple(t * (scale // c.d) for c in v.components() for t in (c.x, c.y))
-         for v in orbit.vertices),
-        key=cmp_to_key(lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1])))
+    rows = sorted(orbit.rows, key=cmp_to_key(
+        lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1])))
     best, count = None, 0
     for i, u in enumerate(rows):
         for v in rows[i + 1:]:

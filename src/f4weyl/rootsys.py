@@ -150,18 +150,20 @@ class RootSystem:
         The walk that reflects on the lowest negative label among J gives
         every other orbit point one parent, so the search inverts it:
         reflect on each positive label i in J and keep the image exactly
-        when i is its lowest negative label among J.  Every point is
-        found once, with no visited set.  s_i moves the vertex row
-        sum mu_j omega_j by -mu_i * alpha_i.
+        when i is its lowest negative label among J.  The image's label
+        on i is -mu_i < 0 (C_ii = 2), so only the nodes of J below i
+        need testing.  Every point is found once, with no visited set.
+        s_i moves the vertex row sum mu_j omega_j by -mu_i * alpha_i.
         """
+        below = [(i, nodes[:k]) for k, i in enumerate(nodes)]
         found = [(mu, self.integer_vector(mu))]
         for nu, row in found:  # the list grows as it is walked: breadth first
-            for i in nodes:
+            for i, lower in below:
                 x, y = nu[2 * i], nu[2 * i + 1]
                 if surd_sign(x, y) <= 0:
                     continue
                 child = _add_multiple(nu, -x, -y, self._cartan_rows[i])
-                if first_negative(child, nodes) == i:  # nu is its parent
+                if first_negative(child, lower) is None:  # nu is its parent
                     found.append(
                         (child, _add_multiple(row, -x, -y, self._root_rows[i])))
         return found

@@ -17,7 +17,8 @@ regression in either direction is caught.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, List, Sequence, Tuple
@@ -53,6 +54,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)  # wall time
 
     def line(self) -> str:
         text = f"[{'PASS' if self.ok else 'FAIL'}] {self.name}"
@@ -365,12 +367,17 @@ CHECKS: Tuple[Tuple[str, Callable[..., CheckResult]], ...] = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    return [func(seed) if func is check_reflection_forms else func()
-            for _, func in CHECKS]
+    results = []
+    for _, func in CHECKS:
+        start = time.perf_counter()
+        result = func(seed) if func is check_reflection_forms else func()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results
 
 
-def format_report(results: Sequence[CheckResult]) -> str:
+def format_report(results: Sequence[CheckResult], timings=False) -> str:
     failed = sum(not r.ok for r in results)
     last = (f"{failed} of {len(results)} checks FAILED" if failed
             else f"all {len(results)} checks passed")
-    return "\n".join([r.line() for r in results] + [last])
+    return "\n".join([r.line() + (f"  [{r.seconds:.3f} s]" if timings else "")
+                      for r in results] + [last])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,7 @@ def test_verify_json_default_seed():
     code, out, _ = run_cli(["verify", "--format", "json"])
     payload = json.loads(out)
     assert code == 0 and payload["ok"] and payload["seed"] == 314159
+    assert "timings" not in payload
 
 
 def test_verify_runs_without_numpy():
@@ -344,3 +346,20 @@ def test_verify_report_byte_identical():
     code, out, _ = run_cli(["verify"])
     assert code == 0
     assert out.encode() == (EXPECTED / "verify_report.txt").read_bytes()
+
+
+def test_verify_timings_shape():
+    # every check line gains its wall time; without that suffix the report
+    # is the recorded one.  JSON adds seconds per check name (values vary)
+    suffix = re.compile(r"  \[\d+\.\d{3} s\]$")
+    code, out, _ = run_cli(["verify", "--timings"])
+    lines = out.splitlines()
+    assert code == 0 and all(suffix.search(line) for line in lines[:-1])
+    report = "\n".join([suffix.sub("", line) for line in lines]) + "\n"
+    assert report.encode() == (EXPECTED / "verify_report.txt").read_bytes()
+    code, out, _ = run_cli(["verify", "--timings", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"]
+    assert list(payload["timings"]) == [c["name"] for c in payload["checks"]]
+    assert len(payload["timings"]) == 15
+    assert all(t >= 0 for t in payload["timings"].values())

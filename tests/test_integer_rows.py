@@ -9,10 +9,8 @@ seeded random dominant Q(sqrt2) labels (some with negative rational or
 sqrt2 parts) and three labels with a 10^17 entry.
 """
 
-import random
-from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,37 +19,11 @@ from f4weyl import duals
 from f4weyl.duals import convex_faces, cross3, dot3, dual_cell, sub3
 from f4weyl.orbits import f_vector
 from f4weyl.rootsys import f4_system, get_system
-from f4weyl.scalar import FieldScalar
+from oracles import random_labels, zero_one_labels
 
 F4 = f4_system()
 BIG = 10 ** 17
 HUGE_LABELS = [(1, 0, 0, BIG), (BIG, 0, 1, 0), (1, BIG, 0, 0), (2, 0, 0, 1)]
-
-
-def zero_one_labels(rank):
-    return [p for p in product((0, 1), repeat=rank) if any(p)]
-
-
-def random_labels(rank, count, seed):
-    """Seeded dominant labels: each entry is 0 or a positive x + y*sqrt2
-    with small rational x and y of either sign."""
-    rng = random.Random(seed)
-
-    def entry():
-        while True:
-            a = FieldScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-            if a.sign() > 0:
-                return a
-
-    out = []
-    while len(out) < count:
-        labels = tuple(entry() if rng.random() < 0.6 else FieldScalar(0)
-                       for _ in range(rank))
-        if any(labels):
-            out.append(labels)
-    assert any(a.b < 0 for labels in out for a in labels)
-    return out
 
 
 # ---------------------------------------------------------------------------

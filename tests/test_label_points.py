@@ -1,0 +1,106 @@
+"""Per-label stages on the walk's integer points against the vertex routes.
+
+The branchings, the 3D layers, the dual shells and the subgroup orders
+read the label walk's (label, vertex row) points; ``oracles`` holds the
+routes they replaced, on sorted ``FieldScalar`` vertices, walked
+rescaled shells and the free orbit of rho, and the walk with its parent
+test on every node of J.  Labels are the 15 0/1 patterns and 30 seeded
+random dominant Q(sqrt2) labels, some with negative rational or sqrt2
+parts.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from f4weyl import orbits
+from f4weyl.branching import branch_b3a1, branch_b4, project_3d
+from f4weyl.duals import dual_polytope
+from f4weyl.orbits import generate_orbit, parabolic_order
+from f4weyl.rootsys import RootSystem, f4_system, get_system
+from f4weyl.scalar import parse_scalar
+import oracles
+
+F4 = f4_system()
+LABELS = oracles.zero_one_labels(4) + oracles.random_labels(4, 30, 14)
+IDS = [str(i) for i in range(len(LABELS))]
+
+
+@pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
+def test_walk_tests_parents_below_i_only(name):
+    # s_i(nu) has label -nu_i < 0 on i, so i is its lowest negative label
+    # exactly when no node of J below i is negative: same points, same order
+    sys = get_system(name)
+    for labels in (oracles.zero_one_labels(sys.rank)
+                   + oracles.random_labels(sys.rank, 10, 15)):
+        mu, _ = sys.integer_labels(sys.coerce_labels(labels))
+        for r in range(sys.rank + 1):
+            for nodes in combinations(range(sys.rank), r):
+                assert sys.label_orbit(mu, nodes) == \
+                    oracles.label_orbit(sys, mu, nodes), (labels, nodes)
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=IDS)
+def test_branchings_match_vertex_oracles(labels):
+    assert branch_b4(labels) == oracles.branch_b4(labels)
+    assert branch_b3a1(labels) == oracles.branch_b3a1(labels)
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=IDS)
+def test_layers_match_vertex_oracle(labels):
+    for scale in (1, 2, parse_scalar("1+sqrt2")):
+        assert project_3d(labels, scale) == \
+            oracles.project_3d(labels, scale), scale
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=IDS)
+def test_dual_shells_match_walked_rescaled_orbits(labels):
+    dual = dual_polytope(F4, labels)
+    sizes, vertices = oracles.dual_shells(F4, dual)
+    assert [s.size for s in dual.shells] == sizes
+    assert dual.vertices == vertices
+
+
+@pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
+def test_parabolic_orders_match_rho_orbit(name):
+    rank = get_system(name).rank
+    for r in range(rank + 1):
+        for nodes in map(frozenset, combinations(range(rank), r)):
+            assert parabolic_order(name, nodes) == \
+                oracles.parabolic_order(name, nodes), sorted(nodes)
+
+
+@pytest.mark.parametrize("name,walks", [
+    ("F4", {(0,): 2, (0, 1): 3, (0, 1, 2): 8, (0, 1, 2, 3): 24}),
+    ("B4", {(0,): 2, (0, 1): 3, (0, 1, 2): 4, (0, 1, 2, 3): 16}),
+    ("B3R", {(0,): 2, (0, 1): 4, (0, 1, 2): 6}),
+])
+def test_parabolic_order_peels_the_highest_node(monkeypatch, name, walks):
+    # |W| walks the orbit of omega_k under W_J for J = {0..k}, k = rank-1
+    # down to 0: 24 + 8 + 3 + 2 points for F4, not the 1152 of rho
+    walked = {}
+    walk = RootSystem.label_orbit
+
+    def counted(self, mu, nodes):
+        points = walk(self, mu, nodes)
+        walked[tuple(nodes)] = len(points)
+        return points
+
+    monkeypatch.setattr(RootSystem, "label_orbit", counted)
+    orbits.parabolic_order.cache_clear()
+    try:
+        parabolic_order(name, frozenset(range(len(walks))))
+    finally:
+        orbits.parabolic_order.cache_clear()
+    assert walked == walks
+
+
+def test_vertices_are_built_on_first_read():
+    labels = (parse_scalar("7/3"), 0, parse_scalar("5-sqrt2"), 1)
+    orbit = generate_orbit(F4, labels)
+    dual = dual_polytope(F4, labels)
+    for stage in (branch_b4, branch_b3a1, project_3d):
+        stage(labels)
+    assert "vertices" not in vars(orbit) and "vertices" not in vars(dual)
+    assert len(orbit.vertices) == orbit.size
+    assert len(dual.vertices) == sum(s.size for s in dual.shells)
