@@ -6,23 +6,22 @@ Coxeter Groups", section 1.12; D. M. Snow, "Weyl group orbits", ACM
 TOMS 16 (1990) 94-108), and with these roots the chambers are
 coordinate chains: a W(B4) part has one vertex with
 q0 >= q1 >= q2 >= q3 >= 0, a W(B3) layer one with q1 >= q2 >= q3 >= 0.
-Both branchings read the cached F4 orbit's integer points, with each
-row coordinate a pair x + y*sqrt2 over one denominator S > 0.  The B4
-test takes the signs of q0-q1, q1-q2, q2-q3 and sqrt2*q3, the entries
-of the B4 label.  B3R's simple roots are F4's alpha_2..alpha_4, so the
-B3 test is F4 labels 2..4 >= 0, which are the B3 label; the height
-|q0/sqrt2| is the pair (2*y0, x0) over 2S.
+Both branchings read the cached F4 orbit's integer vertex rows, with
+each coordinate a pair x + y*sqrt2 over one denominator S > 0, and test
+the signs of the label entries: q0-q1, q1-q2, q2-q3 and sqrt2*q3 for
+B4, and sqrt2*q3, q2-q3, q1-q2 for B3 (B3R's simple roots are sqrt2*e3,
+e2-e3, e1-e2); the height |q0/sqrt2| is the pair (2*y0, x0) over 2S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .orbits import _validated, generate_orbit, orbit_size
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
-                      first_negative, format_labels, scalar_labels)
+                      scale_rows)
 from .scalar import (INV_SQRT2, FieldScalar, as_scalar, from_ints,
                      surd_sign)
 
@@ -92,11 +91,16 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
     f4, b3 = f4_system(), b3r_system()
     orbit = generate_orbit(f4, labels)
-    den = orbit.den
-    layers = {(scalar_labels(mu[2:], den),
-               abs(from_ints(2 * row[1], row[0], 2 * den * f4.weight_den)))
-              for mu, row in orbit.points
-              if first_negative(mu, (1, 2, 3)) is None}
+    s = orbit.den * f4.weight_den
+    layers = set()  # the B3 labels (sqrt2*q3, q2-q3, q1-q2) >= 0, heights
+    for x0, y0, x1, y1, x2, y2, x3, y3 in orbit.rows:
+        if (surd_sign(x1 - x2, y1 - y2) >= 0
+                and surd_sign(x2 - x3, y2 - y3) >= 0
+                and surd_sign(x3, y3) >= 0):
+            layers.add(((from_ints(2 * y3, x3, s),
+                         from_ints(x2 - x3, y2 - y3, s),
+                         from_ints(x1 - x2, y1 - y2, s)),
+                        abs(from_ints(2 * y0, x0, 2 * s))))
     return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
                  for part, height in sorted(layers))
 
@@ -114,12 +118,13 @@ def project_3d(labels: Sequence[LabelLike],
     scale = as_scalar(scale)
     if scale.sign() <= 0:
         raise ValueError("scale must be positive")
-    orbit = generate_orbit(f4, tuple(x * scale for x in labels))
-    den = orbit.den * f4.weight_den
-    pairs = {r[k:k + 2] for r in orbit.rows for k in (0, 2, 4, 6)}
+    orbit = generate_orbit(f4, labels)
+    rows = scale_rows(orbit.rows, scale)
+    den = orbit.den * f4.weight_den * scale.d
+    pairs = {r[k:k + 2] for r in rows for k in (0, 2, 4, 6)}
     scalars = {xy: from_ints(*xy, den) for xy in pairs}  # one per pair
     layers: Dict[Tuple[int, int], set] = {}  # keyed by the q0 pair
-    for r in sorted(orbit.rows):  # vertex order: the sets print in it
+    for r in sorted(rows):  # vertex order: the sets print in it
         layers.setdefault(r[:2], set()).add(
             (scalars[r[2:4]], scalars[r[4:6]], scalars[r[6:]]))
     # the height is q0 / sqrt2, a positive factor: q0 order is height order
@@ -145,21 +150,3 @@ def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
     labels = _validated(f4, labels)
     total = sum(s.size * (2 if s.paired else 1) for s in branch_b3a1(labels))
     return total == generate_orbit(f4, labels).size
-
-
-def render_b4_branching(labels: Sequence[LabelLike]) -> str:
-    labels = f4_system().coerce_labels(labels)
-    parts = branch_b4(labels)
-    rhs = " + ".join(format_labels(p.labels) + "_B4" for p in parts)
-    return format_labels(labels) + "_F4 = " + rhs
-
-
-def render_b3a1_slices(labels: Sequence[LabelLike]) -> List[str]:
-    lines = []
-    for s in branch_b3a1(labels):
-        sign = "+/-" if s.paired else "at"
-        noun = "vertex" if s.size == 1 else "vertices"
-        lines.append("%s_B3 %s %s  (%d %s%s)"
-                     % (format_labels(s.labels), sign, s.height, s.size, noun,
-                        " each" if s.paired else ""))
-    return lines

@@ -21,8 +21,7 @@ import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .branching import (branch_b3a1, branch_b4, project_3d,
-                        render_b3a1_slices, render_b4_branching)
+from .branching import branch_b3a1, branch_b4, project_3d
 from .duals import Triple, convex_faces, dual_cell, dual_polytope
 from .orbits import f_vector, generate_orbit
 from .rootsys import format_labels, f4_system
@@ -69,7 +68,8 @@ def export_off(points: Sequence[Triple]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns its JSON payload and its text lines
+# commands: each returns its JSON payload and the text lines rendered from
+# it; no other module renders text
 
 
 def _inventory(entries) -> List[dict]:
@@ -122,7 +122,8 @@ def _cmd_branch_b4(args):
         "parts": [{"labels": format_labels(p.labels), "size": p.size}
                   for p in branch_b4(args.label)],
     }
-    return payload, [render_b4_branching(args.label)]
+    return payload, [payload["label"] + "_F4 = " + " + ".join(
+        p["labels"] + "_B4" for p in payload["parts"])]
 
 
 def _cmd_branch_b3a1(args):
@@ -134,8 +135,11 @@ def _cmd_branch_b3a1(args):
                     "paired": s.paired} for s in branch_b3a1(args.label)],
     }
     lines = [payload["label"] + "_F4 ="]
-    return payload, lines + ["  " + line
-                             for line in render_b3a1_slices(args.label)]
+    lines.extend("  %s_B3 %s %s  (%d %s%s)" % (
+        s["labels"], "+/-" if s["paired"] else "at", s["height"], s["size"],
+        "vertex" if s["size"] == 1 else "vertices",
+        " each" if s["paired"] else "") for s in payload["slices"])
+    return payload, lines
 
 
 def _cmd_project(args):

@@ -26,7 +26,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .orbits import Orbit, _validated, f_vector, generate_orbit
 from .quat import E1, E2, E3, Quaternion
-from .rootsys import LabelLike, Labels, RootSystem, format_labels, get_system
+from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
+                      get_system, scale_rows)
 from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, surd_sign
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
@@ -198,14 +199,14 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     ref, _ = published(labels)
     if ref not in present:
         ref = present[0]
-    lam = sys.label_to_vector(labels)
-    ref_dot = sys.weights[ref - 1].dot(lam)
+    # (w_j, L) for L = sum a_i w_i is row j of C^-1 times the labels a
+    dots = {j: sum(c * a for c, a in zip(sys.cartan_inv[j - 1], labels))
+            for j in present}
     scales: Dict[int, FieldScalar] = {}
     for j in present:
-        denom = sys.weights[j - 1].dot(lam)
-        if denom.sign() == 0:
+        if dots[j].sign() == 0:
             raise ArithmeticError("degenerate center direction for node %d" % j)
-        scales[j] = ref_dot / denom
+        scales[j] = dots[ref] / dots[j]
     return scales
 
 
@@ -238,11 +239,8 @@ class DualPolytope:
         orbit of omega_j times the shell's scale s = (x + y*sqrt2)/d."""
         vertices: set = set()
         for shell, unit in zip(self.shells, self.units):
-            x, y, d = shell.scale.x, shell.scale.y, shell.scale.d
             vertices.update(get_system(unit.system).vertices(
-                [tuple(v for a, b in zip(r[::2], r[1::2])
-                       for v in (a * x + 2 * b * y, a * y + b * x))
-                 for r in unit.rows], unit.den * d))
+                scale_rows(unit.rows, shell.scale), unit.den * shell.scale.d))
         return frozenset(vertices)
 
 
@@ -258,10 +256,10 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     source = f_vector(sys, labels)
     shells, units = [], []
     for j, s in sorted(solve_scales(sys, labels).items()):
-        w = sys.weights[j - 1]
         units.append(generate_orbit(sys, [int(i == j - 1)
                                           for i in range(sys.rank)]))
-        shells.append(Shell(j, s, w.dot(w) * s * s, units[-1].size))
+        shells.append(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s,
+                            units[-1].size))
     return DualPolytope(labels, tuple(shells), source.n0,
                         (source.n3, source.n2, source.n1, source.n0),
                         tuple(units))

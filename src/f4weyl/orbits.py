@@ -6,8 +6,8 @@ under the parabolic subgroup W_J of a node set J, as the inverse of the
 dominance walk (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990)
 94-108).  With J = all nodes it gives the vertex orbit; the walk carries
 each point's integer vertex row (a step on node i subtracts mu_i *
-alpha_i).  :class:`Orbit` keeps these (label, row) points and sorts the
-rows (Quaternion order) into vertices only when those are read.  For k
+alpha_i).  :class:`Orbit` keeps only these rows and sorts them
+(Quaternion order) into vertices when those are first read.  For k
 in J the dominant omega_k has W_J-stabilizer W_{J-k} (J. E. Humphreys,
 "Reflection Groups and Coxeter Groups", section 1.12), so |W_J| =
 |W_{J-k}| * |W_J omega_k|; peeling k = max J, |W(F4)| walks 24 + 8 + 3 +
@@ -41,8 +41,8 @@ from itertools import combinations
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .quat import Quaternion
-from .rootsys import (IntLabels, IntRow, LabelLike, Labels, RootSystem,
-                      format_labels, get_system)
+from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
+                      get_system)
 from .scalar import surd_sign
 
 #: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
@@ -85,11 +85,11 @@ class FaceEntry:
 
 @dataclass(frozen=True)
 class Orbit:
-    """The label walk's (label, vertex row) points: labels over ``den``,
-    rows over ``den * weight_den``; vertices are built on first read."""
+    """The label walk's vertex rows over ``den * weight_den``, ``den`` the
+    labels' common denominator; vertices are built on first read."""
     system: str
     labels: Labels
-    points: Tuple[Tuple[IntLabels, IntRow], ...]
+    rows: Tuple[IntRow, ...]
     den: int
 
     def __repr__(self) -> str:
@@ -97,11 +97,7 @@ class Orbit:
 
     @property
     def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def rows(self) -> List[IntRow]:
-        return [row for _, row in self.points]
+        return len(self.rows)
 
     @cached_property
     def vertices(self) -> Tuple[Quaternion, ...]:
@@ -144,8 +140,8 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
     mu, den = sys.integer_labels(labels)
-    points = tuple(sys.label_orbit(mu, range(sys.rank)))
-    return Orbit(sys_name, labels, points, den)
+    rows = tuple(row for _, row in sys.label_orbit(mu, range(sys.rank)))
+    return Orbit(sys_name, labels, rows, den)
 
 
 def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
@@ -292,7 +288,6 @@ def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
 # geometric edge oracle
 
 
-@lru_cache(maxsize=32)
 def geometric_edge_check(orbit: Orbit) -> int:
     """Count vertex pairs at the minimal nonzero squared distance.
 

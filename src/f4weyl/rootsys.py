@@ -58,6 +58,16 @@ def _add_multiple(v: Tuple[int, ...], x: int, y: int,
     return tuple(out)
 
 
+def scale_rows(rows: Sequence[IntRow], s: FieldScalar) -> Sequence[IntRow]:
+    """Rows over D times s = (x + y*sqrt2)/d, as rows over D * d (the
+    same rows when s = 1)."""
+    if s == 1:
+        return rows
+    x, y = s.x, s.y
+    return [tuple(v for a, b in zip(r[::2], r[1::2])
+                  for v in (a * x + 2 * b * y, a * y + b * x)) for r in rows]
+
+
 def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
     """Lowest node of the ascending ``nodes`` whose label is negative, or
     None when mu is dominant on them."""

@@ -2,10 +2,12 @@
 compared on.
 
 The library reads each per-label result off the label walk's integer
-(label, vertex row) points.  The oracles below are the routes those
-replaced: the walk tests a point's parent on every node of J, and the
-per-label routes read the sorted ``FieldScalar`` vertices, walk every
-rescaled dual shell, and take |W_J| as the free orbit of rho.
+vertex rows.  The oracles below are the routes those replaced: the walk
+tests a point's parent on every node of J, and the per-label routes
+read the sorted ``FieldScalar`` vertices or the walk's labels, walk
+every rescaled label (dual shells and scaled layers), take |W_J| as the
+free orbit of rho, and render the branching text from a second
+branching.
 """
 
 import random
@@ -13,11 +15,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict
 
-from f4weyl.branching import B4Part, Slice
-from f4weyl.orbits import generate_orbit, orbit_size
+from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
+from f4weyl.orbits import _validated, generate_orbit, orbit_size
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, first_negative,
-                            get_system)
-from f4weyl.scalar import INV_SQRT2, FieldScalar, as_scalar, surd_sign
+                            format_labels, get_system, scalar_labels)
+from f4weyl.scalar import (INV_SQRT2, FieldScalar, as_scalar, from_ints,
+                           surd_sign)
 
 
 def zero_one_labels(rank):
@@ -78,6 +81,59 @@ def branch_b3a1(labels):
               if v.q1 >= v.q2 >= v.q3 >= 0}
     return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
                  for part, height in sorted(layers))
+
+
+def branch_b3a1_by_labels(labels):
+    """B3 layers: the walk's points with F4 labels 2..4 >= 0 (B3R's roots
+    are alpha_2..alpha_4), those labels being the B3 label, at height
+    |q0/sqrt2| read off the row as the pair (2*y0, x0) over 2S."""
+    f4, b3 = f4_system(), b3r_system()
+    mu, den = f4.integer_labels(_validated(f4, labels))
+    layers = {(scalar_labels(nu[2:], den),
+               abs(from_ints(2 * row[1], row[0], 2 * den * f4.weight_den)))
+              for nu, row in f4.label_orbit(mu, range(4))
+              if first_negative(nu, (1, 2, 3)) is None}
+    return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
+                 for part, height in sorted(layers))
+
+
+def project_3d_walked(labels, scale=1):
+    """Layers of the walked orbit of scale * labels, grouped on the q0
+    pair of its integer rows, one FieldScalar per coordinate pair."""
+    f4 = f4_system()
+    scale = as_scalar(scale)
+    orbit = generate_orbit(f4, tuple(a * scale for a in
+                                     _validated(f4, labels)))
+    den = orbit.den * f4.weight_den
+    pairs = {r[k:k + 2] for r in orbit.rows for k in (0, 2, 4, 6)}
+    scalars = {xy: from_ints(*xy, den) for xy in pairs}
+    layers: Dict[tuple, set] = {}
+    for r in sorted(orbit.rows):
+        layers.setdefault(r[:2], set()).add(
+            (scalars[r[2:4]], scalars[r[4:6]], scalars[r[6:]]))
+    return tuple((scalars[q0] * INV_SQRT2, frozenset(pts)) for q0, pts in
+                 sorted(layers.items(), key=lambda kv: scalars[kv[0]],
+                        reverse=True))
+
+
+def render_b4_branching(labels):
+    """The ``branch-b4`` text line from a second ``branch_b4`` call."""
+    labels = f4_system().coerce_labels(labels)
+    rhs = " + ".join(format_labels(p.labels) + "_B4"
+                     for p in branch_b4(labels))
+    return format_labels(labels) + "_F4 = " + rhs
+
+
+def render_b3a1_slices(labels):
+    """The ``branch-b3a1`` slice lines from a second ``branch_b3a1`` call."""
+    lines = []
+    for s in branch_b3a1(labels):
+        sign = "+/-" if s.paired else "at"
+        noun = "vertex" if s.size == 1 else "vertices"
+        lines.append("%s_B3 %s %s  (%d %s%s)"
+                     % (format_labels(s.labels), sign, s.height, s.size, noun,
+                        " each" if s.paired else ""))
+    return lines
 
 
 def project_3d(labels, scale=1):

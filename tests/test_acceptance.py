@@ -14,11 +14,10 @@ import random
 import sys
 from fractions import Fraction
 
-from f4weyl import refdata
+from f4weyl import cli, refdata
 from f4weyl.binocta import (build_group, generate_from, group_order,
                             subset_product_table)
-from f4weyl.branching import (branch_b3a1, project_3d, render_b4_branching,
-                              verify_b4_branching)
+from f4weyl.branching import branch_b3a1, project_3d, verify_b4_branching
 from f4weyl.duals import (cell_vertices_for_center, cells_at_vertex,
                           dual_cell, dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
@@ -90,12 +89,14 @@ def test_criterion_04_f_vectors_and_euler():
     assert ok
 
 
-def test_criterion_05_branching_ground_truth():
+def test_criterion_05_branching_ground_truth(capsys):
     ok = True
     for pattern, parts in refdata.B4_BRANCH_GOLDEN.items():
         expected = (format_labels(F4.coerce_labels(pattern)) + "_F4 = "
                     + " + ".join(format_labels(p) + "_B4" for p in parts))
-        ok = ok and render_b4_branching(pattern) == expected
+        code = cli.main(["branch-b4", ",".join(map(str, pattern))])
+        out = capsys.readouterr().out  # the text as the CLI prints it
+        ok = ok and code == 0 and out == expected + "\n"
         ok = ok and verify_b4_branching(pattern)
     comparisons = 0
     for pattern, block in refdata.B3A1_GOLDEN.items():
@@ -107,7 +108,7 @@ def test_criterion_05_branching_ground_truth():
         comparisons += 1
     ok = ok and comparisons == 30
     _gate(5, "branching ground truth", ok,
-          "15/15 rank-4 rows rendered and verified as exact point "
+          "15/15 rank-4 rows printed by the CLI and verified as exact point "
           "partitions; 30/30 slice-table comparisons, sizes sum to N0")
     assert ok
 

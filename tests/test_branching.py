@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
 
-from f4weyl import refdata
+from f4weyl import cli, refdata
 from f4weyl.binocta import OMEGA0, build_subsets
 from f4weyl.branching import (branch_b3a1, branch_b4, project_3d,
-                              render_b4_branching, verify_b3a1_slices,
-                              verify_b4_branching)
+                              verify_b3a1_slices, verify_b4_branching)
 from f4weyl.orbits import generate_orbit, orbit_size
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
@@ -173,9 +172,10 @@ def test_left_ideal_interchange():
     assert tp_sizes == [1, 1, 6, 8, 8]
 
 
-def test_render_b4():
-    text = render_b4_branching((1, 0, 0, 0))
-    assert text.startswith("(1,0,0,0)_F4 = ")
+def test_render_b4(capsys):
+    assert cli.main(["branch-b4", "1,0,0,0"]) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") == 1 and text.startswith("(1,0,0,0)_F4 = ")
     assert "(0,0,0,1)_B4" in text and "(sqrt2,0,0,0)_B4" in text
 
 

@@ -1,29 +1,33 @@
-"""Per-label stages on the walk's integer points against the vertex routes.
+"""Per-label stages on the walk's integer rows against the replaced routes.
 
 The branchings, the 3D layers, the dual shells and the subgroup orders
-read the label walk's (label, vertex row) points; ``oracles`` holds the
-routes they replaced, on sorted ``FieldScalar`` vertices, walked
-rescaled shells and the free orbit of rho, and the walk with its parent
-test on every node of J.  Labels are the 15 0/1 patterns and 30 seeded
-random dominant Q(sqrt2) labels, some with negative rational or sqrt2
-parts.
+read the label walk's integer vertex rows, and the CLI prints the
+branching text from its payload; ``oracles`` holds the routes they
+replaced, on sorted ``FieldScalar`` vertices, the walk's labels, walked
+rescaled labels, the free orbit of rho and a second branching, and the
+walk with its parent test on every node of J.  Labels are the 15 0/1
+patterns and 30 seeded random dominant Q(sqrt2) labels, some with
+negative rational or sqrt2 parts; scales are seeded positive Q(sqrt2)
+numbers with nonzero sqrt2 parts.
 """
 
 from itertools import combinations
 
 import pytest
 
-from f4weyl import orbits
+from f4weyl import cli, orbits
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.duals import dual_polytope
 from f4weyl.orbits import generate_orbit, parabolic_order
-from f4weyl.rootsys import RootSystem, f4_system, get_system
+from f4weyl.rootsys import RootSystem, f4_system, format_labels, get_system
 from f4weyl.scalar import parse_scalar
 import oracles
 
 F4 = f4_system()
 LABELS = oracles.zero_one_labels(4) + oracles.random_labels(4, 30, 14)
 IDS = [str(i) for i in range(len(LABELS))]
+SCALES = [2, parse_scalar("1+sqrt2")] + [
+    a for labels in oracles.random_labels(1, 4, 15) for a in labels]
 
 
 @pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
@@ -44,13 +48,31 @@ def test_walk_tests_parents_below_i_only(name):
 def test_branchings_match_vertex_oracles(labels):
     assert branch_b4(labels) == oracles.branch_b4(labels)
     assert branch_b3a1(labels) == oracles.branch_b3a1(labels)
+    assert branch_b3a1(labels) == oracles.branch_b3a1_by_labels(labels)
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=IDS)
 def test_layers_match_vertex_oracle(labels):
-    for scale in (1, 2, parse_scalar("1+sqrt2")):
-        assert project_3d(labels, scale) == \
-            oracles.project_3d(labels, scale), scale
+    for scale in [1] + SCALES:
+        got = project_3d(labels, scale)
+        assert got == oracles.project_3d(labels, scale), scale
+        # the scaled rows against the walk of scale * labels, including
+        # the order each layer's set iterates (and prints) in
+        walked = oracles.project_3d_walked(labels, scale)
+        assert [(h, list(pts)) for h, pts in got] == \
+            [(h, list(pts)) for h, pts in walked], scale
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=IDS)
+def test_branch_text_matches_renderer_oracles(capsys, labels):
+    text = ",".join(str(a) for a in labels)
+    assert cli.main(["branch-b4", text]) == 0
+    assert capsys.readouterr().out == \
+        oracles.render_b4_branching(labels) + "\n"
+    assert cli.main(["branch-b3a1", text]) == 0
+    header = format_labels(F4.coerce_labels(labels)) + "_F4 ="
+    assert capsys.readouterr().out.splitlines() == [header] + [
+        "  " + line for line in oracles.render_b3a1_slices(labels)]
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=IDS)
@@ -101,6 +123,10 @@ def test_vertices_are_built_on_first_read():
     dual = dual_polytope(F4, labels)
     for stage in (branch_b4, branch_b3a1, project_3d):
         stage(labels)
+    # a scaled projection scales the cached rows: no walk, no vertices
+    misses = orbits._orbit_cached.cache_info().misses
+    project_3d(labels, parse_scalar("1/2+sqrt2"))
+    assert orbits._orbit_cached.cache_info().misses == misses
     assert "vertices" not in vars(orbit) and "vertices" not in vars(dual)
     assert len(orbit.vertices) == orbit.size
     assert len(dual.vertices) == sum(s.size for s in dual.shells)
