@@ -27,26 +27,35 @@ def zero_one_labels(rank):
     return [p for p in product((0, 1), repeat=rank) if any(p)]
 
 
+def _entry(rng):
+    """A positive x + y*sqrt2 with small rational x and y of either sign."""
+    while True:
+        a = FieldScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        if a.sign() > 0:
+            return a
+
+
 def random_labels(rank, count, seed):
     """Seeded dominant labels: each entry is 0 or a positive x + y*sqrt2
     with small rational x and y of either sign."""
     rng = random.Random(seed)
-
-    def entry():
-        while True:
-            a = FieldScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-            if a.sign() > 0:
-                return a
-
     out = []
     while len(out) < count:
-        labels = tuple(entry() if rng.random() < 0.6 else FieldScalar(0)
+        labels = tuple(_entry(rng) if rng.random() < 0.6 else FieldScalar(0)
                        for _ in range(rank))
         if any(labels):
             out.append(labels)
     assert any(a.b < 0 for labels in out for a in labels)
     return out
+
+
+def pattern_labels(count, seed):
+    """Seeded dominant labels, ``count`` for each 0/1 pattern of rank 4: the
+    nonzero entries are positive x + y*sqrt2 as in ``random_labels``."""
+    rng = random.Random(seed)
+    return [tuple(_entry(rng) if p else FieldScalar(0) for p in pattern)
+            for pattern in zero_one_labels(4) for _ in range(count)]
 
 
 def label_orbit(sys, mu, nodes):

@@ -15,11 +15,15 @@ from f4weyl.cli import convex_faces, export_off, main, parse_label
 from f4weyl.duals import cross3, dot3, dual_cell, sub3
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import FieldScalar, parse_scalar
+import oracles
 
 # SHA-256 of stdout for every label subcommand x 0/1 label x format,
 # recorded from the reference implementation
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 RECORDED = EXPECTED / "cli.json"
+# the same for seeded random Q(sqrt2) labels; rewrite it with
+# ``PYTHONPATH=src python tests/test_cli.py --record``
+RANDOM_RECORDED = Path(__file__).with_name("cli_random_labels.json")
 
 
 def run_cli(argv):
@@ -184,6 +188,43 @@ def test_recorded_outputs_byte_identical():
         if (code, len(data), hashlib.sha256(data).hexdigest()) != (
                 0, want["bytes"], want["sha256"]):
             wrong.append(key)
+    assert not wrong
+
+
+def random_label_runs():
+    """argv of every label command x format on two seeded random labels per
+    0/1 pattern (some entries with negative rational or sqrt2 parts) and
+    two more, one past 2^64; ``project`` at scales 1, 1/2+sqrt2 and
+    3-sqrt2."""
+    labels = [",".join(map(str, labels))
+              for labels in oracles.pattern_labels(2, 16)]
+    labels += ["18446744073709551617,0,1/3,5-sqrt2", "0,7/3-sqrt2,0,1"]
+    runs = []
+    for label in labels:
+        runs.append(["export", label])
+        for fmt in ("text", "json"):
+            for cmd in ("orbit", "fvector", "branch-b4", "branch-b3a1",
+                        "dual"):
+                runs.append([cmd, label, "--format", fmt])
+            for scale in ("1", "1/2+sqrt2", "3-sqrt2"):
+                runs.append(["project", label, "--format", fmt,
+                             "--scale", scale])
+    return runs
+
+
+def _stdout_record(argv):
+    code, out, _ = run_cli(argv)
+    assert code == 0, argv
+    data = out.encode()
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_random_label_outputs_byte_identical():
+    recorded = json.loads(RANDOM_RECORDED.read_text())
+    runs = random_label_runs()
+    assert sorted(recorded) == sorted(" ".join(argv) for argv in runs)
+    wrong = [" ".join(argv) for argv in runs
+             if _stdout_record(argv) != recorded[" ".join(argv)]]
     assert not wrong
 
 
@@ -363,3 +404,9 @@ def test_verify_timings_shape():
     assert list(payload["timings"]) == [c["name"] for c in payload["checks"]]
     assert len(payload["timings"]) == 15
     assert all(t >= 0 for t in payload["timings"].values())
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    RANDOM_RECORDED.write_text(json.dumps(
+        {" ".join(argv): _stdout_record(argv) for argv in random_label_runs()},
+        indent=1, sort_keys=True) + "\n")
