@@ -1,16 +1,14 @@
 """Orbit branching under the signed-permutation group W(B4) and under
-the octahedral x reflection subgroup W(B3) x A1, whose orbits are the
-parallel 3D layers.  Each suborbit holds one point in its subgroup's
-closed fundamental chamber (J. E. Humphreys, "Reflection Groups and
-Coxeter Groups", section 1.12; D. M. Snow, "Weyl group orbits", ACM
-TOMS 16 (1990) 94-108), and with these roots the chambers are
-coordinate chains: a W(B4) part has one vertex with
-q0 >= q1 >= q2 >= q3 >= 0, a W(B3) layer one with q1 >= q2 >= q3 >= 0.
-Both branchings read the cached F4 orbit's integer vertex rows, with
-each coordinate a pair x + y*sqrt2 over one denominator S > 0, and test
-the signs of the label entries: q0-q1, q1-q2, q2-q3 and sqrt2*q3 for
-B4, and sqrt2*q3, q2-q3, q1-q2 for B3 (B3R's simple roots are sqrt2*e3,
-e2-e3, e1-e2); the height |q0/sqrt2| is the pair (2*y0, x0) over 2S.
+W(B3) x A1, whose orbits are the parallel 3D layers, read off the F4
+orbit's dominant forms |q0| >= |q1| >= |q2| >= |q3| (pairs x + y*sqrt2
+over S, :class:`~f4weyl.orbits.Orbit`) without expanding the orbit.
+Each suborbit has one point in its closed chamber (J. E. Humphreys,
+"Reflection Groups and Coxeter Groups", section 1.12).  A B4 part is
+the orbit of one form, with label (q0-q1, q1-q2, q2-q3, sqrt2*q3).  A
+B3 layer is the signed permutations with q0 = +-|q_k| of one form: its
+chamber point is the form's other three coordinates, with label
+(sqrt2*q3, q2-q3, q1-q2) (B3R's roots are sqrt2*e3, e2-e3, e1-e2), at
+height |q_k/sqrt2|, the pair (2*y, x) over 2S.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from typing import Dict, Sequence, Tuple
 from .orbits import _validated, generate_orbit, orbit_size
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
                       scale_rows)
-from .scalar import (INV_SQRT2, FieldScalar, as_scalar, from_ints,
-                     surd_sign)
+from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints
 
 
 @dataclass(frozen=True)
@@ -35,12 +32,8 @@ class B4Part:
 
 
 def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
-    """Split a rank-4 orbit into signed-permutation orbits.
-
-    Each part is the B4 orbit of its one vertex with
-    q0 >= q1 >= q2 >= q3 >= 0; the union of the part orbits is the
-    original orbit.
-    """
+    """Split a rank-4 orbit into signed-permutation orbits, one per
+    distinct dominant form of its coset rows."""
     return _branch_b4(_validated(f4_system(), labels))
 
 
@@ -49,27 +42,17 @@ def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
     f4, b4 = f4_system(), b4_system()
     orbit = generate_orbit(f4, labels)
     s = orbit.den * f4.weight_den
-    parts = []  # the B4 labels (q0-q1, q1-q2, q2-q3, sqrt2*q3) >= 0
-    for x0, y0, x1, y1, x2, y2, x3, y3 in orbit.rows:
-        if (surd_sign(x0 - x1, y0 - y1) >= 0
-                and surd_sign(x1 - x2, y1 - y2) >= 0
-                and surd_sign(x2 - x3, y2 - y3) >= 0
-                and surd_sign(x3, y3) >= 0):
-            parts.append((from_ints(x0 - x1, y0 - y1, s),
-                          from_ints(x1 - x2, y1 - y2, s),
-                          from_ints(x2 - x3, y2 - y3, s),
-                          from_ints(2 * y3, x3, s)))
-    return tuple(B4Part(part, orbit_size(b4, part)) for part in sorted(parts))
+    parts = sorted((from_ints(x0 - x1, y0 - y1, s),
+                    from_ints(x1 - x2, y1 - y2, s),
+                    from_ints(x2 - x3, y2 - y3, s), from_ints(2 * y3, x3, s))
+                   for x0, y0, x1, y1, x2, y2, x3, y3 in orbit.forms)
+    return tuple(B4Part(part, orbit_size(b4, part)) for part in parts)
 
 
 @dataclass(frozen=True)
 class Slice:
-    """A hyperplane layer of a rank-4 orbit.
-
-    ``height`` is the coordinate along the fixed axis, always >= 0;
-    ``paired`` marks layers that occur as a +/- mirror pair.  ``size``
-    counts the vertices of one layer.
-    """
+    """A hyperplane layer of a rank-4 orbit: ``height`` (>= 0) along the
+    fixed axis, ``size`` vertices, ``paired`` for a +/- mirror pair."""
 
     labels: Labels
     height: FieldScalar
@@ -78,12 +61,8 @@ class Slice:
 
 
 def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
-    """Slice a rank-4 orbit into octahedral orbits at fixed heights.
-
-    Each layer is the B3 orbit of its one vertex with
-    q1 >= q2 >= q3 >= 0; layers at heights h and -h share that label
-    and merge into one +/- pair.
-    """
+    """Slice a rank-4 orbit into octahedral orbits at fixed heights;
+    layers at heights h and -h share their label and merge into a pair."""
     return _branch_b3a1(_validated(f4_system(), labels))
 
 
@@ -92,27 +71,22 @@ def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
     f4, b3 = f4_system(), b3r_system()
     orbit = generate_orbit(f4, labels)
     s = orbit.den * f4.weight_den
-    layers = set()  # the B3 labels (sqrt2*q3, q2-q3, q1-q2) >= 0, heights
-    for x0, y0, x1, y1, x2, y2, x3, y3 in orbit.rows:
-        if (surd_sign(x1 - x2, y1 - y2) >= 0
-                and surd_sign(x2 - x3, y2 - y3) >= 0
-                and surd_sign(x3, y3) >= 0):
+    layers = set()  # (B3 label, height) for each form and each q_k
+    for form in orbit.forms:
+        for k in (0, 2, 4, 6):
+            x1, y1, x2, y2, x3, y3 = form[:k] + form[k + 2:]
             layers.add(((from_ints(2 * y3, x3, s),
                          from_ints(x2 - x3, y2 - y3, s),
                          from_ints(x1 - x2, y1 - y2, s)),
-                        abs(from_ints(2 * y0, x0, 2 * s))))
+                        from_ints(2 * form[k + 1], form[k], 2 * s)))
     return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
                  for part, height in sorted(layers))
 
 
 def project_3d(labels: Sequence[LabelLike],
                scale: FieldScalar | int = 1) -> Tuple[Tuple[FieldScalar, frozenset], ...]:
-    """Exact 3D layer decomposition of a (possibly rescaled) orbit.
-
-    Returns (height, point set) pairs ordered from top to bottom; the
-    points are the imaginary coordinate triples of the orbit vertices
-    in the layer.
-    """
+    """Exact 3D layers of a (possibly rescaled) orbit, top to bottom: the
+    (height, set of imaginary coordinate triples of the layer) pairs."""
     f4 = f4_system()
     labels = _validated(f4, labels)
     scale = as_scalar(scale)
@@ -121,8 +95,11 @@ def project_3d(labels: Sequence[LabelLike],
     orbit = generate_orbit(f4, labels)
     rows = scale_rows(orbit.rows, scale)
     den = orbit.den * f4.weight_den * scale.d
-    pairs = {r[k:k + 2] for r in rows for k in (0, 2, 4, 6)}
-    scalars = {xy: from_ints(*xy, den) for xy in pairs}  # one per pair
+    # every coordinate is +- one of the (scaled) forms' coordinates
+    scalars = {xy: from_ints(*xy, den)
+               for form in scale_rows(orbit.forms, scale)
+               for x, y in zip(form[::2], form[1::2])
+               for xy in ((x, y), (-x, -y))}
     layers: Dict[Tuple[int, int], set] = {}  # keyed by the q0 pair
     for r in sorted(rows):  # vertex order: the sets print in it
         layers.setdefault(r[:2], set()).add(
@@ -135,18 +112,14 @@ def project_3d(labels: Sequence[LabelLike],
 
 def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
     """Check that the branched orbits exactly partition the source orbit."""
-    f4 = f4_system()
-    labels = _validated(f4, labels)
     parts = [generate_orbit(b4_system(), p.labels).vertices
              for p in branch_b4(labels)]
-    source = generate_orbit(f4, labels).vertices
+    source = generate_orbit(f4_system(), labels).vertices
     return (sum(map(len, parts)) == len(source)
             and set().union(*parts) == set(source))
 
 
 def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
     """Check that the slice sizes account for every orbit vertex."""
-    f4 = f4_system()
-    labels = _validated(f4, labels)
     total = sum(s.size * (2 if s.paired else 1) for s in branch_b3a1(labels))
-    return total == generate_orbit(f4, labels).size
+    return total == generate_orbit(f4_system(), labels).size

@@ -1,48 +1,41 @@
 """Weight orbits, stabilizers, f-vectors and face/cell inventories.
 
-Every orbit and subgroup order comes from one search on Dynkin labels,
-:meth:`~f4weyl.rootsys.RootSystem.label_orbit`: the orbit of a label
-under the parabolic subgroup W_J of a node set J, as the inverse of the
-dominance walk (D. M. Snow, "Weyl group orbits", ACM TOMS 16 (1990)
-94-108).  With J = all nodes it gives the vertex orbit; the walk carries
-each point's integer vertex row (a step on node i subtracts mu_i *
-alpha_i).  :class:`Orbit` keeps only these rows and sorts them
-(Quaternion order) into vertices when those are first read.  For k
-in J the dominant omega_k has W_J-stabilizer W_{J-k} (J. E. Humphreys,
-"Reflection Groups and Coxeter Groups", section 1.12), so |W_J| =
-|W_{J-k}| * |W_J omega_k|; peeling k = max J, |W(F4)| walks 24 + 8 + 3 +
-2 points.  No float and no quaternion product is involved.
-``parabolic_elements`` closes the same subgroups as
-:class:`~f4weyl.binocta.GroupElement` sets; it serves only as an oracle.
+A full orbit is the signed permutations of at most three integer vertex
+rows: W(F4) is the union of the cosets of the signed-permutation group
+W(B4) with representatives 1, omega0, omega0^2 for omega0 = (1 + e1 +
+e2 + e3)/2 on the left (J. H. Conway and D. A. Smith, "On Quaternions
+and Octonions", ch. 4).  :class:`Orbit` keeps the distinct dominant
+forms of those rows and expands them into rows, and those into sorted
+vertices, on first read.  W_J-orbits come from the inverse dominance
+walk :meth:`~f4weyl.rootsys.RootSystem.label_orbit` (D. M. Snow, "Weyl
+group orbits", ACM TOMS 16 (1990) 94-108).  For k in J, omega_k has
+W_J-stabilizer W_{J-k} (J. E. Humphreys, "Reflection Groups and Coxeter
+Groups", section 1.12), so |W_J| = |W_{J-k}| * |W_J omega_k|: for
+k = max J, |W(F4)| takes 24 rows and walks 8 + 3 + 2 points.  No float
+decides anything; ``parabolic_elements`` (group closures) is an oracle.
 
-Counting scheme.  For a dominant label the vertices are the orbit of
-``sum(a_i omega_i)``; their number is the index of the parabolic
-subgroup on the zero-label nodes.  Higher faces come from sub-diagrams:
-a subset S of nodes spans a face type exactly when every connected
-component of S touches a nonzero label, and the number of those faces
-is ``|W| / |W(S + halo(S))|`` where halo(S) collects the zero-label
-nodes that are neither in S nor adjacent to it (they stabilize the face
-without moving it).  Face and cell names follow the standard polygon /
-polyhedron names of the corresponding rank-2/rank-3 orbit.
+Counting scheme.  N0 is the index of the parabolic subgroup on the
+zero-label nodes.  A subset S of nodes spans a face type exactly when
+every connected component of S touches a nonzero label, and there are
+``|W| / |W(S + halo(S))|`` such faces, halo(S) being the zero-label
+nodes neither in S nor adjacent to it (they fix the face).  Names are
+the standard ones of the corresponding rank-2/rank-3 orbit.
 
-The geometric edge oracle recounts N1 with no group theory at all:
-the vertex rows, integer pairs (x + y*sqrt2), are swept in the
-numeric order of their first coordinate, and the pairs attaining the
-exact least squared distance are counted on Python integers (the
-closest-pair sweep of M. I. Shamos and D. Hoey, "Closest-point
-problems", FOCS 1975).
+The geometric edge oracle recounts N1 with no group theory: the closest
+pairs of vertex rows, swept along q0 (M. I. Shamos and D. Hoey,
+"Closest-point problems", FOCS 1975).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
-                      get_system)
+                      get_system, surd_order)
 from .scalar import surd_sign
 
 #: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
@@ -85,11 +78,11 @@ class FaceEntry:
 
 @dataclass(frozen=True)
 class Orbit:
-    """The label walk's vertex rows over ``den * weight_den``, ``den`` the
-    labels' common denominator; vertices are built on first read."""
+    """Dominant forms of the coset rows over ``den * weight_den``; rows
+    (their signed permutations) and vertices are built on first read."""
     system: str
     labels: Labels
-    rows: Tuple[IntRow, ...]
+    forms: Tuple[IntRow, ...]
     den: int
 
     def __repr__(self) -> str:
@@ -98,6 +91,11 @@ class Orbit:
     @property
     def size(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def rows(self) -> Tuple[IntRow, ...]:
+        perms = get_system(self.system).signed_permutations
+        return tuple(row for form in self.forms for row in perms(form))
 
     @cached_property
     def vertices(self) -> Tuple[Quaternion, ...]:
@@ -140,12 +138,12 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
     mu, den = sys.integer_labels(labels)
-    rows = tuple(row for _, row in sys.label_orbit(mu, range(sys.rank)))
-    return Orbit(sys_name, labels, rows, den)
+    return Orbit(sys_name, labels, sys.coset_forms(mu), den)
 
 
 def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
-    """All images of the labelled weight vector, sorted deterministically."""
+    """The orbit of the labelled weight vector (cached; rows in a fixed
+    order, vertices sorted)."""
     return _orbit_cached(sys.name, _validated(sys, labels))
 
 
@@ -167,8 +165,9 @@ def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
     sys = get_system(sys_name)
     k = max(nodes)
     unit = tuple(v for i in range(sys.rank) for v in (int(i == k), 0))
-    return (parabolic_order(sys_name, nodes - {k})
-            * len(sys.label_orbit(unit, sorted(nodes))))
+    size = (generate_orbit(sys, unit[::2]).size if len(nodes) == sys.rank
+            else len(sys.label_orbit(unit, sorted(nodes))))
+    return parabolic_order(sys_name, nodes - {k}) * size
 
 
 def weyl_order(sys: RootSystem) -> int:
@@ -305,8 +304,7 @@ def geometric_edge_check(orbit: Orbit) -> int:
         raise ValueError(
             f"edge oracle needs equal nonzero entries, got "
             f"{format_labels(orbit.labels)}")
-    rows = sorted(orbit.rows, key=cmp_to_key(
-        lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1])))
+    rows = sorted(orbit.rows, key=surd_order)
     best, count = None, 0
     for i, u in enumerate(rows):
         for v in rows[i + 1:]:

@@ -1,27 +1,27 @@
 """Simple roots, Cartan matrices and fundamental weights for F4, B4, B3.
 
-Normalization.  All simple roots here carry squared norm 2, so the Gram
-matrix (alpha_i, alpha_j) IS the (symmetrized) Cartan matrix, with the
-off-diagonal -sqrt2 entries at each double bond, and the fundamental
-weights satisfy (alpha_i, omega_j) = delta_ij together with
-(omega_i, omega_j) = (C^-1)_ij.  Reflections are insensitive to root
-scaling, so the generated Weyl groups agree with the unit-quaternion
-versions used by :mod:`f4weyl.binocta`.
+Normalization.  All simple roots carry squared norm 2, so the Gram
+matrix (alpha_i, alpha_j) IS the (symmetrized) Cartan matrix, with
+-sqrt2 at each double bond, and (alpha_i, omega_j) = delta_ij,
+(omega_i, omega_j) = (C^-1)_ij.  Reflections ignore root scaling, so
+the Weyl groups agree with the unit-quaternion ones of
+:mod:`f4weyl.binocta`.  Each Weyl group is the union of ``cosets``
+cosets, with representatives 1, omega0, omega0^2 (:func:`omega0_row`),
+of the signed permutations of q_fixed..q3:
 
-The three systems:
-
-* F4  -- rank 4, double bond between nodes 2 and 3.
-* B4  -- rank 4, double bond between nodes 3 and 4.
-* B3R -- rank 3, acting on the imaginary subspace span(e1, e2, e3);
-         its "weights" are the dual-basis vectors v1, v2, v3 and its
-         Weyl group fixes the real axis pointwise.
+* F4  -- rank 4, double bond between nodes 2 and 3; three cosets.
+* B4  -- rank 4, double bond between nodes 3 and 4; signed permutations.
+* B3R -- rank 3 on span(e1, e2, e3), with the dual-basis vectors v1, v2,
+         v3 as "weights"; signed permutations fixing q0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
+from itertools import permutations
 from math import lcm
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
@@ -35,7 +35,8 @@ Labels = Tuple[FieldScalar, ...]
 IntLabels = Tuple[int, ...]
 IntRow = Tuple[int, ...]  # a vertex (q0, ..., q3), flattened the same way
 
-_MAX_DOMINANCE_STEPS = 10_000
+#: sort key ordering pairs (x, y), or rows by their first pair, by x + y*sqrt2
+surd_order = cmp_to_key(lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1]))
 
 
 def _denominator(values: Sequence[FieldScalar]) -> int:
@@ -68,6 +69,18 @@ def scale_rows(rows: Sequence[IntRow], s: FieldScalar) -> Sequence[IntRow]:
                   for v in (a * x + 2 * b * y, a * y + b * x)) for r in rows]
 
 
+def omega0_row(row: IntRow) -> IntRow:
+    """(1 + e1 + e2 + e3)/2 * v: each coordinate (+-q0 +- q1 +- q2 +- q3)/2
+    is halved exactly (an odd sum means v is off the lattice)."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = row
+    if (x0 + x1 + x2 + x3) & 1 or (y0 + y1 + y2 + y3) & 1:  # every sum's
+        raise ArithmeticError(f"omega0 * {row} is not integral")  # parity
+    return ((x0 - x1 - x2 - x3) >> 1, (y0 - y1 - y2 - y3) >> 1,
+            (x0 + x1 - x2 + x3) >> 1, (y0 + y1 - y2 + y3) >> 1,
+            (x0 + x1 + x2 - x3) >> 1, (y0 + y1 + y2 - y3) >> 1,
+            (x0 - x1 + x2 + x3) >> 1, (y0 - y1 + y2 + y3) >> 1)
+
+
 def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
     """Lowest node of the ascending ``nodes`` whose label is negative, or
     None when mu is dominant on them."""
@@ -81,8 +94,10 @@ class RootSystem:
     """Immutable bundle of simple roots, weights and simple reflections."""
 
     def __init__(self, name: str, simple_roots: Sequence[Quaternion],
-                 weights: Sequence[Quaternion]) -> None:
+                 weights: Sequence[Quaternion], cosets: int = 1,
+                 fixed: int = 0) -> None:
         self.name = name
+        self.cosets, self.fixed = cosets, fixed
         self.rank = len(simple_roots)
         self.simple_roots = tuple(simple_roots)
         self.weights = tuple(weights)
@@ -155,16 +170,13 @@ class RootSystem:
     def label_orbit(self, mu: IntLabels,
                     nodes: Sequence[int]) -> List[Tuple[IntLabels, IntRow]]:
         """Orbit of mu, dominant on the ascending ``nodes`` J, under W_J,
-        as (label, vertex row) pairs.
-
-        The walk that reflects on the lowest negative label among J gives
-        every other orbit point one parent, so the search inverts it:
-        reflect on each positive label i in J and keep the image exactly
-        when i is its lowest negative label among J.  The image's label
-        on i is -mu_i < 0 (C_ii = 2), so only the nodes of J below i
-        need testing.  Every point is found once, with no visited set.
-        s_i moves the vertex row sum mu_j omega_j by -mu_i * alpha_i.
-        """
+        as (label, vertex row) pairs.  The walk that reflects on the lowest
+        negative label among J gives every other orbit point one parent,
+        so the search inverts it: reflect on each positive label i in J
+        and keep the image exactly when i is its lowest negative label
+        among J.  The image's label on i is -mu_i < 0 (C_ii = 2), so only
+        the nodes of J below i need testing; no visited set is needed.  s_i
+        moves the vertex row sum mu_j omega_j by -mu_i * alpha_i."""
         below = [(i, nodes[:k]) for k, i in enumerate(nodes)]
         found = [(mu, self.integer_vector(mu))]
         for nu, row in found:  # the list grows as it is walked: breadth first
@@ -177,6 +189,32 @@ class RootSystem:
                     found.append(
                         (child, _add_multiple(row, -x, -y, self._root_rows[i])))
         return found
+
+    def coset_forms(self, mu: IntLabels) -> Tuple[IntRow, ...]:
+        """The distinct dominant forms (|q_fixed| >= ... >= |q3|) of the
+        coset rows r, omega0*r, ... of r = sum mu_i omega_i."""
+        row, forms, f = self.integer_vector(mu), [], 2 * self.fixed
+        for k in range(self.cosets):
+            row = omega0_row(row) if k else row
+            pairs = [(x, y) if surd_sign(x, y) >= 0 else (-x, -y)
+                     for x, y in zip(row[f::2], row[f + 1::2])]
+            pairs.sort(key=surd_order, reverse=True)
+            if (form := row[:f] + sum(pairs, ())) not in forms:
+                forms.append(form)
+        return tuple(forms)
+
+    def signed_permutations(self, form: IntRow) -> List[IntRow]:
+        """The distinct signed permutations of q_fixed..q3 of a form: each
+        distinct arrangement once, zero coordinates never negated."""
+        f = 2 * self.fixed
+        signed, arranged = [form[:f]], {}
+        for x, y in zip(form[f::2], form[f + 1::2]):
+            signed = [r + s for r in signed
+                      for s in ((x, y), (-x, -y))[:1 + bool(x or y)]]
+        for p in permutations(range(f, 8, 2)):
+            get = itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
+            arranged.setdefault(get(form), get)
+        return [get(r) for get in arranged.values() for r in signed]
 
     def integer_vector(self, mu: IntLabels) -> IntRow:
         """sum mu_i omega_i as flat integer pairs over ``den * weight_den``."""
@@ -196,22 +234,14 @@ class RootSystem:
                      for c in coords)
 
     def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
-        """Dominant label of the orbit of v plus the reflection word reaching it.
-
-        Standard dominance walk in label space: reflect on the
-        lowest-index negative label until none is left.  Applying
-        ``reflections[word[0]]``, then ``reflections[word[1]]``, ... to v
-        gives the dominant vector.
-        """
+        """Dominant label of the orbit of v and the word of the dominance
+        walk (reflect on the lowest negative label) that reaches it."""
         mu, den = self.integer_labels(self.vector_to_label(v))
-        word: List[int] = []
-        for _ in range(_MAX_DOMINANCE_STEPS):
-            i = first_negative(mu, range(self.rank))
-            if i is None:
-                return scalar_labels(mu, den), tuple(word)
+        word: List[int] = []  # the walk ends: W is finite
+        while (i := first_negative(mu, range(self.rank))) is not None:
             mu = self.reflect_labels(mu, i)
             word.append(i)
-        raise ArithmeticError("dominance walk failed to terminate")
+        return scalar_labels(mu, den), tuple(word)
 
 
 @lru_cache(maxsize=1)
@@ -229,7 +259,7 @@ def f4_system() -> RootSystem:
         Quaternion(2, 1, 1, 0),
         Quaternion(1, 1, 0, 0),
     )
-    return RootSystem("F4", roots, weights)
+    return RootSystem("F4", roots, weights, cosets=3)
 
 
 @lru_cache(maxsize=1)
@@ -252,7 +282,7 @@ def b3r_system() -> RootSystem:
         E1 + E2,
         E1,
     )
-    return RootSystem("B3R", roots, duals)
+    return RootSystem("B3R", roots, duals, fixed=1)
 
 
 def get_system(name: str) -> RootSystem:

@@ -19,6 +19,7 @@ import operator
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
+from sys import hash_info
 from typing import Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -57,15 +58,9 @@ class FieldScalar:
 
     Supports exact ring arithmetic, exact division (the field norm
     ``a**2 - 2*b**2`` vanishes only at zero), exact ordering, and an
-    exact square root when one exists in the field.  The canonical
-    integers are the read-only attributes ``x``, ``y``, ``d``.
-
-    Parameters
-    ----------
-    a : int or Fraction
-        Rational part.
-    b : int or Fraction, optional
-        Coefficient of sqrt(2).  Defaults to 0.
+    exact square root when one exists in the field.  ``a`` and ``b``
+    (default 0) are int or Fraction; the canonical integers are the
+    read-only attributes ``x``, ``y``, ``d``.
     """
 
     __slots__ = ("x", "y", "d")
@@ -208,10 +203,18 @@ class FieldScalar:
     __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
 
     def __hash__(self) -> int:
-        # a rational value hashes as the int or Fraction it equals
+        # a rational value hashes as the int or Fraction it equals: for
+        # x/d, Python's numeric hash hash(|x|) / d modulo the hash prime
         if self.y:
             return hash((self.x, self.y, self.d))
-        return hash(self.x) if self.d == 1 else hash(Fraction(self.x, self.d))
+        if self.d == 1:
+            return hash(self.x)
+        try:
+            h = hash(hash(abs(self.x)) * pow(self.d, -1, hash_info.modulus))
+        except ValueError:  # d is a multiple of the prime
+            h = hash_info.inf
+        h = h if self.x >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -309,12 +312,8 @@ def parse_scalar(text: str) -> FieldScalar:
     """Parse a compact Q(sqrt2) literal.
 
     Accepts e.g. ``"1"``, ``"-3/2"``, ``"sqrt2"``, ``"2sqrt2"``,
-    ``"3/2*sqrt2"``, ``"1/2-3/2sqrt2"``, ``"1/sqrt2"``, ``"sqrt2/2"``.
-
-    Raises
-    ------
-    ValueError
-        If the text is not a valid literal, a zero denominator included.
+    ``"3/2*sqrt2"``, ``"1/2-3/2sqrt2"``, ``"1/sqrt2"``, ``"sqrt2/2"``;
+    raises ValueError on anything else, a zero denominator included.
     """
     try:
         return _parse_terms(text)

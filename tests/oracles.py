@@ -1,13 +1,15 @@
 """Slow exact routes kept as test oracles, and the seeded labels they are
 compared on.
 
-The library reads each per-label result off the label walk's integer
-vertex rows.  The oracles below are the routes those replaced: the walk
-tests a point's parent on every node of J, and the per-label routes
-read the sorted ``FieldScalar`` vertices or the walk's labels, walk
-every rescaled label (dual shells and scaled layers), take |W_J| as the
-free orbit of rho, and render the branching text from a second
-branching.
+The library builds every full orbit as the signed permutations of its
+coset rows, reads both branchings off those rows, and reads the other
+per-label results off integer vertex rows.  The oracles below are the
+routes those replaced: the label walk over all nodes for full orbits
+(with, in ``label_orbit``, its parent test on every node of J), and
+per-label routes that read the sorted ``FieldScalar`` vertices or the
+walk's labels, walk every rescaled label (dual shells and scaled
+layers), take |W_J| as the free orbit of rho, and render the branching
+text from a second branching.
 """
 
 import random
@@ -69,6 +71,12 @@ def label_orbit(sys, mu, nodes):
                 if first_negative(child, nodes) == i:
                     found.append(child)
     return [(nu, sys.integer_vector(nu)) for nu in found]
+
+
+def walked_rows(sys, labels):
+    """Vertex rows of the full orbit from the label walk over all nodes."""
+    mu, _ = sys.integer_labels(sys.coerce_labels(labels))
+    return [row for _, row in sys.label_orbit(mu, range(sys.rank))]
 
 
 def branch_b4(labels):

@@ -1,14 +1,15 @@
-"""Per-label stages on the walk's integer rows against the replaced routes.
+"""Per-label stages on integer rows against the replaced routes.
 
-The branchings, the 3D layers, the dual shells and the subgroup orders
-read the label walk's integer vertex rows, and the CLI prints the
-branching text from its payload; ``oracles`` holds the routes they
-replaced, on sorted ``FieldScalar`` vertices, the walk's labels, walked
-rescaled labels, the free orbit of rho and a second branching, and the
-walk with its parent test on every node of J.  Labels are the 15 0/1
-patterns and 30 seeded random dominant Q(sqrt2) labels, some with
-negative rational or sqrt2 parts; scales are seeded positive Q(sqrt2)
-numbers with nonzero sqrt2 parts.
+Full orbits are the signed permutations of their coset rows; the
+branchings read those rows, and the 3D layers, the dual shells and the
+subgroup orders read integer vertex rows; the CLI prints the branching
+text from its payload.  ``oracles`` holds the routes they replaced: the
+label walk over all nodes, sorted ``FieldScalar`` vertices, the walk's
+labels, walked rescaled labels, the free orbit of rho, a second
+branching, and the walk with its parent test on every node of J.
+Labels are the 15 0/1 patterns and seeded random dominant Q(sqrt2)
+labels, some with negative rational or sqrt2 parts; scales are seeded
+positive Q(sqrt2) numbers with nonzero sqrt2 parts.
 """
 
 from itertools import combinations
@@ -19,7 +20,9 @@ from f4weyl import cli, orbits
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.duals import dual_polytope
 from f4weyl.orbits import generate_orbit, parabolic_order
-from f4weyl.rootsys import RootSystem, f4_system, format_labels, get_system
+from f4weyl.binocta import OMEGA0
+from f4weyl.rootsys import (RootSystem, f4_system, format_labels, get_system,
+                            omega0_row)
 from f4weyl.scalar import parse_scalar
 import oracles
 
@@ -42,6 +45,49 @@ def test_walk_tests_parents_below_i_only(name):
             for nodes in combinations(range(sys.rank), r):
                 assert sys.label_orbit(mu, nodes) == \
                     oracles.label_orbit(sys, mu, nodes), (labels, nodes)
+
+
+COSET_CASES = [("F4", labels) for seed in (1, 3)
+               for labels in oracles.random_labels(4, 30, seed)] + [
+    ("B4", labels) for labels in oracles.random_labels(4, 20, 2)] + [
+    ("B3R", labels) for labels in oracles.zero_one_labels(3)
+    + oracles.random_labels(3, 10, 4)]
+
+
+def test_coset_cases_cover_every_pattern():
+    patterns = {tuple(int(bool(a)) for a in labels)
+                for name, labels in COSET_CASES if name == "F4"}
+    assert patterns == set(oracles.zero_one_labels(4))
+
+
+@pytest.mark.parametrize("name,labels", COSET_CASES,
+                         ids=[f"{n}-{i}" for i, (n, _) in
+                              enumerate(COSET_CASES)])
+def test_coset_rows_match_walk(name, labels):
+    sys = get_system(name)
+    rows = generate_orbit(sys, labels).rows
+    walked = oracles.walked_rows(sys, labels)
+    assert len(rows) == len(walked) == len(set(rows))
+    assert set(rows) == set(walked)
+
+
+def test_omega0_row_is_the_quaternion_product():
+    orbit = generate_orbit(F4, LABELS[-1])
+    for row in orbit.rows[::37]:
+        v, = F4.vertices([row], orbit.den)
+        got, = F4.vertices([omega0_row(row)], orbit.den)
+        assert got == OMEGA0 * v
+        assert omega0_row(omega0_row(omega0_row(row))) == \
+            tuple(-c for c in row)
+
+
+@pytest.mark.parametrize("row", [(1, 0, 0, 0, 0, 0, 0, 0),
+                                 (2, 1, 0, 0, 0, 0, 0, 0),
+                                 (1, 0, 1, 0, 1, 0, 0, 0)])
+def test_odd_omega0_sum_raises(row):
+    # an odd sum means the row is off the lattice: never floored
+    with pytest.raises(ArithmeticError):
+        omega0_row(row)
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=IDS)
@@ -98,7 +144,7 @@ def test_parabolic_orders_match_rho_orbit(name):
     ("B3R", {(0,): 2, (0, 1): 4, (0, 1, 2): 6}),
 ])
 def test_parabolic_order_peels_the_highest_node(monkeypatch, name, walks):
-    # |W| walks the orbit of omega_k under W_J for J = {0..k}, k = rank-1
+    # |W| takes the orbit of omega_k under W_J for J = {0..k}, k = rank-1
     # down to 0: 24 + 8 + 3 + 2 points for F4, not the 1152 of rho
     walked = {}
     walk = RootSystem.label_orbit
@@ -114,7 +160,11 @@ def test_parabolic_order_peels_the_highest_node(monkeypatch, name, walks):
         parabolic_order(name, frozenset(range(len(walks))))
     finally:
         orbits.parabolic_order.cache_clear()
-    assert walked == walks
+    # the orbit of omega_k under all of W comes from its coset rows
+    full = tuple(range(len(walks)))
+    assert walked == {nodes: n for nodes, n in walks.items() if nodes != full}
+    unit = [int(i == full[-1]) for i in full]
+    assert generate_orbit(get_system(name), unit).size == walks[full]
 
 
 def test_vertices_are_built_on_first_read():

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
@@ -411,6 +412,29 @@ def test_rational_hash_and_equality(q):
     assert hash(x) == hash(q) and x == q and q == x
     assert hash(x + SQRT2 - SQRT2) == hash(q)
     assert x != q + 1 and x != FieldScalar(q, 1) and FieldScalar(q, 1) != q
+
+
+M = sys.hash_info.modulus
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.integers(min_value=-2 ** 130, max_value=2 ** 130),
+    st.fractions(max_denominator=2 ** 70).filter(lambda q: abs(q) < 2 ** 130),
+    st.builds(Fraction, st.integers(min_value=-2 ** 90, max_value=2 ** 90),
+              st.integers(min_value=1, max_value=2 ** 20).map(
+                  lambda k: k * M))))
+def test_rational_hash_is_the_numeric_hash(q):
+    # the hash is computed without building a Fraction, including for
+    # denominators with no inverse modulo the hash prime
+    assert hash(FieldScalar(q)) == hash(q)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, M), Fraction(-1, M),
+                               Fraction(5, 3 * M), Fraction(-(2 ** 80), M),
+                               Fraction(1, M - 1), Fraction(-1, 2)], ids=str)
+def test_rational_hash_edge_denominators(q):
+    assert hash(FieldScalar(q)) == hash(q)
 
 
 def test_equal_values_from_different_routes():
