@@ -17,10 +17,10 @@ from itertools import combinations
 import pytest
 
 from f4weyl import cli, orbits
+from f4weyl.binocta import OMEGA0
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.duals import dual_polytope
 from f4weyl.orbits import generate_orbit, parabolic_order
-from f4weyl.binocta import OMEGA0
 from f4weyl.rootsys import (RootSystem, f4_system, format_labels, get_system,
                             omega0_row)
 from f4weyl.scalar import parse_scalar
