@@ -8,11 +8,11 @@ then a union of rescaled single-node orbits.  The scale factors are
 fixed by requiring all centers incident to a vertex to lie in one
 hyperplane, which makes the dual cell flat.
 
-Local coordinates inside that hyperplane use the frame built from the
-vertex vector Lambda: ``u_a(c) = (c, e_a * Lambda)``.  The three frame
-vectors are mutually orthogonal with squared norm ``(Lambda, Lambda)``,
-so squared distances in u-space are true squared distances multiplied
-by ``(Lambda, Lambda)``.
+The centers around the dominant vertex Lambda are the face of their
+weight's orbit that Lambda supports.  Local coordinates use the frame
+``u_a(c) = (c, e_a * Lambda)``: three orthogonal vectors of squared
+norm ``(Lambda, Lambda)``, so u-space squared distances are the true
+ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .orbits import Orbit, _validated, f_vector, generate_orbit
-from .quat import E1, E2, E3, Quaternion
+from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
-from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, surd_sign
+from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, surd_sign
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
 
@@ -165,23 +166,37 @@ def _center_node(entry) -> int:
     return (set(range(1, 5)) - set(entry.nodes)).pop()
 
 
-def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
-    """Cell families around the dominant vertex, with their center vectors.
+def _dot_with(b: Tuple[int, ...]):
+    """a -> (P, Q) with (a, b) = P + Q*sqrt2, on flat Z[sqrt2] rows."""
+    p = tuple(v << (k & 1) for k, v in enumerate(b))  # (x, 2y) per pair
+    q = tuple(b[k ^ 1] for k in range(len(b)))  # (y, x) per pair
+    return lambda a: (sum(map(mul, a, p)), sum(map(mul, a, q)))
 
-    The centers of the type-S cells through the vertex are the images of
-    the complementary fundamental weight under the vertex stabilizer,
-    i.e. the W_J-orbit of the label e_j for J = the zero-label nodes.
-    """
+
+def _center_rows(sys: RootSystem, labels: Sequence[LabelLike]):
+    """(Lambda's row, den, [(cell entry, node j, sorted W_J omega_j rows)])."""
     complex_ = f_vector(sys, labels)
-    inactive = [i for i, a in enumerate(complex_.labels) if a.is_zero()]
-    families: List[CellFamily] = []
+    mu, den = sys.integer_labels(lab := complex_.labels)
+    lam, families = sys.integer_vector(mu), []
+    dot = _dot_with(lam)
     for entry in complex_.cells:
         j = _center_node(entry)
         unit = tuple(v for i in range(sys.rank) for v in (int(i == j - 1), 0))
-        rows = [row for _, row in sys.label_orbit(unit, inactive)]
-        families.append(CellFamily(entry.nodes, entry.name, j,
-                                   sys.vertices(rows, 1)))
-    return tuple(families)
+        omega = sys.integer_vector(unit)
+        rows = (generate_orbit(sys, unit[::2]).rows if lab[j - 1].is_zero()
+                else [omega])  # W_J fixes omega_j unless j is in J
+        top = dot(omega)
+        families.append((entry, j, sorted(r for r in rows if dot(r) == top)))
+    return lam, den, families
+
+
+def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
+    """Cell families around the dominant vertex.  The type-S centers W_J
+    omega_j (J the zero-label nodes) are the rows c of the orbit of
+    omega_j with (c, Lambda) = (omega_j, Lambda): omega_j - c = sum c_i
+    alpha_i, c_i >= 0, and sum c_i a_i = 0 iff c_i = 0 wherever a_i > 0."""
+    return tuple(CellFamily(entry.nodes, entry.name, j, sys.vertices(rows, 1))
+                 for entry, j, rows in _center_rows(sys, labels)[2])
 
 
 def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, FieldScalar]:
@@ -247,19 +262,20 @@ class DualPolytope:
 def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     """The dual as a union of rescaled single-node orbits.
 
-    The orbit of s*omega_j is s times the unit orbit of omega_j, so a
-    shell's size is the unit orbit's.  Its vertex count equals the
-    source cell count and vice versa; the dual f-vector is the reversed
-    source f-vector.
+    The orbit of s*omega_j is s times the unit orbit of omega_j, the
+    centers of the cells opposite node j, so a shell's size is their
+    count.  Its vertex count equals the source cell count and vice
+    versa; the dual f-vector is the reversed source f-vector.
     """
     labels = _validated(sys, labels)
     source = f_vector(sys, labels)
+    sizes = {_center_node(entry): entry.count for entry in source.cells}
     shells, units = [], []
     for j, s in sorted(solve_scales(sys, labels).items()):
         units.append(generate_orbit(sys, [int(i == j - 1)
                                           for i in range(sys.rank)]))
         shells.append(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s,
-                            units[-1].size))
+                            sizes[j]))
     return DualPolytope(labels, tuple(shells), source.n0,
                         (source.n3, source.n2, source.n1, source.n0),
                         tuple(units))
@@ -267,12 +283,6 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
 
 # ---------------------------------------------------------------------------
 # local coordinates of the dual cell at the dominant vertex
-
-
-def frame_vectors(lam: Quaternion) -> Tuple[Quaternion, Quaternion, Quaternion]:
-    """Three mutually orthogonal vectors spanning the hyperplane normal
-    to ``lam``, each of squared norm (lam, lam)."""
-    return (E1 * lam, E2 * lam, E3 * lam)
 
 
 @dataclass(frozen=True)
@@ -290,12 +300,19 @@ class DualCell:
 
 
 def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
+    """Each center's (c, e_a * Lambda) times its scale; e_a * Lambda is a
+    signed permutation of Lambda's row, so each is an integer product."""
     labels = _validated(sys, labels)
-    frame = frame_vectors(sys.label_to_vector(labels))
+    lam, den, families = _center_rows(sys, labels)
+    x0, y0, x1, y1, x2, y2, x3, y3 = lam
+    frame = [_dot_with(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
+                                    (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
+                                    (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
+    over = den * sys.weight_den ** 2  # c's weight_den times Lambda's
     scales = solve_scales(sys, labels)
-    coords = tuple((fam.center_node,
-                    tuple(c.dot(f) * scales[fam.center_node] for f in frame))
-                   for fam in cells_at_vertex(sys, labels) for c in fam.centers)
+    coords = tuple((j, tuple(from_ints(*dot(c), over) * scales[j]
+                             for dot in frame))
+                   for _, j, rows in families for c in rows)
     return DualCell(labels, published(labels)[1], coords)
 
 

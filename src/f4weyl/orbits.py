@@ -5,14 +5,13 @@ rows: W(F4) is the union of the cosets of the signed-permutation group
 W(B4) with representatives 1, omega0, omega0^2 for omega0 = (1 + e1 +
 e2 + e3)/2 on the left (J. H. Conway and D. A. Smith, "On Quaternions
 and Octonions", ch. 4).  :class:`Orbit` keeps the distinct dominant
-forms of those rows and expands them into rows, and those into sorted
-vertices, on first read.  W_J-orbits come from the inverse dominance
-walk :meth:`~f4weyl.rootsys.RootSystem.label_orbit` (D. M. Snow, "Weyl
-group orbits", ACM TOMS 16 (1990) 94-108).  For k in J, omega_k has
-W_J-stabilizer W_{J-k} (J. E. Humphreys, "Reflection Groups and Coxeter
-Groups", section 1.12), so |W_J| = |W_{J-k}| * |W_J omega_k|: for
-k = max J, |W(F4)| takes 24 rows and walks 8 + 3 + 2 points.  No float
-decides anything; ``parabolic_elements`` (group closures) is an oracle.
+forms of those rows, counts its size off them and expands them into
+rows, and those into sorted vertices, on first read.  The stabilizer
+of a label whose zeros are on the nodes J is W_J (J. E. Humphreys,
+"Reflection Groups and Coxeter Groups", section 1.12), so |W_J| is the
+regular orbit's size over the size of the orbit of the label with ones
+off J, both counted off coset forms.  No float decides anything;
+``parabolic_elements`` (group closures) is an oracle.
 
 Counting scheme.  N0 is the index of the parabolic subgroup on the
 zero-label nodes.  A subset S of nodes spans a face type exactly when
@@ -90,7 +89,7 @@ class Orbit:
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return get_system(self.system).orbit_count(self.forms)
 
     @cached_property
     def rows(self) -> Tuple[IntRow, ...]:
@@ -159,15 +158,14 @@ def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
 
 @lru_cache(maxsize=None)
 def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
-    """Order of the subgroup W_J of the given simple reflections (0-based)."""
-    if not nodes:
-        return 1
+    """Order of the subgroup W_J of the given simple reflections (0-based):
+    |W rho| / |W lambda_J|, lambda_J having ones off J (W_J is its
+    stabilizer, rho's is trivial); |W rho| is the order for J = all."""
     sys = get_system(sys_name)
-    k = max(nodes)
-    unit = tuple(v for i in range(sys.rank) for v in (int(i == k), 0))
-    size = (generate_orbit(sys, unit[::2]).size if len(nodes) == sys.rank
-            else len(sys.label_orbit(unit, sorted(nodes))))
-    return parabolic_order(sys_name, nodes - {k}) * size
+    if len(nodes) == sys.rank:
+        return sys.orbit_count(sys.coset_forms((1, 0) * sys.rank))
+    mu = tuple(v for i in range(sys.rank) for v in (int(i not in nodes), 0))
+    return weyl_order(sys) // sys.orbit_count(sys.coset_forms(mu))
 
 
 def weyl_order(sys: RootSystem) -> int:
@@ -290,7 +288,7 @@ def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
 def geometric_edge_check(orbit: Orbit) -> int:
     """Count vertex pairs at the minimal nonzero squared distance.
 
-    Exact: the walk's vertex rows are integer pairs (rational and sqrt2
+    Exact: the orbit's vertex rows are integer pairs (rational and sqrt2
     parts) over one positive denominator, squared distances are
     P + Q*sqrt2 on Python integers, and every comparison is an exact
     sign.  The rows are sorted by the value of q0, so once the q0 gap

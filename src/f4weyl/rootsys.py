@@ -13,6 +13,8 @@ of the signed permutations of q_fixed..q3:
 * B4  -- rank 4, double bond between nodes 3 and 4; signed permutations.
 * B3R -- rank 3 on span(e1, e2, e3), with the dual-basis vectors v1, v2,
          v3 as "weights"; signed permutations fixing q0.
+
+:meth:`RootSystem.orbit_count` counts an orbit off its coset forms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -107,9 +109,8 @@ class RootSystem:
         # the weights are dual to the roots, so their Gram matrix is C^-1
         self.cartan_inv = tuple(
             tuple(a.dot(b) for b in self.weights) for a in self.weights)
-        # the label-space kernel in sparse integer rows of (k, p, q):
-        # C_ik = p + q*sqrt2, and component k of a weight or simple root
-        # is (p + q*sqrt2) / weight_den
+        # sparse integer rows of (k, p, q): C_ik = p + q*sqrt2, and
+        # component k of a weight is (p + q*sqrt2) / weight_den
         if _denominator([c for row in self.cartan for c in row]) != 1:
             raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
         self._cartan_rows = tuple(
@@ -117,15 +118,10 @@ class RootSystem:
             for row in self.cartan)
         den = self.weight_den = _denominator(
             [c for w in self.weights for c in w.components()])
-        if _denominator([c * den for a in self.simple_roots
-                         for c in a.components()]) != 1:
-            raise ValueError(f"{name}: a simple root is not over "
-                             f"Z[sqrt2]/{den}")
-        self._weight_rows, self._root_rows = (
-            tuple(tuple((k, c.x * (den // c.d), c.y * (den // c.d))
-                        for k, c in enumerate(v.components()) if c)
-                  for v in vectors)
-            for vectors in (self.weights, self.simple_roots))
+        self._weight_rows = tuple(
+            tuple((k, c.x * (den // c.d), c.y * (den // c.d))
+                  for k, c in enumerate(w.components()) if c)
+            for w in self.weights)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
@@ -167,29 +163,6 @@ class RootSystem:
         return _add_multiple(mu, -mu[2 * i], -mu[2 * i + 1],
                              self._cartan_rows[i])
 
-    def label_orbit(self, mu: IntLabels,
-                    nodes: Sequence[int]) -> List[Tuple[IntLabels, IntRow]]:
-        """Orbit of mu, dominant on the ascending ``nodes`` J, under W_J,
-        as (label, vertex row) pairs.  The walk that reflects on the lowest
-        negative label among J gives every other orbit point one parent,
-        so the search inverts it: reflect on each positive label i in J
-        and keep the image exactly when i is its lowest negative label
-        among J.  The image's label on i is -mu_i < 0 (C_ii = 2), so only
-        the nodes of J below i need testing; no visited set is needed.  s_i
-        moves the vertex row sum mu_j omega_j by -mu_i * alpha_i."""
-        below = [(i, nodes[:k]) for k, i in enumerate(nodes)]
-        found = [(mu, self.integer_vector(mu))]
-        for nu, row in found:  # the list grows as it is walked: breadth first
-            for i, lower in below:
-                x, y = nu[2 * i], nu[2 * i + 1]
-                if surd_sign(x, y) <= 0:
-                    continue
-                child = _add_multiple(nu, -x, -y, self._cartan_rows[i])
-                if first_negative(child, lower) is None:  # nu is its parent
-                    found.append(
-                        (child, _add_multiple(row, -x, -y, self._root_rows[i])))
-        return found
-
     def coset_forms(self, mu: IntLabels) -> Tuple[IntRow, ...]:
         """The distinct dominant forms (|q_fixed| >= ... >= |q3|) of the
         coset rows r, omega0*r, ... of r = sum mu_i omega_i."""
@@ -215,6 +188,17 @@ class RootSystem:
             get = itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
             arranged.setdefault(get(form), get)
         return [get(r) for get in arranged.values() for r in signed]
+
+    def orbit_count(self, forms: Sequence[IntRow]) -> int:
+        """The number of rows ``signed_permutations`` makes of the forms:
+        per form, n!/prod(m!) arrangements of its n coordinates (m the
+        multiplicities of equal ones) times 2^(number of nonzero ones)."""
+        f, total = 2 * self.fixed, 0
+        for form in forms:
+            pairs = list(zip(form[f::2], form[f + 1::2]))
+            total += (factorial(len(pairs)) << sum(map(any, pairs))) // prod(
+                factorial(pairs.count(p)) for p in set(pairs))
+        return total
 
     def integer_vector(self, mu: IntLabels) -> IntRow:
         """sum mu_i omega_i as flat integer pairs over ``den * weight_den``."""

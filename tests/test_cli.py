@@ -228,6 +228,30 @@ def test_random_label_outputs_byte_identical():
     assert not wrong
 
 
+def test_random_label_payload_invariants():
+    # each JSON payload against counts read off the payloads themselves,
+    # on two seeded random labels of each 0/1 pattern
+    for labels in oracles.pattern_labels(2, 20):
+        text = ",".join(map(str, labels))
+        payloads = {}
+        for cmd in ("fvector", "branch-b4", "branch-b3a1", "dual"):
+            code, out, _ = run_cli([cmd, text, "--format", "json"])
+            assert code == 0, (cmd, text)
+            payloads[cmd] = json.loads(out)
+        n0, n3 = payloads["fvector"]["N0"], payloads["fvector"]["N3"]
+        parts = payloads["branch-b4"]["parts"]
+        assert sum(p["size"] for p in parts) == n0, text
+        slices = payloads["branch-b3a1"]["slices"]
+        assert sum(s["size"] * (1 + s["paired"]) for s in slices) == n0, text
+        dual = payloads["dual"]
+        assert sum(s["size"] for s in dual["shells"]) == \
+            dual["vertex_count"] == n3, text
+        code, out, _ = run_cli(["export", text])
+        assert code == 0, text
+        nv, nf, ne = map(int, out.splitlines()[1].split())
+        assert nv - ne + nf == 2, (text, nv, nf, ne)
+
+
 def test_label_command_leaves_unit_tables_unbuilt():
     # a label command works in label space: building the group tables
     # would be a large share of a cold run's time

@@ -5,12 +5,12 @@ from itertools import product
 from f4weyl import orbits, refdata
 from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, convex_faces, dist_sq, dual_cell,
-                          dual_polytope, frame_vectors, kite_face,
-                          solve_scales)
+                          dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import f_vector, generate_orbit
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import SQRT2, FieldScalar, parse_scalar
+from oracles import frame_vectors
 
 F4 = f4_system()
 

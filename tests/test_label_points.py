@@ -1,15 +1,17 @@
 """Per-label stages on integer rows against the replaced routes.
 
-Full orbits are the signed permutations of their coset rows; the
-branchings read those rows, and the 3D layers, the dual shells and the
-subgroup orders read integer vertex rows; the CLI prints the branching
-text from its payload.  ``oracles`` holds the routes they replaced: the
-label walk over all nodes, sorted ``FieldScalar`` vertices, the walk's
-labels, walked rescaled labels, the free orbit of rho, a second
-branching, and the walk with its parent test on every node of J.
-Labels are the 15 0/1 patterns and seeded random dominant Q(sqrt2)
-labels, some with negative rational or sqrt2 parts; scales are seeded
-positive Q(sqrt2) numbers with nonzero sqrt2 parts.
+Full orbits are the signed permutations of their coset rows, and their
+sizes and the subgroup orders are counted off those rows' dominant
+forms; the branchings and the cell centers read those rows, and the 3D
+layers, the dual shells and the dual cell read integer vertex rows; the
+CLI prints the branching text from its payload.  ``oracles`` holds the
+routes they replaced: the inverse dominance walk over all nodes, over
+the zero-label nodes from e_j and from rho, sorted ``FieldScalar``
+vertices, the walk's labels, walked rescaled labels, the quaternion
+frame of the dual cell and a second branching.  Labels are the 15 0/1
+patterns and seeded random dominant Q(sqrt2) labels of every pattern,
+some with negative rational or sqrt2 parts; scales are seeded positive
+Q(sqrt2) numbers with nonzero sqrt2 parts.
 """
 
 from itertools import combinations
@@ -19,32 +21,20 @@ import pytest
 from f4weyl import cli, orbits
 from f4weyl.binocta import OMEGA0
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
-from f4weyl.duals import dual_polytope
+from f4weyl.duals import dual_cell, dual_polytope
 from f4weyl.orbits import generate_orbit, parabolic_order
-from f4weyl.rootsys import (RootSystem, f4_system, format_labels, get_system,
-                            omega0_row)
-from f4weyl.scalar import parse_scalar
+from f4weyl.rootsys import f4_system, format_labels, get_system, omega0_row
+from f4weyl.scalar import FieldScalar, parse_scalar
 import oracles
 
 F4 = f4_system()
 LABELS = oracles.zero_one_labels(4) + oracles.random_labels(4, 30, 14)
 IDS = [str(i) for i in range(len(LABELS))]
+# two labels of each 0/1 pattern: the face filter reads label values
+PATTERNS = oracles.zero_one_labels(4) + oracles.pattern_labels(2, 17)
+PATTERN_IDS = [str(i) for i in range(len(PATTERNS))]
 SCALES = [2, parse_scalar("1+sqrt2")] + [
     a for labels in oracles.random_labels(1, 4, 15) for a in labels]
-
-
-@pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
-def test_walk_tests_parents_below_i_only(name):
-    # s_i(nu) has label -nu_i < 0 on i, so i is its lowest negative label
-    # exactly when no node of J below i is negative: same points, same order
-    sys = get_system(name)
-    for labels in (oracles.zero_one_labels(sys.rank)
-                   + oracles.random_labels(sys.rank, 10, 15)):
-        mu, _ = sys.integer_labels(sys.coerce_labels(labels))
-        for r in range(sys.rank + 1):
-            for nodes in combinations(range(sys.rank), r):
-                assert sys.label_orbit(mu, nodes) == \
-                    oracles.label_orbit(sys, mu, nodes), (labels, nodes)
 
 
 COSET_CASES = [("F4", labels) for seed in (1, 3)
@@ -138,33 +128,35 @@ def test_parabolic_orders_match_rho_orbit(name):
                 oracles.parabolic_order(name, nodes), sorted(nodes)
 
 
-@pytest.mark.parametrize("name,walks", [
-    ("F4", {(0,): 2, (0, 1): 3, (0, 1, 2): 8, (0, 1, 2, 3): 24}),
-    ("B4", {(0,): 2, (0, 1): 3, (0, 1, 2): 4, (0, 1, 2, 3): 16}),
-    ("B3R", {(0,): 2, (0, 1): 4, (0, 1, 2): 6}),
-])
-def test_parabolic_order_peels_the_highest_node(monkeypatch, name, walks):
-    # |W| takes the orbit of omega_k under W_J for J = {0..k}, k = rank-1
-    # down to 0: 24 + 8 + 3 + 2 points for F4, not the 1152 of rho
-    walked = {}
-    walk = RootSystem.label_orbit
+@pytest.mark.parametrize("labels", PATTERNS, ids=PATTERN_IDS)
+def test_dual_cell_matches_quaternion_frame(labels):
+    coords, want = dual_cell(F4, labels).coords, oracles.dual_cell_coords(
+        F4, labels)
+    assert coords == want
+    assert repr(coords) == repr(want)
 
-    def counted(self, mu, nodes):
-        points = walk(self, mu, nodes)
-        walked[tuple(nodes)] = len(points)
-        return points
 
-    monkeypatch.setattr(RootSystem, "label_orbit", counted)
-    orbits.parabolic_order.cache_clear()
-    try:
-        parabolic_order(name, frozenset(range(len(walks))))
-    finally:
-        orbits.parabolic_order.cache_clear()
-    # the orbit of omega_k under all of W comes from its coset rows
-    full = tuple(range(len(walks)))
-    assert walked == {nodes: n for nodes, n in walks.items() if nodes != full}
-    unit = [int(i == full[-1]) for i in full]
-    assert generate_orbit(get_system(name), unit).size == walks[full]
+@pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
+def test_orbit_count_matches_rows(name):
+    sys = get_system(name)
+    labels = oracles.zero_one_labels(sys.rank) + (
+        oracles.pattern_labels(2, 18) if name == "F4"
+        else oracles.random_labels(sys.rank, 20, 18))
+    for lab in labels:
+        mu, _ = sys.integer_labels(sys.coerce_labels(lab))
+        rows = generate_orbit(sys, lab).rows
+        assert sys.orbit_count(sys.coset_forms(mu)) == len(rows), lab
+    assert sys.orbit_count(sys.coset_forms((0, 0) * sys.rank)) == 1
+
+
+def test_orbit_size_leaves_rows_unbuilt():
+    # a label no other test builds: its orbit is fresh in the cache
+    labels = (parse_scalar("5/17"), 0, FieldScalar(3, 1), parse_scalar("2/19"))
+    orbit = generate_orbit(F4, labels)
+    assert "rows" not in orbit.__dict__
+    assert orbit.size == 576
+    assert "rows" not in orbit.__dict__
+    assert len(orbit.rows) == orbit.size
 
 
 def test_vertices_are_built_on_first_read():
