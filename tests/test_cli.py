@@ -9,10 +9,18 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f4weyl
+from f4weyl import verify
+from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.cli import convex_faces, export_off, main, parse_label
-from f4weyl.duals import cross3, dot3, dual_cell, sub3
+from f4weyl.duals import cross3, dot3, dual_cell, dual_polytope, sub3
+from f4weyl.orbits import generate_orbit
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import FieldScalar, parse_scalar
 import oracles
@@ -29,7 +37,10 @@ RANDOM_RECORDED = Path(__file__).with_name("cli_random_labels.json")
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -132,6 +143,99 @@ def test_negative_label_reaches_the_validator():
             assert code == 1 and out == ""
             assert err == (f"error for label {shown}: label {shown} is not "
                            "dominant (negative entry)\n")
+
+
+# grammar-biased fuzz alphabet: the literal grammar's tokens, separators and
+# digits that are not ASCII
+_TOKENS = ("0", "1", "2", "7", "12", "18446744073709551617", "/", "+", "-",
+           "*", "sqrt2", " ", ",", "١", "１", "१")
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
+# a literal-shaped entry (sign, rational, surd term), so that valid and
+# dominant labels come often
+_LITERAL = st.builds(
+    "{}{}{}".format, st.sampled_from(("", "", "+", "-")),
+    st.sampled_from(("0", "1", "2", "7", "1/2", "12/7",
+                     "18446744073709551617")),
+    st.sampled_from(("", "", "sqrt2", "*sqrt2", "+sqrt2", "-sqrt2",
+                     "-1/3sqrt2")))
+_ENTRY = st.one_of(_LITERAL, _SOUP)
+_LABEL = st.one_of(st.lists(_LITERAL, min_size=4, max_size=4).map(",".join),
+                   st.lists(_ENTRY, min_size=4, max_size=4).map(",".join),
+                   _SOUP)
+_SEED = st.one_of(st.integers(-10 ** 20, 10 ** 20).map(str), _SOUP)
+
+
+def _labels(text):
+    """The scalars of a rendered label ``(a,b,c,d)``, parsed back."""
+    assert text[0] == "(" and text[-1] == ")", text
+    return tuple(parse_scalar(t) for t in text[1:-1].split(","))
+
+
+def _check_json_scalars(cmd, payload, label, scale):
+    """Every scalar in ``payload`` parses back to the library's value."""
+    sys_f4 = f4_system()
+    assert _labels(payload["label"]) == label
+    if cmd == "orbit":
+        assert [[parse_scalar(c) for c in v] for v in payload["vertices"]] \
+            == [list(v.components())
+                for v in generate_orbit(sys_f4, label).vertices]
+    elif cmd == "branch-b4":
+        assert [_labels(p["labels"]) for p in payload["parts"]] == \
+            [p.labels for p in branch_b4(label)]
+    elif cmd == "branch-b3a1":
+        assert [(_labels(s["labels"]), parse_scalar(s["height"]))
+                for s in payload["slices"]] == \
+            [(s.labels, s.height) for s in branch_b3a1(label)]
+    elif cmd == "project":
+        assert parse_scalar(payload["scale"]) == scale
+        assert [(parse_scalar(layer["height"]),
+                 [tuple(map(parse_scalar, p)) for p in layer["points"]])
+                for layer in payload["layers"]] == \
+            [(h, sorted(pts)) for h, pts in project_3d(label, scale)]
+    elif cmd == "dual":
+        dual, cell = dual_polytope(sys_f4, label), dual_cell(sys_f4, label)
+        assert [parse_scalar(s["scale"]) for s in payload["scales"]] == \
+            [s.scale for s in dual.shells]
+        assert [parse_scalar(s["radius_sq"]) for s in payload["shells"]] \
+            == [s.radius_sq for s in dual.shells]
+        assert parse_scalar(payload["cell"]["row_scale"]) == cell.row_scale
+        assert [(r["node"], tuple(map(parse_scalar, r["coords"])))
+                for r in payload["cell"]["vertices"]] == cell.rows()
+
+
+@pytest.mark.parametrize("cmd", ("verify", "orbit", "fvector", "branch-b4",
+                                 "branch-b3a1", "project", "dual", "export"))
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(label=_LABEL, scale=_ENTRY, seed=_SEED, json_out=st.booleans())
+def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out):
+    # every value reaches the program's own validators: the options use the
+    # --name=value form and the label follows "--", so argparse never reads
+    # a drawn string that starts with "-" as an option
+    seen = []
+    if cmd == "verify":
+        # the battery's run is replaced by a recorder: the seed's way
+        # through main is what is fuzzed here, and the battery takes 1 s
+        argv = ["verify", f"--seed={seed}"]
+    else:
+        argv = [cmd] + ([f"--scale={scale}"] if cmd == "project" else [])
+    if json_out and cmd != "export":
+        argv.append("--format=json")
+    if cmd != "verify":
+        argv += ["--", label]
+    with mock.patch.object(verify, "run_all",
+                           lambda seed: seen.append(seed) or []):
+        code, out, err = run_cli(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert "Traceback" not in err and out == "", (argv, err)
+        return
+    assert err == "", (argv, err)
+    if cmd == "verify":
+        assert seen == [int(seed)] and re.fullmatch(r"-?[0-9]+", seed)
+    elif json_out and cmd != "export":
+        _check_json_scalars(cmd, json.loads(out), parse_label(label),
+                            parse_scalar(scale) if cmd == "project" else None)
 
 
 def test_orbit_json_schema():
