@@ -5,7 +5,8 @@ battery, ``orbit``/``fvector`` generate a polytope and report counts,
 ``branch-b4``/``branch-b3a1`` print the branching tables in the same
 notation as the published appendices, ``project`` prints the exact 3D
 layer decomposition, ``dual`` reports dual scales/shells/cell and
-``export`` writes the dual cell as an OFF mesh.
+``export`` writes the dual cell as an OFF mesh.  Each command imports
+the modules it runs, when it runs, so a cold process loads only those.
 
 Output is deterministic: identical invocations produce byte-identical
 text.  Labels are given as four comma-separated scalar literals, e.g.
@@ -15,17 +16,23 @@ text.  Labels are given as four comma-separated scalar literals, e.g.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .branching import branch_b3a1, branch_b4, project_3d
-from .duals import Triple, convex_faces, dual_cell, dual_polytope
 from .orbits import f_vector, generate_orbit
 from .rootsys import format_labels, f4_system
 from .scalar import FieldScalar, parse_scalar
+
+
+def __getattr__(name: str):
+    # cli.convex_faces resolves without loading duals at import: perfbench's
+    # tracer spans it and the tests import it (ROADMAP item 1)
+    if name != "convex_faces":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .duals import convex_faces
+    return convex_faces
 
 
 def parse_label(text: str) -> Tuple[FieldScalar, ...]:
@@ -53,10 +60,11 @@ def parse_scale(text: str) -> FieldScalar:
 # OFF meshes
 
 
-def export_off(points: Sequence[Triple]) -> str:
+def export_off(points: Sequence[Tuple[FieldScalar, ...]]) -> str:
     """Render exact 3D points as OFF text (17 significant digits)."""
+    from . import duals  # per call, so a rebound duals.convex_faces is run
     pts = sorted(points)
-    faces = convex_faces(pts)
+    faces = duals.convex_faces(pts)
     edges = {frozenset((cycle[i - 1], cycle[i]))
              for cycle in faces for i in range(len(cycle))}
     lines = ["OFF", f"{len(pts)} {len(faces)} {len(edges)}"]
@@ -117,6 +125,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_branch_b4(args):
+    from .branching import branch_b4
     payload = {
         "label": format_labels(args.label),
         "parts": [{"labels": format_labels(p.labels), "size": p.size}
@@ -127,6 +136,7 @@ def _cmd_branch_b4(args):
 
 
 def _cmd_branch_b3a1(args):
+    from .branching import branch_b3a1
     payload = {
         "label": format_labels(args.label),
         "slices": [{"labels": format_labels(s.labels),
@@ -143,6 +153,7 @@ def _cmd_branch_b3a1(args):
 
 
 def _cmd_project(args):
+    from .branching import project_3d
     layers = project_3d(args.label, args.scale)
     payload = {
         "label": format_labels(args.label),
@@ -161,6 +172,7 @@ def _cmd_project(args):
 
 
 def _cmd_dual(args):
+    from .duals import dual_cell, dual_polytope
     dual = dual_polytope(f4_system(), args.label)
     cell = dual_cell(f4_system(), args.label)
     rows = [{"node": node, "coords": [str(u) for u in triple]}
@@ -193,6 +205,7 @@ def _cmd_dual(args):
 
 
 def _cmd_export(args):
+    from .duals import dual_cell
     cell = dual_cell(f4_system(), args.label)
     return None, export_off([u for _, u in cell.rows()]).splitlines()
 
@@ -271,6 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error{where}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
+        import json
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = "\n".join(lines) + "\n"

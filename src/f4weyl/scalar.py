@@ -229,19 +229,20 @@ class FieldScalar:
         return f"FieldScalar({self.a}, {self.b})"
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if not b:
-            return str(a)
-        if b == 1:
-            surd = "sqrt2"
-        elif b == -1:
-            surd = "-sqrt2"
-        else:
-            surd = f"{b}sqrt2"
-        if not a:
+        x, y, d = self.x, self.y, self.d
+        if not y:
+            return _ratio(x, d)
+        surd = ("sqrt2" if y == d else "-sqrt2" if y == -d
+                else _ratio(y, d) + "sqrt2")
+        if not x:
             return surd
-        sep = "" if surd.startswith("-") else "+"
-        return f"{a}{sep}{surd}"
+        return _ratio(x, d) + ("+" if y > 0 else "") + surd
+
+
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _new = object.__new__

@@ -216,3 +216,21 @@ def dual_cell_coords(sys, labels):
     return tuple((j, tuple(c.dot(f) * scales[j] for f in frame))
                  for j, rows in cell_centers(sys, labels)
                  for c in sys.vertices(rows, 1))
+
+
+def scalar_str(s):
+    """``str`` of a FieldScalar from its ``Fraction`` parts ``a`` and ``b``,
+    the formatter that the integer one replaced."""
+    a, b = s.a, s.b
+    if not b:
+        return str(a)
+    if b == 1:
+        surd = "sqrt2"
+    elif b == -1:
+        surd = "-sqrt2"
+    else:
+        surd = f"{b}sqrt2"
+    if not a:
+        return surd
+    sep = "" if surd.startswith("-") else "+"
+    return f"{a}{sep}{surd}"

@@ -44,12 +44,12 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_script(script):
-    """Stdout of ``script`` run in a fresh interpreter that imports this
-    checkout's package."""
+def _run_script(script, *args):
+    """Stdout of ``script`` run with ``args`` in a fresh interpreter that
+    imports this checkout's package."""
     src = str(Path(f4weyl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], check=True,
+    proc = subprocess.run([sys.executable, "-c", script, *args], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     return proc.stdout
@@ -374,17 +374,30 @@ LABEL_COMMANDS = (["orbit", "1,1,0,1"], ["fvector", "1,0,0,1"],
                   ["export", "1,0,0,1"])
 
 
+# the layers each label command does not run
+NOT_RUN = {"orbit": ("branching", "duals"), "fvector": ("branching", "duals"),
+           "branch-b4": ("duals",), "branch-b3a1": ("duals",),
+           "project": ("duals",), "dual": ("branching",),
+           "export": ("branching",)}
+
+
 def test_label_commands_leave_verify_refdata_binocta_unloaded():
     # the golden tables, the battery and the group layer cost a cold start
-    # more than a label; no label command reads them
+    # more than a label; no label command reads them, none loads a layer it
+    # does not run, and a text command does not load json
     script = ("import io, sys, contextlib\n"
+              "before = set(sys.modules)\n"
               "from f4weyl import cli\n"
-              f"for argv in {list(LABEL_COMMANDS)!r}:\n"
-              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        assert cli.main(argv) == 0, argv\n"
-              "print(sorted(m for m in ('f4weyl.refdata', 'f4weyl.verify',\n"
-              "                         'f4weyl.binocta') if m in sys.modules))\n")
-    assert _run_script(script) == "[]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(sys.argv[1:]) == 0\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    for argv in LABEL_COMMANDS:
+        loaded = set(_run_script(script, *argv).split())
+        unused = {"f4weyl." + m for m in
+                  ("refdata", "verify", "binocta") + NOT_RUN[argv[0]]}
+        if "json" not in argv:
+            unused.add("json")
+        assert not loaded & unused, (argv, sorted(loaded & unused))
 
 
 def test_verify_json_default_seed():

@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f4weyl.quat import Quaternion
 from f4weyl.scalar import (FieldScalar, HALF, ONE, SQRT2, ZERO, from_ints,
                            parse_scalar)
+import oracles
 
 
 def rand_scalar(rng, span=12):
@@ -307,12 +308,7 @@ class RefScalar:
         return f"FieldScalar({self.a}, {self.b})"
 
     def __str__(self):
-        if not self.b:
-            return str(self.a)
-        surd = {1: "sqrt2", -1: "-sqrt2"}.get(self.b, f"{self.b}sqrt2")
-        if not self.a:
-            return surd
-        return f"{self.a}{'' if surd.startswith('-') else '+'}{surd}"
+        return oracles.scalar_str(self)
 
 
 def assert_same(got, want):
@@ -383,6 +379,29 @@ def test_differential_sqrt_and_rendering(p):
     assert (x * x).sqrt() is not None
     assert float(x).hex() == float(rx).hex()
     assert str(x) == str(rx) and repr(x) == repr(rx)
+
+
+# parts of every shape the formatter branches on: zero, +-1 (a sqrt2
+# coefficient of +-1), integers (d = 1) and fractions of either sign, and
+# numerators and denominators past 2^64
+wide_parts = st.one_of(
+    st.sampled_from((0, 1, -1)), st.integers(-2 ** 70, 2 ** 70),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.integers(1, 2 ** 70)))
+
+
+@DIFF
+@example(0, 0)
+@example(7, 0)
+@example(Fraction(-1, 3), 1)
+@example(Fraction(1, 2), -1)
+@example(0, Fraction(-5, 2))
+@example(2 ** 64 + 1, Fraction(-1, 2 ** 64 + 3))
+@given(wide_parts, wide_parts)
+def test_str_matches_fraction_formatter(a, b):
+    x = FieldScalar(a, b)
+    assert str(x) == oracles.scalar_str(x)
 
 
 def test_canonical_form():
