@@ -208,9 +208,10 @@ def _check_json_scalars(cmd, payload, label, scale):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(label=_LABEL, scale=_ENTRY, seed=_SEED, json_out=st.booleans())
 def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out):
-    # every value reaches the program's own validators: the options use the
-    # --name=value form and the label follows "--", so argparse never reads
-    # a drawn string that starts with "-" as an option
+    # every drawn value reaches the program's own validators: the options
+    # use the --name=value form and the label follows "--"; in its usual
+    # place a label such as "-,0,0,0" reads as an unknown option, which
+    # argparse answers with its two-line usage error
     seen = []
     if cmd == "verify":
         # the battery's run is replaced by a recorder: the seed's way
