@@ -151,17 +151,20 @@ _TOKENS = ("0", "1", "2", "7", "12", "18446744073709551617", "/", "+", "-",
            "*", "sqrt2", " ", ",", "١", "１", "१")
 _SOUP = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
 # a literal-shaped entry (sign, rational, surd term), so that valid and
-# dominant labels come often
+# dominant labels come often; each list starts with its simplest choice,
+# which hypothesis draws most, and that gives a valid entry
 _LITERAL = st.builds(
-    "{}{}{}".format, st.sampled_from(("", "", "+", "-")),
-    st.sampled_from(("0", "1", "2", "7", "1/2", "12/7",
+    "{}{}{}".format, st.sampled_from(("", "+", "-")),
+    st.sampled_from(("1", "2", "7", "1/2", "12/7", "0",
                      "18446744073709551617")),
-    st.sampled_from(("", "", "sqrt2", "*sqrt2", "+sqrt2", "-sqrt2",
+    st.sampled_from(("", "sqrt2", "*sqrt2", "+sqrt2", "-sqrt2",
                      "-1/3sqrt2")))
 _ENTRY = st.one_of(_LITERAL, _SOUP)
-_LABEL = st.one_of(st.lists(_LITERAL, min_size=4, max_size=4).map(",".join),
-                   st.lists(_ENTRY, min_size=4, max_size=4).map(",".join),
-                   _SOUP)
+# nonnegative entries, so that the JSON of every command is checked often
+_DOMINANT = st.sampled_from(("1", "0", "2+sqrt2", "1/2", "sqrt2",
+                             "7/12-1/3sqrt2", "18446744073709551617"))
+_LABEL = st.one_of(*(st.lists(e, min_size=4, max_size=4).map(",".join)
+                     for e in (_DOMINANT, _LITERAL, _ENTRY)), _SOUP)
 _SEED = st.one_of(st.integers(-10 ** 20, 10 ** 20).map(str), _SOUP)
 
 
@@ -206,7 +209,8 @@ def _check_json_scalars(cmd, payload, label, scale):
 @pytest.mark.parametrize("cmd", ("verify", "orbit", "fvector", "branch-b4",
                                  "branch-b3a1", "project", "dual", "export"))
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(label=_LABEL, scale=_ENTRY, seed=_SEED, json_out=st.booleans())
+@given(label=_LABEL, scale=_ENTRY, seed=_SEED,
+       json_out=st.sampled_from((True, False)))
 def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out):
     # every drawn value reaches the program's own validators: the options
     # use the --name=value form and the label follows "--"; in its usual
