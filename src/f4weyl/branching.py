@@ -111,12 +111,13 @@ def project_3d(labels: Sequence[LabelLike],
 
 
 def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
-    """Check that the branched orbits exactly partition the source orbit."""
+    """Check that the branched orbits exactly partition the source orbit,
+    whose expanded vertices number its closed-form size."""
     parts = [generate_orbit(b4_system(), p.labels).vertices
              for p in branch_b4(labels)]
-    source = generate_orbit(f4_system(), labels).vertices
-    return (sum(map(len, parts)) == len(source)
-            and set().union(*parts) == set(source))
+    orbit = generate_orbit(f4_system(), labels)
+    return (len(orbit.vertices) == orbit.size == sum(map(len, parts))
+            and set().union(*parts) == set(orbit.vertices))
 
 
 def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:

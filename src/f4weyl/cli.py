@@ -211,54 +211,48 @@ def _cmd_export(args):
 
 
 COMMANDS = {
-    "verify": _cmd_verify,
-    "orbit": _cmd_orbit,
-    "fvector": _cmd_fvector,
-    "branch-b4": _cmd_branch_b4,
-    "branch-b3a1": _cmd_branch_b3a1,
-    "project": _cmd_project,
-    "dual": _cmd_dual,
-    "export": _cmd_export,
+    "verify": (_cmd_verify, "run the full invariant battery"),
+    "orbit": (_cmd_orbit, "orbit vertices and counts"),
+    "fvector": (_cmd_fvector, "vertex/edge/face/cell counts and inventories"),
+    "branch-b4": (_cmd_branch_b4, "split into signed-permutation orbits"),
+    "branch-b3a1": (_cmd_branch_b3a1,
+                    "slice into octahedral orbits by height"),
+    "project": (_cmd_project, "exact 3D layer decomposition"),
+    "dual": (_cmd_dual, "dual polytope: scales, shells, cell"),
+    "export": (_cmd_export, "OFF mesh of the dual cell"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, without the usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="f4weyl",
         description="exact F4 orbit polytopes, branchings and duals")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the full invariant battery")
-    p.add_argument("--seed", default=None,
-                   help="seed for the randomized property checks")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
-    p.add_argument("--timings", action="store_true",
-                   help="report the wall time of each check")
-
-    for name, help_text in (
-            ("orbit", "orbit vertices and counts"),
-            ("fvector", "vertex/edge/face/cell counts and inventories"),
-            ("branch-b4", "split into signed-permutation orbits"),
-            ("branch-b3a1", "slice into octahedral orbits by height"),
-            ("project", "exact 3D layer decomposition"),
-            ("dual", "dual polytope: scales, shells, cell"),
-            ("export", "OFF mesh of the dual cell")):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        # a label such as -1,0,0,0 is an argument, not an option, so that
-        # it reaches the label validator
-        p._negative_number_matcher = re.compile(r"-(\d|\.|sqrt)")
-        p.add_argument("label", help="four comma-separated scalars, "
-                                     "e.g. 1,0,0,1")
-        if name == "export":
-            p.add_argument("--format", choices=("off",), default="off")
+        # a value such as -1,0,0,0 or -x is an argument, not an option, so
+        # that it reaches the program's own validator
+        p._negative_number_matcher = re.compile(r"-(?!-)")
+        if name == "verify":
+            p.add_argument("--seed", default=None,
+                           help="seed for the randomized property checks")
         else:
-            p.add_argument("--format", choices=("text", "json"),
-                           default="text")
+            p.add_argument("label", help="four comma-separated scalars, "
+                                         "e.g. 1,0,0,1")
+        formats = ("off",) if name == "export" else ("text", "json")
+        p.add_argument("--format", choices=formats, default=formats[0])
         if name == "project":
             p.add_argument("--scale", default="1",
                            help="positive scalar applied to the orbit")
         p.add_argument("--output", default=None)
+        if name == "verify":
+            p.add_argument("--timings", action="store_true",
+                           help="report the wall time of each check")
     return parser
 
 
@@ -275,9 +269,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError(f"seed {args.seed!r} must be an integer")
             args.seed = int(args.seed)
     except ValueError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        parser.error(str(exc))
     try:
-        payload, lines = COMMANDS[args.command](args)
+        payload, lines = COMMANDS[args.command][0](args)
     except (ValueError, ArithmeticError) as exc:
         label = getattr(args, "label", None)
         where = f" for label {format_labels(label)}" if label else ""

@@ -13,6 +13,9 @@ weight's orbit that Lambda supports.  Local coordinates use the frame
 ``u_a(c) = (c, e_a * Lambda)``: three orthogonal vectors of squared
 norm ``(Lambda, Lambda)``, so u-space squared distances are the true
 ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
+
+Labels are checked once, by ``f_vector``; each entry point reads them
+back validated from its result (``source.labels``, ``cell.source``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import Orbit, _validated, f_vector, generate_orbit
+from .orbits import Orbit, f_vector, generate_orbit
 from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
@@ -174,7 +177,8 @@ def _dot_with(b: Tuple[int, ...]):
 
 
 def _center_rows(sys: RootSystem, labels: Sequence[LabelLike]):
-    """(Lambda's row, den, [(cell entry, node j, sorted W_J omega_j rows)])."""
+    """(the validated labels, Lambda's row, den, [(cell entry, node j,
+    sorted W_J omega_j rows)])."""
     complex_ = f_vector(sys, labels)
     mu, den = sys.integer_labels(lab := complex_.labels)
     lam, families = sys.integer_vector(mu), []
@@ -187,7 +191,7 @@ def _center_rows(sys: RootSystem, labels: Sequence[LabelLike]):
                 else [omega])  # W_J fixes omega_j unless j is in J
         top = dot(omega)
         families.append((entry, j, sorted(r for r in rows if dot(r) == top)))
-    return lam, den, families
+    return lab, lam, den, families
 
 
 def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
@@ -196,7 +200,7 @@ def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellF
     omega_j with (c, Lambda) = (omega_j, Lambda): omega_j - c = sum c_i
     alpha_i, c_i >= 0, and sum c_i a_i = 0 iff c_i = 0 wherever a_i > 0."""
     return tuple(CellFamily(entry.nodes, entry.name, j, sys.vertices(rows, 1))
-                 for entry, j, rows in _center_rows(sys, labels)[2])
+                 for entry, j, rows in _center_rows(sys, labels)[3])
 
 
 def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, FieldScalar]:
@@ -267,16 +271,15 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     count.  Its vertex count equals the source cell count and vice
     versa; the dual f-vector is the reversed source f-vector.
     """
-    labels = _validated(sys, labels)
     source = f_vector(sys, labels)
     sizes = {_center_node(entry): entry.count for entry in source.cells}
     shells, units = [], []
-    for j, s in sorted(solve_scales(sys, labels).items()):
+    for j, s in sorted(solve_scales(sys, source.labels).items()):
         units.append(generate_orbit(sys, [int(i == j - 1)
                                           for i in range(sys.rank)]))
         shells.append(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s,
                             sizes[j]))
-    return DualPolytope(labels, tuple(shells), source.n0,
+    return DualPolytope(source.labels, tuple(shells), source.n0,
                         (source.n3, source.n2, source.n1, source.n0),
                         tuple(units))
 
@@ -302,8 +305,7 @@ class DualCell:
 def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
     """Each center's (c, e_a * Lambda) times its scale; e_a * Lambda is a
     signed permutation of Lambda's row, so each is an integer product."""
-    labels = _validated(sys, labels)
-    lam, den, families = _center_rows(sys, labels)
+    labels, lam, den, families = _center_rows(sys, labels)
     x0, y0, x1, y1, x2, y2, x3, y3 = lam
     frame = [_dot_with(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
                                     (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
@@ -325,11 +327,10 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
     to use another convention, e.g. the square of a quoted overall
     coordinate factor.
     """
-    labels = _validated(sys, labels)
-    lam = sys.label_to_vector(labels)
+    cell = dual_cell(sys, labels)
+    lam = sys.label_to_vector(cell.source)
     if scale_sq is None:
         scale_sq = FieldScalar(1) / lam.dot(lam)
-    cell = dual_cell(sys, labels)
     pts = [u for _, u in cell.coords]
     return Counter(dist_sq(p, q) * scale_sq for p, q in combinations(pts, 2))
 
@@ -345,13 +346,12 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]
     area, plus a float area computed independently by triangulation as a
     cross-check.
     """
-    labels = _validated(sys, labels)
     cell = dual_cell(sys, labels)
     nodes = [node for node, _ in cell.coords]
     family_size = {node: nodes.count(node) for node in nodes}
     if sorted(family_size.values()) != [1, 1, 4, 4]:
         raise ValueError("dual cell is not a trapezohedron for %s"
-                         % format_labels(labels))
+                         % format_labels(cell.source))
     pts = [u for _, u in cell.rows()]
     face = convex_faces(pts)[0]
     k = next(k for k, i in enumerate(face) if family_size[nodes[i]] == 1)

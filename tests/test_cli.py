@@ -99,7 +99,8 @@ def test_zero_label_is_an_error():
 
 
 def test_malformed_label_is_a_usage_error(capsys):
-    for label in ("1,0,0", "1/0,0,0,1", "sqrt2/0,0,0,1", "١,0,0,１"):
+    for label in ("1,0,0", "1/0,0,0,1", "sqrt2/0,0,0,1", "١,0,0,１",
+                  "-,0,0,0"):
         try:
             main(["fvector", label])
             assert False
@@ -111,7 +112,7 @@ def test_malformed_label_is_a_usage_error(capsys):
 
 def test_malformed_scale_is_a_usage_error(capsys):
     # the error names the scale, not the (valid) label
-    for scale in ("1/0", "x", "0", "-1", "-sqrt2"):
+    for scale in ("1/0", "x", "0", "-1", "-sqrt2", "-x"):
         try:
             main(["project", "1,0,0,0", "--scale", scale])
             assert False
@@ -124,7 +125,7 @@ def test_malformed_scale_is_a_usage_error(capsys):
 
 def test_malformed_seed_is_a_usage_error(capsys):
     # int() would take the Arabic-Indic and fullwidth digits as seed 1
-    for seed in ("\u0661", "\uff11", "x"):
+    for seed in ("\u0661", "\uff11", "x", "-x"):
         try:
             main(["verify", "--seed", seed])
             assert False
@@ -133,6 +134,23 @@ def test_malformed_seed_is_a_usage_error(capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"seed {seed!r}" in err, err
         assert "Traceback" not in err and "usage" not in err, err
+
+
+def test_argparse_errors_are_one_line(capsys):
+    for argv, message in (
+            (["fvector", "1,0,0,1", "-x"],
+             "f4weyl: error: unrecognized arguments: -x"),
+            (["fvector", "1,0,0,1", "--format", "xml"],
+             "f4weyl fvector: error: argument --format: invalid choice: "
+             "'xml' (choose from 'text', 'json')"),
+            ([], "f4weyl: error: the following arguments are required: "
+                 "command")):
+        try:
+            main(argv)
+            assert False, argv
+        except SystemExit as exc:
+            assert exc.code == 2
+        assert capsys.readouterr().err == message + "\n"
 
 
 def test_negative_label_reaches_the_validator():
@@ -210,22 +228,26 @@ def _check_json_scalars(cmd, payload, label, scale):
                                  "branch-b3a1", "project", "dual", "export"))
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(label=_LABEL, scale=_ENTRY, seed=_SEED,
-       json_out=st.sampled_from((True, False)))
-def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out):
-    # every drawn value reaches the program's own validators: the options
-    # use the --name=value form and the label follows "--"; in its usual
-    # place a label such as "-,0,0,0" reads as an unknown option, which
-    # argparse answers with its two-line usage error
+       json_out=st.sampled_from((True, False)),
+       usual=st.sampled_from((True, False)))
+def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out,
+                                       usual):
+    # each value is drawn in its usual place (a label such as "-,0,0,0"
+    # first, "--scale -x") or behind "--" and in the --name=value form;
+    # either way it reaches the program's own validators or argparse's
+    # one-line error
     seen = []
     if cmd == "verify":
         # the battery's run is replaced by a recorder: the seed's way
         # through main is what is fuzzed here, and the battery takes 1 s
-        argv = ["verify", f"--seed={seed}"]
+        argv = ["verify"] + (["--seed", seed] if usual else [f"--seed={seed}"])
     else:
-        argv = [cmd] + ([f"--scale={scale}"] if cmd == "project" else [])
+        argv = [cmd, label] if usual else [cmd]
+        if cmd == "project":
+            argv += ["--scale", scale] if usual else [f"--scale={scale}"]
     if json_out and cmd != "export":
         argv.append("--format=json")
-    if cmd != "verify":
+    if cmd != "verify" and not usual:
         argv += ["--", label]
     with mock.patch.object(verify, "run_all",
                            lambda seed: seen.append(seed) or []):

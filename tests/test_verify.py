@@ -1,0 +1,49 @@
+"""The verify battery: its check titles and the checks that compare the
+expanded orbit rows with their closed-form count."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from f4weyl import verify
+from f4weyl.orbits import _orbit_cached
+from f4weyl.rootsys import RootSystem
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_titles_name_the_report_and_the_benchmark_metrics():
+    titles = [title for title, _ in verify.CHECKS]
+    assert [r.name for r in verify.run_all()] == titles
+    slug = _load_tracer().slug
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert [f"verify.{slug(t)}_s" for t in titles] == [
+        m["name"] for m in bench["per_layer"]
+        if m["name"].startswith("verify.")]
+
+
+def test_dropped_arrangement_fails_both_orbit_size_checks(monkeypatch):
+    # a fault that drops the last distinct arrangement of every form (its
+    # signed rows come last) leaves the closed-form size unchanged
+    signed_permutations = RootSystem.signed_permutations
+
+    def faulty(self, form):
+        f = 2 * self.fixed
+        signs = 1 << sum(map(any, zip(form[f::2], form[f + 1::2])))
+        return signed_permutations(self, form)[:-signs]
+
+    monkeypatch.setattr(RootSystem, "signed_permutations", faulty)
+    _orbit_cached.cache_clear()
+    try:
+        assert not verify.check_b4_branching()[0]
+        assert not verify.check_orbit_stabilizer()[0]
+    finally:
+        _orbit_cached.cache_clear()  # drop the faulty orbits
