@@ -129,6 +129,7 @@ class GroupElement(tuple):
     star = property(lambda self: self[0])
     p = property(lambda self: unit_tables()[0][self[1]])
     q = property(lambda self: unit_tables()[0][self[2]])
+    __reduce__ = lambda self: (_element, tuple(self))
 
     @staticmethod
     def identity() -> "GroupElement":

@@ -13,18 +13,16 @@ height |q_k/sqrt2|, the pair (2*y, x) over 2S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .orbits import _validated, generate_orbit, orbit_size
+from .orbits import Record, _validated, generate_orbit, orbit_size
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
                       scale_rows)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints
 
 
-@dataclass(frozen=True)
-class B4Part:
+class B4Part(Record):
     """One signed-permutation orbit appearing in a branching."""
 
     labels: Labels
@@ -49,8 +47,7 @@ def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
     return tuple(B4Part(part, orbit_size(b4, part)) for part in parts)
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(Record):
     """A hyperplane layer of a rank-4 orbit: ``height`` (>= 0) along the
     fixed axis, ``size`` vertices, ``paired`` for a +/- mirror pair."""
 
@@ -121,6 +118,6 @@ def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
 
 
 def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
-    """Check that the slice sizes account for every orbit vertex."""
+    """Check that the slice sizes account for every expanded orbit row."""
     total = sum(s.size * (2 if s.paired else 1) for s in branch_b3a1(labels))
-    return total == generate_orbit(f4_system(), labels).size
+    return total == len(generate_orbit(f4_system(), labels).rows)

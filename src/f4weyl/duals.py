@@ -21,14 +21,13 @@ back validated from its result (``source.labels``, ``cell.source``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import Orbit, f_vector, generate_orbit
+from .orbits import Orbit, Record, f_vector, generate_orbit
 from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
@@ -149,8 +148,7 @@ def _order_face(rows: Sequence[Tuple[int, ...]], members: frozenset,
     return (first, *sorted(rest, key=cmp_to_key(turn)))
 
 
-@dataclass(frozen=True)
-class CellFamily:
+class CellFamily(Record):
     """All cells of one type incident to the dominant vertex."""
 
     nodes: Tuple[int, ...]          # defining sub-diagram, 1-based
@@ -212,25 +210,24 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     exactly 1) follows ``PUBLISHED`` where defined, else the smallest
     participating node.
     """
-    complex_ = f_vector(sys, labels)
-    labels = complex_.labels
-    present = sorted(_center_node(entry) for entry in complex_.cells)
+    return dict(_scales(sys.name, f_vector(sys, labels).labels))
+
+
+@lru_cache(maxsize=64)
+def _scales(sys_name: str, labels: Labels) -> Dict[int, FieldScalar]:
+    """The shared (read-only) ``solve_scales`` of validated labels."""
+    sys = get_system(sys_name)
+    present = sorted(map(_center_node, f_vector(sys, labels).cells))
     ref, _ = published(labels)
     if ref not in present:
         ref = present[0]
-    # (w_j, L) for L = sum a_i w_i is row j of C^-1 times the labels a
+    # (w_j, L) for L = sum a_i w_i: row j of C^-1 (all > 0) times the labels a
     dots = {j: sum(c * a for c, a in zip(sys.cartan_inv[j - 1], labels))
             for j in present}
-    scales: Dict[int, FieldScalar] = {}
-    for j in present:
-        if dots[j].sign() == 0:
-            raise ArithmeticError("degenerate center direction for node %d" % j)
-        scales[j] = dots[ref] / dots[j]
-    return scales
+    return {j: dots[ref] / dots[j] for j in present}
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(Record):
     """One rescaled single-node orbit contributing dual vertices."""
 
     node: int
@@ -239,8 +236,7 @@ class Shell:
     size: int
 
 
-@dataclass(frozen=True)
-class DualPolytope:
+class DualPolytope(Record):
     source: Labels
     shells: Tuple[Shell, ...]
     cell_count: int
@@ -274,7 +270,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     source = f_vector(sys, labels)
     sizes = {_center_node(entry): entry.count for entry in source.cells}
     shells, units = [], []
-    for j, s in sorted(solve_scales(sys, source.labels).items()):
+    for j, s in sorted(_scales(sys.name, source.labels).items()):
         units.append(generate_orbit(sys, [int(i == j - 1)
                                           for i in range(sys.rank)]))
         shells.append(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s,
@@ -288,8 +284,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
 # local coordinates of the dual cell at the dominant vertex
 
 
-@dataclass(frozen=True)
-class DualCell:
+class DualCell(Record):
     """The dual cell at the dominant vertex in local u-coordinates."""
 
     source: Labels
@@ -311,7 +306,7 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
                                     (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
                                     (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
     over = den * sys.weight_den ** 2  # c's weight_den times Lambda's
-    scales = solve_scales(sys, labels)
+    scales = _scales(sys.name, labels)
     coords = tuple((j, tuple(from_ints(*dot(c), over) * scales[j]
                              for dot in frame))
                    for _, j, rows in families for c in rows)

@@ -67,16 +67,50 @@ _PRISM_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class FaceEntry:
+class Record:
+    """Immutable value base: a subclass's annotated fields are its positional
+    arguments, and it compares, hashes and prints on them as a frozen
+    dataclass does, without the cost of building one at import."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__annotations__)  # after inherited ones
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)}"
+                            f" arguments, got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class FaceEntry(Record):
     """One face/cell type: 1-based diagram nodes, polygon/polyhedron name, count."""
     nodes: Tuple[int, ...]
     name: str
     count: int
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     """Dominant forms of the coset rows over ``den * weight_den``; rows
     (their signed permutations) and vertices are built on first read."""
     system: str
@@ -104,6 +138,7 @@ class Orbit:
         return frozenset(self.vertices)
 
 
+# a dataclass still: perfbench/selftest.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class PolytopeComplex:
     labels: Labels

@@ -26,6 +26,7 @@ class Quaternion:
     """A quaternion ``q0 + q1*e1 + q2*e2 + q3*e3`` over Q(sqrt2)."""
 
     __slots__ = ("q0", "q1", "q2", "q3")
+    __reduce__ = lambda self: (from_scalars, self.components())
 
     def __new__(cls, q0: ScalarLike = 0, q1: ScalarLike = 0,
                 q2: ScalarLike = 0, q3: ScalarLike = 0) -> "Quaternion":

@@ -85,6 +85,7 @@ class FieldScalar:
 
     a = property(lambda self: Fraction(self.x, self.d), doc="Rational part.")
     b = property(lambda self: Fraction(self.y, self.d), doc="sqrt(2) part.")
+    __reduce__ = lambda self: (from_ints, (self.x, self.y, self.d))
 
     # -- basics --------------------------------------------------------
 

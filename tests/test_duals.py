@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from f4weyl import orbits, refdata
+from f4weyl import duals, orbits, refdata
 from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, convex_faces, dist_sq, dual_cell,
                           dual_polytope, kite_face, solve_scales)
@@ -278,3 +278,15 @@ def test_dual_steps_build_the_complex_once(monkeypatch):
     dual_polytope(F4, (2, 1, 0, 1))
     dual_cell(F4, (2, 1, 0, 1))
     assert len(built) == 1
+
+
+def test_dual_steps_solve_the_scales_once():
+    # dual_polytope and dual_cell share one solve; the public call hands
+    # out a fresh dict each time
+    duals._scales.cache_clear()
+    dual_polytope(F4, (2, 1, 0, 1))
+    dual_cell(F4, (2, 1, 0, 1))
+    assert duals._scales.cache_info().misses == 1
+    solve_scales(F4, (2, 1, 0, 1)).clear()
+    shells = dual_polytope(F4, (2, 1, 0, 1)).shells
+    assert solve_scales(F4, (2, 1, 0, 1)) == {s.node: s.scale for s in shells}

@@ -32,7 +32,8 @@ def test_check_titles_name_the_report_and_the_benchmark_metrics():
 
 def test_dropped_arrangement_fails_both_orbit_size_checks(monkeypatch):
     # a fault that drops the last distinct arrangement of every form (its
-    # signed rows come last) leaves the closed-form size unchanged
+    # signed rows come last) leaves the closed-form sizes unchanged, so
+    # each check must count the expanded rows
     signed_permutations = RootSystem.signed_permutations
 
     def faulty(self, form):
@@ -45,5 +46,6 @@ def test_dropped_arrangement_fails_both_orbit_size_checks(monkeypatch):
     try:
         assert not verify.check_b4_branching()[0]
         assert not verify.check_orbit_stabilizer()[0]
+        assert not verify.check_b3a1_slices()[0]
     finally:
         _orbit_cached.cache_clear()  # drop the faulty orbits
