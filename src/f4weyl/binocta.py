@@ -152,13 +152,6 @@ class GroupElement(tuple):
         # [p,q]* [r,s]*  = [p conj(s), conj(r) q]
         return _element(not other_star, mul[p][conj[s]], mul[conj[r]][q])
 
-    def inverse(self) -> "GroupElement":
-        star, p, q = self
-        if star:
-            return _element(True, q, p)
-        conj = unit_tables()[3]
-        return _element(False, conj[p], conj[q])
-
     def order(self) -> int:
         ident = GroupElement.identity()
         g = self

@@ -8,7 +8,9 @@ the orbit of one form, with label (q0-q1, q1-q2, q2-q3, sqrt2*q3).  A
 B3 layer is the signed permutations with q0 = +-|q_k| of one form: its
 chamber point is the form's other three coordinates, with label
 (sqrt2*q3, q2-q3, q1-q2) (B3R's roots are sqrt2*e3, e2-e3, e1-e2), at
-height |q_k/sqrt2|, the pair (2*y, x) over 2S.
+height |q_k/sqrt2|, the pair (2*y, x) over 2S.  A part's size is the count
+of its form's signed permutations.  Each public entry point validates its
+label once; the stages behind it take it validated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .orbits import Record, _validated, generate_orbit, orbit_size
+from .orbits import Record, _orbit_cached, _validated, generate_orbit
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
                       scale_rows)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints
@@ -38,13 +40,15 @@ def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
 @lru_cache(maxsize=64)
 def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
     f4, b4 = f4_system(), b4_system()
-    orbit = generate_orbit(f4, labels)
+    orbit = _orbit_cached(f4.name, labels)
     s = orbit.den * f4.weight_den
-    parts = sorted((from_ints(x0 - x1, y0 - y1, s),
-                    from_ints(x1 - x2, y1 - y2, s),
-                    from_ints(x2 - x3, y2 - y3, s), from_ints(2 * y3, x3, s))
-                   for x0, y0, x1, y1, x2, y2, x3, y3 in orbit.forms)
-    return tuple(B4Part(part, orbit_size(b4, part)) for part in parts)
+    parts = sorted(((from_ints(x0 - x1, y0 - y1, s),
+                     from_ints(x1 - x2, y1 - y2, s),
+                     from_ints(x2 - x3, y2 - y3, s), from_ints(2 * y3, x3, s)),
+                    b4.orbit_count([form]))
+                   for form in orbit.forms
+                   for x0, y0, x1, y1, x2, y2, x3, y3 in [form])
+    return tuple(B4Part(*part) for part in parts)
 
 
 class Slice(Record):
@@ -66,18 +70,19 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 @lru_cache(maxsize=64)
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
     f4, b3 = f4_system(), b3r_system()
-    orbit = generate_orbit(f4, labels)
+    orbit = _orbit_cached(f4.name, labels)
     s = orbit.den * f4.weight_den
-    layers = set()  # (B3 label, height) for each form and each q_k
+    layers = set()  # (B3 label, height, size) for each form and each q_k
     for form in orbit.forms:
         for k in (0, 2, 4, 6):
-            x1, y1, x2, y2, x3, y3 = form[:k] + form[k + 2:]
+            x1, y1, x2, y2, x3, y3 = rest = form[:k] + form[k + 2:]
             layers.add(((from_ints(2 * y3, x3, s),
                          from_ints(x2 - x3, y2 - y3, s),
                          from_ints(x1 - x2, y1 - y2, s)),
-                        from_ints(2 * form[k + 1], form[k], 2 * s)))
-    return tuple(Slice(part, height, orbit_size(b3, part), height.sign() > 0)
-                 for part, height in sorted(layers))
+                        from_ints(2 * form[k + 1], form[k], 2 * s),
+                        b3.orbit_count([(0, 0) + rest])))
+    return tuple(Slice(part, height, size, height.sign() > 0)
+                 for part, height, size in sorted(layers))
 
 
 def project_3d(labels: Sequence[LabelLike],
@@ -89,7 +94,7 @@ def project_3d(labels: Sequence[LabelLike],
     scale = as_scalar(scale)
     if scale.sign() <= 0:
         raise ValueError("scale must be positive")
-    orbit = generate_orbit(f4, labels)
+    orbit = _orbit_cached(f4.name, labels)
     rows = scale_rows(orbit.rows, scale)
     den = orbit.den * f4.weight_den * scale.d
     # every coordinate is +- one of the (scaled) forms' coordinates

@@ -14,8 +14,8 @@ weight's orbit that Lambda supports.  Local coordinates use the frame
 norm ``(Lambda, Lambda)``, so u-space squared distances are the true
 ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 
-Labels are checked once, by ``f_vector``; each entry point reads them
-back validated from its result (``source.labels``, ``cell.source``).
+Each public entry point validates its label once, by ``f_vector``, and
+reads it back from the result; the internal stages take it validated.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import Orbit, Record, f_vector, generate_orbit
+from .orbits import Orbit, Record, _complex_cached, _orbit_cached, f_vector
 from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
@@ -174,6 +174,12 @@ def _dot_with(b: Tuple[int, ...]):
     return lambda a: (sum(map(mul, a, p)), sum(map(mul, a, q)))
 
 
+def _unit_orbit(sys: RootSystem, j: int) -> Orbit:
+    """The orbit of omega_j (node j, 1-based), on FieldScalar labels."""
+    return _orbit_cached(sys.name, tuple(FieldScalar(int(i == j - 1))
+                                         for i in range(sys.rank)))
+
+
 def _center_rows(sys: RootSystem, labels: Sequence[LabelLike]):
     """(the validated labels, Lambda's row, den, [(cell entry, node j,
     sorted W_J omega_j rows)])."""
@@ -183,9 +189,9 @@ def _center_rows(sys: RootSystem, labels: Sequence[LabelLike]):
     dot = _dot_with(lam)
     for entry in complex_.cells:
         j = _center_node(entry)
-        unit = tuple(v for i in range(sys.rank) for v in (int(i == j - 1), 0))
-        omega = sys.integer_vector(unit)
-        rows = (generate_orbit(sys, unit[::2]).rows if lab[j - 1].is_zero()
+        unit = _unit_orbit(sys, j)
+        omega = unit.forms[0]  # a dominant row is its own dominant form
+        rows = (unit.rows if lab[j - 1].is_zero()
                 else [omega])  # W_J fixes omega_j unless j is in J
         top = dot(omega)
         families.append((entry, j, sorted(r for r in rows if dot(r) == top)))
@@ -217,7 +223,8 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
 def _scales(sys_name: str, labels: Labels) -> Dict[int, FieldScalar]:
     """The shared (read-only) ``solve_scales`` of validated labels."""
     sys = get_system(sys_name)
-    present = sorted(map(_center_node, f_vector(sys, labels).cells))
+    cells = _complex_cached(sys_name, labels).cells
+    present = sorted(map(_center_node, cells))
     ref, _ = published(labels)
     if ref not in present:
         ref = present[0]
@@ -271,8 +278,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     sizes = {_center_node(entry): entry.count for entry in source.cells}
     shells, units = [], []
     for j, s in sorted(_scales(sys.name, source.labels).items()):
-        units.append(generate_orbit(sys, [int(i == j - 1)
-                                          for i in range(sys.rank)]))
+        units.append(_unit_orbit(sys, j))
         shells.append(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s,
                             sizes[j]))
     return DualPolytope(source.labels, tuple(shells), source.n0,

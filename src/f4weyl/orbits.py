@@ -149,9 +149,6 @@ class PolytopeComplex:
     faces: Tuple[FaceEntry, ...]
     cells: Tuple[FaceEntry, ...]
 
-    def euler_ok(self) -> bool:
-        return self.n0 - self.n1 + self.n2 - self.n3 == 0
-
     def f_tuple(self) -> Tuple[int, int, int, int]:
         return (self.n0, self.n1, self.n2, self.n3)
 

@@ -94,12 +94,6 @@ class Quaternion:
     def norm_sq(self) -> FieldScalar:
         return self.dot(self)
 
-    def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        if n.is_zero():
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conj() / n
-
     # -- identity / ordering ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -244,13 +244,13 @@ def check_kite() -> Tuple[bool, str]:
     g = refdata.KITE_GOLDEN
     face = kite_face(f4_system(), (1, 0, 0, 1))
     sides = sorted(face["sides_sq"])
+    q, m = Fraction(str(g["quoted_area"])), Fraction(1, 4)  # quote, margin
     ok = (sides == sorted([g["long_side_sq"], g["long_side_sq"],
                            g["short_side_sq"], g["short_side_sq"]])
           and face["axis_diagonal_sq"] == g["axis_diagonal_sq"]
           and face["cross_diagonal_sq"] == g["cross_diagonal_sq"]
-          and face["area_sq"] == g["area_sq"]
-          and abs(face["area_float"] ** 2 - float(g["area_sq"])) < 1e-12
-          and abs(face["area_float"] - float(g["quoted_area"])) > 0.25)
+          and face["area_sq"] == g["area_sq"]  # q is more than m off
+          and not max(q - m, 0) ** 2 <= g["area_sq"] <= (q + m) ** 2)
     return _verdict(
         ok,
         "side squares 16-10sqrt2 / 80-56sqrt2 exact; area = "

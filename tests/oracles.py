@@ -11,7 +11,9 @@ e_j) and for |W_J| (the free W_J-walk of rho), and per-label routes that
 read the sorted ``FieldScalar`` vertices or the walk's labels, walk
 every rescaled label (dual shells and scaled layers), take the dual
 cell's coordinates against the quaternion frame, and render the
-branching text from a second branching.
+branching text from a second branching.  The Euler relation and the
+quaternion and group-element inverses, which only tests call, live here
+too.
 """
 
 import random
@@ -19,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict
 
+from f4weyl.binocta import _element, unit_tables
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
 from f4weyl.duals import solve_scales
 from f4weyl.orbits import _validated, f_vector, generate_orbit, orbit_size
@@ -234,3 +237,27 @@ def scalar_str(s):
         return surd
     sep = "" if surd.startswith("-") else "+"
     return f"{a}{sep}{surd}"
+
+
+def euler_ok(complex_):
+    """The Euler relation N0 - N1 + N2 - N3 = 0 of a 4-polytope."""
+    n0, n1, n2, n3 = complex_.f_tuple()
+    return n0 - n1 + n2 - n3 == 0
+
+
+def quaternion_inverse(p):
+    """conj(p) / |p|^2, for p nonzero."""
+    n = p.norm_sq()
+    if n.is_zero():
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return p.conj() / n
+
+
+def element_inverse(g):
+    """The inverse of a pair element by unit-table lookup: [p, q]* is
+    undone by [q, p]*, and [p, q] by [conj p, conj q]."""
+    star, p, q = g
+    if star:
+        return _element(True, q, p)
+    conj = unit_tables()[3]
+    return _element(False, conj[p], conj[q])

