@@ -18,20 +18,19 @@ WB3R_C2 (96), WB3L_C2 (96).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
-from .scalar import INV_SQRT2
+from .scalar import HALF, INV_SQRT2
 
 SUBSET_ORDER = ("V0", "V+", "V-", "V1", "V2", "V3")
 
 GROUP_NAMES = ("WF4", "AutF4", "WB4", "WB3R", "WB3R_C2", "WB3L_C2")
 
 #: order-3 element of T used for triple coset splittings: (1+e1+e2+e3)/2
-OMEGA0 = Quaternion(*([Fraction(1, 2)] * 4))
+OMEGA0 = Quaternion(*([HALF] * 4))
 
 
 @lru_cache(maxsize=1)
@@ -41,7 +40,7 @@ def build_subsets() -> Dict[str, Tuple[Quaternion, ...]]:
     v0 = [u * s for u in units for s in (1, -1)]
 
     # parity convention: an even number of + signs lands in V+
-    halves = {signs: Quaternion(*[Fraction(s, 2) for s in signs])
+    halves = {signs: Quaternion(*[s * HALF for s in signs])
               for signs in product((1, -1), repeat=4)}
     vplus = [q for signs, q in halves.items() if signs.count(1) % 2 == 0]
     vminus = [q for signs, q in halves.items() if signs.count(1) % 2]

@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .orbits import f_vector, generate_orbit
+from .quat import _render
 from .rootsys import format_labels, f4_system
 from .scalar import FieldScalar, parse_scalar
 
@@ -121,7 +122,7 @@ def _cmd_orbit(args):
     payload, _ = _cmd_fvector(args)
     payload["vertices"] = [v.json_obj() for v in orbit.vertices]
     lines = [f"{payload['label']}  {orbit.size} vertices"]
-    return payload, lines + [str(v) for v in orbit.vertices]
+    return payload, lines + [_render(v) for v in payload["vertices"]]
 
 
 def _cmd_branch_b4(args):

@@ -14,12 +14,11 @@ they can be cross-checked against each other):
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
-from .scalar import FieldScalar, as_scalar
+from .scalar import FieldScalar, Rational, as_scalar
 
-ScalarLike = Union[FieldScalar, int, Fraction]
+ScalarLike = Union[FieldScalar, Rational]
 
 
 class Quaternion:
@@ -30,8 +29,7 @@ class Quaternion:
 
     def __new__(cls, q0: ScalarLike = 0, q1: ScalarLike = 0,
                 q2: ScalarLike = 0, q3: ScalarLike = 0) -> "Quaternion":
-        return from_scalars(as_scalar(q0), as_scalar(q1), as_scalar(q2),
-                            as_scalar(q3))
+        return from_scalars(*map(as_scalar, (q0, q1, q2, q3)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quaternion is immutable")
@@ -70,18 +68,20 @@ class Quaternion:
                 p.q0 * q.q2 + p.q2 * q.q0 + p.q3 * q.q1 - p.q1 * q.q3,
                 p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
             )
-        if isinstance(other, (FieldScalar, int, Fraction)):
+        try:  # as_scalar decides what counts as a scalar
             s = as_scalar(other)
-            return from_scalars(*(c * s for c in self.components()))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
+        return from_scalars(*(c * s for c in self.components()))
 
     __rmul__ = __mul__  # a scalar commutes with every quaternion
 
     def __truediv__(self, other: ScalarLike) -> "Quaternion":
-        if isinstance(other, (FieldScalar, int, Fraction)):
+        try:
             s = as_scalar(other)
-            return from_scalars(*(c / s for c in self.components()))
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
+        return from_scalars(*(c / s for c in self.components()))
 
     def conj(self) -> "Quaternion":
         return from_scalars(self.q0, -self.q1, -self.q2, -self.q3)
@@ -120,25 +120,27 @@ class Quaternion:
     def __repr__(self) -> str:
         return f"Quaternion({self.q0!r}, {self.q1!r}, {self.q2!r}, {self.q3!r})"
 
-    def __str__(self) -> str:
-        names = ("", "e1", "e2", "e3")
-        parts = []
-        for comp, name in zip(self.components(), names):
-            if comp.is_zero():
-                continue
-            text = str(comp)
-            if text in ("1", "-1") and name:
-                text = text[:-1] + name
-            elif ("+" in text[1:] or "-" in text[1:]) and name:
-                text = f"({text}){name}"
-            else:
-                text += name
-            parts.append(text if not parts or text.startswith("-")
-                         else "+" + text)
-        return "".join(parts) if parts else "0"
+    __str__ = lambda self: _render(self.json_obj())
 
     def json_obj(self) -> list:
         return [str(c) for c in self.components()]
+
+
+def _render(components: Sequence[str]) -> str:
+    """``str`` of the Quaternion whose ``json_obj`` is ``components``."""
+    parts = []
+    for text, name in zip(components, ("", "e1", "e2", "e3")):
+        if text == "0":
+            continue
+        if text in ("1", "-1") and name:
+            text = text[:-1] + name
+        elif ("+" in text[1:] or "-" in text[1:]) and name:
+            text = f"({text}){name}"
+        else:
+            text += name
+        parts.append(text if not parts or text.startswith("-")
+                     else "+" + text)
+    return "".join(parts) if parts else "0"
 
 
 _new = object.__new__

@@ -16,11 +16,10 @@ quoted variant is kept alongside for the record.  Computation prevails.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
-from .scalar import FieldScalar, parse_scalar as _p
+from .scalar import HALF, FieldScalar, parse_scalar as _p
 
 
 def _lab(*texts: str) -> Tuple[FieldScalar, ...]:
@@ -424,7 +423,7 @@ def _cell_row(center: Quaternion, axis: Quaternion) -> Tuple[Quaternion, frozens
     others = [e for e in (E1, E2, E3) if e != axis and -e != axis]
     return center, frozenset(
         [ONE_Q, axis] + [(ONE_Q + axis + others[0] * si + others[1] * sj)
-                         * Fraction(1, 2) for si in (1, -1) for sj in (1, -1)])
+                         * HALF for si in (1, -1) for sj in (1, -1)])
 
 
 SELF_DUAL_CELL_TABLE = tuple(

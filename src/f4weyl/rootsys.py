@@ -19,7 +19,6 @@ of the signed permutations of q_fixed..q3:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import permutations
 from math import factorial, lcm, prod
@@ -27,10 +26,10 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
-from .scalar import (INV_SQRT2, SQRT2, FieldScalar, as_scalar, from_ints,
-                     surd_sign)
+from .scalar import (HALF, INV_SQRT2, SQRT2, FieldScalar, Rational, as_scalar,
+                     from_ints, surd_sign)
 
-LabelLike = Union[FieldScalar, int, Fraction]
+LabelLike = Union[FieldScalar, Rational]
 Labels = Tuple[FieldScalar, ...]
 #: labels (x_1 + y_1*sqrt2, ..., x_r + y_r*sqrt2) / D flattened to
 #: (x_1, y_1, ..., x_r, y_r); the common denominator D travels beside it
@@ -230,9 +229,8 @@ class RootSystem:
 
 @lru_cache(maxsize=1)
 def f4_system() -> RootSystem:
-    h = Fraction(1, 2)
     roots = (
-        Quaternion(h, -h, -h, -h) * SQRT2,   # (1 - e1 - e2 - e3)/sqrt2
+        Quaternion(HALF, -HALF, -HALF, -HALF) * SQRT2,  # (1-e1-e2-e3)/sqrt2
         E3 * SQRT2,
         E2 - E3,
         E1 - E2,

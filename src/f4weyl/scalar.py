@@ -9,20 +9,20 @@ scale-factor arithmetic exact: two points are equal iff their
 A value is stored as integers ``(x + y*sqrt2)/d``: an element of Z[sqrt2]
 over one denominator (Cohen, GTM 138, section 4.2), kept canonical with
 ``d > 0``, ``gcd(x, y, d) == 1`` and zero as ``(0, 0, 1)``, so equal
-values have equal fields.  Floats only appear at export boundaries
-(``__float__``).
+values have equal fields.  The package computes on these integers; ints,
+bools and ``Fraction``s are accepted inputs, and ``.a``/``.b`` a ``Fraction``
+view.  Floats only appear at export boundaries (``__float__``).
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 from sys import hash_info
 from typing import Optional, Tuple, Union
 
-Rational = Union[int, Fraction]
+Rational = Union[int, "Fraction"]  # bools count as ints
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
@@ -59,8 +59,8 @@ class FieldScalar:
     Supports exact ring arithmetic, exact division (the field norm
     ``a**2 - 2*b**2`` vanishes only at zero), exact ordering, and an
     exact square root when one exists in the field.  ``a`` and ``b``
-    (default 0) are int or Fraction; the canonical integers are the
-    read-only attributes ``x``, ``y``, ``d``.
+    (default 0) are int, bool or Fraction, read back as Fractions from
+    ``.a``/``.b``; the value is the read-only integers ``x``, ``y``, ``d``.
     """
 
     __slots__ = ("x", "y", "d")
@@ -69,13 +69,11 @@ class FieldScalar:
         if type(a) is int and type(b) is int:
             x, y, d = a, b, 1
         else:  # over the lcm of reduced denominators, gcd(x, y, d) is 1
-            if not (isinstance(a, (int, Fraction))
-                    and isinstance(b, (int, Fraction))):
+            (an, _, ad), (bn, _, bd) = _parts(a), _parts(b)
+            if None in (ad, bd) or FieldScalar in (type(a), type(b)):
                 raise TypeError("FieldScalar parts must be int or Fraction")
-            a, b = Fraction(a), Fraction(b)
-            d = lcm(a.denominator, b.denominator)
-            x = a.numerator * (d // a.denominator)
-            y = b.numerator * (d // b.denominator)
+            d = lcm(ad, bd)
+            x, y = an * (d // ad), bn * (d // bd)
         _set_x(self, x)
         _set_y(self, y)
         _set_d(self, d)
@@ -83,8 +81,8 @@ class FieldScalar:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldScalar is immutable")
 
-    a = property(lambda self: Fraction(self.x, self.d), doc="Rational part.")
-    b = property(lambda self: Fraction(self.y, self.d), doc="sqrt(2) part.")
+    a = property(lambda self: _fraction(self.x, self.d), doc="Rational part.")
+    b = property(lambda self: _fraction(self.y, self.d), doc="sqrt(2) part.")
     __reduce__ = lambda self: (from_ints, (self.x, self.y, self.d))
 
     # -- basics --------------------------------------------------------
@@ -227,7 +225,7 @@ class FieldScalar:
         return self.x / self.d + self.y / self.d * sqrt(2.0)
 
     def __repr__(self) -> str:
-        return f"FieldScalar({self.a}, {self.b})"
+        return f"FieldScalar({_ratio(self.x, self.d)}, {_ratio(self.y, self.d)})"
 
     def __str__(self) -> str:
         x, y, d = self.x, self.y, self.d
@@ -238,6 +236,11 @@ class FieldScalar:
         if not x:
             return surd
         return _ratio(x, d) + ("+" if y > 0 else "") + surd
+
+
+def _fraction(n: int, d: int) -> "Fraction":
+    from fractions import Fraction  # loads on the first .a or .b read only
+    return Fraction(n, d)
 
 
 def _ratio(n: int, d: int) -> str:
@@ -272,14 +275,14 @@ def from_ints(x: int, y: int, d: int) -> FieldScalar:
 
 
 def _parts(v: object) -> Tuple[int, int, Optional[int]]:
-    """(x, y, d) of a FieldScalar, int or Fraction; d is None otherwise."""
+    """(x, y, d) of a FieldScalar, int, bool or Fraction, the rationals whose
+    numerator and denominator are Python ints; d is None otherwise."""
     if type(v) is FieldScalar:
         return v.x, v.y, v.d
     if isinstance(v, int):
         return v, 0, 1
-    if isinstance(v, Fraction):
-        return v.numerator, 0, v.denominator
-    return 0, 0, None
+    n, d = getattr(v, "numerator", None), getattr(v, "denominator", None)
+    return (n, 0, d) if type(n) is int and type(d) is int else (0, 0, None)
 
 
 def as_scalar(x: Union[FieldScalar, Rational]) -> FieldScalar:
@@ -289,9 +292,9 @@ def as_scalar(x: Union[FieldScalar, Rational]) -> FieldScalar:
 # Shared constants; FieldScalar is immutable so these are safe to reuse.
 ZERO = FieldScalar(0)
 ONE = FieldScalar(1)
-HALF = FieldScalar(Fraction(1, 2))
+HALF = from_ints(1, 0, 2)
 SQRT2 = FieldScalar(0, 1)
-INV_SQRT2 = FieldScalar(0, Fraction(1, 2))
+INV_SQRT2 = from_ints(0, 1, 2)
 
 
 _TERM_RE = re.compile(
@@ -334,17 +337,14 @@ def _parse_terms(text: str) -> FieldScalar:
         if m is None or m.end() == pos:
             raise ValueError(f"bad scalar literal: {text!r} (at {s[pos:]!r})")
         sgn = -1 if m.group("sign") == "-" else 1
-        if m.group("num") is not None:
-            coef = Fraction(m.group("num"))
-            if m.group("den"):  # rational / sqrt2  ==  (rational/2) * sqrt2
-                total = total + FieldScalar(0, sgn * coef / 2)
-            else:
-                total = total + FieldScalar(sgn * coef)
-        else:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            if m.group("sdiv"):
-                coef /= int(m.group("sdiv"))
-            total = total + FieldScalar(0, sgn * coef)
+        p, _, q = (m.group("num") or m.group("coef") or "1").partition("/")
+        p, q = sgn * int(p), int(q or 1)
+        if q:  # p/q/sqrt2 = p/2q*sqrt2; p/q*sqrt2/k = p/qk*sqrt2 (k after q)
+            q *= 2 if m.group("den") else int(m.group("sdiv") or 1)
+        if not q:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        surd = m.group("num") is None or m.group("den")
+        total = total + (from_ints(0, p, q) if surd else from_ints(p, 0, q))
         pos = m.end()
         if pos < len(s) and s[pos] not in "+-":
             raise ValueError(f"bad scalar literal: {text!r} (at {s[pos:]!r})")

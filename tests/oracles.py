@@ -13,7 +13,8 @@ every rescaled label (dual shells and scaled layers), take the dual
 cell's coordinates against the quaternion frame, and render the
 branching text from a second branching.  The Euler relation and the
 quaternion and group-element inverses, which only tests call, live here
-too.
+too, and so do the ``Fraction``-based literal parser and the quaternion
+formatter that read each scalar's string once per call.
 """
 
 import random
@@ -28,8 +29,8 @@ from f4weyl.orbits import _validated, f_vector, generate_orbit, orbit_size
 from f4weyl.quat import E1, E2, E3
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, first_negative,
                             format_labels, get_system, scalar_labels)
-from f4weyl.scalar import (INV_SQRT2, FieldScalar, as_scalar, from_ints,
-                           surd_sign)
+from f4weyl.scalar import (_TERM_RE, INV_SQRT2, FieldScalar, as_scalar,
+                           from_ints, surd_sign)
 
 
 def zero_one_labels(rank):
@@ -261,3 +262,71 @@ def element_inverse(g):
         return _element(True, q, p)
     conj = unit_tables()[3]
     return _element(False, conj[p], conj[q])
+
+
+def quaternion_str(self):
+    """``str`` of a Quaternion from its components, the method that the
+    formatter of the four component strings replaced."""
+    names = ("", "e1", "e2", "e3")
+    parts = []
+    for comp, name in zip(self.components(), names):
+        if comp.is_zero():
+            continue
+        text = str(comp)
+        if text in ("1", "-1") and name:
+            text = text[:-1] + name
+        elif ("+" in text[1:] or "-" in text[1:]) and name:
+            text = f"({text}){name}"
+        else:
+            text += name
+        parts.append(text if not parts or text.startswith("-")
+                     else "+" + text)
+    return "".join(parts) if parts else "0"
+
+
+def parse_terms_fraction(text: str) -> FieldScalar:
+    """The literal parser that summed ``Fraction`` terms, which the one on
+    the terms' integer digits replaced."""
+    s = text.strip().replace(" ", "").lower()
+    if not s:
+        raise ValueError("empty scalar literal")
+    pos = 0
+    total = FieldScalar(0)
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if m is None or m.end() == pos:
+            raise ValueError(f"bad scalar literal: {text!r} (at {s[pos:]!r})")
+        sgn = -1 if m.group("sign") == "-" else 1
+        if m.group("num") is not None:
+            coef = Fraction(m.group("num"))
+            if m.group("den"):  # rational / sqrt2  ==  (rational/2) * sqrt2
+                total = total + FieldScalar(0, sgn * coef / 2)
+            else:
+                total = total + FieldScalar(sgn * coef)
+        else:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            if m.group("sdiv"):
+                coef /= int(m.group("sdiv"))
+            total = total + FieldScalar(0, sgn * coef)
+        pos = m.end()
+        if pos < len(s) and s[pos] not in "+-":
+            raise ValueError(f"bad scalar literal: {text!r} (at {s[pos:]!r})")
+    return total
+
+
+def parse_scalar_fraction(text: str) -> FieldScalar:
+    """``parse_scalar`` on the ``Fraction``-based term parser."""
+    try:
+        return parse_terms_fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal {text!r}") from None
+
+
+def parse_outcome(parse, text):
+    """What ``parse(text)`` gives: a scalar's ``(x, y, d)`` and ``repr``, or
+    the message of its ValueError."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return value.x, value.y, value.d, repr(value)

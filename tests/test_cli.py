@@ -186,6 +186,15 @@ _LABEL = st.one_of(*(st.lists(e, min_size=4, max_size=4).map(",".join)
 _SEED = st.one_of(st.integers(-10 ** 20, 10 ** 20).map(str), _SOUP)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(text=_ENTRY)
+def test_parse_of_fuzzed_entries_matches_fraction_parser(text):
+    # the digits of each term are read as integers; value and error
+    # message are those of the Fraction-based parser
+    assert oracles.parse_outcome(parse_scalar, text) == \
+        oracles.parse_outcome(oracles.parse_scalar_fraction, text)
+
+
 def _labels(text):
     """The scalars of a rendered label ``(a,b,c,d)``, parsed back."""
     assert text[0] == "(" and text[-1] == ")", text
@@ -383,6 +392,28 @@ def test_random_label_payload_invariants():
         assert nv - ne + nf == 2, (text, nv, nf, ne)
 
 
+@pytest.mark.parametrize("label", ("1,1,1,1", "0,1,1,0", "1/2+sqrt2,0,3,0"))
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_orbit_renders_each_scalar_once(label, fmt):
+    # 4 str calls for the label and 4 per vertex: the text lines are
+    # rendered from the JSON payload's component strings
+    calls = []
+    plain = FieldScalar.__str__
+
+    def counting(self):
+        calls.append(1)
+        return plain(self)
+
+    vertices = generate_orbit(f4_system(), parse_label(label)).vertices
+    with mock.patch.object(FieldScalar, "__str__", counting):
+        code, out, _ = run_cli(["orbit", label, "--format", fmt])
+    assert code == 0
+    assert len(calls) == 4 * len(vertices) + 4, (len(calls), len(vertices))
+    if fmt == "text":
+        assert out.splitlines()[1:] == list(map(oracles.quaternion_str,
+                                                vertices))
+
+
 def test_label_command_leaves_unit_tables_unbuilt():
     # a label command works in label space: building the group tables
     # would be a large share of a cold run's time
@@ -422,6 +453,9 @@ def test_label_commands_leave_verify_refdata_binocta_unloaded():
         loaded = set(_run_script(script, *argv).split())
         unused = {"f4weyl." + m for m in
                   ("refdata", "verify", "binocta") + NOT_RUN[argv[0]]}
+        # the scalars compute on integers: no label command loads the
+        # rational and decimal number modules
+        unused |= {"fractions", "decimal", "numbers"}
         if "json" not in argv:
             unused.add("json")
         assert not loaded & unused, (argv, sorted(loaded & unused))

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 from f4weyl.binocta import build_group, sorted_elements
-from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, ZERO_Q, reflect,
-                         reflect_classical)
+from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, ZERO_Q, _render,
+                         reflect, reflect_classical)
 from f4weyl.scalar import FieldScalar
-from oracles import quaternion_inverse
+from oracles import quaternion_inverse, quaternion_str
 
 
 def rand_quat(rng, span=6):
@@ -152,3 +152,19 @@ def test_group_element_order_matches_fraction_key():
     group = build_group("WB3R_C2")
     assert sorted_elements(group) == sorted(
         group, key=lambda g: (g.star, seed_key(g.p), seed_key(g.q)))
+
+
+def test_render_matches_the_method_it_replaced():
+    # components of every shape the formatter tells apart: zero, +-1, a
+    # lone surd, +-sqrt2, a rational and a two-term sum of either sign
+    rng = random.Random(13)
+    pool = [FieldScalar(0), FieldScalar(1), FieldScalar(-1),
+            FieldScalar(0, 1), FieldScalar(0, -1), FieldScalar(0, 3),
+            FieldScalar(Fraction(-2, 3)), FieldScalar(1, 1), FieldScalar(-1, 1),
+            FieldScalar(Fraction(1, 2), Fraction(-3, 2)),
+            FieldScalar(0, Fraction(-1, 3))]
+    quats = [Quaternion(*[rng.choice(pool) for _ in range(4)])
+             for _ in range(600)]
+    quats += [rand_quat(rng) for _ in range(200)] + [ZERO_Q, ONE_Q, -E3]
+    for q in quats:
+        assert _render(q.json_obj()) == str(q) == quaternion_str(q), q

@@ -482,3 +482,54 @@ def test_set_and_dict_lookups_across_types():
     mixed = {1, Fraction(1, 2), FieldScalar(1), HALF, FieldScalar(2) / 4}
     assert len(mixed) == 2
     assert FieldScalar(1) in {1} and Fraction(1, 2) in {HALF}
+
+
+# the parser reads each term's digits as integers: it must give the
+# Fraction-based parser's value, or its ValueError message, on the grammar's
+# corner cases
+@pytest.mark.parametrize("text", [
+    "1/0", "sqrt2/0", "0/0", "00", "+1", "1/sqrt2", "sqrt2/2", "3/2*sqrt2",
+    "2sqrt2/3", "1/2-3/2sqrt2", "", "1++1", "0/0sqrt2", "3/0*sqrt2/0",
+    "1/0x", "2/4sqrt2/6", "-0/7", " 6 / 4 - sqrt2 / 9 "])
+def test_parse_matches_fraction_parser(text):
+    assert oracles.parse_outcome(parse_scalar, text) == \
+        oracles.parse_outcome(oracles.parse_scalar_fraction, text)
+
+
+def test_fraction_parts_and_views():
+    # Fractions and bools are inputs, .a/.b give Fractions back, and the
+    # canonical integers and repr are those of the Fraction-built value
+    x = FieldScalar(Fraction(1, 2), Fraction(-3, 4))
+    assert (x.x, x.y, x.d) == (2, -3, 4)
+    assert repr(x) == "FieldScalar(1/2, -3/4)"
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (Fraction(1, 2), Fraction(-3, 4))
+    assert repr(FieldScalar(True, Fraction(4, 2))) == "FieldScalar(1, 2)"
+    assert FieldScalar(Fraction(3, 1)) == 3 and FieldScalar(False) == 0
+
+
+@pytest.mark.parametrize("value", [1.5, "1", 1j, None, SQRT2, [1]])
+def test_only_ints_bools_and_fractions_are_parts(value):
+    for args in ((value,), (0, value), (value, Fraction(1, 2))):
+        with pytest.raises(TypeError,
+                           match="FieldScalar parts must be int or Fraction"):
+            FieldScalar(*args)
+
+
+def test_numpy_scalars_are_not_parts():
+    np = pytest.importorskip("numpy")
+    for value in (np.int64(3), np.float64(1.5), np.bool_(True)):
+        with pytest.raises(TypeError):
+            FieldScalar(value)
+        assert SQRT2.__add__(value) is NotImplemented
+
+
+def test_quaternion_scales_by_rationals_only():
+    assert Quaternion(1, 0, 0, 0) * Fraction(1, 2) == Quaternion(HALF, 0, 0, 0)
+    assert Fraction(1, 2) * Quaternion(0, 2, 0, 0) == Quaternion(0, 1, 0, 0)
+    assert Quaternion(1, 0, 0, 0) / Fraction(1, 2) == Quaternion(2, 0, 0, 0)
+    for bad in (1.5, "2"):
+        with pytest.raises(TypeError):
+            Quaternion(1, 0, 0, 0) * bad
+        with pytest.raises(TypeError):
+            Quaternion(1, 0, 0, 0) / bad

@@ -57,3 +57,22 @@ def test_kite_quote_within_a_quarter_of_the_area_fails(monkeypatch):
     assert verify.check_kite()[0]
     monkeypatch.setitem(verify.refdata.KITE_GOLDEN, "quoted_area", 1.1)
     assert not verify.check_kite()[0]
+
+
+def test_frame_norm_quote_equal_to_the_frame_fails(monkeypatch):
+    # the erratum's quoted norm must differ from the computed frame norm
+    entry = verify.refdata.erratum("dual-1010-frame-norm")
+    assert verify.check_dual_cells()[0]
+    monkeypatch.setitem(entry, "quoted", entry["computed"])
+    assert not verify.check_dual_cells()[0]
+
+
+def test_quoted_variant_equal_to_a_computed_row_fails(monkeypatch):
+    # a quoted misprint of (1,0,0,1) that is in fact another computed row
+    # of the cell is no misprint
+    scale, rows = verify.refdata.DUAL_CELL_PRINTED[(1, 0, 0, 1)]
+    k = next(i for i, (_, quoted) in enumerate(rows) if quoted is not None)
+    rows = rows[:k] + ((rows[k][0], rows[0][0]),) + rows[k + 1:]
+    monkeypatch.setitem(verify.refdata.DUAL_CELL_PRINTED, (1, 0, 0, 1),
+                        (scale, rows))
+    assert not verify.check_dual_cells()[0]
