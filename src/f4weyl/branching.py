@@ -9,18 +9,21 @@ B3 layer is the signed permutations with q0 = +-|q_k| of one form: its
 chamber point is the form's other three coordinates, with label
 (sqrt2*q3, q2-q3, q1-q2) (B3R's roots are sqrt2*e3, e2-e3, e1-e2), at
 height |q_k/sqrt2|, the pair (2*y, x) over 2S.  A part's size is the count
-of its form's signed permutations.  Each public entry point validates its
-label once; the stages behind it take it validated.
+of its form's signed permutations; the 3D layers are the signed
+permutations of the forms' coordinate ranks, grouped on q0.  Each entry
+point validates its label once; the stages behind it take it validated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Sequence, Tuple
 
 from .orbits import Record, _orbit_cached, _validated, generate_orbit
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
-                      scale_rows)
+                      scale_rows, surd_order)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints
 
 
@@ -85,31 +88,32 @@ def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
                  for part, height, size in sorted(layers))
 
 
-def project_3d(labels: Sequence[LabelLike],
-               scale: FieldScalar | int = 1) -> Tuple[Tuple[FieldScalar, frozenset], ...]:
+def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
+               ) -> Tuple[Tuple[FieldScalar, tuple], ...]:
     """Exact 3D layers of a (possibly rescaled) orbit, top to bottom: the
-    (height, set of imaginary coordinate triples of the layer) pairs."""
+    (height, distinct imaginary coordinate triples, ascending) pairs."""
     f4 = f4_system()
     labels = _validated(f4, labels)
     scale = as_scalar(scale)
     if scale.sign() <= 0:
         raise ValueError("scale must be positive")
     orbit = _orbit_cached(f4.name, labels)
-    rows = scale_rows(orbit.rows, scale)
     den = orbit.den * f4.weight_den * scale.d
-    # every coordinate is +- one of the (scaled) forms' coordinates
-    scalars = {xy: from_ints(*xy, den)
-               for form in scale_rows(orbit.forms, scale)
-               for x, y in zip(form[::2], form[1::2])
-               for xy in ((x, y), (-x, -y))}
-    layers: Dict[Tuple[int, int], set] = {}  # keyed by the q0 pair
-    for r in sorted(rows):  # vertex order: the sets print in it
-        layers.setdefault(r[:2], set()).add(
-            (scalars[r[2:4]], scalars[r[4:6]], scalars[r[6:]]))
+    forms = [list(zip(f[::2], f[1::2])) for f in scale_rows(orbit.forms, scale)]
+    # rank i of the n sorted +- form coordinates gets key 2*i - n + 1: keys
+    # keep order, negate with the value and key 0 as 0, so the rows' keys
+    # are signed permutations of the forms' keys and sort as values do
+    values = sorted({v for form in forms for x, y in form
+                     for v in ((x, y), (-x, -y))}, key=surd_order)
+    key = {xy: 2 * i - len(values) + 1 for i, xy in enumerate(values)}
+    scalars = {key[xy]: from_ints(*xy, den) for xy in values}
+    rows = sorted(row for form in forms for row in f4.signed_permutations(
+        tuple(v for xy in form for v in (key[xy], 0))))
+    layers = [(scalars[q0], tuple((scalars[r[2]], scalars[r[4]], scalars[r[6]])
+                                  for r in layer))
+              for q0, layer in groupby(rows, itemgetter(0))]
     # the height is q0 / sqrt2, a positive factor: q0 order is height order
-    return tuple((scalars[q0] * INV_SQRT2, frozenset(pts)) for q0, pts in
-                 sorted(layers.items(), key=lambda kv: scalars[kv[0]],
-                        reverse=True))
+    return tuple((q0 * INV_SQRT2, pts) for q0, pts in reversed(layers))
 
 
 def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:

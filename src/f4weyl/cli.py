@@ -160,7 +160,7 @@ def _cmd_project(args):
         "label": format_labels(args.label),
         "scale": str(args.scale),
         "layers": [{"height": str(h),
-                    "points": [[str(c) for c in p] for p in sorted(pts)]}
+                    "points": [[str(c) for c in p] for p in pts]}
                    for h, pts in layers],
     }
     lines = [f"{payload['label']} at scale {args.scale}: {len(layers)} layers"]

@@ -210,10 +210,6 @@ def stabilizer_order(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
     return parabolic_order(sys.name, inactive)
 
 
-def orbit_size(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
-    return weyl_order(sys) // stabilizer_order(sys, labels)
-
-
 # ---------------------------------------------------------------------------
 # sub-diagram bookkeeping
 

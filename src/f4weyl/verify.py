@@ -156,7 +156,7 @@ def check_projections() -> Tuple[bool, str]:
                            ((0, 0, 0, 1), refdata.PROJECTED_DUAL24)):
         got = project_3d(pattern, half)
         if len(got) != len(table) or any(
-                h != eh or pts != epts
+                h != eh or frozenset(pts) != epts
                 for (h, pts), (eh, epts) in zip(got, table)):
             bad.append(pattern)
     return _verdict(

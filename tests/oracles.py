@@ -11,10 +11,11 @@ e_j) and for |W_J| (the free W_J-walk of rho), and per-label routes that
 read the sorted ``FieldScalar`` vertices or the walk's labels, walk
 every rescaled label (dual shells and scaled layers), take the dual
 cell's coordinates against the quaternion frame, and render the
-branching text from a second branching.  The Euler relation and the
-quaternion and group-element inverses, which only tests call, live here
-too, and so do the ``Fraction``-based literal parser and the quaternion
-formatter that read each scalar's string once per call.
+branching text from a second branching.  The Euler relation, the
+closed-form orbit size |W| / |W_J| and the quaternion and group-element
+inverses, which only tests call, live here too, and so do the
+``Fraction``-based literal parser and the quaternion formatter that read
+each scalar's string once per call.
 """
 
 import random
@@ -25,7 +26,8 @@ from typing import Dict
 from f4weyl.binocta import _element, unit_tables
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
 from f4weyl.duals import solve_scales
-from f4weyl.orbits import _validated, f_vector, generate_orbit, orbit_size
+from f4weyl.orbits import (_validated, f_vector, generate_orbit,
+                           stabilizer_order, weyl_order)
 from f4weyl.quat import E1, E2, E3
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, first_negative,
                             format_labels, get_system, scalar_labels)
@@ -190,6 +192,11 @@ def parabolic_order(sys_name, nodes):
     """|W_J| as the size of the free W_J-orbit of rho = (1, ..., 1)."""
     sys = get_system(sys_name)
     return len(label_orbit(sys, (1, 0) * sys.rank, sorted(nodes)))
+
+
+def orbit_size(sys, labels):
+    """The closed-form orbit size |W| / |W_J|, J the zero-label nodes."""
+    return weyl_order(sys) // stabilizer_order(sys, labels)
 
 
 def cell_centers(sys, labels):

@@ -221,7 +221,7 @@ def _check_json_scalars(cmd, payload, label, scale):
         assert [(parse_scalar(layer["height"]),
                  [tuple(map(parse_scalar, p)) for p in layer["points"]])
                 for layer in payload["layers"]] == \
-            [(h, sorted(pts)) for h, pts in project_3d(label, scale)]
+            [(h, list(pts)) for h, pts in project_3d(label, scale)]
     elif cmd == "dual":
         dual, cell = dual_polytope(sys_f4, label), dual_cell(sys_f4, label)
         assert [parse_scalar(s["scale"]) for s in payload["scales"]] == \

@@ -24,9 +24,8 @@ from f4weyl.binocta import OMEGA0, build_group, build_subsets
 from f4weyl.branching import (B4Part, Slice, branch_b3a1, branch_b4,
                               verify_b3a1_slices, verify_b4_branching)
 from f4weyl.duals import cells_at_vertex, dual_polytope
-from f4weyl.orbits import (f_vector, generate_orbit, orbit_size,
-                           parabolic_elements, parabolic_order,
-                           stabilizer_order, weyl_order)
+from f4weyl.orbits import (f_vector, generate_orbit, parabolic_elements,
+                           parabolic_order, stabilizer_order, weyl_order)
 from f4weyl.quat import E1, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system, get_system
 from f4weyl.scalar import INV_SQRT2, FieldScalar
@@ -67,7 +66,7 @@ def coset_branch_b4(labels):
     lam = weight_sum(f4_system(), labels)
     parts = {b4.dominant_representative(rep * lam)[0]
              for rep in (ONE_Q, OMEGA0, OMEGA0 * OMEGA0)}
-    return tuple(B4Part(p, orbit_size(b4, p)) for p in sorted(parts))
+    return tuple(B4Part(p, oracles.orbit_size(b4, p)) for p in sorted(parts))
 
 
 def coset_branch_b3a1(labels):
@@ -80,7 +79,7 @@ def coset_branch_b3a1(labels):
         image = t * lam
         layers.add((b3.dominant_representative(image)[0],
                     abs(image.q0 * INV_SQRT2)))
-    return tuple(Slice(p, h, orbit_size(b3, p), h.sign() > 0)
+    return tuple(Slice(p, h, oracles.orbit_size(b3, p), h.sign() > 0)
                  for p, h in sorted(layers))
 
 
@@ -208,7 +207,7 @@ def test_property_orbit_stabilizer(case):
     sys, labels = case
     size = generate_orbit(sys, labels).size
     assert size * stabilizer_order(sys, labels) == weyl_order(sys)
-    assert size == orbit_size(sys, labels)
+    assert size == oracles.orbit_size(sys, labels)
 
 
 @settings(max_examples=40, **PROPERTY)

@@ -2,16 +2,17 @@
 
 Full orbits are the signed permutations of their coset rows, and their
 sizes and the subgroup orders are counted off those rows' dominant
-forms; the branchings and the cell centers read those rows, and the 3D
-layers, the dual shells and the dual cell read integer vertex rows; the
-CLI prints the branching text from its payload.  ``oracles`` holds the
-routes they replaced: the inverse dominance walk over all nodes, over
-the zero-label nodes from e_j and from rho, sorted ``FieldScalar``
-vertices, the walk's labels, walked rescaled labels, the quaternion
-frame of the dual cell and a second branching.  Labels are the 15 0/1
-patterns and seeded random dominant Q(sqrt2) labels of every pattern,
-some with negative rational or sqrt2 parts; scales are seeded positive
-Q(sqrt2) numbers with nonzero sqrt2 parts.
+forms; the branchings and the cell centers read those rows, the 3D
+layers the signed permutations of the forms' coordinate ranks, and the
+dual shells and the dual cell integer vertex rows; no stage expands the
+label's orbit; the CLI prints the branching text from its payload.
+``oracles`` holds the routes they replaced: the inverse dominance walk
+over all nodes, over the zero-label nodes from e_j and from rho, sorted
+``FieldScalar`` vertices, the walk's labels, walked rescaled labels, the
+quaternion frame of the dual cell and a second branching.  Labels are
+the 15 0/1 patterns and seeded random dominant Q(sqrt2) labels of every
+pattern, some with negative rational or sqrt2 parts; scales are seeded
+positive Q(sqrt2) numbers with nonzero sqrt2 parts.
 """
 
 from itertools import combinations
@@ -22,7 +23,7 @@ from f4weyl import cli, orbits
 from f4weyl.binocta import OMEGA0
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.duals import dual_cell, dual_polytope
-from f4weyl.orbits import generate_orbit, parabolic_order
+from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
 from f4weyl.rootsys import f4_system, format_labels, get_system, omega0_row
 from f4weyl.scalar import FieldScalar, parse_scalar
 import oracles
@@ -91,12 +92,16 @@ def test_branchings_match_vertex_oracles(labels):
 def test_layers_match_vertex_oracle(labels):
     for scale in [1] + SCALES:
         got = project_3d(labels, scale)
-        assert got == oracles.project_3d(labels, scale), scale
-        # the scaled rows against the walk of scale * labels, including
-        # the order each layer's set iterates (and prints) in
+        want = oracles.project_3d(labels, scale)
+        assert [(h, frozenset(pts)) for h, pts in got] == list(want), scale
+        # each layer lists its points once, in ascending order: the order
+        # the sorted points of the walk of scale * labels come in
         walked = oracles.project_3d_walked(labels, scale)
-        assert [(h, list(pts)) for h, pts in got] == \
-            [(h, list(pts)) for h, pts in walked], scale
+        assert [h for h, _ in got] == [h for h, _ in walked], scale
+        for (h, pts), (_, walked_pts) in zip(got, walked):
+            assert list(pts) == sorted(pts), (scale, h)
+            assert len(set(pts)) == len(pts), (scale, h)
+            assert sorted(walked_pts) == list(pts), (scale, h)
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=IDS)
@@ -163,12 +168,16 @@ def test_vertices_are_built_on_first_read():
     labels = (parse_scalar("7/3"), 0, parse_scalar("5-sqrt2"), 1)
     orbit = generate_orbit(F4, labels)
     dual = dual_polytope(F4, labels)
+    f_vector(F4, labels)
+    dual_cell(F4, labels)
     for stage in (branch_b4, branch_b3a1, project_3d):
         stage(labels)
-    # a scaled projection scales the cached rows: no walk, no vertices
+    # a scaled projection scales the cached forms: no walk, no vertices
     misses = orbits._orbit_cached.cache_info().misses
     project_3d(labels, parse_scalar("1/2+sqrt2"))
     assert orbits._orbit_cached.cache_info().misses == misses
+    # and no per-label stage expands the orbit's rows
+    assert "rows" not in vars(orbit)
     assert "vertices" not in vars(orbit) and "vertices" not in vars(dual)
     assert len(orbit.vertices) == orbit.size
     assert len(dual.vertices) == sum(s.size for s in dual.shells)

@@ -6,12 +6,11 @@ import pytest
 
 from f4weyl.binocta import build_subsets
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
-                           orbit_size, parabolic_order, stabilizer_order,
-                           weyl_order)
+                           parabolic_order, stabilizer_order, weyl_order)
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar
-from oracles import euler_ok
+from oracles import euler_ok, orbit_size
 
 F4 = f4_system()
 
