@@ -90,11 +90,12 @@ def _cross_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
     """Faces of the convex hull of exact 3D points, as index cycles
-    counter-clockwise from outside.  A triple spans a face when every
-    point lies weakly on one side of its plane; triples inside a face
-    already found are skipped.  Every test runs on the points scaled to
-    Z[sqrt2] integer rows over the lcm of their denominators, a positive
-    scale (H. Cohen, GTM 138, section 4.2)."""
+    counter-clockwise from outside.  A triple i < j < k spans a face when
+    every other point lies weakly on one side of its plane; triples inside
+    a face already found are skipped.  The rows minus row i, built once per
+    anchor i, give each triple's normal and sign tests.  Every test runs on
+    Z[sqrt2] integer rows over the lcm of the points' denominators, a
+    positive scale (H. Cohen, GTM 138, section 4.2)."""
     n = len(points)
     if n == 0:
         raise ValueError("empty geometry")
@@ -105,27 +106,28 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
         raise ValueError("duplicate points")
     planes: Dict[frozenset, Tuple[int, ...]] = {}
     covered = set()
-    for i, j, k in combinations(range(n), 3):
-        if (i, j, k) in covered:
-            continue
-        p0 = rows[i]
-        normal = _cross_rows(_sub_rows(rows[j], p0), _sub_rows(rows[k], p0))
-        if not any(normal):
-            continue
-        side, members = 0, []
-        for m, r in enumerate(rows):
-            sign = _dot_sign(_sub_rows(r, p0), normal)
-            if not sign:
-                members.append(m)
-            elif not side:
-                side = sign
-            elif sign != side:
-                break
-        else:
-            if side > 0:  # flip so the normal points away from the body
-                normal = tuple(-c for c in normal)
-            planes[frozenset(members)] = normal
-            covered.update(combinations(members, 3))
+    for i in range(n - 2):
+        diffs = [_sub_rows(r, rows[i]) for r in rows]
+        for j, k in combinations(range(i + 1, n), 2):
+            if (i, j, k) in covered:
+                continue
+            normal = _cross_rows(diffs[j], diffs[k])
+            if not any(normal):
+                continue
+            side, members = 0, []
+            for m, d in enumerate(diffs):
+                sign = m not in (i, j, k) and _dot_sign(d, normal)
+                if not sign:
+                    members.append(m)
+                elif not side:
+                    side = sign
+                elif sign != side:
+                    break
+            else:
+                if side > 0:  # flip so the normal points away from the body
+                    normal = tuple(-c for c in normal)
+                planes[frozenset(members)] = normal
+                covered.update(combinations(members, 3))
     if not planes or n < 4 or any(len(m) == n for m in planes):
         raise ValueError("degenerate (flat) geometry")
     return sorted(_order_face(rows, members, normal)
@@ -135,15 +137,14 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
 def _order_face(rows: Sequence[Tuple[int, ...]], members: frozenset,
                 normal: Tuple[int, ...]) -> Tuple[int, ...]:
     """The face's cycle from its lowest index, counter-clockwise about the
-    outward ``normal``: a comes before b when (a - p0) x (b - p0) points
-    along it.  The face is convex, so every other vertex lies within a
-    half-turn of the first vertex p0 and this order is total."""
+    outward ``normal``: a before b when (a - p0) x (b - p0), each difference
+    taken once, points along it.  The face is convex, so every vertex lies
+    within a half-turn of the first vertex p0 and this order is total."""
     first, *rest = sorted(members)
-    p0 = rows[first]
+    diff = {m: _sub_rows(rows[m], rows[first]) for m in rest}
 
     def turn(a: int, b: int) -> int:
-        return -_dot_sign(normal, _cross_rows(_sub_rows(rows[a], p0),
-                                              _sub_rows(rows[b], p0)))
+        return -_dot_sign(normal, _cross_rows(diff[a], diff[b]))
 
     return (first, *sorted(rest, key=cmp_to_key(turn)))
 

@@ -121,6 +121,10 @@ class RootSystem:
             tuple((k, c.x * (den // c.d), c.y * (den // c.d))
                   for k, c in enumerate(w.components()) if c)
             for w in self.weights)
+        f = 2 * fixed  # one getter per permutation of the pairs q_fixed..q3
+        self._arrangements = tuple(
+            itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
+            for p in permutations(range(f, 8, 2)))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
@@ -177,14 +181,14 @@ class RootSystem:
 
     def signed_permutations(self, form: IntRow) -> List[IntRow]:
         """The distinct signed permutations of q_fixed..q3 of a form: each
-        distinct arrangement once, zero coordinates never negated."""
+        distinct arrangement once (the getters built with the system, in
+        permutation order), zero coordinates never negated."""
         f = 2 * self.fixed
         signed, arranged = [form[:f]], {}
         for x, y in zip(form[f::2], form[f + 1::2]):
             signed = [r + s for r in signed
                       for s in ((x, y), (-x, -y))[:1 + bool(x or y)]]
-        for p in permutations(range(f, 8, 2)):
-            get = itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
+        for get in self._arrangements:
             arranged.setdefault(get(form), get)
         return [get(r) for get in arranged.values() for r in signed]
 

@@ -550,12 +550,17 @@ def test_export_off_vertex_precision():
 def test_convex_faces_rejects_degenerate_input():
     square = [(FieldScalar(x), FieldScalar(y), FieldScalar(0))
               for x in (0, 1) for y in (0, 1)]
-    for bad in ([], square, square[:3]):
-        try:
+    pentagon = [(FieldScalar(x), FieldScalar(y), FieldScalar(0))
+                for x, y in ((0, 0), (2, 0), (4, 1), (2, 2), (0, 2))]
+    tetra = square[:3] + [(FieldScalar(0), FieldScalar(0), FieldScalar(1))]
+    for bad, message in (([], "empty geometry"),
+                         (tetra + tetra[1:2], "duplicate points"),
+                         (square, "degenerate (flat) geometry"),
+                         (square[:3], "degenerate (flat) geometry"),
+                         (pentagon, "degenerate (flat) geometry")):
+        with pytest.raises(ValueError) as err:
             convex_faces(bad)
-            assert False, bad
-        except ValueError:
-            pass
+        assert str(err.value) == message, bad
 
 
 def test_output_flag_writes_identical_bytes():

@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 from f4weyl import duals
+from f4weyl.branching import project_3d
 from f4weyl.duals import convex_faces, cross3, dot3, dual_cell, sub3
 from f4weyl.orbits import f_vector
 from f4weyl.rootsys import f4_system
@@ -99,3 +100,41 @@ def test_hull_skips_triples_inside_found_faces(monkeypatch):
     skipped = sum(comb(len(face), 3) - 1 for face in faces)
     assert skipped > 0
     assert len(calls) == comb(len(pts), 3) - skipped
+
+
+def test_hull_takes_each_difference_once_per_anchor(monkeypatch):
+    # the rows minus anchor i are built once per anchor i < n - 2, and a
+    # triple's own points are face members without a sign test
+    pts = cell_points((1, 0, 0, 1), True)
+    n, subs, triple, own = len(pts), [], [], []
+    sub, cross, sign = duals._sub_rows, duals._cross_rows, duals._dot_sign
+
+    def crossed(a, b):
+        triple[:] = [(0,) * 6, a, b]  # the differences of i, j and k
+        return cross(a, b)
+
+    monkeypatch.setattr(duals, "_sub_rows",
+                        lambda a, b: subs.append(1) or sub(a, b))
+    monkeypatch.setattr(duals, "_cross_rows", crossed)
+    monkeypatch.setattr(duals, "_dot_sign",
+                        lambda a, b: own.append(a in triple) or sign(a, b))
+    monkeypatch.setattr(duals, "_order_face",
+                        lambda rows, members, normal: tuple(sorted(members)))
+    convex_faces(pts)
+    assert n == 10 and len(subs) == n * (n - 2)
+    assert own and not any(own)
+
+
+def test_hull_matches_oracle_on_projected_layers():
+    # every 3D layer of 4 to 12 points of the 0/1 orbits: its hull is the
+    # oracle's, and a sphere's, V - E + F = 2
+    sizes = []
+    for labels in zero_one_labels(4):
+        for _, layer in project_3d(labels):
+            if 4 <= len(layer) <= 12:
+                faces = convex_faces(layer)
+                assert faces == oracle_faces(layer), (labels, len(layer))
+                edges = sum(map(len, faces)) // 2
+                assert len(layer) - edges + len(faces) == 2, labels
+                sizes.append(len(layer))
+    assert len(sizes) == 27 and set(sizes) == {6, 8, 12}

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 
+from f4weyl import rootsys
 from f4weyl.binocta import GroupElement, build_group
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, format_labels,
@@ -146,6 +148,35 @@ def test_wb4_acts_by_signed_permutations():
         for signs in product((1, -1), repeat=4):
             expected.add(Quaternion(*[c * s for c, s in zip(perm, signs)]))
     assert images == expected
+
+
+def test_signed_permutations_build_no_getters_per_call(monkeypatch):
+    # the arrangement getters depend only on ``fixed``: the system builds
+    # them once, in permutation order, and the rows keep the order of the
+    # per-call getters they replaced
+    def per_call(sys, form):
+        f = 2 * sys.fixed
+        signed, arranged = [form[:f]], {}
+        for x, y in zip(form[f::2], form[f + 1::2]):
+            signed = [r + s for r in signed
+                      for s in ((x, y), (-x, -y))[:1 + bool(x or y)]]
+        for p in permutations(range(f, 8, 2)):
+            get = itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
+            arranged.setdefault(get(form), get)
+        return [get(r) for get in arranged.values() for r in signed]
+
+    cases = [(f4_system(), (5, 0, 3, 1, 3, 1, 0, 0)),
+             (b4_system(), (4, 1, 4, 1, 2, 0, -1, 1)),
+             (b3r_system(), (7, 0, 2, 0, 1, 1, 1, 1))]
+    expected = [per_call(sys, form) for sys, form in cases]
+
+    def refuse(*args):
+        raise AssertionError("itemgetter built per call")
+
+    monkeypatch.setattr(rootsys, "itemgetter", refuse)
+    for (sys, form), rows in zip(cases, expected):
+        assert sys.signed_permutations(form) == rows
+        assert len(rows) == len(set(rows)) == sys.orbit_count([form])
 
 
 def witness_of(sys, word):
