@@ -14,7 +14,10 @@ weight's orbit that Lambda supports.  Local coordinates use the frame
 norm ``(Lambda, Lambda)``, so u-space squared distances are the true
 ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 
-Each public entry point validates its label once, by ``f_vector``, and
+One cached solve per label, ``_vertex_figure``, takes the integer
+products (c, Lambda) once: they pick the centers and give the scales,
+and the centers, scales, shells and cell all read that solve.  Each
+public entry point validates its label once, by ``f_vector``, and
 reads it back from the result; the internal stages take it validated.
 """
 
@@ -163,11 +166,6 @@ def published(labels: Labels) -> Tuple[Optional[int], FieldScalar]:
     return PUBLISHED.get(tuple(int(a.sign() > 0) for a in labels), (None, ONE))
 
 
-def _center_node(entry) -> int:
-    """The 1-based node missing from a rank-4 cell entry's sub-diagram."""
-    return (set(range(1, 5)) - set(entry.nodes)).pop()
-
-
 def _dot_with(b: Tuple[int, ...]):
     """a -> (P, Q) with (a, b) = P + Q*sqrt2, on flat Z[sqrt2] rows."""
     p = tuple(v << (k & 1) for k, v in enumerate(b))  # (x, 2y) per pair
@@ -181,22 +179,54 @@ def _unit_orbit(sys: RootSystem, j: int) -> Orbit:
                                          for i in range(sys.rank)))
 
 
-def _center_rows(sys: RootSystem, labels: Sequence[LabelLike]):
-    """(the validated labels, Lambda's row, den, [(cell entry, node j,
-    sorted W_J omega_j rows)])."""
-    complex_ = f_vector(sys, labels)
-    mu, den = sys.integer_labels(lab := complex_.labels)
-    lam, families = sys.integer_vector(mu), []
+class DualCell(Record):
+    """The dual cell at the dominant vertex in local u-coordinates."""
+
+    source: Labels
+    row_scale: FieldScalar  # published row scale of the 0/1 pattern, else 1
+    coords: Tuple[Tuple[int, Triple], ...]  # (center node, u-triple) per vertex
+
+    def rows(self) -> List[Tuple[int, Triple]]:
+        """The vertices as published: each u-triple times ``row_scale``."""
+        return [(node, tuple(x * self.row_scale for x in u))
+                for node, u in self.coords]
+
+
+@lru_cache(maxsize=64)
+def _vertex_figure(sys_name: str, labels: Labels):
+    """The shared (read-only) solve around Lambda of validated labels:
+    ([(cell entry, node j, sorted W_J omega_j rows)], {node j: scale} in
+    ascending node order, the DualCell).
+
+    With top_j = (omega_j, Lambda) times den * weight_den^2, the centers
+    are the rows c of the orbit of omega_j with (c, Lambda) = top_j, the
+    scale of node j is top_ref / top_j (the common factor cancels), and a
+    center's u-triple is its (c, e_a * Lambda) times its scale; e_a *
+    Lambda is a signed permutation of Lambda's row."""
+    sys = get_system(sys_name)
+    mu, den = sys.integer_labels(labels)
+    lam, families, tops = sys.integer_vector(mu), [], {}
     dot = _dot_with(lam)
-    for entry in complex_.cells:
-        j = _center_node(entry)
+    for entry in _complex_cached(sys_name, labels).cells:
+        (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
         unit = _unit_orbit(sys, j)
         omega = unit.forms[0]  # a dominant row is its own dominant form
-        rows = (unit.rows if lab[j - 1].is_zero()
+        rows = (unit.rows if labels[j - 1].is_zero()
                 else [omega])  # W_J fixes omega_j unless j is in J
-        top = dot(omega)
+        top = tops[j] = dot(omega)
         families.append((entry, j, sorted(r for r in rows if dot(r) == top)))
-    return lab, lam, den, families
+    ref, row_scale = published(labels)
+    top_ref = from_ints(*tops[ref if ref in tops else min(tops)], 1)
+    scales = {j: top_ref / from_ints(*tops[j], 1) for j in sorted(tops)}
+    x0, y0, x1, y1, x2, y2, x3, y3 = lam
+    frame = [_dot_with(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
+                                    (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
+                                    (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
+    over = den * sys.weight_den ** 2  # c's weight_den times Lambda's
+    coords = tuple((j, tuple(from_ints(*dot(c), over) * scales[j]
+                             for dot in frame))
+                   for _, j, rows in families for c in rows)
+    return families, scales, DualCell(labels, row_scale, coords)
 
 
 def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
@@ -204,8 +234,9 @@ def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellF
     omega_j (J the zero-label nodes) are the rows c of the orbit of
     omega_j with (c, Lambda) = (omega_j, Lambda): omega_j - c = sum c_i
     alpha_i, c_i >= 0, and sum c_i a_i = 0 iff c_i = 0 wherever a_i > 0."""
+    families, _, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
     return tuple(CellFamily(entry.nodes, entry.name, j, sys.vertices(rows, 1))
-                 for entry, j, rows in _center_rows(sys, labels)[3])
+                 for entry, j, rows in families)
 
 
 def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, FieldScalar]:
@@ -213,26 +244,13 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
 
     The center of the type-S cell is proportional to the complementary
     weight; scaling node j by ``(w_ref, L) / (w_j, L)`` puts every center
-    into the hyperplane of the reference one.  The reference node (scale
-    exactly 1) follows ``PUBLISHED`` where defined, else the smallest
-    participating node.
+    into the hyperplane of the reference one.  Each ``(w_j, L)`` is read
+    off the same integer product that picks the centers.  The reference
+    node (scale exactly 1) follows ``PUBLISHED`` where defined, else the
+    smallest participating node.
     """
-    return dict(_scales(sys.name, f_vector(sys, labels).labels))
-
-
-@lru_cache(maxsize=64)
-def _scales(sys_name: str, labels: Labels) -> Dict[int, FieldScalar]:
-    """The shared (read-only) ``solve_scales`` of validated labels."""
-    sys = get_system(sys_name)
-    cells = _complex_cached(sys_name, labels).cells
-    present = sorted(map(_center_node, cells))
-    ref, _ = published(labels)
-    if ref not in present:
-        ref = present[0]
-    # (w_j, L) for L = sum a_i w_i: row j of C^-1 (all > 0) times the labels a
-    dots = {j: sum(c * a for c, a in zip(sys.cartan_inv[j - 1], labels))
-            for j in present}
-    return {j: dots[ref] / dots[j] for j in present}
+    _, scales, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
+    return dict(scales)
 
 
 class Shell(Record):
@@ -276,48 +294,23 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     versa; the dual f-vector is the reversed source f-vector.
     """
     source = f_vector(sys, labels)
-    sizes = {_center_node(entry): entry.count for entry in source.cells}
-    shells, units = [], []
-    for j, s in sorted(_scales(sys.name, source.labels).items()):
-        units.append(_unit_orbit(sys, j))
-        shells.append(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s,
-                            sizes[j]))
-    return DualPolytope(source.labels, tuple(shells), source.n0,
+    families, scales, _ = _vertex_figure(sys.name, source.labels)
+    sizes = {j: entry.count for entry, j, _ in families}
+    shells = tuple(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s, sizes[j])
+                   for j, s in scales.items())
+    return DualPolytope(source.labels, shells, source.n0,
                         (source.n3, source.n2, source.n1, source.n0),
-                        tuple(units))
+                        tuple(_unit_orbit(sys, j) for j in scales))
 
 
 # ---------------------------------------------------------------------------
 # local coordinates of the dual cell at the dominant vertex
 
 
-class DualCell(Record):
-    """The dual cell at the dominant vertex in local u-coordinates."""
-
-    source: Labels
-    row_scale: FieldScalar  # published row scale of the 0/1 pattern, else 1
-    coords: Tuple[Tuple[int, Triple], ...]  # (center node, u-triple) per vertex
-
-    def rows(self) -> List[Tuple[int, Triple]]:
-        """The vertices as published: each u-triple times ``row_scale``."""
-        return [(node, tuple(x * self.row_scale for x in u))
-                for node, u in self.coords]
-
-
 def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
-    """Each center's (c, e_a * Lambda) times its scale; e_a * Lambda is a
-    signed permutation of Lambda's row, so each is an integer product."""
-    labels, lam, den, families = _center_rows(sys, labels)
-    x0, y0, x1, y1, x2, y2, x3, y3 = lam
-    frame = [_dot_with(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
-                                    (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
-                                    (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
-    over = den * sys.weight_den ** 2  # c's weight_den times Lambda's
-    scales = _scales(sys.name, labels)
-    coords = tuple((j, tuple(from_ints(*dot(c), over) * scales[j]
-                             for dot in frame))
-                   for _, j, rows in families for c in rows)
-    return DualCell(labels, published(labels)[1], coords)
+    """The dual cell at the dominant vertex of the labels: each center's
+    (c, e_a * Lambda) times its scale, read off the shared solve."""
+    return _vertex_figure(sys.name, f_vector(sys, labels).labels)[2]
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from f4weyl import duals, orbits, refdata
 from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, convex_faces, dist_sq, dual_cell,
                           dual_polytope, kite_face, solve_scales)
-from f4weyl.orbits import f_vector, generate_orbit
+from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import f4_system
-from f4weyl.scalar import SQRT2, FieldScalar, parse_scalar
-from oracles import frame_vectors
+from f4weyl.scalar import SQRT2, FieldScalar, from_ints, parse_scalar
+from oracles import frame_vectors, pattern_labels
 
 F4 = f4_system()
 
@@ -277,16 +279,67 @@ def test_dual_steps_build_the_complex_once(monkeypatch):
     orbits._complex_cached.cache_clear()
     dual_polytope(F4, (2, 1, 0, 1))
     dual_cell(F4, (2, 1, 0, 1))
+    cells_at_vertex(F4, (2, 1, 0, 1))
+    solve_scales(F4, (2, 1, 0, 1))
     assert len(built) == 1
 
 
 def test_dual_steps_solve_the_scales_once():
-    # dual_polytope and dual_cell share one solve; the public call hands
-    # out a fresh dict each time
-    duals._scales.cache_clear()
+    # the four entry points share one vertex-figure solve; the public
+    # scales call hands out a fresh dict each time
+    duals._vertex_figure.cache_clear()
     dual_polytope(F4, (2, 1, 0, 1))
     dual_cell(F4, (2, 1, 0, 1))
-    assert duals._scales.cache_info().misses == 1
+    cells_at_vertex(F4, (2, 1, 0, 1))
+    solve_scales(F4, (2, 1, 0, 1))
+    assert duals._vertex_figure.cache_info().misses == 1
     solve_scales(F4, (2, 1, 0, 1)).clear()
     shells = dual_polytope(F4, (2, 1, 0, 1)).shells
     assert solve_scales(F4, (2, 1, 0, 1)) == {s.node: s.scale for s in shells}
+
+
+def _row_dot(a, b, den):
+    """(a, b) / den of flat Z[sqrt2] rows (x0, y0, ..., x3, y3)."""
+    return from_ints(sum(a[k] * b[k] << (k & 1) for k in range(8)),
+                     sum(a[k] * b[k ^ 1] for k in range(8)), den)
+
+
+# two random labels of each of the 15 zero patterns
+CERTIFIED = pattern_labels(2, 25)
+
+
+@pytest.mark.parametrize("labels", CERTIFIED,
+                         ids=[str(i) for i in range(len(CERTIFIED))])
+def test_polar_duality_certificate(labels):
+    # the dual is the polar of the source up to one scale per shell
+    # (G. M. Ziegler, Lectures on Polytopes, section 2.3), checked on
+    # integer rows: (a) each shell's s_j * omega_j has the same largest
+    # product K with the source rows, reached on the |W_{I-j}| /
+    # |W_{(I-j) & J}| vertices of the cell opposite node j (J the
+    # zero-label nodes); (b) every dual row d has (d, Lambda) <= K, with
+    # equality exactly on the dual cell's centers, node by node
+    lab = F4.coerce_labels(labels)
+    zeros = frozenset(i for i, a in enumerate(lab) if a.is_zero())
+    source = generate_orbit(F4, lab)
+    lam = F4.integer_vector(F4.integer_labels(lab)[0])
+    over = source.den * F4.weight_den ** 2  # a source row's times omega's
+    dual = dual_polytope(F4, lab)
+    centers = {f.center_node: frozenset(f.centers)
+               for f in cells_at_vertex(F4, lab)}
+    assert sorted(centers) == [s.node for s in dual.shells]
+    shell_tops = set()
+    for shell in dual.shells:
+        omega = F4.integer_vector(tuple(
+            v for i in range(4) for v in (int(i == shell.node - 1), 0)))
+        products = [_row_dot(omega, r, over) for r in source.rows]
+        top = max(products)
+        shell_tops.add(top * shell.scale)
+        rest = frozenset(range(4)) - {shell.node - 1}
+        assert products.count(top) == parabolic_order(
+            "F4", rest) // parabolic_order("F4", rest & zeros), shell.node
+    (k,) = shell_tops
+    for shell, unit in zip(dual.shells, dual.units):
+        products = [_row_dot(r, lam, over) * shell.scale for r in unit.rows]
+        assert max(products) == k, shell.node
+        on_top = [r for r, p in zip(unit.rows, products) if p == k]
+        assert frozenset(F4.vertices(on_top, 1)) == centers[shell.node]
