@@ -69,8 +69,10 @@ def export_off(points: Sequence[Tuple[FieldScalar, ...]]) -> str:
     edges = {frozenset((cycle[i - 1], cycle[i]))
              for cycle in faces for i in range(len(cycle))}
     lines = ["OFF", f"{len(pts)} {len(faces)} {len(edges)}"]
-    for p in pts:
-        lines.append(" ".join("%.17g" % float(c) for c in p))
+    try:
+        lines.extend(" ".join("%.17g" % float(c) for c in p) for p in pts)
+    except OverflowError:
+        raise OverflowError("OFF coordinate too large for a float") from None
     for cycle in faces:
         lines.append(" ".join([str(len(cycle))] + [str(m) for m in cycle]))
     return "\n".join(lines) + "\n"
@@ -271,6 +273,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.seed = int(args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    # a computed value may have more digits than a literal may: lift the
+    # int-to-str limit (Python 3.10.7 on) while the command renders them
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         payload, lines = COMMANDS[args.command][0](args)
     except (ValueError, ArithmeticError) as exc:
@@ -278,6 +285,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         where = f" for label {format_labels(label)}" if label else ""
         print(f"error{where}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_limit(limit)
     if args.format == "json":
         import json
         text = json.dumps(payload, indent=2) + "\n"

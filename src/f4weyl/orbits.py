@@ -17,8 +17,14 @@ Counting scheme.  N0 is the index of the parabolic subgroup on the
 zero-label nodes.  A subset S of nodes spans a face type exactly when
 every connected component of S touches a nonzero label, and there are
 ``|W| / |W(S + halo(S))|`` such faces, halo(S) being the zero-label
-nodes neither in S nor adjacent to it (they fix the face).  Names are
-the standard ones of the corresponding rank-2/rank-3 orbit.
+nodes neither in S nor adjacent to it (they fix the face).  The face is
+the orbit polytope of the sub-diagram S (Wythoff's construction; H. S.
+M. Coxeter, "Regular Polytopes", section 11.6), named by one lookup on
+|W_S|, its vertex count |W_S| / |W_(S & J)|, J the zero-label nodes,
+and the largest vertex count among its 2-faces (a polygon's own).
+|W_S| fixes the diagram type (A1xA1 4, A2 6, B2 8, A2xA1 12, B2xA1 16,
+A3 24, B3 48) and the counts its label pattern up to symmetry, so the
+21 keys of F4 and B4, the rank-4 systems ``f_vector`` accepts, differ.
 
 The geometric edge oracle recounts N1 with no group theory: the closest
 pairs of vertex rows, swept along q0 (M. I. Shamos and D. Hoey,
@@ -37,33 +43,20 @@ from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
                       get_system, surd_order)
 from .scalar import surd_sign
 
-#: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
-_B3_CELL_NAMES = {
-    (1, 0, 0): "cube",
-    (0, 1, 0): "cuboctahedron",
-    (0, 0, 1): "octahedron",
-    (1, 1, 0): "truncated cube",
-    (0, 1, 1): "truncated octahedron",
-    (1, 0, 1): "small rhombicuboctahedron",
-    (1, 1, 1): "great rhombicuboctahedron",
-}
-
-#: linear-diagram rank-3 names (pattern and its reversal coincide)
-_A3_CELL_NAMES = {
-    (1, 0, 0): "tetrahedron",
-    (0, 0, 1): "tetrahedron",
-    (0, 1, 0): "octahedron",
-    (1, 1, 0): "truncated tetrahedron",
-    (0, 1, 1): "truncated tetrahedron",
-    (1, 0, 1): "cuboctahedron",
-    (1, 1, 1): "truncated octahedron",
-}
-
-_PRISM_NAMES = {
-    "triangle": "triangular prism",
-    "hexagon": "hexagonal prism",
-    "square": "square prism",
-    "octagon": "octagonal prism",
+#: face and cell names keyed by |W_S|, the vertex count |W_S| / |W_(S & J)|
+#: and the largest vertex count among the 2-faces of S (a polygon's own)
+_NAMES = {
+    (4, 4, 4): "square", (6, 3, 3): "triangle", (6, 6, 6): "hexagon",
+    (8, 4, 4): "square", (8, 8, 8): "octagon",
+    (12, 6, 4): "triangular prism", (12, 12, 6): "hexagonal prism",
+    (16, 8, 4): "square prism", (16, 16, 8): "octagonal prism",
+    (24, 4, 3): "tetrahedron", (24, 6, 3): "octahedron",
+    (24, 12, 4): "cuboctahedron", (24, 12, 6): "truncated tetrahedron",
+    (24, 24, 6): "truncated octahedron", (48, 6, 3): "octahedron",
+    (48, 8, 4): "cube", (48, 12, 4): "cuboctahedron",
+    (48, 24, 4): "small rhombicuboctahedron", (48, 24, 8): "truncated cube",
+    (48, 24, 6): "truncated octahedron",
+    (48, 48, 8): "great rhombicuboctahedron",
 }
 
 
@@ -236,44 +229,6 @@ def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> Fr
         and not any(_adjacent(sys, j, s) for s in nodes))
 
 
-def _is_double_bond(sys: RootSystem, i: int, j: int) -> bool:
-    return sys.cartan[i][j] * sys.cartan[j][i] == 2
-
-
-def _polygon_name(sys: RootSystem, pair: Tuple[int, int],
-                  active: FrozenSet[int]) -> str:
-    i, j = pair
-    both = i in active and j in active
-    if not _adjacent(sys, i, j):
-        return "square"  # A1 x A1 (both must be active for validity)
-    if _is_double_bond(sys, i, j):
-        return "octagon" if both else "square"
-    return "hexagon" if both else "triangle"
-
-
-def _chain_order(sys: RootSystem, comp: List[int]) -> List[int]:
-    """Order a connected rank-3 component along its path."""
-    ends = [i for i in comp if sum(_adjacent(sys, i, j) for j in comp if j != i) == 1]
-    middle = next(j for j in comp if j not in ends)
-    return [ends[0], middle, ends[1]]
-
-
-def _cell_name(sys: RootSystem, comps: List[List[int]],
-               active: FrozenSet[int]) -> str:
-    if len(comps) == 1:
-        chain = _chain_order(sys, comps[0])
-        first = _is_double_bond(sys, chain[0], chain[1])
-        second = _is_double_bond(sys, chain[1], chain[2])
-        pattern = tuple(1 if i in active else 0 for i in chain)
-        if second and not first:  # read from the double-bond end
-            pattern = pattern[::-1]
-        return (_B3_CELL_NAMES if first or second else _A3_CELL_NAMES)[pattern]
-    # a polygon component plus an isolated active node: a prism
-    pair = next(c for c in comps if len(c) == 2)
-    base = _polygon_name(sys, (pair[0], pair[1]), active)
-    return _PRISM_NAMES[base]
-
-
 def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
     """Counts of vertices/edges/faces/cells plus named inventories (cached)."""
     if sys.rank != 4:
@@ -294,15 +249,20 @@ def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
         return all(any(i in active for i in comp)
                    for comp in _components(sys, nodes))
 
+    def shape(nodes: Tuple[int, ...]) -> Tuple[int, int]:  # |W_S|, vertices
+        whole = parabolic_order(sys_name, frozenset(nodes))
+        return whole, whole // parabolic_order(sys_name, frozenset(nodes) - active)
+
+    def entry(nodes: Tuple[int, ...], *key: int) -> FaceEntry:
+        return FaceEntry(tuple(i + 1 for i in nodes), _NAMES[key], count_for(nodes))
+
     n0 = count_for(())  # the halo of no nodes: every zero-label node
     n1 = sum(count_for((i,)) for i in sorted(active))
-    faces = [FaceEntry((i + 1, j + 1), _polygon_name(sys, (i, j), active),
-                       count_for((i, j)))
-             for i, j in combinations(range(4), 2) if valid((i, j))]
-    cells = [FaceEntry(tuple(i + 1 for i in nodes),
-                       _cell_name(sys, _components(sys, nodes), active),
-                       count_for(nodes))
-             for nodes in combinations(range(4), 3) if valid(nodes)]
+    polygons = {p: shape(p) for p in combinations(range(4), 2) if valid(p)}
+    faces = [entry(p, *key, key[1]) for p, key in polygons.items()]
+    cells = [entry(c, *shape(c), max(polygons[p][1] for p in combinations(c, 2)
+                                     if p in polygons))
+             for c in combinations(range(4), 3) if valid(c)]
     return PolytopeComplex(
         lab, n0, n1,
         sum(f.count for f in faces), sum(c.count for c in cells),

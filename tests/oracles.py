@@ -10,8 +10,9 @@ are the routes those replaced: the inverse dominance walk
 e_j) and for |W_J| (the free W_J-walk of rho), and per-label routes that
 read the sorted ``FieldScalar`` vertices or the walk's labels, walk
 every rescaled label (dual shells and scaled layers), take the dual
-cell's coordinates against the quaternion frame, and render the
-branching text from a second branching.  The Euler relation, the
+cell's coordinates against the quaternion frame, render the
+branching text from a second branching, and name each face and cell
+by walking its sub-diagram (``diagram_inventories``).  The Euler relation, the
 closed-form orbit size |W| / |W_J| and the quaternion and group-element
 inverses, which only tests call, live here too, and so do the
 ``Fraction``-based literal parser and the quaternion formatter that read
@@ -20,17 +21,19 @@ each scalar's string once per call.
 
 import random
 from fractions import Fraction
-from itertools import product
-from typing import Dict
+from itertools import combinations, product
+from typing import Dict, FrozenSet, List, Tuple
 
 from f4weyl.binocta import _element, unit_tables
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
 from f4weyl.duals import solve_scales
-from f4weyl.orbits import (_validated, f_vector, generate_orbit,
+from f4weyl.orbits import (FaceEntry, _adjacent, _components, _halo,
+                           _validated, f_vector, generate_orbit,
                            stabilizer_order, weyl_order)
 from f4weyl.quat import E1, E2, E3
-from f4weyl.rootsys import (b3r_system, b4_system, f4_system, first_negative,
-                            format_labels, get_system, scalar_labels)
+from f4weyl.rootsys import (RootSystem, b3r_system, b4_system, f4_system,
+                            first_negative, format_labels, get_system,
+                            scalar_labels)
 from f4weyl.scalar import (_TERM_RE, INV_SQRT2, FieldScalar, as_scalar,
                            from_ints, surd_sign)
 
@@ -245,6 +248,100 @@ def scalar_str(s):
         return surd
     sep = "" if surd.startswith("-") else "+"
     return f"{a}{sep}{surd}"
+
+
+#: rank-3 orbit names keyed by 0/1 activity pattern, double-bond end first
+_B3_CELL_NAMES = {
+    (1, 0, 0): "cube",
+    (0, 1, 0): "cuboctahedron",
+    (0, 0, 1): "octahedron",
+    (1, 1, 0): "truncated cube",
+    (0, 1, 1): "truncated octahedron",
+    (1, 0, 1): "small rhombicuboctahedron",
+    (1, 1, 1): "great rhombicuboctahedron",
+}
+
+#: linear-diagram rank-3 names (pattern and its reversal coincide)
+_A3_CELL_NAMES = {
+    (1, 0, 0): "tetrahedron",
+    (0, 0, 1): "tetrahedron",
+    (0, 1, 0): "octahedron",
+    (1, 1, 0): "truncated tetrahedron",
+    (0, 1, 1): "truncated tetrahedron",
+    (1, 0, 1): "cuboctahedron",
+    (1, 1, 1): "truncated octahedron",
+}
+
+_PRISM_NAMES = {
+    "triangle": "triangular prism",
+    "hexagon": "hexagonal prism",
+    "square": "square prism",
+    "octagon": "octagonal prism",
+}
+
+
+def _is_double_bond(sys: RootSystem, i: int, j: int) -> bool:
+    return sys.cartan[i][j] * sys.cartan[j][i] == 2
+
+
+def _polygon_name(sys: RootSystem, pair: Tuple[int, int],
+                  active: FrozenSet[int]) -> str:
+    i, j = pair
+    both = i in active and j in active
+    if not _adjacent(sys, i, j):
+        return "square"  # A1 x A1 (both must be active for validity)
+    if _is_double_bond(sys, i, j):
+        return "octagon" if both else "square"
+    return "hexagon" if both else "triangle"
+
+
+def _chain_order(sys: RootSystem, comp: List[int]) -> List[int]:
+    """Order a connected rank-3 component along its path."""
+    ends = [i for i in comp if sum(_adjacent(sys, i, j) for j in comp if j != i) == 1]
+    middle = next(j for j in comp if j not in ends)
+    return [ends[0], middle, ends[1]]
+
+
+def _cell_name(sys: RootSystem, comps: List[List[int]],
+               active: FrozenSet[int]) -> str:
+    if len(comps) == 1:
+        chain = _chain_order(sys, comps[0])
+        first = _is_double_bond(sys, chain[0], chain[1])
+        second = _is_double_bond(sys, chain[1], chain[2])
+        pattern = tuple(1 if i in active else 0 for i in chain)
+        if second and not first:  # read from the double-bond end
+            pattern = pattern[::-1]
+        return (_B3_CELL_NAMES if first or second else _A3_CELL_NAMES)[pattern]
+    # a polygon component plus an isolated active node: a prism
+    pair = next(c for c in comps if len(c) == 2)
+    base = _polygon_name(sys, (pair[0], pair[1]), active)
+    return _PRISM_NAMES[base]
+
+
+def diagram_inventories(sys, labels):
+    """``f_vector``'s face and cell inventories with each name read off the
+    diagram: walk the sub-diagram's chain, orient it from the double bond
+    and look the label pattern up in a rank-2 or rank-3 table.  The
+    counts are ``|W| / |W(S + halo(S))|`` with |W_J| from the walk of rho."""
+    lab = _validated(sys, labels)
+    active = frozenset(i for i, a in enumerate(lab) if not a.is_zero())
+    order = weyl_order(sys)
+
+    def count_for(nodes):
+        return order // parabolic_order(sys.name, _halo(sys, nodes, active))
+
+    def valid(nodes):
+        return all(any(i in active for i in comp)
+                   for comp in _components(sys, nodes))
+
+    faces = [FaceEntry((i + 1, j + 1), _polygon_name(sys, (i, j), active),
+                       count_for((i, j)))
+             for i, j in combinations(range(4), 2) if valid((i, j))]
+    cells = [FaceEntry(tuple(i + 1 for i in nodes),
+                       _cell_name(sys, _components(sys, nodes), active),
+                       count_for(nodes))
+             for nodes in combinations(range(4), 3) if valid(nodes)]
+    return tuple(faces), tuple(cells)
 
 
 def euler_ok(complex_):

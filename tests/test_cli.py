@@ -19,7 +19,8 @@ import f4weyl
 from f4weyl import verify
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.cli import convex_faces, export_off, main, parse_label
-from f4weyl.duals import cross3, dot3, dual_cell, dual_polytope, sub3
+from f4weyl.duals import (cross3, dot3, dual_cell, dual_polytope, solve_scales,
+                          sub3)
 from f4weyl.orbits import generate_orbit
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import FieldScalar, parse_scalar
@@ -298,6 +299,50 @@ def test_dual_json_schema():
                    - float(parse_scalar(shell["radius_sq"]))) < 1e-12
     rows = {tuple(v["coords"]) for v in payload["cell"]["vertices"]}
     assert ("2/3", "2/3", "2/3") in rows
+
+
+# 1 followed by 600 sevens: each entry parses under the interpreter's
+# int-to-str limit of 4300 digits, but the dual's scales run to 9017
+# characters
+BIG = "1" + "7" * 600
+BIG_LABEL = f"{BIG}/3+sqrt2,0,1/{BIG},2"
+# no-ops on Python 3.10.0-3.10.6, which has no such limit
+get_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+set_str_digits = getattr(sys, "set_int_max_str_digits", lambda n: None)
+
+
+def test_dual_answers_a_label_past_the_str_digit_limit():
+    limit = get_str_digits()
+    code, out, err = run_cli(["dual", BIG_LABEL, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert get_str_digits() == limit  # main restores the limit
+    scales = solve_scales(f4_system(), parse_label(BIG_LABEL))
+    set_str_digits(0)
+    try:
+        expected = [{"node": j, "scale": str(s)} for j, s in scales.items()]
+    finally:
+        set_str_digits(limit)
+    assert json.loads(out)["scales"] == expected
+    assert max(len(s["scale"]) for s in expected) == 9017
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str limit")
+def test_literal_past_the_str_digit_limit_is_a_usage_error():
+    # a command that lifts the limit first: the parse after it still
+    # runs under the limit
+    assert run_cli(["fvector", "1,0,0,1"])[0] == 0
+    code, out, err = run_cli(["dual", "1" * 4301 + ",0,0,1"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("f4weyl: error: label ")
+
+
+def test_export_refuses_coordinates_past_float_range():
+    code, out, err = run_cli(["export", BIG_LABEL])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.endswith(": OFF coordinate too large for a float\n")
 
 
 def test_project_halfscale_layers():

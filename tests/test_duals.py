@@ -343,3 +343,34 @@ def test_polar_duality_certificate(labels):
         assert max(products) == k, shell.node
         on_top = [r for r, p in zip(unit.rows, products) if p == k]
         assert frozenset(F4.vertices(on_top, 1)) == centers[shell.node]
+
+
+# the vertex count of each face and cell name that f_vector gives
+VERTEX_COUNTS = {
+    "triangle": 3, "square": 4, "hexagon": 6, "octagon": 8,
+    "tetrahedron": 4, "octahedron": 6, "cube": 8, "cuboctahedron": 12,
+    "truncated tetrahedron": 12, "truncated octahedron": 24,
+    "truncated cube": 24, "small rhombicuboctahedron": 24,
+    "great rhombicuboctahedron": 48, "triangular prism": 6,
+    "square prism": 8, "hexagonal prism": 12, "octagonal prism": 16,
+}
+
+
+@pytest.mark.parametrize("labels", CERTIFIED,
+                         ids=[str(i) for i in range(len(CERTIFIED))])
+def test_f_vector_certificate(labels):
+    # the dual cell at Lambda is polar to the vertex figure there (G. M.
+    # Ziegler, Lectures on Polytopes, Lecture 2): its V vertices are the
+    # cells at Lambda, its E edges the 2-faces and its F faces the edges,
+    # so N0 times each counts the vertex incidences of the named cells,
+    # of the named 2-faces and of the edges
+    fv = f_vector(F4, labels)
+    points = [u for _, u in dual_cell(F4, labels).coords]
+    faces = convex_faces(points)
+    edges = {frozenset((cycle[i - 1], cycle[i]))
+             for cycle in faces for i in range(len(cycle))}
+    assert fv.n0 * len(points) == sum(
+        c.count * VERTEX_COUNTS[c.name] for c in fv.cells)
+    assert fv.n0 * len(edges) == sum(
+        f.count * VERTEX_COUNTS[f.name] for f in fv.faces)
+    assert fv.n0 * len(faces) == 2 * fv.n1

@@ -4,13 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
+from f4weyl import orbits
 from f4weyl.binocta import build_subsets
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
                            parabolic_order, stabilizer_order, weyl_order)
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar
-from oracles import euler_ok, orbit_size
+from oracles import diagram_inventories, euler_ok, orbit_size
 
 F4 = f4_system()
 
@@ -137,6 +138,36 @@ def test_b4_f_vector_cross_check():
     assert sorted(c.count for c in complex_.cells) == [8, 16]
     assert [(f.name, f.count) for f in complex_.faces] == \
         [("triangle", 32), ("triangle", 64)]
+
+
+class _ReadKeys(dict):
+    """A name table that records the keys it is read at."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_names_match_the_diagram_walk(monkeypatch):
+    # every (nodes, name, count) entry of the invariant-keyed table, in
+    # order, against the old chain walk on all 30 (system, pattern)
+    # complexes, and every key of the table is read on the way
+    table = _ReadKeys(orbits._NAMES)
+    monkeypatch.setattr(orbits, "_NAMES", table)
+    orbits._complex_cached.cache_clear()
+    try:
+        for sys in (F4, b4_system()):
+            for pattern in ALL_PATTERNS:
+                complex_ = f_vector(sys, pattern)
+                assert (complex_.faces, complex_.cells) == \
+                    diagram_inventories(sys, pattern), (sys.name, pattern)
+    finally:
+        orbits._complex_cached.cache_clear()
+    assert table.read == set(orbits._NAMES)
 
 
 def test_edge_oracle_small():
