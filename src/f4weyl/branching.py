@@ -9,16 +9,15 @@ B3 layer is the signed permutations with q0 = +-|q_k| of one form: its
 chamber point is the form's other three coordinates, with label
 (sqrt2*q3, q2-q3, q1-q2) (B3R's roots are sqrt2*e3, e2-e3, e1-e2), at
 height |q_k/sqrt2|, the pair (2*y, x) over 2S.  A part's size is the count
-of its form's signed permutations; the 3D layers are the signed
-permutations of the forms' coordinate ranks, grouped on q0.  Each entry
-point validates its label once; the stages behind it take it validated.
+of its form's signed permutations; the 3D layer at q0 = +-v is the B3
+signed permutations of the other three coordinate ranks of each form
+holding v >= 0 (q0 -> -q0 is in W(B4)).  Each entry point validates its
+label once; the stages behind it take it validated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence, Tuple
 
 from .orbits import Record, _orbit_cached, _validated, generate_orbit
@@ -100,20 +99,24 @@ def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
     orbit = _orbit_cached(f4.name, labels)
     den = orbit.den * f4.weight_den * scale.d
     forms = [list(zip(f[::2], f[1::2])) for f in scale_rows(orbit.forms, scale)]
-    # rank i of the n sorted +- form coordinates gets key 2*i - n + 1: keys
-    # keep order, negate with the value and key 0 as 0, so the rows' keys
-    # are signed permutations of the forms' keys and sort as values do
+    # rank i of the n sorted +- coordinates is key 2*i - n + 1, which keeps
+    # order, negates with the value and is 0 at 0: key rows sort as points
     values = sorted({v for form in forms for x, y in form
                      for v in ((x, y), (-x, -y))}, key=surd_order)
     key = {xy: 2 * i - len(values) + 1 for i, xy in enumerate(values)}
     scalars = {key[xy]: from_ints(*xy, den) for xy in values}
-    rows = sorted(row for form in forms for row in f4.signed_permutations(
-        tuple(v for xy in form for v in (key[xy], 0))))
-    layers = [(scalars[q0], tuple((scalars[r[2]], scalars[r[4]], scalars[r[6]])
-                                  for r in layer))
-              for q0, layer in groupby(rows, itemgetter(0))]
+    b3, rows = b3r_system(), {}  # the B3 key rows of each layer q0 = v >= 0
+    for form in forms:
+        keyed = tuple(k for xy in form for k in (key[xy], 0))
+        for i in (0, 2, 4, 6):
+            if keyed[i] not in keyed[:i:2]:  # each distinct v once
+                rows.setdefault(keyed[i], []).extend(b3.signed_permutations(
+                    keyed[i:i + 2] + keyed[:i] + keyed[i + 2:]))
     # the height is q0 / sqrt2, a positive factor: q0 order is height order
-    return tuple((q0 * INV_SQRT2, pts) for q0, pts in reversed(layers))
+    top = [(scalars[v] * INV_SQRT2, tuple([
+        (scalars[r[2]], scalars[r[4]], scalars[r[6]]) for r in sorted(rows[v])]))
+        for v in sorted(rows, reverse=True)]
+    return tuple(top + [(-h, pts) for h, pts in reversed(top) if h])
 
 
 def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:

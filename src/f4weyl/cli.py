@@ -65,14 +65,14 @@ def export_off(points: Sequence[Tuple[FieldScalar, ...]]) -> str:
     """Render exact 3D points as OFF text (17 significant digits)."""
     from . import duals  # per call, so a rebound duals.convex_faces is run
     pts = sorted(points)
+    try:  # before the hull, which is slow on coordinates this long
+        coords = [" ".join("%.17g" % float(c) for c in p) for p in pts]
+    except OverflowError:
+        raise OverflowError("OFF coordinate too large for a float") from None
     faces = duals.convex_faces(pts)
     edges = {frozenset((cycle[i - 1], cycle[i]))
              for cycle in faces for i in range(len(cycle))}
-    lines = ["OFF", f"{len(pts)} {len(faces)} {len(edges)}"]
-    try:
-        lines.extend(" ".join("%.17g" % float(c) for c in p) for p in pts)
-    except OverflowError:
-        raise OverflowError("OFF coordinate too large for a float") from None
+    lines = ["OFF", f"{len(pts)} {len(faces)} {len(edges)}", *coords]
     for cycle in faces:
         lines.append(" ".join([str(len(cycle))] + [str(m) for m in cycle]))
     return "\n".join(lines) + "\n"
@@ -122,7 +122,10 @@ def _cmd_fvector(args):
 def _cmd_orbit(args):
     orbit = generate_orbit(f4_system(), args.label)
     payload, _ = _cmd_fvector(args)
-    payload["vertices"] = [v.json_obj() for v in orbit.vertices]
+    rows = sorted(orbit.rows)  # the order of orbit.vertices
+    text = f4_system()._pair_values(rows, orbit.den, str)
+    payload["vertices"] = [[text[r[k:k + 2]] for k in (0, 2, 4, 6)]
+                           for r in rows]
     lines = [f"{payload['label']}  {orbit.size} vertices"]
     return payload, lines + [_render(v) for v in payload["vertices"]]
 
@@ -158,11 +161,12 @@ def _cmd_branch_b3a1(args):
 def _cmd_project(args):
     from .branching import project_3d
     layers = project_3d(args.label, args.scale)
+    text = {c: str(c) for c in {c for _, pts in layers for p in pts for c in p}}
     payload = {
         "label": format_labels(args.label),
         "scale": str(args.scale),
         "layers": [{"height": str(h),
-                    "points": [[str(c) for c in p] for p in pts]}
+                    "points": [[text[c] for c in p] for p in pts]}
                    for h, pts in layers],
     }
     lines = [f"{payload['label']} at scale {args.scale}: {len(layers)} layers"]

@@ -23,7 +23,7 @@ from functools import cached_property, cmp_to_key, lru_cache
 from itertools import permutations
 from math import factorial, lcm, prod
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
 from .scalar import (HALF, INV_SQRT2, SQRT2, FieldScalar, Rational, as_scalar,
@@ -214,11 +214,15 @@ class RootSystem:
         """Sorted quaternions of integer vertex rows over ``den * weight_den``
         (over one positive denominator, integer order is Quaternion order)."""
         coords = sorted(rows)
-        scale = den * self.weight_den
-        scalars = {xy: from_ints(xy[0], xy[1], scale)
-                   for xy in {c[k:k + 2] for c in coords for k in (0, 2, 4, 6)}}
+        scalars = self._pair_values(coords, den)
         return tuple(from_scalars(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
                      for c in coords)
+
+    def _pair_values(self, rows: Sequence[IntRow], den: int,
+                     value: Callable = lambda s: s) -> dict:
+        """``value`` of each distinct coordinate pair's scalar, made once."""
+        return {xy: value(from_ints(xy[0], xy[1], den * self.weight_den))
+                for xy in {r[k:k + 2] for r in rows for k in (0, 2, 4, 6)}}
 
     def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
         """Dominant label of the orbit of v and the word of the dominance

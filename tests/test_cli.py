@@ -338,7 +338,14 @@ def test_literal_past_the_str_digit_limit_is_a_usage_error():
     assert err.startswith("f4weyl: error: label ")
 
 
-def test_export_refuses_coordinates_past_float_range():
+def test_export_refuses_coordinates_past_float_range(monkeypatch):
+    # the float lines come first: the slow hull is never reached
+    from f4weyl import duals
+
+    def unreachable(points):
+        raise AssertionError("convex_faces ran before the float check")
+
+    monkeypatch.setattr(duals, "convex_faces", unreachable)
     code, out, err = run_cli(["export", BIG_LABEL])
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
@@ -440,8 +447,9 @@ def test_random_label_payload_invariants():
 @pytest.mark.parametrize("label", ("1,1,1,1", "0,1,1,0", "1/2+sqrt2,0,3,0"))
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_orbit_renders_each_scalar_once(label, fmt):
-    # 4 str calls for the label and 4 per vertex: the text lines are
-    # rendered from the JSON payload's component strings
+    # 4 str calls for the label and 1 per distinct coordinate pair of the
+    # integer rows: the text lines are rendered from the JSON payload's
+    # component strings
     calls = []
     plain = FieldScalar.__str__
 
@@ -449,11 +457,13 @@ def test_orbit_renders_each_scalar_once(label, fmt):
         calls.append(1)
         return plain(self)
 
-    vertices = generate_orbit(f4_system(), parse_label(label)).vertices
+    orbit = generate_orbit(f4_system(), parse_label(label))
+    vertices = orbit.vertices
+    pairs = {r[k:k + 2] for r in orbit.rows for k in (0, 2, 4, 6)}
     with mock.patch.object(FieldScalar, "__str__", counting):
         code, out, _ = run_cli(["orbit", label, "--format", fmt])
     assert code == 0
-    assert len(calls) == 4 * len(vertices) + 4, (len(calls), len(vertices))
+    assert len(calls) == len(pairs) + 4, (len(calls), len(pairs))
     if fmt == "text":
         assert out.splitlines()[1:] == list(map(oracles.quaternion_str,
                                                 vertices))

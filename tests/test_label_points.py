@@ -2,10 +2,11 @@
 
 Full orbits are the signed permutations of their coset rows, and their
 sizes and the subgroup orders are counted off those rows' dominant
-forms; the branchings and the cell centers read those rows, the 3D
-layers the signed permutations of the forms' coordinate ranks, and the
-dual shells and the dual cell integer vertex rows; no stage expands the
-label's orbit; the CLI prints the branching text from its payload.
+forms; the branchings and the cell centers read those rows, each +-
+pair of 3D layers the B3 signed permutations of the forms' coordinate
+ranks, and the dual shells and the dual cell integer vertex rows; no
+stage expands the label's orbit; the CLI prints the branching and orbit
+text from its payload.
 ``oracles`` holds the routes they replaced: the inverse dominance walk
 over all nodes, over the zero-label nodes from e_j and from rho, sorted
 ``FieldScalar`` vertices, the walk's labels, walked rescaled labels, the
@@ -15,6 +16,7 @@ pattern, some with negative rational or sqrt2 parts; scales are seeded
 positive Q(sqrt2) numbers with nonzero sqrt2 parts.
 """
 
+import json
 from itertools import combinations
 
 import pytest
@@ -24,7 +26,8 @@ from f4weyl.binocta import OMEGA0
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.duals import dual_cell, dual_polytope
 from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
-from f4weyl.rootsys import f4_system, format_labels, get_system, omega0_row
+from f4weyl.rootsys import (RootSystem, f4_system, format_labels, get_system,
+                            omega0_row)
 from f4weyl.scalar import FieldScalar, parse_scalar
 import oracles
 
@@ -102,6 +105,48 @@ def test_layers_match_vertex_oracle(labels):
             assert list(pts) == sorted(pts), (scale, h)
             assert len(set(pts)) == len(pts), (scale, h)
             assert sorted(walked_pts) == list(pts), (scale, h)
+
+
+# LABELS and PATTERNS share the 15 0/1 patterns: each label once
+LAYER_CASES = list(dict.fromkeys(LABELS + PATTERNS))
+
+
+@pytest.mark.parametrize("labels", LAYER_CASES,
+                         ids=[str(i) for i in range(len(LAYER_CASES))])
+def test_layers_come_in_mirrored_pairs(monkeypatch, labels):
+    # the layer at -h holds the points of the layer at h, both read off
+    # the forms with no F4 signed permutations
+    orbit = generate_orbit(F4, labels)
+    zero = any(not any(form[k:k + 2]) for form in orbit.forms
+               for k in (0, 2, 4, 6))
+    expanded = []
+    perms = RootSystem.signed_permutations
+
+    def counted(self, form):
+        expanded.append(self.name)
+        return perms(self, form)
+
+    monkeypatch.setattr(RootSystem, "signed_permutations", counted)
+    for scale in [1] + SCALES:
+        layers = project_3d(labels, scale)
+        for (h, pts), (mirror, mirror_pts) in zip(layers, reversed(layers)):
+            assert h == -mirror and pts == mirror_pts, (scale, h)
+        assert any(h == 0 for h, _ in layers) == zero, scale
+        assert not zero or layers[len(layers) // 2][0] == 0, scale
+        assert sum(len(pts) for _, pts in layers) == orbit.size, scale
+    assert "F4" not in expanded, expanded
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=IDS)
+def test_orbit_command_matches_vertex_oracles(capsys, labels):
+    text = ",".join(str(a) for a in labels)
+    vertices = generate_orbit(F4, labels).vertices
+    assert cli.main(["orbit", text, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["vertices"]
+    assert got == [v.json_obj() for v in vertices]
+    assert cli.main(["orbit", text]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == \
+        list(map(oracles.quaternion_str, vertices))
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=IDS)
