@@ -16,7 +16,8 @@ ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 
 One cached solve per label, ``_vertex_figure``, takes the integer
 products (c, Lambda) once: they pick the centers and give the scales,
-and the centers, scales, shells and cell all read that solve.  Each
+and the centers, scales, shells and cell all read that solve; it takes
+J from ``orbits.zero_nodes`` and reads ``PUBLISHED`` for F4 only.  Each
 public entry point validates its label once, by ``f_vector``, and
 reads it back from the result; the internal stages take it validated.
 """
@@ -30,7 +31,8 @@ from math import lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import Orbit, Record, _complex_cached, _orbit_cached, f_vector
+from .orbits import (Orbit, Record, _complex_cached, _orbit_cached, f_vector,
+                     zero_nodes)
 from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
@@ -38,9 +40,9 @@ from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, surd_sign
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
 
-#: per published 0/1 pattern: the reference node (cell-center scale 1) and
-#: the row scale of the printed cell rows, printed = row_scale * (c, e_a L);
-#: other patterns take the smallest participating node and row scale 1
+#: per published F4 0/1 pattern: the reference node (cell-center scale 1)
+#: and the row scale of the printed cell rows, printed = row_scale * (c, e_a
+#: L); other patterns and systems take the smallest center node and scale 1
 PUBLISHED: Dict[Tuple[int, ...], Tuple[int, FieldScalar]] = {
     (1, 0, 0, 0): (4, ONE), (0, 1, 0, 0): (4, INV_SQRT2),
     (0, 0, 1, 0): (1, ONE), (1, 1, 0, 0): (4, SQRT2),
@@ -50,23 +52,17 @@ PUBLISHED: Dict[Tuple[int, ...], Tuple[int, FieldScalar]] = {
 }
 
 
-def sub3(a: Triple, b: Triple) -> Triple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+def _point_rows(points: Sequence[Triple]) -> Tuple[List[Tuple[int, ...]], int]:
+    """Exact 3D points as flat Z[sqrt2] rows (x0, y0, ..., x2, y2) over their
+    denominators' lcm, and that lcm: the hull, metrics and kite read them."""
+    scale = lcm(*(c.d for p in points for c in p))
+    return [tuple(t * (scale // c.d) for c in p for t in (c.x, c.y))
+            for p in points], scale
 
 
-def dot3(a: Triple, b: Triple) -> FieldScalar:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross3(a: Triple, b: Triple) -> Triple:
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def dist_sq(p: Triple, q: Triple) -> FieldScalar:
-    d = sub3(p, q)
-    return dot3(d, d)
+def _dist_sq(a: Tuple[int, ...], b: Tuple[int, ...], scale: int) -> FieldScalar:
+    d = _sub_rows(a, b)
+    return from_ints(*_dot_with(d)(d), scale * scale)
 
 
 def _sub_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -102,9 +98,7 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
     n = len(points)
     if n == 0:
         raise ValueError("empty geometry")
-    scale = lcm(*(c.d for p in points for c in p))
-    rows = [tuple(t * (scale // c.d) for c in p for t in (c.x, c.y))
-            for p in points]
+    rows, _ = _point_rows(points)
     if len(set(rows)) != n:
         raise ValueError("duplicate points")
     planes: Dict[frozenset, Tuple[int, ...]] = {}
@@ -161,11 +155,6 @@ class CellFamily(Record):
     centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
 
 
-def published(labels: Labels) -> Tuple[Optional[int], FieldScalar]:
-    """(reference node or None, row scale) of the labels' 0/1 pattern."""
-    return PUBLISHED.get(tuple(int(a.sign() > 0) for a in labels), (None, ONE))
-
-
 def _dot_with(b: Tuple[int, ...]):
     """a -> (P, Q) with (a, b) = P + Q*sqrt2, on flat Z[sqrt2] rows."""
     p = tuple(v << (k & 1) for k, v in enumerate(b))  # (x, 2y) per pair
@@ -207,15 +196,17 @@ def _vertex_figure(sys_name: str, labels: Labels):
     mu, den = sys.integer_labels(labels)
     lam, families, tops = sys.integer_vector(mu), [], {}
     dot = _dot_with(lam)
-    for entry in _complex_cached(sys_name, labels).cells:
+    zeros = zero_nodes(labels)
+    for entry in _complex_cached(sys_name, zeros)[-1]:  # the cells
         (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
         unit = _unit_orbit(sys, j)
         omega = unit.forms[0]  # a dominant row is its own dominant form
-        rows = (unit.rows if labels[j - 1].is_zero()
+        rows = (unit.rows if j - 1 in zeros
                 else [omega])  # W_J fixes omega_j unless j is in J
         top = tops[j] = dot(omega)
         families.append((entry, j, sorted(r for r in rows if dot(r) == top)))
-    ref, row_scale = published(labels)
+    ref, row_scale = (PUBLISHED if sys_name == "F4" else {}).get(
+        tuple(int(i not in zeros) for i in range(4)), (None, ONE))
     top_ref = from_ints(*tops[ref if ref in tops else min(tops)], 1)
     scales = {j: top_ref / from_ints(*tops[j], 1) for j in sorted(tops)}
     x0, y0, x1, y1, x2, y2, x3, y3 = lam
@@ -231,9 +222,10 @@ def _vertex_figure(sys_name: str, labels: Labels):
 
 def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
     """Cell families around the dominant vertex.  The type-S centers W_J
-    omega_j (J the zero-label nodes) are the rows c of the orbit of
-    omega_j with (c, Lambda) = (omega_j, Lambda): omega_j - c = sum c_i
-    alpha_i, c_i >= 0, and sum c_i a_i = 0 iff c_i = 0 wherever a_i > 0."""
+    omega_j (J = ``zero_nodes``) are the rows c of the orbit of omega_j
+    with (c, Lambda) = (omega_j, Lambda): omega_j - c = sum c_i alpha_i,
+    c_i >= 0, and sum c_i a_i = 0 iff c_i = 0 wherever a_i > 0; off J,
+    omega_j is the only one."""
     families, _, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
     return tuple(CellFamily(entry.nodes, entry.name, j, sys.vertices(rows, 1))
                  for entry, j, rows in families)
@@ -246,8 +238,9 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     weight; scaling node j by ``(w_ref, L) / (w_j, L)`` puts every center
     into the hyperplane of the reference one.  Each ``(w_j, L)`` is read
     off the same integer product that picks the centers.  The reference
-    node (scale exactly 1) follows ``PUBLISHED`` where defined, else the
-    smallest participating node.
+    node (scale exactly 1) follows ``PUBLISHED`` for F4's published 0/1
+    patterns, else (other F4 patterns, every B4 pattern) it is the
+    smallest center node.
     """
     _, scales, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
     return dict(scales)
@@ -326,8 +319,9 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
     lam = sys.label_to_vector(cell.source)
     if scale_sq is None:
         scale_sq = FieldScalar(1) / lam.dot(lam)
-    pts = [u for _, u in cell.coords]
-    return Counter(dist_sq(p, q) * scale_sq for p, q in combinations(pts, 2))
+    rows, scale = _point_rows([u for _, u in cell.coords])
+    return Counter(_dist_sq(p, q, scale) * scale_sq
+                   for p, q in combinations(rows, 2))
 
 
 def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]:
@@ -348,22 +342,23 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]
         raise ValueError("dual cell is not a trapezohedron for %s"
                          % format_labels(cell.source))
     pts = [u for _, u in cell.rows()]
+    rows, scale = _point_rows(pts)
     face = convex_faces(pts)[0]
     k = next(k for k, i in enumerate(face) if family_size[nodes[i]] == 1)
-    a, b1, c, b2 = (pts[i] for i in face[k:] + face[:k])
-    sides = (dist_sq(a, b1), dist_sq(b1, c), dist_sq(c, b2), dist_sq(b2, a))
-    d_axis, d_cross = dist_sq(a, c), dist_sq(b1, b2)
+    a, b1, c, b2 = (rows[i] for i in face[k:] + face[:k])
+    sides = tuple(_dist_sq(p, q, scale)
+                  for p, q in ((a, b1), (b1, c), (c, b2), (b2, a)))
+    d_axis, d_cross = _dist_sq(a, c, scale), _dist_sq(b1, b2, scale)
     # the diagonals must be perpendicular for the half-product area rule
-    if not dot3(sub3(c, a), sub3(b2, b1)).is_zero():
+    if _dot_sign(_sub_rows(c, a), _sub_rows(b2, b1)):
         raise ArithmeticError("kite diagonals are not perpendicular")
     area_sq = d_axis * d_cross / 4
 
-    def tri_area(p, q, r) -> float:
-        cx = cross3(sub3(q, p), sub3(r, p))
-        return 0.5 * dot3(cx, cx) ** 0.5
+    def tri_area(p, q, r) -> float:  # half the float norm of the cross product
+        cx = _cross_rows(_sub_rows(q, p), _sub_rows(r, p))
+        return 0.5 * float(from_ints(*_dot_with(cx)(cx), scale ** 4)) ** 0.5
 
-    fa, fb1, fc, fb2 = (tuple(map(float, p)) for p in (a, b1, c, b2))
-    area_float = tri_area(fa, fb1, fc) + tri_area(fa, fc, fb2)
+    area_float = tri_area(a, b1, c) + tri_area(a, c, b2)
     return {
         "sides_sq": sides,
         "axis_diagonal_sq": d_axis,

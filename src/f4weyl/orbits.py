@@ -25,6 +25,8 @@ and the largest vertex count among its 2-faces (a polygon's own).
 |W_S| fixes the diagram type (A1xA1 4, A2 6, B2 8, A2xA1 12, B2xA1 16,
 A3 24, B3 48) and the counts its label pattern up to symmetry, so the
 21 keys of F4 and B4, the rank-4 systems ``f_vector`` accepts, differ.
+A label enters only through J, read by ``zero_nodes`` (as for the
+stabilizer and the dual cells), so the complex is cached per system and J.
 
 The geometric edge oracle recounts N1 with no group theory: the closest
 pairs of vertex rows, swept along q0 (M. I. Shamos and D. Hoey,
@@ -197,10 +199,14 @@ def weyl_order(sys: RootSystem) -> int:
     return parabolic_order(sys.name, frozenset(range(sys.rank)))
 
 
+def zero_nodes(labels: Labels) -> FrozenSet[int]:
+    """J, the 0-based nodes of the zero entries: all the face lattice reads."""
+    return frozenset(i for i, a in enumerate(labels) if a.is_zero())
+
+
 def stabilizer_order(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
     lab = _validated(sys, labels, require_nonzero=False)
-    inactive = frozenset(i for i, a in enumerate(lab) if a.is_zero())
-    return parabolic_order(sys.name, inactive)
+    return parabolic_order(sys.name, zero_nodes(lab))
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +236,18 @@ def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> Fr
 
 
 def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
-    """Counts of vertices/edges/faces/cells plus named inventories (cached)."""
+    """The validated labels' counts and named inventories (cached per J)."""
     if sys.rank != 4:
         raise ValueError("f_vector needs a rank-4 system")
-    return _complex_cached(sys.name, _validated(sys, labels))
+    lab = _validated(sys, labels)
+    return PolytopeComplex(lab, *_complex_cached(sys.name, zero_nodes(lab)))
 
 
-@lru_cache(maxsize=64)
-def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
+@lru_cache(maxsize=None)
+def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
+    """(N0, N1, N2, N3, faces, cells) for zeros on J: 2^rank keys at most."""
     sys = get_system(sys_name)
-    active = frozenset(i for i, a in enumerate(lab) if not a.is_zero())
+    active = frozenset(range(sys.rank)) - zeros
     order = weyl_order(sys)
 
     def count_for(nodes: Tuple[int, ...]) -> int:
@@ -263,10 +271,8 @@ def _complex_cached(sys_name: str, lab: Labels) -> PolytopeComplex:
     cells = [entry(c, *shape(c), max(polygons[p][1] for p in combinations(c, 2)
                                      if p in polygons))
              for c in combinations(range(4), 3) if valid(c)]
-    return PolytopeComplex(
-        lab, n0, n1,
-        sum(f.count for f in faces), sum(c.count for c in cells),
-        tuple(faces), tuple(cells))
+    return (n0, n1, sum(f.count for f in faces), sum(c.count for c in cells),
+            tuple(faces), tuple(cells))
 
 
 # ---------------------------------------------------------------------------

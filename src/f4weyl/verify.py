@@ -36,7 +36,7 @@ from .orbits import (f_vector, generate_orbit, geometric_edge_check,
                      parabolic_elements)
 from .quat import E1, E2, E3, Quaternion, reflect, reflect_classical
 from .rootsys import f4_system
-from .scalar import FieldScalar, SQRT2, parse_scalar
+from .scalar import FieldScalar, SQRT2, from_ints, parse_scalar
 
 DEFAULT_SEED = 314159
 
@@ -326,11 +326,10 @@ def check_reflection_forms(seed: int) -> Tuple[bool, str]:
 
 
 def _random_quaternion(rng: random.Random) -> Quaternion:
-    return Quaternion(*[
-        FieldScalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        for _ in range(4)
-    ])
+    """Four components a/b + (c/d)*sqrt2, each drawn a, b, c, d in order."""
+    pairs = ((rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(8))
+    return Quaternion(*[from_ints(a * d, c * b, b * d)
+                        for (a, b), (c, d) in zip(pairs, pairs)])
 
 
 def check_edge_oracle() -> Tuple[bool, str]:

@@ -15,8 +15,10 @@ branching text from a second branching, and name each face and cell
 by walking its sub-diagram (``diagram_inventories``).  The Euler relation, the
 closed-form orbit size |W| / |W_J| and the quaternion and group-element
 inverses, which only tests call, live here too, and so do the
-``Fraction``-based literal parser and the quaternion formatter that read
-each scalar's string once per call.
+``Fraction``-based literal parser and random quaternion, the quaternion
+formatter that read each scalar's string once per call and the
+``FieldScalar`` triple kernel (``sub3``, ``dot3``, ``cross3``,
+``dist_sq``) that the integer dual-cell rows replaced.
 """
 
 import random
@@ -26,11 +28,11 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from f4weyl.binocta import _element, unit_tables
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
-from f4weyl.duals import solve_scales
+from f4weyl.duals import Triple, solve_scales
 from f4weyl.orbits import (FaceEntry, _adjacent, _components, _halo,
                            _validated, f_vector, generate_orbit,
                            stabilizer_order, weyl_order)
-from f4weyl.quat import E1, E2, E3
+from f4weyl.quat import E1, E2, E3, Quaternion
 from f4weyl.rootsys import (RootSystem, b3r_system, b4_system, f4_system,
                             first_negative, format_labels, get_system,
                             scalar_labels)
@@ -434,3 +436,32 @@ def parse_outcome(parse, text):
     except ValueError as exc:
         return f"ValueError: {exc}"
     return value.x, value.y, value.d, repr(value)
+
+
+def random_quaternion_fraction(rng):
+    """``verify``'s random quaternion from two ``Fraction``s per component,
+    the route that the integer one replaced."""
+    return Quaternion(*[
+        FieldScalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        for _ in range(4)
+    ])
+
+
+def sub3(a: Triple, b: Triple) -> Triple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def dot3(a: Triple, b: Triple) -> FieldScalar:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a: Triple, b: Triple) -> Triple:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def dist_sq(p: Triple, q: Triple) -> FieldScalar:
+    d = sub3(p, q)
+    return dot3(d, d)

@@ -19,12 +19,12 @@ import f4weyl
 from f4weyl import verify
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.cli import convex_faces, export_off, main, parse_label
-from f4weyl.duals import (cross3, dot3, dual_cell, dual_polytope, solve_scales,
-                          sub3)
+from f4weyl.duals import dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import generate_orbit
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import FieldScalar, parse_scalar
 import oracles
+from oracles import cross3, dot3, sub3
 
 # SHA-256 of stdout for every label subcommand x 0/1 label x format,
 # recorded from the reference implementation

@@ -6,13 +6,13 @@ import pytest
 
 from f4weyl import duals, orbits, refdata
 from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
-                          cells_at_vertex, convex_faces, dist_sq, dual_cell,
+                          cells_at_vertex, convex_faces, dual_cell,
                           dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
-from f4weyl.rootsys import f4_system
+from f4weyl.rootsys import b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar, from_ints, parse_scalar
-from oracles import frame_vectors, pattern_labels
+from oracles import dist_sq, frame_vectors, pattern_labels, zero_one_labels
 
 F4 = f4_system()
 
@@ -270,18 +270,26 @@ def test_published_table_matches_the_golden_data():
         assert golden[ref] == 1 and solve_scales(F4, pattern)[ref] == 1
 
 
-def test_dual_steps_build_the_complex_once(monkeypatch):
-    # cells_at_vertex, solve_scales and dual_polytope all read the f-vector
-    built = []
-    real = orbits.PolytopeComplex
-    monkeypatch.setattr(orbits, "PolytopeComplex",
-                        lambda *args: built.append(args) or real(*args))
+def test_dual_steps_build_the_complex_once():
+    # cells_at_vertex, solve_scales and dual_polytope all read the f-vector,
+    # whose counts and inventories are built once per zero pattern
     orbits._complex_cached.cache_clear()
     dual_polytope(F4, (2, 1, 0, 1))
     dual_cell(F4, (2, 1, 0, 1))
     cells_at_vertex(F4, (2, 1, 0, 1))
     solve_scales(F4, (2, 1, 0, 1))
-    assert len(built) == 1
+    assert orbits._complex_cached.cache_info().misses == 1
+
+
+def test_b4_duals_take_the_unpublished_conventions():
+    # the published row scales and reference nodes are F4's: every B4
+    # pattern takes row scale 1 and its smallest center node as reference
+    b4 = b4_system()
+    for pattern in zero_one_labels(4):
+        assert dual_cell(b4, pattern).row_scale == FieldScalar(1), pattern
+        scales = solve_scales(b4, pattern)
+        assert [j for j, s in scales.items() if s == 1] == [min(scales)], \
+            (pattern, scales)
 
 
 def test_dual_steps_solve_the_scales_once():

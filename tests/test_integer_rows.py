@@ -15,10 +15,10 @@ import pytest
 
 from f4weyl import duals
 from f4weyl.branching import project_3d
-from f4weyl.duals import convex_faces, cross3, dot3, dual_cell, sub3
+from f4weyl.duals import convex_faces, dual_cell
 from f4weyl.orbits import f_vector
 from f4weyl.rootsys import f4_system
-from oracles import random_labels, zero_one_labels
+from oracles import cross3, dot3, random_labels, sub3, zero_one_labels
 
 F4 = f4_system()
 BIG = 10 ** 17

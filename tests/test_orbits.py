@@ -11,7 +11,8 @@ from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar
-from oracles import diagram_inventories, euler_ok, orbit_size
+from oracles import (diagram_inventories, euler_ok, orbit_size,
+                     pattern_labels)
 
 F4 = f4_system()
 
@@ -138,6 +139,22 @@ def test_b4_f_vector_cross_check():
     assert sorted(c.count for c in complex_.cells) == [8, 16]
     assert [(f.name, f.count) for f in complex_.faces] == \
         [("triangle", 32), ("triangle", 64)]
+
+
+def test_f_vector_reads_only_the_zero_pattern():
+    # Wythoff: the face lattice depends on the zero-label nodes alone, so
+    # each label's counts and inventories are its 0/1 pattern's, and the
+    # complex cache holds one entry per pattern and system
+    for sys in (F4, b4_system()):
+        orbits._complex_cached.cache_clear()
+        for labels in pattern_labels(4, 28):
+            pattern = tuple(int(not a.is_zero()) for a in labels)
+            got, want = f_vector(sys, labels), f_vector(sys, pattern)
+            assert (got.f_tuple(), got.faces, got.cells) == \
+                (want.f_tuple(), want.faces, want.cells), (sys.name, labels)
+            assert got.labels == sys.coerce_labels(labels)
+        assert orbits._complex_cached.cache_info().currsize <= 15, sys.name
+    orbits._complex_cached.cache_clear()
 
 
 class _ReadKeys(dict):

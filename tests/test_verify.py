@@ -3,11 +3,13 @@ expanded orbit rows with their closed-form count."""
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 from f4weyl import verify
 from f4weyl.orbits import _orbit_cached
 from f4weyl.rootsys import RootSystem
+from oracles import random_quaternion_fraction
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +78,17 @@ def test_quoted_variant_equal_to_a_computed_row_fails(monkeypatch):
     monkeypatch.setitem(verify.refdata.DUAL_CELL_PRINTED, (1, 0, 0, 1),
                         (scale, rows))
     assert not verify.check_dual_cells()[0]
+
+
+def test_random_quaternions_match_the_fraction_route():
+    # the integer draws keep the randint order a, b, c, d per component, so
+    # the stream and every quaternion equal the Fraction route's
+    for seed in (verify.DEFAULT_SEED, 3):
+        ints, fracs = random.Random(seed), random.Random(seed)
+        for i in range(2000):
+            got = verify._random_quaternion(ints)
+            want = random_quaternion_fraction(fracs)
+            assert got == want, (seed, i)
+            assert [(c.x, c.y, c.d) for c in got.components()] == \
+                [(c.x, c.y, c.d) for c in want.components()], (seed, i)
+        assert ints.random() == fracs.random(), seed
