@@ -62,15 +62,17 @@ def build_subsets() -> Dict[str, Tuple[Quaternion, ...]]:
 
 @lru_cache(maxsize=1)
 def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
-    """6x6 multiplication table of the V-subsets.
+    """6x6 multiplication table of the V-subsets, on the units' indices.
 
     Entry (i, j) names the single subset equal to ``{x*y : x in row_i,
-    y in col_j}``; anything else raises, since it would mean the subset
-    conventions are broken.
+    y in col_j}``, each x*y read off the unit product table; anything
+    else raises, since it would mean the subset conventions are broken.
     """
-    sets = build_subsets()
-    lookup = {frozenset(sets[name]): name for name in SUBSET_ORDER}
-    products = {(row, col): frozenset(x * y for x in sets[row] for y in sets[col])
+    _, index, mul, _ = unit_tables()
+    octets = {v: [index[u] for u in build_subsets()[v]] for v in SUBSET_ORDER}
+    lookup = {frozenset(ks): v for v, ks in octets.items()}
+    products = {(row, col): frozenset(mul[x][y] for x in octets[row]
+                                      for y in octets[col])
                 for row in SUBSET_ORDER for col in SUBSET_ORDER}
     for (row, col), prod in products.items():
         if prod not in lookup:

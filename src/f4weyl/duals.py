@@ -16,10 +16,11 @@ ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 
 One cached solve per label, ``_vertex_figure``, takes the integer
 products (c, Lambda) once: they pick the centers and give the scales,
-and the centers, scales, shells and cell all read that solve; it takes
-J from ``orbits.zero_nodes`` and reads ``PUBLISHED`` for F4 only.  Each
-public entry point validates its label once, by ``f_vector``, and
-reads it back from the result; the internal stages take it validated.
+and the centers, scales, shells and cell all read that solve; it reads
+Lambda off the cached orbit, J off ``orbits.zero_nodes`` and
+``PUBLISHED`` for F4 only.  Each public entry point validates its label
+once, by ``f_vector``, and reads it back from the result; the internal
+stages take it validated.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def _vertex_figure(sys_name: str, labels: Labels):
     are the rows c of the orbit of omega_j with (c, Lambda) = top_j, the
     scale of node j is top_ref / top_j (the common factor cancels), and a
     center's u-triple is its (c, e_a * Lambda) times its scale; e_a *
-    Lambda is a signed permutation of Lambda's row."""
-    sys = get_system(sys_name)
-    mu, den = sys.integer_labels(labels)
-    lam, families, tops = sys.integer_vector(mu), [], {}
+    Lambda is a signed permutation of Lambda's row, the orbit's first
+    form (a dominant row is its own form)."""
+    sys, orbit = get_system(sys_name), _orbit_cached(sys_name, labels)
+    lam, den, families, tops = orbit.forms[0], orbit.den, [], {}
     dot = _dot_with(lam)
     zeros = zero_nodes(labels)
     for entry in _complex_cached(sys_name, zeros)[-1]:  # the cells
@@ -261,11 +262,6 @@ class DualPolytope(Record):
     cell_count: int
     f_tuple: Tuple[int, int, int, int]
     units: Tuple[Orbit, ...]  # per shell node j, the orbit of omega_j
-
-    def __repr__(self) -> str:
-        return (f"DualPolytope(source={self.source!r}, shells={self.shells!r}"
-                f", vertices={self.vertices!r}, cell_count={self.cell_count!r}"
-                f", f_tuple={self.f_tuple!r})")
 
     @cached_property
     def vertices(self) -> FrozenSet[Quaternion]:

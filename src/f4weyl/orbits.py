@@ -113,9 +113,6 @@ class Orbit(Record):
     forms: Tuple[IntRow, ...]
     den: int
 
-    def __repr__(self) -> str:
-        return f"Orbit(labels={self.labels!r}, vertices={self.vertices!r})"
-
     @property
     def size(self) -> int:
         return get_system(self.system).orbit_count(self.forms)
@@ -285,9 +282,9 @@ def geometric_edge_check(orbit: Orbit) -> int:
     Exact: the orbit's vertex rows are integer pairs (rational and sqrt2
     parts) over one positive denominator, squared distances are
     P + Q*sqrt2 on Python integers, and every comparison is an exact
-    sign.  The rows are sorted by the value of q0, so once the q0 gap
-    alone exceeds the least distance found, no later row can be nearer
-    to the current one.
+    sign.  A pair is dropped at the first coordinate whose partial sum
+    exceeds the least distance found; the rows are sorted by q0, so once
+    the q0 gap alone exceeds it, no later row can be nearer to this one.
 
     Only the shortest edge class is counted, so the count is N1 only for
     labels whose nonzero entries are all equal; other labels are refused.
@@ -300,15 +297,15 @@ def geometric_edge_check(orbit: Orbit) -> int:
     best, count = None, 0
     for i, u in enumerate(rows):
         for v in rows[i + 1:]:
-            dx, dy = v[0] - u[0], v[1] - u[1]
-            p, q = dx * dx + 2 * dy * dy, 2 * dx * dy
-            if best and surd_sign(p - best[0], q - best[1]) > 0:
-                break  # the q0 gap only grows along the sorted rows
-            for k in (2, 4, 6):
+            p = q = 0
+            for k in (0, 2, 4, 6):  # (dx + dy*sqrt2)^2: the sum only grows
                 dx, dy = v[k] - u[k], v[k + 1] - u[k + 1]
-                p += dx * dx + 2 * dy * dy
-                q += 2 * dx * dy
-            sign = surd_sign(p - best[0], q - best[1]) if best else -1
+                p, q = p + dx * dx + 2 * dy * dy, q + 2 * dx * dy
+                sign = surd_sign(p - best[0], q - best[1]) if best else -1
+                if sign > 0:
+                    break
+            if sign > 0 and k == 0:
+                break  # the q0 gap only grows along the sorted rows
             if sign < 0:
                 best, count = (p, q), 1
             elif sign == 0:

@@ -317,8 +317,8 @@ def parse_scalar(text: str) -> FieldScalar:
     """Parse a compact Q(sqrt2) literal.
 
     Accepts e.g. ``"1"``, ``"-3/2"``, ``"sqrt2"``, ``"2sqrt2"``,
-    ``"3/2*sqrt2"``, ``"1/2-3/2sqrt2"``, ``"1/sqrt2"``, ``"sqrt2/2"``;
-    raises ValueError on anything else, a zero denominator included.
+    ``"3/2*sqrt2"``, ``"1/2-3/2sqrt2"``, ``"1/sqrt2"``, ``" sqrt2 / 2 "``;
+    raises ValueError on anything else, "1 2" and zero denominators too.
     """
     try:
         return _parse_terms(text)
@@ -327,6 +327,8 @@ def parse_scalar(text: str) -> FieldScalar:
 
 
 def _parse_terms(text: str) -> FieldScalar:
+    if re.search("[0-9] +[0-9]", text):  # "1 2" is no 12
+        raise ValueError(f"space inside a number in scalar literal {text!r}")
     s = text.strip().replace(" ", "").lower()
     if not s:
         raise ValueError("empty scalar literal")

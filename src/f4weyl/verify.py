@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Sequence, Tuple
@@ -32,8 +31,8 @@ from .branching import (branch_b3a1, branch_b4, project_3d,
                         verify_b3a1_slices, verify_b4_branching)
 from .duals import (cell_vertices_for_center, cells_at_vertex, dual_cell,
                     dual_polytope, kite_face, solve_scales)
-from .orbits import (f_vector, generate_orbit, geometric_edge_check,
-                     parabolic_elements)
+from .orbits import (Record, f_vector, generate_orbit, geometric_edge_check,
+                     parabolic_elements, zero_nodes)
 from .quat import E1, E2, E3, Quaternion, reflect, reflect_classical
 from .rootsys import f4_system
 from .scalar import FieldScalar, SQRT2, from_ints, parse_scalar
@@ -46,8 +45,7 @@ NINE_PATTERNS = tuple(refdata.DUAL_SCALES_GOLDEN)
 ALL_PATTERNS = tuple(refdata.B4_BRANCH_GOLDEN)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str
@@ -227,7 +225,7 @@ def check_dual_cells() -> Tuple[bool, str]:
                     bad.append((pattern, "quoted variant"))
     if flagged != 3:
         bad.append(("misprint rows", flagged))
-    lam = sys.label_to_vector(sys.coerce_labels((1, 0, 1, 0)))
+    lam = sys.label_to_vector((1, 0, 1, 0))
     norms = {(e * lam).dot(e * lam) for e in (E1, E2, E3)}  # the frame
     erratum = refdata.erratum("dual-1010-frame-norm")  # "... = sqrt(n)"
     quoted, computed = (parse_scalar(erratum[k].split("sqrt(", 1)[1][:-1])
@@ -294,9 +292,9 @@ def check_orbit_stabilizer() -> Tuple[bool, str]:
     order = group_order("WF4")
     bad = []
     for pattern in ALL_PATTERNS:
-        zeros = frozenset(i for i, a in enumerate(pattern) if a == 0)
-        stabilizer = parabolic_elements(sys.name, zeros)
-        if len(generate_orbit(sys, pattern).rows) * len(stabilizer) != order:
+        orbit = generate_orbit(sys, pattern)
+        stabilizer = parabolic_elements(sys.name, zero_nodes(orbit.labels))
+        if len(orbit.rows) * len(stabilizer) != order:
             bad.append(pattern)
     return _verdict(
         not bad,

@@ -15,18 +15,20 @@ branching text from a second branching, and name each face and cell
 by walking its sub-diagram (``diagram_inventories``).  The Euler relation, the
 closed-form orbit size |W| / |W_J| and the quaternion and group-element
 inverses, which only tests call, live here too, and so do the
-``Fraction``-based literal parser and random quaternion, the quaternion
-formatter that read each scalar's string once per call and the
-``FieldScalar`` triple kernel (``sub3``, ``dot3``, ``cross3``,
-``dist_sq``) that the integer dual-cell rows replaced.
+``Fraction``-based literal parser and random quaternion, the octet table
+from ``Quaternion`` products, the quaternion formatter that read each
+scalar's string once per call and the ``FieldScalar`` triple kernel
+(``sub3``, ``dot3``, ``cross3``, ``dist_sq``) that the integer dual-cell
+rows replaced.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Tuple
 
-from f4weyl.binocta import _element, unit_tables
+from f4weyl.binocta import SUBSET_ORDER, _element, build_subsets, unit_tables
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
 from f4weyl.duals import Triple, solve_scales
 from f4weyl.orbits import (FaceEntry, _adjacent, _components, _halo,
@@ -370,6 +372,16 @@ def element_inverse(g):
     return _element(False, conj[p], conj[q])
 
 
+def subset_product_table_quaternion():
+    """The octet table from the 2304 ``Quaternion`` products of each pair of
+    octets, the route that the unit product table replaced."""
+    sets = build_subsets()
+    lookup = {frozenset(sets[name]): name for name in SUBSET_ORDER}
+    return tuple(tuple(lookup[frozenset(x * y for x in sets[row]
+                                        for y in sets[col])]
+                       for col in SUBSET_ORDER) for row in SUBSET_ORDER)
+
+
 def quaternion_str(self):
     """``str`` of a Quaternion from its components, the method that the
     formatter of the four component strings replaced."""
@@ -393,6 +405,8 @@ def quaternion_str(self):
 def parse_terms_fraction(text: str) -> FieldScalar:
     """The literal parser that summed ``Fraction`` terms, which the one on
     the terms' integer digits replaced."""
+    if re.search("[0-9] +[0-9]", text):
+        raise ValueError(f"space inside a number in scalar literal {text!r}")
     s = text.strip().replace(" ", "").lower()
     if not s:
         raise ValueError("empty scalar literal")

@@ -11,7 +11,7 @@ from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.refdata import SUBSET_TABLE_GOLDEN
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import INV_SQRT2
-from oracles import element_inverse
+from oracles import element_inverse, subset_product_table_quaternion
 
 IDENT = GroupElement.identity()
 
@@ -51,6 +51,17 @@ def test_subsets_are_groups():
 def test_subset_product_table():
     table = subset_product_table()
     assert tuple(tuple(row) for row in table) == SUBSET_TABLE_GOLDEN
+
+
+def test_subset_product_table_matches_quaternion_products():
+    # read off the unit product table; the Quaternion products are its oracle
+    assert subset_product_table() == subset_product_table_quaternion()
+
+
+def test_unit_product_table_is_the_quaternion_product():
+    units, index, mul, _ = unit_tables()
+    assert [[mul[i][j] for j in range(48)] for i in range(48)] == \
+        [[index[u * w] for w in units] for u in units]
 
 
 def test_group_orders():

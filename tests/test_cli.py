@@ -124,6 +124,20 @@ def test_malformed_scale_is_a_usage_error(capsys):
         assert "label" not in err, err
 
 
+@pytest.mark.parametrize("text", ["1 2", "1/2 3", "1 2sqrt2"])
+def test_space_inside_a_number_is_a_usage_error(text, capsys):
+    # digits split only by spaces are refused, not joined into one number
+    for argv, named in ((["fvector", f"{text},0,0,1"], f"label '{text},0,0,1'"),
+                        (["project", "1,0,0,1", "--scale", text],
+                         f"scale {text!r}")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err, err
+        assert f"space inside a number in scalar literal {text!r}" in err, err
+
+
 def test_malformed_seed_is_a_usage_error(capsys):
     # int() would take the Arabic-Indic and fullwidth digits as seed 1
     for seed in ("\u0661", "\uff11", "x", "-x"):

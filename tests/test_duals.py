@@ -10,7 +10,7 @@ from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
-from f4weyl.rootsys import b4_system, f4_system
+from f4weyl.rootsys import RootSystem, b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar, from_ints, parse_scalar
 from oracles import dist_sq, frame_vectors, pattern_labels, zero_one_labels
 
@@ -304,6 +304,26 @@ def test_dual_steps_solve_the_scales_once():
     solve_scales(F4, (2, 1, 0, 1)).clear()
     shells = dual_polytope(F4, (2, 1, 0, 1)).shells
     assert solve_scales(F4, (2, 1, 0, 1)) == {s.node: s.scale for s in shells}
+
+
+def test_fresh_label_builds_its_vertex_row_once(monkeypatch):
+    # with the unit orbits and the complexes warm, a fresh label's orbit
+    # and its vertex-figure solve share one integer_vector call: the solve
+    # reads Lambda's row off the cached orbit
+    orbits._orbit_cached.cache_clear()
+    duals._vertex_figure.cache_clear()
+    for pattern in zero_one_labels(4):
+        dual_polytope(F4, pattern)
+    calls = []
+    real = RootSystem.integer_vector
+    monkeypatch.setattr(RootSystem, "integer_vector",
+                        lambda sys, mu: calls.append(mu) or real(sys, mu))
+    for labels in pattern_labels(1, 29):
+        calls.clear()
+        generate_orbit(F4, labels)
+        dual_polytope(F4, labels)
+        dual_cell(F4, labels)
+        assert len(calls) == 1, labels
 
 
 def _row_dot(a, b, den):

@@ -496,6 +496,16 @@ def test_parse_matches_fraction_parser(text):
         oracles.parse_outcome(oracles.parse_scalar_fraction, text)
 
 
+def test_spaces_parse_around_terms_only():
+    assert parse_scalar(" 6 / 4 - sqrt2 / 9 ") == from_ints(27, -2, 18)
+    assert parse_scalar(" 1 + sqrt2 ") == ONE + SQRT2
+    for text in ("1 2", "1/2 3", "1 2sqrt2"):  # not 12, 1/23 nor 12sqrt2
+        with pytest.raises(ValueError) as exc:
+            parse_scalar(text)
+        assert str(exc.value) == \
+            f"space inside a number in scalar literal {text!r}"
+
+
 def test_fraction_parts_and_views():
     # Fractions and bools are inputs, .a/.b give Fractions back, and the
     # canonical integers and repr are those of the Fraction-built value

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from f4weyl import branching, duals, orbits
+from f4weyl import branching, duals, orbits, verify
 from f4weyl.binocta import build_group, sorted_elements
 from f4weyl.quat import Quaternion
 from f4weyl.rootsys import f4_system
@@ -104,11 +104,20 @@ def test_wrong_argument_count_is_a_type_error(record):
 
 
 def test_polytope_complex_is_the_only_dataclass_left():
-    classes = [cls for module in (orbits, branching, duals)
+    classes = [cls for module in (orbits, branching, duals, verify)
                for cls in vars(module).values()
                if inspect.isclass(cls) and cls.__module__ == module.__name__]
     assert [cls.__name__ for cls in classes
             if dataclasses.is_dataclass(cls)] == ["PolytopeComplex"]
+
+
+def test_repr_leaves_the_vertices_unbuilt():
+    # fresh copies, whose vertices no earlier read has built
+    for record in (orbits.generate_orbit(F4, (1, 1, 1, 1)),
+                   duals.dual_polytope(F4, (1, 1, 1, 1))):
+        fresh = type(record)(*_values(record))
+        assert repr(fresh) == repr(record)
+        assert "vertices" not in vars(fresh)
 
 
 VALUES = [SURD, Quaternion(SURD, 1, 0, SURD),
