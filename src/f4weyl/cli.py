@@ -242,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        # a value such as -1,0,0,0 or -x is an argument, not an option, so
-        # that it reaches the program's own validator
-        p._negative_number_matcher = re.compile(r"-(?!-)")
+        # a value such as -1,0,0,0, -x or --1 is an argument, not an option
+        # ("--" then a letter, "_" or "-" is one): the validator names it
+        p._negative_number_matcher = re.compile(r"-(?!-[A-Za-z_-])")
         if name == "verify":
             p.add_argument("--seed", default=None,
                            help="seed for the randomized property checks")

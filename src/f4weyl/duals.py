@@ -14,13 +14,13 @@ weight's orbit that Lambda supports.  Local coordinates use the frame
 norm ``(Lambda, Lambda)``, so u-space squared distances are the true
 ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 
-One cached solve per label, ``_vertex_figure``, takes the integer
-products (c, Lambda) once: they pick the centers and give the scales,
-and the centers, scales, shells and cell all read that solve; it reads
-Lambda off the cached orbit, J off ``orbits.zero_nodes`` and
-``PUBLISHED`` for F4 only.  Each public entry point validates its label
-once, by ``f_vector``, and reads it back from the result; the internal
-stages take it validated.
+The centers of one family depend only on J, so they are walked once per
+J and node (``_centers``); one cached solve per label, ``_vertex_figure``,
+takes their integer products with Lambda for the scales and the cell,
+and the scales, shells and cell all read that solve; it reads Lambda
+off the cached orbit, J off ``orbits.zero_nodes`` and ``PUBLISHED`` for
+F4 only.  Each public entry point validates its label once, by
+``f_vector``, and reads it back; the internal stages take it validated.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .orbits import (Orbit, Record, _complex_cached, _orbit_cached, f_vector,
                      zero_nodes)
 from .quat import Quaternion
-from .rootsys import (LabelLike, Labels, RootSystem, format_labels,
+from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
 from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, surd_sign
 
@@ -182,30 +182,44 @@ class DualCell(Record):
                 for node, u in self.coords]
 
 
+@lru_cache(maxsize=None)
+def _centers(sys_name: str, zeros: FrozenSet[int], j: int) -> Tuple[IntRow, ...]:
+    """Sorted rows of W_J omega_j (node j, 1-based): the walk of omega_j's
+    label under the reflections of J, stepping where the label is positive
+    (omega_j is dominant, so the downward steps reach its whole W_J-orbit;
+    off J it is fixed)."""
+    sys = get_system(sys_name)
+    found = [tuple(v for i in range(sys.rank) for v in (int(i == j - 1), 0))]
+    for mu in found:  # the list grows as it is walked
+        for i in zeros:
+            if surd_sign(mu[2 * i], mu[2 * i + 1]) > 0 and \
+                    (nu := sys.reflect_labels(mu, i)) not in found:
+                found.append(nu)
+    return tuple(sorted(map(sys.integer_vector, found)))
+
+
 @lru_cache(maxsize=64)
 def _vertex_figure(sys_name: str, labels: Labels):
     """The shared (read-only) solve around Lambda of validated labels:
     ([(cell entry, node j, sorted W_J omega_j rows)], {node j: scale} in
     ascending node order, the DualCell).
 
-    With top_j = (omega_j, Lambda) times den * weight_den^2, the centers
-    are the rows c of the orbit of omega_j with (c, Lambda) = top_j, the
-    scale of node j is top_ref / top_j (the common factor cancels), and a
-    center's u-triple is its (c, e_a * Lambda) times its scale; e_a *
-    Lambda is a signed permutation of Lambda's row, the orbit's first
-    form (a dominant row is its own form)."""
+    The centers are ``_centers``, walked once per J and j; every center c
+    has (c, Lambda) = (omega_j, Lambda) = top_j (times den * weight_den^2),
+    the scale of node j is top_ref / top_j (the common factor cancels),
+    and a center's u-triple is its (c, e_a * Lambda) times its scale, one
+    product with the frame times the scale's integers; e_a * Lambda is a
+    signed permutation of Lambda's row, the orbit's first form (a dominant
+    row is its own form)."""
     sys, orbit = get_system(sys_name), _orbit_cached(sys_name, labels)
     lam, den, families, tops = orbit.forms[0], orbit.den, [], {}
     dot = _dot_with(lam)
     zeros = zero_nodes(labels)
     for entry in _complex_cached(sys_name, zeros)[-1]:  # the cells
         (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
-        unit = _unit_orbit(sys, j)
-        omega = unit.forms[0]  # a dominant row is its own dominant form
-        rows = (unit.rows if j - 1 in zeros
-                else [omega])  # W_J fixes omega_j unless j is in J
-        top = tops[j] = dot(omega)
-        families.append((entry, j, sorted(r for r in rows if dot(r) == top)))
+        rows = _centers(sys_name, zeros, j)
+        tops[j] = dot(rows[0])  # the same product for every center
+        families.append((entry, j, rows))
     ref, row_scale = (PUBLISHED if sys_name == "F4" else {}).get(
         tuple(int(i not in zeros) for i in range(4)), (None, ONE))
     top_ref = from_ints(*tops[ref if ref in tops else min(tops)], 1)
@@ -214,19 +228,21 @@ def _vertex_figure(sys_name: str, labels: Labels):
     frame = [_dot_with(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
                                     (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
                                     (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
-    over = den * sys.weight_den ** 2  # c's weight_den times Lambda's
-    coords = tuple((j, tuple(from_ints(*dot(c), over) * scales[j]
-                             for dot in frame))
-                   for _, j, rows in families for c in rows)
-    return families, scales, DualCell(labels, row_scale, coords)
+    over, coords = den * sys.weight_den ** 2, []  # c's weight_den, Lambda's
+    for _, j, rows in families:
+        x, y, d = scales[j].x, scales[j].y, over * scales[j].d
+        coords += [(j, tuple(from_ints(p * x + 2 * q * y, p * y + q * x, d)
+                             for p, q in (f(c) for f in frame)))
+                   for c in rows]
+    return families, scales, DualCell(labels, row_scale, tuple(coords))
 
 
 def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
-    """Cell families around the dominant vertex.  The type-S centers W_J
-    omega_j (J = ``zero_nodes``) are the rows c of the orbit of omega_j
-    with (c, Lambda) = (omega_j, Lambda): omega_j - c = sum c_i alpha_i,
-    c_i >= 0, and sum c_i a_i = 0 iff c_i = 0 wherever a_i > 0; off J,
-    omega_j is the only one."""
+    """Cell families around the dominant vertex.  The type-S centers are
+    W_J omega_j (J = ``zero_nodes``), walked by ``_centers``: they are the
+    rows c of the orbit of omega_j with (c, Lambda) = (omega_j, Lambda),
+    since omega_j - c = sum c_i alpha_i, c_i >= 0, and sum c_i a_i = 0 iff
+    c_i = 0 wherever a_i > 0; off J, omega_j is the only one."""
     families, _, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
     return tuple(CellFamily(entry.nodes, entry.name, j, sys.vertices(rows, 1))
                  for entry, j, rows in families)

@@ -26,7 +26,10 @@ and the largest vertex count among its 2-faces (a polygon's own).
 A3 24, B3 48) and the counts its label pattern up to symmetry, so the
 21 keys of F4 and B4, the rank-4 systems ``f_vector`` accepts, differ.
 A label enters only through J, read by ``zero_nodes`` (as for the
-stabilizer and the dual cells), so the complex is cached per system and J.
+stabilizer and the dual cells), so the complex is cached per system and
+J.  Node sets are bitmasks, and one table per system holds each set's
+components, the nodes in or adjacent to it and |W_S|: a fresh pattern's
+halos, validity tests and counts are bit operations on its entries.
 
 The geometric edge oracle recounts N1 with no group theory: the closest
 pairs of vertex rows, swept along q0 (M. I. Shamos and D. Hoey,
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
@@ -207,29 +210,24 @@ def stabilizer_order(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sub-diagram bookkeeping
+# the face lattice
 
 
-def _adjacent(sys: RootSystem, i: int, j: int) -> bool:
-    return not sys.cartan[i][j].is_zero()
-
-
-def _components(sys: RootSystem, nodes: Sequence[int]) -> List[List[int]]:
-    remaining, comps = set(nodes), []
-    while remaining:
-        comp = [remaining.pop()]
-        for cur in comp:  # the list grows as it is walked
-            near = sorted(j for j in remaining if _adjacent(sys, cur, j))
-            remaining.difference_update(near)
-            comp += near
-        comps.append(sorted(comp))
-    return comps
-
-
-def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> FrozenSet[int]:
-    return frozenset(nodes).union(
-        j for j in range(sys.rank) if j not in active
-        and not any(_adjacent(sys, j, s) for s in nodes))
+@lru_cache(maxsize=None)
+def _node_sets(sys_name: str) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
+    """Per node set S, a bitmask: (the components of S as bitmasks, the
+    nodes in or adjacent to S, |W_S|), for all 2^rank sets of a system."""
+    sys = get_system(sys_name)
+    near = [sum(1 << j for j, c in enumerate(row) if c) for row in sys.cartan]
+    spread, table = [0], [((), 0, 1)]  # spread: S and its neighbours
+    for s in range(1, 1 << sys.rank):  # every proper subset of S comes first
+        comp = s & -s  # S's lowest node, grown to its component below
+        spread.append(spread[s ^ comp] | near[comp.bit_length() - 1])
+        while (grown := spread[comp] & s) != comp:
+            comp = grown
+        table.append(((comp, *table[s & ~comp][0]), spread[s], parabolic_order(
+            sys_name, frozenset(i for i in range(sys.rank) if s >> i & 1))))
+    return tuple(table)
 
 
 def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
@@ -242,32 +240,32 @@ def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
 
 @lru_cache(maxsize=None)
 def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
-    """(N0, N1, N2, N3, faces, cells) for zeros on J: 2^rank keys at most."""
-    sys = get_system(sys_name)
-    active = frozenset(range(sys.rank)) - zeros
-    order = weyl_order(sys)
+    """(N0, N1, N2, N3, faces, cells) for zeros on J: 2^rank keys at most,
+    each count, halo and validity test read off ``_node_sets``."""
+    table, zmask = _node_sets(sys_name), sum(1 << i for i in zeros)
+    order = table[-1][2]
 
-    def count_for(nodes: Tuple[int, ...]) -> int:
-        return order // parabolic_order(sys.name, _halo(sys, nodes, active))
+    def count_for(s: int) -> int:  # the halo: J off S and its neighbours
+        return order // table[s | zmask & ~table[s][1]][2]
 
-    def valid(nodes: Tuple[int, ...]) -> bool:
-        return all(any(i in active for i in comp)
-                   for comp in _components(sys, nodes))
+    def shape(s: int) -> Tuple[int, int]:  # |W_S|, vertices
+        return table[s][2], table[s][2] // table[s & zmask][2]
 
-    def shape(nodes: Tuple[int, ...]) -> Tuple[int, int]:  # |W_S|, vertices
-        whole = parabolic_order(sys_name, frozenset(nodes))
-        return whole, whole // parabolic_order(sys_name, frozenset(nodes) - active)
+    def sets(k: int) -> dict:  # the k-sets with no component inside J
+        masks = {c: sum(1 << i for i in c) for c in combinations(range(4), k)}
+        return {c: s for c, s in masks.items()
+                if all(comp & ~zmask for comp in table[s][0])}
 
-    def entry(nodes: Tuple[int, ...], *key: int) -> FaceEntry:
-        return FaceEntry(tuple(i + 1 for i in nodes), _NAMES[key], count_for(nodes))
+    def entry(nodes: Tuple[int, ...], s: int, *key: int) -> FaceEntry:
+        return FaceEntry(tuple(i + 1 for i in nodes), _NAMES[key], count_for(s))
 
-    n0 = count_for(())  # the halo of no nodes: every zero-label node
-    n1 = sum(count_for((i,)) for i in sorted(active))
-    polygons = {p: shape(p) for p in combinations(range(4), 2) if valid(p)}
-    faces = [entry(p, *key, key[1]) for p, key in polygons.items()]
-    cells = [entry(c, *shape(c), max(polygons[p][1] for p in combinations(c, 2)
-                                     if p in polygons))
-             for c in combinations(range(4), 3) if valid(c)]
+    polygons = {p: (s, shape(s)) for p, s in sets(2).items()}
+    faces = [entry(p, s, *key, key[1]) for p, (s, key) in polygons.items()]
+    cells = [entry(c, s, *shape(s), max(polygons[p][1][1] for p in
+                                        combinations(c, 2) if p in polygons))
+             for c, s in sets(3).items()]
+    n0 = count_for(0)  # the halo of no nodes: every zero-label node
+    n1 = sum(count_for(1 << i) for i in range(4) if not zmask >> i & 1)
     return (n0, n1, sum(f.count for f in faces), sum(c.count for c in cells),
             tuple(faces), tuple(cells))
 

@@ -3,11 +3,15 @@ compared on.
 
 The library builds every orbit as the signed permutations of its coset
 rows, counts orbits and subgroup orders off those rows' dominant forms,
-reads both branchings and the cell centers off the same rows, and reads
-the other per-label results off integer vertex rows.  The oracles below
-are the routes those replaced: the inverse dominance walk
-(``label_orbit``) for full orbits, for the cell centers (a W_J-walk of
-e_j) and for |W_J| (the free W_J-walk of rho), and per-label routes that
+reads both branchings off the same rows, reads the face lattice off a
+per-system table of node sets, walks the cell centers W_J omega_j once
+per zero pattern, and reads the other per-label results off integer
+vertex rows.  The oracles below are the routes those replaced: the
+inverse dominance walk (``label_orbit``) for full orbits, for the cell
+centers (a W_J-walk of e_j) and for |W_J| (the free W_J-walk of rho),
+the per-pattern sub-diagram walk of the face lattice (``complex_walk``),
+the scan of the unit orbits for the cell centers (``scanned_centers``),
+and per-label routes that
 read the sorted ``FieldScalar`` vertices or the walk's labels, walk
 every rescaled label (dual shells and scaled layers), take the dual
 cell's coordinates against the quaternion frame, render the
@@ -26,14 +30,14 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from f4weyl.binocta import SUBSET_ORDER, _element, build_subsets, unit_tables
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
-from f4weyl.duals import Triple, solve_scales
-from f4weyl.orbits import (FaceEntry, _adjacent, _components, _halo,
+from f4weyl.duals import Triple, _dot_with, _unit_orbit, solve_scales
+from f4weyl.orbits import (_NAMES, FaceEntry, _complex_cached, _orbit_cached,
                            _validated, f_vector, generate_orbit,
-                           stabilizer_order, weyl_order)
+                           stabilizer_order, weyl_order, zero_nodes)
 from f4weyl.quat import E1, E2, E3, Quaternion
 from f4weyl.rootsys import (RootSystem, b3r_system, b4_system, f4_system,
                             first_negative, format_labels, get_system,
@@ -219,6 +223,26 @@ def cell_centers(sys, labels):
     return out
 
 
+def scanned_centers(sys, labels):
+    """(center node, sorted center rows) per cell family by the scan of the
+    unit orbits: the rows c of the orbit of omega_j with (c, Lambda) =
+    (omega_j, Lambda), Lambda the first form of the labels' cached orbit."""
+    lab = _validated(sys, labels)
+    orbit = _orbit_cached(sys.name, lab)
+    dot = _dot_with(orbit.forms[0])
+    zeros = zero_nodes(lab)
+    out = []
+    for entry in _complex_cached(sys.name, zeros)[-1]:  # the cells
+        (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
+        unit = _unit_orbit(sys, j)
+        omega = unit.forms[0]  # a dominant row is its own dominant form
+        rows = (unit.rows if j - 1 in zeros
+                else [omega])  # W_J fixes omega_j unless j is in J
+        top = dot(omega)
+        out.append((j, sorted(r for r in rows if dot(r) == top)))
+    return out
+
+
 def frame_vectors(lam):
     """The frame E1*L, E2*L, E3*L of the quaternion L: three mutually
     orthogonal vectors normal to L, each of squared norm (L, L)."""
@@ -282,6 +306,61 @@ _PRISM_NAMES = {
     "square": "square prism",
     "octagon": "octagonal prism",
 }
+
+
+def _adjacent(sys: RootSystem, i: int, j: int) -> bool:
+    return not sys.cartan[i][j].is_zero()
+
+
+def _components(sys: RootSystem, nodes: Sequence[int]) -> List[List[int]]:
+    remaining, comps = set(nodes), []
+    while remaining:
+        comp = [remaining.pop()]
+        for cur in comp:  # the list grows as it is walked
+            near = sorted(j for j in remaining if _adjacent(sys, cur, j))
+            remaining.difference_update(near)
+            comp += near
+        comps.append(sorted(comp))
+    return comps
+
+
+def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> FrozenSet[int]:
+    return frozenset(nodes).union(
+        j for j in range(sys.rank) if j not in active
+        and not any(_adjacent(sys, j, s) for s in nodes))
+
+
+def complex_walk(sys_name: str, zeros: FrozenSet[int]) -> tuple:
+    """(N0, N1, N2, N3, faces, cells) for zeros on J by the sub-diagram
+    walk: each S's components and halo found per pattern, |W_S| from the
+    walk of rho."""
+    sys = get_system(sys_name)
+    active = frozenset(range(sys.rank)) - zeros
+    order = weyl_order(sys)
+
+    def count_for(nodes: Tuple[int, ...]) -> int:
+        return order // parabolic_order(sys.name, _halo(sys, nodes, active))
+
+    def valid(nodes: Tuple[int, ...]) -> bool:
+        return all(any(i in active for i in comp)
+                   for comp in _components(sys, nodes))
+
+    def shape(nodes: Tuple[int, ...]) -> Tuple[int, int]:  # |W_S|, vertices
+        whole = parabolic_order(sys_name, frozenset(nodes))
+        return whole, whole // parabolic_order(sys_name, frozenset(nodes) - active)
+
+    def entry(nodes: Tuple[int, ...], *key: int) -> FaceEntry:
+        return FaceEntry(tuple(i + 1 for i in nodes), _NAMES[key], count_for(nodes))
+
+    n0 = count_for(())  # the halo of no nodes: every zero-label node
+    n1 = sum(count_for((i,)) for i in sorted(active))
+    polygons = {p: shape(p) for p in combinations(range(4), 2) if valid(p)}
+    faces = [entry(p, *key, key[1]) for p, key in polygons.items()]
+    cells = [entry(c, *shape(c), max(polygons[p][1] for p in combinations(c, 2)
+                                     if p in polygons))
+             for c in combinations(range(4), 3) if valid(c)]
+    return (n0, n1, sum(f.count for f in faces), sum(c.count for c in cells),
+            tuple(faces), tuple(cells))
 
 
 def _is_double_bond(sys: RootSystem, i: int, j: int) -> bool:

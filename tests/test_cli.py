@@ -178,6 +178,24 @@ def test_negative_label_reaches_the_validator():
                            "dominant (negative entry)\n")
 
 
+def test_double_dash_label_reaches_the_parser():
+    # a value starting with "--" and a digit is a label, not an option: it
+    # reaches the literal parser and is named in a one-line usage error;
+    # "--" then a letter, "_" or "-" stays an option, and "--" ends them
+    code, out, err = run_cli(["fvector", "--1,0,0,1"])
+    assert (code, out) == (2, "")
+    assert err == ("f4weyl: error: label '--1,0,0,1': bad scalar literal: "
+                   "'--1' (at '--1')\n")
+    text, json_out = (run_cli(["fvector", "1,0,0,1", *fmt])
+                      for fmt in ([], ["--format", "json"]))
+    assert text[0] == json_out[0] == 0 and json_out[1].startswith("{")
+    assert run_cli(["fvector", "1,0,0,1", "--format=json"]) == json_out
+    assert run_cli(["fvector", "--", "1,0,0,1"]) == text
+    for option in ("--xyz", "---", "--_x"):
+        assert run_cli(["fvector", "1,0,0,1", option]) == (
+            2, "", f"f4weyl: error: unrecognized arguments: {option}\n")
+
+
 # grammar-biased fuzz alphabet: the literal grammar's tokens, separators and
 # digits that are not ASCII
 _TOKENS = ("0", "1", "2", "7", "12", "18446744073709551617", "/", "+", "-",

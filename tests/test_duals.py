@@ -8,11 +8,12 @@ from f4weyl import duals, orbits, refdata
 from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, convex_faces, dual_cell,
                           dual_polytope, kite_face, solve_scales)
-from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
+from f4weyl.orbits import Orbit, f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar, from_ints, parse_scalar
-from oracles import dist_sq, frame_vectors, pattern_labels, zero_one_labels
+from oracles import (dist_sq, frame_vectors, pattern_labels, scanned_centers,
+                     zero_one_labels)
 
 F4 = f4_system()
 
@@ -324,6 +325,39 @@ def test_fresh_label_builds_its_vertex_row_once(monkeypatch):
         dual_polytope(F4, labels)
         dual_cell(F4, labels)
         assert len(calls) == 1, labels
+
+
+def test_walked_centers_match_the_unit_orbit_scan():
+    # the W_J walk of omega_j against the old filter of the unit orbit's
+    # rows by (c, Lambda) = (omega_j, Lambda), on F4 and B4, four labels
+    # of each of the 15 patterns
+    for sys in (F4, b4_system()):
+        for labels in pattern_labels(4, 31):
+            lab = sys.coerce_labels(labels)
+            families = duals._vertex_figure(sys.name, lab)[0]
+            assert [(j, list(rows)) for _, j, rows in families] == \
+                scanned_centers(sys, lab), (sys.name, labels)
+
+
+def test_solve_reads_no_unit_orbit_rows(monkeypatch):
+    # the centers are walked in label space, so no solve expands an orbit,
+    # Lambda's or any omega_j's, into its signed-permutation rows
+    reads = []
+    rows = Orbit.rows.func
+    monkeypatch.setattr(Orbit, "rows", property(
+        lambda orbit: reads.append(orbit.labels) or rows(orbit)))
+    orbits._orbit_cached.cache_clear()
+    duals._vertex_figure.cache_clear()
+    duals._centers.cache_clear()
+    try:
+        for sys in (F4, b4_system()):
+            for labels in pattern_labels(1, 32):
+                dual_polytope(sys, labels)
+                dual_cell(sys, labels)
+                cells_at_vertex(sys, labels)
+    finally:
+        orbits._orbit_cached.cache_clear()
+    assert reads == []
 
 
 def _row_dot(a, b, den):

@@ -11,7 +11,7 @@ from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import b4_system, f4_system
 from f4weyl.scalar import SQRT2, FieldScalar
-from oracles import (diagram_inventories, euler_ok, orbit_size,
+from oracles import (complex_walk, diagram_inventories, euler_ok, orbit_size,
                      pattern_labels)
 
 F4 = f4_system()
@@ -155,6 +155,28 @@ def test_f_vector_reads_only_the_zero_pattern():
             assert got.labels == sys.coerce_labels(labels)
         assert orbits._complex_cached.cache_info().currsize <= 15, sys.name
     orbits._complex_cached.cache_clear()
+
+
+def test_node_set_table_matches_the_sub_diagram_walk():
+    # the complex read off the per-system node-set table against the old
+    # per-pattern walk over components and halos (|W_S| from the walk of
+    # rho): counts and entries, in order, on all 30 (system, pattern) keys
+    for sys in (F4, b4_system()):
+        for pattern in ALL_PATTERNS:
+            zeros = frozenset(i for i, a in enumerate(pattern) if not a)
+            assert orbits._complex_cached(sys.name, zeros) == \
+                complex_walk(sys.name, zeros), (sys.name, pattern)
+
+
+def test_node_set_table_entries():
+    # F4 is the path 1-2=3-4: per bitmask S, the components of S, the
+    # nodes in or adjacent to S and |W_S|
+    table = orbits._node_sets("F4")
+    assert len(table) == 16 and table[0] == ((), 0, 1)
+    assert table[0b1001] == ((0b0001, 0b1000), 0b1111, 4)
+    assert table[0b0110] == ((0b0110,), 0b1111, 8)
+    assert table[0b0011] == ((0b0011,), 0b0111, 6)
+    assert table[0b1111] == ((0b1111,), 0b1111, 1152)
 
 
 class _ReadKeys(dict):
