@@ -251,16 +251,12 @@ def sorted_elements(group: Iterable[GroupElement]) -> List[GroupElement]:
     return sorted(group)
 
 
-def coset_decompose(big: FrozenSet[GroupElement], small: FrozenSet[GroupElement],
-                    side: str = "right") -> List[GroupElement]:
-    """Deterministic coset representatives of small inside big.
-
-    side="right" partitions big into sets ``small . g``; side="left"
-    into ``g . small``.  Each representative is the least canonical
-    element of its coset.
+def coset_decompose(big: FrozenSet[GroupElement],
+                    small: FrozenSet[GroupElement]) -> List[GroupElement]:
+    """Deterministic right-coset representatives of small inside big: big
+    is partitioned into the sets ``small . g``, each represented by its
+    least canonical element.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if not small <= big:
         raise ValueError("small is not contained in big")
     if len(big) % len(small):
@@ -270,8 +266,7 @@ def coset_decompose(big: FrozenSet[GroupElement], small: FrozenSet[GroupElement]
     for g in sorted_elements(big):
         if g not in remaining:
             continue
-        coset = {s.compose(g) if side == "right" else g.compose(s)
-                 for s in small}
+        coset = {s.compose(g) for s in small}
         if not coset <= remaining:
             raise ValueError("small is not a subgroup of big")
         remaining -= coset

@@ -184,11 +184,11 @@ def _cmd_dual(args):
     cell = dual_cell(f4_system(), args.label)
     rows = [{"node": node, "coords": [str(u) for u in triple]}
             for node, triple in cell.rows()]
-    count = sum(s.size for s in dual.shells)  # the shells are disjoint
+    count, _, _, cells = dual.f_tuple
     payload = {
         "label": format_labels(dual.source),
         "vertex_count": count,
-        "cell_count": dual.cell_count,
+        "cell_count": cells,
         "scales": [{"node": s.node, "scale": str(s.scale)}
                    for s in dual.shells],
         "shells": [{"node": s.node, "size": s.size,
@@ -198,7 +198,7 @@ def _cmd_dual(args):
         "cell": {"row_scale": str(cell.row_scale), "vertices": rows},
     }
     lines = [f"dual of {payload['label']}: {count} vertices, "
-             f"{dual.cell_count} cells",
+             f"{cells} cells",
              "scales: " + ", ".join(f"node{s.node} = {s.scale}"
                                     for s in dual.shells),
              "shells:"]

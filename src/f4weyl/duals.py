@@ -275,7 +275,6 @@ class Shell(Record):
 class DualPolytope(Record):
     source: Labels
     shells: Tuple[Shell, ...]
-    cell_count: int
     f_tuple: Tuple[int, int, int, int]
     units: Tuple[Orbit, ...]  # per shell node j, the orbit of omega_j
 
@@ -303,7 +302,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     sizes = {j: entry.count for entry, j, _ in families}
     shells = tuple(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s, sizes[j])
                    for j, s in scales.items())
-    return DualPolytope(source.labels, shells, source.n0,
+    return DualPolytope(source.labels, shells,
                         (source.n3, source.n2, source.n1, source.n0),
                         tuple(_unit_orbit(sys, j) for j in scales))
 

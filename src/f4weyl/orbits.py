@@ -8,10 +8,10 @@ and Octonions", ch. 4).  :class:`Orbit` keeps the distinct dominant
 forms of those rows, counts its size off them and expands them into
 rows, and those into sorted vertices, on first read.  The stabilizer
 of a label whose zeros are on the nodes J is W_J (J. E. Humphreys,
-"Reflection Groups and Coxeter Groups", section 1.12), so |W_J| is the
-regular orbit's size over the size of the orbit of the label with ones
-off J, both counted off coset forms.  No float decides anything;
-``parabolic_elements`` (group closures) is an oracle.
+"Reflection Groups and Coxeter Groups", sections 1.12 and 2.2), so a
+connected J's |W_J| is |W| over the size of the orbit of the label with
+ones off J, and a disconnected J's is its components' product.  No float
+decides anything; ``parabolic_elements`` (group closures) is an oracle.
 
 Counting scheme.  N0 is the index of the parabolic subgroup on the
 zero-label nodes.  A subset S of nodes spans a face type exactly when
@@ -28,8 +28,8 @@ A3 24, B3 48) and the counts its label pattern up to symmetry, so the
 A label enters only through J, read by ``zero_nodes`` (as for the
 stabilizer and the dual cells), so the complex is cached per system and
 J.  Node sets are bitmasks, and one table per system holds each set's
-components, the nodes in or adjacent to it and |W_S|: a fresh pattern's
-halos, validity tests and counts are bit operations on its entries.
+components, the nodes in or adjacent to it and |W_S| (its only holder):
+a fresh pattern's halos, validity tests and counts are bit operations.
 
 The geometric edge oracle recounts N1 with no group theory: the closest
 pairs of vertex rows, swept along q0 (M. I. Shamos and D. Hoey,
@@ -153,8 +153,7 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
     """The one label check: right length, dominant and (by default) nonzero."""
     lab = sys.coerce_labels(labels)
     if not sys.is_dominant(lab):
-        raise ValueError(
-            f"label {format_labels(lab)} is not dominant (negative entry)")
+        raise ValueError("the label is not dominant (negative entry)")
     if require_nonzero and all(a.is_zero() for a in lab):
         raise ValueError("the zero label spans no polytope")
     return lab
@@ -183,20 +182,13 @@ def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
     return generate_from([sys.reflections[i] for i in sorted(nodes)])
 
 
-@lru_cache(maxsize=None)
 def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
-    """Order of the subgroup W_J of the given simple reflections (0-based):
-    |W rho| / |W lambda_J|, lambda_J having ones off J (W_J is its
-    stabilizer, rho's is trivial); |W rho| is the order for J = all."""
-    sys = get_system(sys_name)
-    if len(nodes) == sys.rank:
-        return sys.orbit_count(sys.coset_forms((1, 0) * sys.rank))
-    mu = tuple(v for i in range(sys.rank) for v in (int(i not in nodes), 0))
-    return weyl_order(sys) // sys.orbit_count(sys.coset_forms(mu))
+    """Order of the subgroup W_J of the given simple reflections (0-based)."""
+    return _node_sets(sys_name)[sum(1 << i for i in nodes)][2]
 
 
 def weyl_order(sys: RootSystem) -> int:
-    return parabolic_order(sys.name, frozenset(range(sys.rank)))
+    return _node_sets(sys.name)[-1][2]
 
 
 def zero_nodes(labels: Labels) -> FrozenSet[int]:
@@ -215,18 +207,26 @@ def stabilizer_order(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
 
 @lru_cache(maxsize=None)
 def _node_sets(sys_name: str) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
-    """Per node set S, a bitmask: (the components of S as bitmasks, the
-    nodes in or adjacent to S, |W_S|), for all 2^rank sets of a system."""
+    """Per node set S, a bitmask: (S's components as bitmasks, the nodes
+    in or adjacent to S, |W_S|) for all 2^rank sets of a system.  |W_S| is
+    |W| / |W lambda_S| (ones off S), or its components' product if split."""
     sys = get_system(sys_name)
+
+    def orbit_size(s: int) -> int:  # |W lambda_S|, uncounted for S full
+        mu = tuple(v for i in range(sys.rank) for v in (~s >> i & 1, 0))
+        return sys.orbit_count(sys.coset_forms(mu)) if any(mu) else 1
+
     near = [sum(1 << j for j, c in enumerate(row) if c) for row in sys.cartan]
+    order = orbit_size(0)
     spread, table = [0], [((), 0, 1)]  # spread: S and its neighbours
     for s in range(1, 1 << sys.rank):  # every proper subset of S comes first
         comp = s & -s  # S's lowest node, grown to its component below
         spread.append(spread[s ^ comp] | near[comp.bit_length() - 1])
         while (grown := spread[comp] & s) != comp:
             comp = grown
-        table.append(((comp, *table[s & ~comp][0]), spread[s], parabolic_order(
-            sys_name, frozenset(i for i in range(sys.rank) if s >> i & 1))))
+        rest = table[s & ~comp]  # S's other components
+        size = table[comp][2] * rest[2] if rest[0] else order // orbit_size(s)
+        table.append(((comp, *rest[0]), spread[s], size))
     return tuple(table)
 
 

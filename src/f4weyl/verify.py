@@ -183,7 +183,7 @@ def check_dual_shells() -> Tuple[bool, str]:
     for pattern in NINE_PATTERNS:
         dual = dual_polytope(sys, pattern)
         source = f_vector(sys, pattern)
-        if len(dual.vertices) != source.n3 or dual.cell_count != source.n0:
+        if len(dual.vertices) != source.n3 or dual.f_tuple[3] != source.n0:
             bad.append((pattern, "counts"))
         if sum(s.size for s in dual.shells) != source.n3:
             bad.append((pattern, "shell sizes"))

@@ -332,8 +332,8 @@ def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> Fr
 
 def complex_walk(sys_name: str, zeros: FrozenSet[int]) -> tuple:
     """(N0, N1, N2, N3, faces, cells) for zeros on J by the sub-diagram
-    walk: each S's components and halo found per pattern, |W_S| from the
-    walk of rho."""
+    walk: each S's components and halo found per pattern, |W_S| from
+    ``parabolic_order`` (the same node-set table as the library's)."""
     sys = get_system(sys_name)
     active = frozenset(range(sys.rank)) - zeros
     order = weyl_order(sys)

@@ -243,7 +243,7 @@ def test_wb3l_fixes_axis():
 
 def test_wf4_over_wb4_cosets():
     wb4 = build_group("WB4")
-    reps = coset_decompose(WF4, wb4, side="right")
+    reps = coset_decompose(WF4, wb4)
     assert len(reps) == 3
     # the identity and the two [omega0^k, 1] rotations pick out the three
     g2 = GroupElement(OMEGA0, ONE_Q)
@@ -257,7 +257,7 @@ def test_wf4_over_wb4_cosets():
 
 def test_wf4_over_wb3r_transversal():
     wb3r = build_group("WB3R")
-    reps = coset_decompose(WF4, wb3r, side="right")
+    reps = coset_decompose(WF4, wb3r)
     assert len(reps) == 24
     sets = build_subsets()
     seen = set()

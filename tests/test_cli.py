@@ -169,13 +169,16 @@ def test_argparse_errors_are_one_line(capsys):
 
 
 def test_negative_label_reaches_the_validator():
-    for text, shown in (("-1,0,0,0", "(-1,0,0,0)"),
-                        ("-1/2,1,0,0", "(-1/2,1,0,0)")):
-        for cmd in ("orbit", "branch-b4", "branch-b3a1"):
+    # exit 1 and one stderr line, whose prefix is the one place that
+    # names the label
+    for text in ("-1,0,0,0", "-1/2,1,0,0", "1-sqrt2,0,0,1"):
+        for cmd in ("orbit", "fvector", "branch-b4", "branch-b3a1",
+                    "project", "dual", "export"):
             code, out, err = run_cli([cmd, text])
             assert code == 1 and out == ""
-            assert err == (f"error for label {shown}: label {shown} is not "
+            assert err == (f"error for label ({text}): the label is not "
                            "dominant (negative entry)\n")
+            assert err.count(text) == 1, (cmd, err)
 
 
 def test_double_dash_label_reaches_the_parser():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,10 +10,10 @@ from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import Orbit, f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
-from f4weyl.rootsys import RootSystem, b4_system, f4_system
+from f4weyl.rootsys import RootSystem, b4_system, f4_system, surd_order
 from f4weyl.scalar import SQRT2, FieldScalar, from_ints, parse_scalar
-from oracles import (dist_sq, frame_vectors, pattern_labels, scanned_centers,
-                     zero_one_labels)
+from oracles import (dist_sq, frame_vectors, label_orbit, pattern_labels,
+                     random_labels, scanned_centers, zero_one_labels)
 
 F4 = f4_system()
 
@@ -130,7 +130,6 @@ def test_dual_counts_match_source():
         src = f_vector(F4, pat)
         d = dual_polytope(F4, pat)
         assert len(d.vertices) == src.n3, pat
-        assert d.cell_count == src.n0, pat
         assert d.f_tuple == (src.n3, src.n2, src.n1, src.n0)
         assert sum(sh.size for sh in d.shells) == len(d.vertices)
 
@@ -436,3 +435,83 @@ def test_f_vector_certificate(labels):
     assert fv.n0 * len(edges) == sum(
         f.count * VERTEX_COUNTS[f.name] for f in fv.faces)
     assert fv.n0 * len(faces) == 2 * fv.n1
+
+
+def _rational_rank(vectors):
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    rows, rank = [v for v in vectors if any(v)], 0
+    while rows:
+        pivot = rows.pop()
+        k = next(k for k, a in enumerate(pivot) if a)
+        rows = [r for r in ([a * pivot[k] - b * r[k] for a, b in zip(r, pivot)]
+                            for r in rows) if any(r)]
+        rank += 1
+    return rank
+
+
+def _surd_rank(rows):
+    """Rank over Q(sqrt2) of flat Z[sqrt2] rows: half the rational rank of
+    the rows and their sqrt2 multiples, which span the same Q(sqrt2) space
+    as a Q space of twice the dimension."""
+    root2 = [tuple(v for x, y in zip(r[::2], r[1::2]) for v in (2 * y, x))
+             for r in rows]
+    return _rational_rank(list(rows) + root2) // 2
+
+
+def _faces_at(rows, lam, functional):
+    """(maximizer set, affine Q(sqrt2) rank) of a functional row over the
+    orbit's rows, by exact integer products p + q*sqrt2."""
+    products = list(map(duals._dot_with(functional), rows))
+    top = max(set(products), key=surd_order)
+    face = frozenset(r for r, p in zip(rows, products) if p == top)
+    return face, _surd_rank([[a - b for a, b in zip(r, lam)] for r in face])
+
+
+# two random labels of each of the 15 zero patterns and 30 random labels
+FACE_CERTIFIED = pattern_labels(2, 41) + random_labels(4, 30, 43)
+
+
+@pytest.mark.parametrize("sys", [F4, b4_system()], ids=lambda s: s.name)
+def test_face_count_certificate(sys):
+    # every face is the maximizer set of a linear functional (G. M.
+    # Ziegler, Lectures on Polytopes, Lecture 2).  For a k-set S of nodes,
+    # the centroid c of W_S Lambda (the sum of the labels of the walk of
+    # Lambda's label under S) is dominant with zeros on S and its halo, and
+    # the walk of c's label under J gives one functional per face of that
+    # type at Lambda.  Their maximizer sets span k dimensions exactly when
+    # S is a face type (k = 1: an edge); each holds Lambda and the named
+    # shape's vertex count, they are distinct, and N0 times their number
+    # over that count is the entry's count.  No group table enters.
+    for labels in FACE_CERTIFIED:
+        lab = sys.coerce_labels(labels)
+        mu, _ = sys.integer_labels(lab)
+        zeros = [i for i, a in enumerate(lab) if a.is_zero()]
+        rows, lam = generate_orbit(sys, lab).rows, sys.integer_vector(mu)
+        fv, n0 = f_vector(sys, lab), len(set(rows))
+        assert fv.n0 == n0, labels
+        found = {}
+        for k in (1, 2, 3):
+            for nodes in combinations(range(4), k):
+                walked = label_orbit(sys, mu, nodes)
+                c = tuple(map(sum, zip(*(nu for nu, _ in walked))))
+                sets = []
+                for _, f in label_orbit(sys, c, zeros):
+                    sets.append(_faces_at(rows, lam, f))
+                    if sets[0][1] < k:
+                        break  # not a face type: one functional shows it
+                assert all(lam in face for face, _ in sets), (labels, nodes)
+                if {rank for _, rank in sets} == {k}:
+                    found[tuple(i + 1 for i in nodes)] = [f for f, _ in sets]
+                else:
+                    assert all(rank < k for _, rank in sets), (labels, nodes)
+        edges = [(i + 1,) for i in range(4) if i not in zeros]
+        entries = [(e.nodes, VERTEX_COUNTS[e.name], e.count)
+                   for e in fv.faces + fv.cells]
+        assert sorted(found) == sorted(edges + [n for n, _, _ in entries])
+        assert n0 * sum(len(found[e]) for e in edges) == 2 * fv.n1, labels
+        for nodes, size, count in [(e, 2, None) for e in edges] + entries:
+            faces = found[nodes]
+            assert {len(face) for face in faces} == {size}, (labels, nodes)
+            assert len(set(faces)) == len(faces), (labels, nodes)
+            if count is not None:
+                assert n0 * len(faces) == count * size, (labels, nodes)

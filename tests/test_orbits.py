@@ -9,10 +9,10 @@ from f4weyl.binocta import build_subsets
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
                            parabolic_order, stabilizer_order, weyl_order)
 from f4weyl.refdata import FVECTOR_GOLDEN
-from f4weyl.rootsys import b4_system, f4_system
+from f4weyl.rootsys import RootSystem, b4_system, f4_system, get_system
 from f4weyl.scalar import SQRT2, FieldScalar
-from oracles import (complex_walk, diagram_inventories, euler_ok, orbit_size,
-                     pattern_labels)
+from oracles import (_components, complex_walk, diagram_inventories, euler_ok,
+                     orbit_size, pattern_labels)
 
 F4 = f4_system()
 
@@ -177,6 +177,21 @@ def test_node_set_table_entries():
     assert table[0b0110] == ((0b0110,), 0b1111, 8)
     assert table[0b0011] == ((0b0011,), 0b0111, 6)
     assert table[0b1111] == ((0b1111,), 0b1111, 1152)
+
+
+@pytest.mark.parametrize("name", ("F4", "B4", "B3R"))
+def test_node_set_table_counts_each_connected_set_once(name, monkeypatch):
+    # one coset count for |W| and at most one per connected node set: a
+    # disconnected set's order is its components' product
+    rank, forms, calls = get_system(name).rank, RootSystem.coset_forms, []
+    monkeypatch.setattr(RootSystem, "coset_forms",
+                        lambda sys, mu: calls.append(mu) or forms(sys, mu))
+    connected = sum(len(_components(get_system(name), nodes)) == 1
+                    for r in range(1, rank + 1)
+                    for nodes in combinations(range(rank), r))
+    orbits._node_sets.cache_clear()
+    orbits._node_sets(name)
+    assert len(calls) <= connected + 1, (len(calls), connected)
 
 
 class _ReadKeys(dict):

@@ -72,7 +72,7 @@ def test_each_public_stage_validates_once(validations):
 
 BAD_LABELS = [
     ((1, 0, 0), "F4 takes 4 labels, got 3"),
-    ((1, -1, 0, 0), "label (1,-1,0,0) is not dominant (negative entry)"),
+    ((1, -1, 0, 0), "the label is not dominant (negative entry)"),
     ((0, 0, 0, 0), "the zero label spans no polytope"),
 ]
 
