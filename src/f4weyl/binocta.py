@@ -11,7 +11,8 @@ transformations of 4-space are encoded as pairs::
 with p, q unit quaternions.  [p, q] and [-p, -q] act identically, so
 every stored element is sign-normalized on its first half.  An element
 is stored as the indices (star, i, j) of its halves among the 48 sorted
-units, and each of the six groups is a membership rule on those indices
+units.  Each of the six groups lists, for each star and each first half,
+the second halves it allows, so it is built at the cost of its size
 (orders in parentheses): WF4 (1152), AutF4 (2304), WB4 (384), WB3R (48),
 WB3R_C2 (96), WB3L_C2 (96).
 """
@@ -19,7 +20,7 @@ WB3R_C2 (96), WB3L_C2 (96).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
@@ -68,9 +69,8 @@ def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
     y in col_j}``, each x*y read off the unit product table; anything
     else raises, since it would mean the subset conventions are broken.
     """
-    _, index, mul, _ = unit_tables()
-    octets = {v: [index[u] for u in build_subsets()[v]] for v in SUBSET_ORDER}
-    lookup = {frozenset(ks): v for v, ks in octets.items()}
+    mul, octets = unit_tables()[2], _unit_classes()[0]
+    lookup = {frozenset(octets[v]): v for v in SUBSET_ORDER}
     products = {(row, col): frozenset(mul[x][y] for x in octets[row]
                                       for y in octets[col])
                 for row in SUBSET_ORDER for col in SUBSET_ORDER}
@@ -204,43 +204,49 @@ def generate_from(generators: Iterable[GroupElement]) -> FrozenSet[GroupElement]
     return frozenset(seen)
 
 
-#: the octet pairs (p, q) of WB4: V+ and V- swap, the rest pair with themselves
-_WB4_PAIRS = frozenset((("V0", "V0"), ("V+", "V-"), ("V-", "V+"),
-                        ("V1", "V1"), ("V2", "V2"), ("V3", "V3")))
+@lru_cache(maxsize=1)
+def _unit_classes() -> tuple:
+    """The unit indices of each octet and of T and T'; for each unit, those
+    of its side and of the octet WB4 pairs with its own (V+ and V- swap);
+    and the index of (1+e1)/sqrt2, the axis WB3L_C2 fixes up to sign."""
+    index = unit_tables()[1]
+    members = {v: tuple(index[u] for u in build_subsets()[v])
+               for v in SUBSET_ORDER + ("T", "T'")}
+    side = {k: members[t] for t in ("T", "T'") for k in members[t]}
+    partner = {k: members[{"V+": "V-", "V-": "V+"}.get(v, v)]
+               for v in SUBSET_ORDER for k in members[v]}
+    return members, side, partner, index[(ONE_Q + E1) * INV_SQRT2]
 
 
 @lru_cache(maxsize=None)
 def build_group(name: str) -> FrozenSet[GroupElement]:
     """One of the named groups as a frozen set of canonical elements.
 
-    Each group is one membership rule on the indices (star, i, j) of its
-    halves, read off their octets and the unit tables; -units[k] is
-    units[47 - k].
+    For each star and each first half i >= 24, the group lists the second
+    halves j it allows, read off the octets, the sides T and T' and the
+    unit tables; -units[k] is units[47 - k].
     """
     if name not in GROUP_NAMES:
         raise ValueError(f"unknown group {name!r}")
-    sets = build_subsets()
-    _, index, mul, conj = unit_tables()
-    octet = {index[u]: v for v in SUBSET_ORDER for u in sets[v]}
-    in_t = {index[u] for u in sets["T"]}
-    a = index[(ONE_Q + E1) * INV_SQRT2]  # the axis WB3L_C2 fixes up to sign
+    _, _, mul, conj = unit_tables()
+    _, side, partner, a = _unit_classes()
 
-    def wb3l(star: bool, i: int, j: int) -> bool:
+    def wb3l(star: bool, i: int) -> Tuple[int, int]:
         # [x, +-conj(a) conj(x) a] and [x, +-a conj(x) a]*
         k = mul[mul[a if star else conj[a]][conj[i]]][a]
-        return j in (k, 47 - k)
+        return k, 47 - k
 
-    rule = {
-        "WF4": lambda star, i, j: (i in in_t) == (j in in_t),
-        "AutF4": lambda star, i, j: True,
-        "WB4": lambda star, i, j: (octet[i], octet[j]) in _WB4_PAIRS,
-        "WB3R": lambda star, i, j: j == conj[i],
-        "WB3R_C2": lambda star, i, j: j in (conj[i], 47 - conj[i]),
+    seconds = {
+        "WF4": lambda star, i: side[i],
+        "AutF4": lambda star, i: range(48),
+        "WB4": lambda star, i: partner[i],
+        "WB3R": lambda star, i: (conj[i],),
+        "WB3R_C2": lambda star, i: (conj[i], 47 - conj[i]),
         "WB3L_C2": wb3l,
     }[name]
-    return frozenset(_element(star, i, j) for star in (False, True)
-                     for i in range(24, 48) for j in range(48)
-                     if rule(star, i, j))
+    triples = ((star, i, j) for star in (False, True) for i in range(24, 48)
+               for j in seconds(star, i))  # canonical already: i >= 24
+    return frozenset(map(tuple.__new__, repeat(GroupElement), triples))
 
 
 def group_order(name: str) -> int:

@@ -14,9 +14,11 @@ they can be cross-checked against each other):
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
 from typing import Sequence, Tuple, Union
 
-from .scalar import FieldScalar, Rational, as_scalar
+from .scalar import FieldScalar, Rational, as_scalar, from_ints
 
 ScalarLike = Union[FieldScalar, Rational]
 
@@ -61,13 +63,11 @@ class Quaternion:
 
     def __mul__(self, other: Union["Quaternion", ScalarLike]) -> "Quaternion":
         if isinstance(other, Quaternion):
-            p, q = self, other
-            return from_scalars(
-                p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
-                p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
-                p.q0 * q.q2 + p.q2 * q.q0 + p.q3 * q.q1 - p.q1 * q.q3,
-                p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
-            )
+            # (A + sqrt2 B)(C + sqrt2 F) = AC + 2BF + sqrt2 (AF + BC)
+            (a, b, d), (c, f, e) = _over_lcm(self), _over_lcm(other)
+            ac, bf, af, bc = map(_hamilton, (a, b, a, b), (c, f, f, c))
+            return from_scalars(*[from_ints(ac[k] + 2 * bf[k], af[k] + bc[k],
+                                            d * e) for k in range(4)])
         try:  # as_scalar decides what counts as a scalar
             s = as_scalar(other)
         except TypeError:
@@ -88,8 +88,9 @@ class Quaternion:
 
     def dot(self, other: "Quaternion") -> FieldScalar:
         """Euclidean scalar product, a FieldScalar."""
-        return (self.q0 * other.q0 + self.q1 * other.q1 +
-                self.q2 * other.q2 + self.q3 * other.q3)
+        (a, b, d), (c, f, e) = _over_lcm(self), _over_lcm(other)
+        return from_ints(sum(map(mul, a, c)) + 2 * sum(map(mul, b, f)),
+                         sum(map(mul, a, f)) + sum(map(mul, b, c)), d * e)
 
     def norm_sq(self) -> FieldScalar:
         return self.dot(self)
@@ -146,6 +147,24 @@ def _render(components: Sequence[str]) -> str:
 _new = object.__new__
 _set0, _set1, _set2, _set3 = (Quaternion.q0.__set__, Quaternion.q1.__set__,
                               Quaternion.q2.__set__, Quaternion.q3.__set__)
+
+
+def _over_lcm(q: Quaternion) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """(A, B, D): integer 4-tuples with q = (A + sqrt2 B)/D, D the lcm."""
+    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
+    d = lcm(q0.d, q1.d, q2.d, q3.d)
+    m0, m1, m2, m3 = d // q0.d, d // q1.d, d // q2.d, d // q3.d
+    return ((q0.x * m0, q1.x * m1, q2.x * m2, q3.x * m3),
+            (q0.y * m0, q1.y * m1, q2.y * m2, q3.y * m3), d)
+
+
+def _hamilton(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
+    """The Hamilton product of two integer quaternions given as 4-tuples."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3,
+            p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1)
 
 
 def from_scalars(q0: FieldScalar, q1: FieldScalar, q2: FieldScalar,

@@ -23,7 +23,12 @@ inverses, which only tests call, live here too, and so do the
 from ``Quaternion`` products, the quaternion formatter that read each
 scalar's string once per call and the ``FieldScalar`` triple kernel
 (``sub3``, ``dot3``, ``cross3``, ``dist_sq``) that the integer dual-cell
-rows replaced.
+rows replaced.  The quaternion product and scalar product from
+``FieldScalar`` products (``quaternion_product_scalar``,
+``quaternion_dot_scalar``) check the integer ones over one denominator per
+operand, and the scan of all 2304 (star, i, j) candidates through one
+membership rule per group (``build_group_scan``) checks the groups read
+off the second halves each allows.
 """
 
 import random
@@ -32,13 +37,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from f4weyl.binocta import SUBSET_ORDER, _element, build_subsets, unit_tables
+from f4weyl.binocta import (GROUP_NAMES, SUBSET_ORDER, _element, build_subsets,
+                            unit_tables)
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
 from f4weyl.duals import Triple, _dot_with, _unit_orbit, solve_scales
 from f4weyl.orbits import (_NAMES, FaceEntry, _complex_cached, _orbit_cached,
                            _validated, f_vector, generate_orbit,
                            stabilizer_order, weyl_order, zero_nodes)
-from f4weyl.quat import E1, E2, E3, Quaternion
+from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
 from f4weyl.rootsys import (RootSystem, b3r_system, b4_system, f4_system,
                             first_negative, format_labels, get_system,
                             scalar_labels)
@@ -459,6 +465,65 @@ def subset_product_table_quaternion():
     return tuple(tuple(lookup[frozenset(x * y for x in sets[row]
                                         for y in sets[col])]
                        for col in SUBSET_ORDER) for row in SUBSET_ORDER)
+
+
+def quaternion_product_scalar(p, q):
+    """The Hamilton product from 16 ``FieldScalar`` products and 12 sums,
+    the route that the integer product over one denominator per operand
+    replaced."""
+    return from_scalars(
+        p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
+        p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
+        p.q0 * q.q2 + p.q2 * q.q0 + p.q3 * q.q1 - p.q1 * q.q3,
+        p.q0 * q.q3 + p.q3 * q.q0 + p.q1 * q.q2 - p.q2 * q.q1,
+    )
+
+
+def quaternion_dot_scalar(self, other):
+    """The Euclidean scalar product from four ``FieldScalar`` products, the
+    route that the integer one replaced."""
+    return (self.q0 * other.q0 + self.q1 * other.q1 +
+            self.q2 * other.q2 + self.q3 * other.q3)
+
+
+#: the octet pairs (p, q) of WB4: V+ and V- swap, the rest pair with themselves
+_WB4_PAIRS = frozenset((("V0", "V0"), ("V+", "V-"), ("V-", "V+"),
+                        ("V1", "V1"), ("V2", "V2"), ("V3", "V3")))
+
+
+def build_group_scan(name):
+    """One of the named groups as a frozen set of canonical elements, by
+    scanning all 2304 (star, i, j) candidates: the route that the lists of
+    second halves replaced.
+
+    Each group is one membership rule on the indices (star, i, j) of its
+    halves, read off their octets and the unit tables; -units[k] is
+    units[47 - k].
+    """
+    if name not in GROUP_NAMES:
+        raise ValueError(f"unknown group {name!r}")
+    sets = build_subsets()
+    _, index, mul, conj = unit_tables()
+    octet = {index[u]: v for v in SUBSET_ORDER for u in sets[v]}
+    in_t = {index[u] for u in sets["T"]}
+    a = index[(ONE_Q + E1) * INV_SQRT2]  # the axis WB3L_C2 fixes up to sign
+
+    def wb3l(star: bool, i: int, j: int) -> bool:
+        # [x, +-conj(a) conj(x) a] and [x, +-a conj(x) a]*
+        k = mul[mul[a if star else conj[a]][conj[i]]][a]
+        return j in (k, 47 - k)
+
+    rule = {
+        "WF4": lambda star, i, j: (i in in_t) == (j in in_t),
+        "AutF4": lambda star, i, j: True,
+        "WB4": lambda star, i, j: (octet[i], octet[j]) in _WB4_PAIRS,
+        "WB3R": lambda star, i, j: j == conj[i],
+        "WB3R_C2": lambda star, i, j: j in (conj[i], 47 - conj[i]),
+        "WB3L_C2": wb3l,
+    }[name]
+    return frozenset(_element(star, i, j) for star in (False, True)
+                     for i in range(24, 48) for j in range(48)
+                     if rule(star, i, j))
 
 
 def quaternion_str(self):

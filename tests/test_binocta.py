@@ -11,7 +11,8 @@ from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.refdata import SUBSET_TABLE_GOLDEN
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import INV_SQRT2
-from oracles import element_inverse, subset_product_table_quaternion
+from oracles import (build_group_scan, element_inverse,
+                     subset_product_table_quaternion)
 
 IDENT = GroupElement.identity()
 
@@ -115,6 +116,11 @@ def _listed_group(name):
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_index_rules_match_quaternion_listing(name):
     assert build_group(name) == _listed_group(name)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_listed_halves_match_the_candidate_scan(name):
+    assert build_group(name) == build_group_scan(name)
 
 
 @pytest.mark.parametrize("name", ["wf4", "B4"])

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
-from f4weyl.binocta import build_group, sorted_elements
+import pytest
+
+from f4weyl.binocta import build_group, sorted_elements, unit_tables
 from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, ZERO_Q, _render,
                          reflect, reflect_classical)
 from f4weyl.scalar import FieldScalar
-from oracles import quaternion_inverse, quaternion_str
+from f4weyl.verify import _random_quaternion
+from oracles import (quaternion_dot_scalar, quaternion_inverse,
+                     quaternion_product_scalar, quaternion_str)
 
 
 def rand_quat(rng, span=6):
@@ -55,6 +59,46 @@ def test_scalar_product_two_routes():
     assert E1.dot(E2) == 0
     w = Quaternion(Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))
     assert w.dot(w) == 1
+
+
+def _disagreements(pairs):
+    """The pairs whose integer product or dot differs from the
+    ``FieldScalar`` route's; scalars compare by their canonical (x, y, d)."""
+    return [(p, q) for p, q in pairs
+            if p * q != quaternion_product_scalar(p, q)
+            or p.dot(q) != quaternion_dot_scalar(p, q)]
+
+
+@pytest.mark.parametrize("seed", [314159, 3])
+def test_integer_product_and_dot_on_verify_draws(seed):
+    rng = random.Random(seed)
+    draws = [_random_quaternion(rng) for _ in range(2000)]
+    assert _disagreements(zip(draws, draws[1:])) == []
+    assert _disagreements((q, q) for q in draws) == []
+
+
+def test_integer_product_and_dot_on_all_unit_pairs():
+    units = unit_tables()[0]
+    assert _disagreements((p, q) for p in units for q in units) == []
+
+
+def test_integer_product_and_dot_on_fractions_large_and_zero_parts():
+    rng = random.Random(29)
+    dens = (1, 2, 3, 7, 12, 10**12 + 39, 2**61 - 1, 6 * 10**15)
+
+    def part():
+        n = rng.choice((0, rng.randint(-9, 9), rng.randint(-10**18, 10**18)))
+        return Fraction(n, rng.choice(dens))
+
+    operands = [Quaternion(*(FieldScalar(part(), part()) if rng.random() < 0.5
+                             else part() if rng.random() < 0.6 else 0
+                             for _ in range(4)))
+                for _ in range(60)]
+    operands += [ZERO_Q, ONE_Q, E1, E2, E3,
+                 Quaternion(Fraction(1, 3), 0, Fraction(-5, 7), 2),
+                 Quaternion(0, FieldScalar(0, Fraction(1, 10**20 + 1)), 0, 0)]
+    assert any(c.d > 10**15 for q in operands for c in q.components())
+    assert _disagreements((p, q) for p in operands for q in operands) == []
 
 
 def test_norm_multiplicative():
