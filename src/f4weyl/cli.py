@@ -62,7 +62,8 @@ def parse_scale(text: str) -> FieldScalar:
 
 
 def export_off(points: Sequence[Tuple[FieldScalar, ...]]) -> str:
-    """Render exact 3D points as OFF text (17 significant digits)."""
+    """Render exact 3D points in convex position (each a vertex of their
+    hull, as in every dual cell) as OFF text (17 significant digits)."""
     from . import duals  # per call, so a rebound duals.convex_faces is run
     pts = sorted(points)
     try:  # before the hull, which is slow on coordinates this long

@@ -29,7 +29,7 @@ from collections import Counter
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .orbits import (Orbit, Record, _complex_cached, _orbit_cached, f_vector,
@@ -57,8 +57,9 @@ def _point_rows(points: Sequence[Triple]) -> Tuple[List[Tuple[int, ...]], int]:
     """Exact 3D points as flat Z[sqrt2] rows (x0, y0, ..., x2, y2) over their
     denominators' lcm, and that lcm: the hull, metrics and kite read them."""
     scale = lcm(*(c.d for p in points for c in p))
-    return [tuple(t * (scale // c.d) for c in p for t in (c.x, c.y))
-            for p in points], scale
+    return [(a.x * (i := scale // a.d), a.y * i, b.x * (j := scale // b.d),
+             b.y * j, c.x * (k := scale // c.d), c.y * k)
+            for a, b, c in points], scale
 
 
 def _dist_sq(a: Tuple[int, ...], b: Tuple[int, ...], scale: int) -> FieldScalar:
@@ -67,15 +68,7 @@ def _dist_sq(a: Tuple[int, ...], b: Tuple[int, ...], scale: int) -> FieldScalar:
 
 
 def _sub_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(s - t for s, t in zip(a, b))
-
-
-def _dot_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    """Exact sign of (a, b) for flat Z[sqrt2] rows (x0, y0, ..., x2, y2)."""
-    return surd_sign(a[0] * b[0] + a[2] * b[2] + a[4] * b[4]
-                     + 2 * (a[1] * b[1] + a[3] * b[3] + a[5] * b[5]),
-                     a[0] * b[1] + a[1] * b[0] + a[2] * b[3] + a[3] * b[2]
-                     + a[4] * b[5] + a[5] * b[4])
+    return tuple(map(sub, a, b))
 
 
 def _cross_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -89,62 +82,83 @@ def _cross_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
-    """Faces of the convex hull of exact 3D points, as index cycles
-    counter-clockwise from outside.  A triple i < j < k spans a face when
-    every other point lies weakly on one side of its plane; triples inside
-    a face already found are skipped.  The rows minus row i, built once per
-    anchor i, give each triple's normal and sign tests.  Every test runs on
-    Z[sqrt2] integer rows over the lcm of the points' denominators, a
-    positive scale (H. Cohen, GTM 138, section 4.2)."""
+    """Faces of the convex hull of exact 3D points in convex position, as
+    index cycles counter-clockwise from outside; a point inside the body, a
+    face or an edge lies in fewer than three faces and is refused.  Every
+    test reads chi[a, b, c, e] = sign det(p_b - p_a, p_c - p_a, p_e - p_a)
+    of a sorted 4-set (the chirotope; J. Richter-Gebert and G. M. Ziegler,
+    Handbook of Discrete and Computational Geometry, ch. 6), filled once as
+    D(b, c, e) - D(a, c, e) + D(a, b, e) - D(a, b, c) from the triple
+    products D of the rows minus row 0.  A triple i < j < k spans a face
+    when every other point lies weakly on one side of its plane; triples
+    inside a face already found are skipped.  A triangle turns by that
+    side, a larger face by orient(first, a, b, inner).  The signs are exact
+    on Z[sqrt2] integer rows over the lcm of the points' denominators
+    (H. Cohen, GTM 138, section 4.2; C. Yap, CGTA 7, 1997)."""
     n = len(points)
     if n == 0:
         raise ValueError("empty geometry")
     rows, _ = _point_rows(points)
     if len(set(rows)) != n:
         raise ValueError("duplicate points")
-    planes: Dict[frozenset, Tuple[int, ...]] = {}
-    covered = set()
-    for i in range(n - 2):
-        diffs = [_sub_rows(r, rows[i]) for r in rows]
-        for j, k in combinations(range(i + 1, n), 2):
-            if (i, j, k) in covered:
-                continue
-            normal = _cross_rows(diffs[j], diffs[k])
-            if not any(normal):
-                continue
-            side, members = 0, []
-            for m, d in enumerate(diffs):
-                sign = m not in (i, j, k) and _dot_sign(d, normal)
-                if not sign:
-                    members.append(m)
-                elif not side:
-                    side = sign
-                elif sign != side:
-                    break
-            else:
-                if side > 0:  # flip so the normal points away from the body
-                    normal = tuple(-c for c in normal)
-                planes[frozenset(members)] = normal
+    d = [_sub_rows(r, rows[0]) for r in rows]
+    vol = {(1, c): [(0, 0)] for c in range(2, n)}  # vol[b, c][a] = D(a, b, c)
+    for b, c in combinations(range(2, n), 2):
+        x0, y0, x1, y1, x2, y2 = _cross_rows(d[b], d[c])
+        vol[b, c] = [(0, 0)] + [
+            (u0 * x0 + u1 * x1 + u2 * x2 + 2 * (v0 * y0 + v1 * y1 + v2 * y2),
+             u0 * y0 + v0 * x0 + u1 * y1 + v1 * x1 + u2 * y2 + v2 * x2)
+            for u0, v0, u1, v1, u2, v2 in d[1:b]]
+    chi = {}
+    for b, c, e in combinations(range(1, n), 3):
+        ce, be, bc = vol[c, e], vol[b, e], vol[b, c]
+        p, q = ce[b]
+        for a in range(b):
+            (p1, q1), (p2, q2), (p3, q3) = ce[a], be[a], bc[a]
+            chi[a, b, c, e] = surd_sign(p - p1 + p2 - p3, q - q1 + q2 - q3)
+
+    def orient(i: int, j: int, k: int, m: int) -> int:  # i < j < k
+        return (chi[i, j, k, m] if m > k else -chi[i, j, m, k] if m > j
+                else chi[i, m, j, k] if m > i else -chi[m, i, j, k])
+
+    planes: Dict[Tuple[int, ...], int] = {}  # members -> side of the rest
+    covered, count = set(), [0] * n  # count: the faces through each point
+    for t in combinations(range(n), 3):
+        if t in covered:
+            continue
+        i, j, k = t
+        side, members = 0, []
+        for m in range(n):  # orient(i, j, k, m): chi of the sorted 4-set,
+            # negated for m below i or between j and k; 0 on the triple
+            s = m not in t and (
+                chi[i, j, k, m] if m > k else -chi[i, j, m, k] if m > j
+                else chi[i, m, j, k] if m > i else -chi[m, i, j, k])
+            if not s:
+                members.append(m)
+            elif not side:
+                side = s
+            elif s != side:
+                break
+        else:
+            if side:  # else all lie on it: i, j, k collinear or all flat
+                planes[tuple(members)] = side
                 covered.update(combinations(members, 3))
-    if not planes or n < 4 or any(len(m) == n for m in planes):
+                for m in members:
+                    count[m] += 1
+    if not planes:
         raise ValueError("degenerate (flat) geometry")
-    return sorted(_order_face(rows, members, normal)
-                  for members, normal in planes.items())
-
-
-def _order_face(rows: Sequence[Tuple[int, ...]], members: frozenset,
-                normal: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The face's cycle from its lowest index, counter-clockwise about the
-    outward ``normal``: a before b when (a - p0) x (b - p0), each difference
-    taken once, points along it.  The face is convex, so every vertex lies
-    within a half-turn of the first vertex p0 and this order is total."""
-    first, *rest = sorted(members)
-    diff = {m: _sub_rows(rows[m], rows[first]) for m in rest}
-
-    def turn(a: int, b: int) -> int:
-        return -_dot_sign(normal, _cross_rows(diff[a], diff[b]))
-
-    return (first, *sorted(rest, key=cmp_to_key(turn)))
+    if min(count) < 3:
+        raise ValueError("points not in convex position")
+    faces = []
+    for (first, *rest), side in planes.items():
+        if len(rest) == 2:
+            faces.append((first, *rest[::-side]))
+            continue
+        inner = next(m for m in range(n) if m != first and m not in rest)
+        rest.sort(key=cmp_to_key(lambda a, b: orient(first, a, b, inner)
+                                 if a < b else -orient(first, b, a, inner)))
+        faces.append((first, *rest))
+    return sorted(faces)
 
 
 class CellFamily(Record):
@@ -361,7 +375,7 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]
                   for p, q in ((a, b1), (b1, c), (c, b2), (b2, a)))
     d_axis, d_cross = _dist_sq(a, c, scale), _dist_sq(b1, b2, scale)
     # the diagonals must be perpendicular for the half-product area rule
-    if _dot_sign(_sub_rows(c, a), _sub_rows(b2, b1)):
+    if any(_dot_with(_sub_rows(c, a))(_sub_rows(b2, b1))):
         raise ArithmeticError("kite diagonals are not perpendicular")
     area_sq = d_axis * d_cross / 4
 

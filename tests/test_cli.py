@@ -22,7 +22,7 @@ from f4weyl.cli import convex_faces, export_off, main, parse_label
 from f4weyl.duals import dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import generate_orbit
 from f4weyl.rootsys import f4_system
-from f4weyl.scalar import FieldScalar, parse_scalar
+from f4weyl.scalar import SQRT2, FieldScalar, parse_scalar
 import oracles
 from oracles import cross3, dot3, sub3
 
@@ -651,6 +651,24 @@ def test_convex_faces_rejects_degenerate_input():
         with pytest.raises(ValueError) as err:
             convex_faces(bad)
         assert str(err.value) == message, bad
+
+
+def test_convex_faces_rejects_points_that_are_not_vertices():
+    # a cube plus a point inside its body, inside a face or on an edge (in
+    # 0, 1 or 2 of its faces, where a vertex is in 3), in rational and in
+    # surd coordinates, in any order; export_off refuses the body centre
+    zero, half, surd = FieldScalar(0), parse_scalar("1/2"), SQRT2 - 1
+    cube = [(FieldScalar(x), FieldScalar(y), FieldScalar(z))
+            for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert len(convex_faces(cube)) == 6
+    for extra in ((half, half, half), (half, half, zero), (half, zero, zero),
+                  (surd, half, surd), (surd, surd, zero), (surd, zero, zero)):
+        for pts in (cube + [extra], [extra] + cube, sorted(cube + [extra])):
+            with pytest.raises(ValueError) as err:
+                convex_faces(pts)
+            assert str(err.value) == "points not in convex position", extra
+    with pytest.raises(ValueError, match="^points not in convex position$"):
+        export_off(cube + [(half, half, half)])
 
 
 def test_output_flag_writes_identical_bytes():

@@ -4,20 +4,25 @@ The dual-cell hull runs on Z[sqrt2] integer rows; ``oracle_faces`` is
 the hull it replaced, in ``FieldScalar`` arithmetic, and both must give
 the same face cycles.  Labels are the 0/1 patterns,
 seeded random dominant Q(sqrt2) labels (some with negative rational or
-sqrt2 parts) and three labels with a 10^17 entry.
+sqrt2 parts) and three labels with a 10^17 entry; hypothesis draws small
+Z[sqrt2] point sets, which must give the oracle's faces or name their
+fault.
 """
 
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4weyl import duals
 from f4weyl.branching import project_3d
 from f4weyl.duals import convex_faces, dual_cell
 from f4weyl.orbits import f_vector
 from f4weyl.rootsys import f4_system
+from f4weyl.scalar import FieldScalar
 from oracles import cross3, dot3, random_labels, sub3, zero_one_labels
 
 F4 = f4_system()
@@ -87,42 +92,101 @@ def test_hull_faces_are_the_edges_at_the_vertex():
 
 
 def test_hull_skips_triples_inside_found_faces(monkeypatch):
-    # only the first triple of each face is tested against every point
+    # the scan records a face at the first of its triples that it meets and
+    # never scans the others, so no face is recorded twice; each of the 8
+    # quadrilaterals holds 3 skipped triples
     pts = cell_points((1, 0, 0, 1), True)
+    recorded, combos = [], duals.combinations
+
+    def combinations(items, r):
+        if not isinstance(items, range):  # a found face's members
+            recorded.append(tuple(items))
+        return combos(items, r)
+
+    monkeypatch.setattr(duals, "combinations", combinations)
     faces = convex_faces(pts)
-    calls = []
-    cross = duals._cross_rows
-    monkeypatch.setattr(duals, "_cross_rows",
-                        lambda a, b: calls.append(1) or cross(a, b))
-    monkeypatch.setattr(duals, "_order_face",
-                        lambda rows, members, normal: tuple(sorted(members)))
-    convex_faces(pts)
-    skipped = sum(comb(len(face), 3) - 1 for face in faces)
-    assert skipped > 0
-    assert len(calls) == comb(len(pts), 3) - skipped
+    assert [len(face) for face in faces] == [4] * 8
+    assert sorted(recorded) == sorted(tuple(sorted(f)) for f in faces)
 
 
-def test_hull_takes_each_difference_once_per_anchor(monkeypatch):
-    # the rows minus anchor i are built once per anchor i < n - 2, and a
-    # triple's own points are face members without a sign test
+def test_hull_takes_each_orientation_once(monkeypatch):
+    # one cross product per pair 2 <= b < c of the rows d minus row 0, one
+    # triple product per 1 <= a < b < c (each unpacks its d_a once) and one
+    # sign per 4-set; the scan of the 96 candidate triples takes none
     pts = cell_points((1, 0, 0, 1), True)
-    n, subs, triple, own = len(pts), [], [], []
-    sub, cross, sign = duals._sub_rows, duals._cross_rows, duals._dot_sign
+    n, crosses, reads, signs = len(pts), [], [], []
 
-    def crossed(a, b):
-        triple[:] = [(0,) * 6, a, b]  # the differences of i, j and k
-        return cross(a, b)
+    class Row(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
 
-    monkeypatch.setattr(duals, "_sub_rows",
-                        lambda a, b: subs.append(1) or sub(a, b))
-    monkeypatch.setattr(duals, "_cross_rows", crossed)
-    monkeypatch.setattr(duals, "_dot_sign",
-                        lambda a, b: own.append(a in triple) or sign(a, b))
-    monkeypatch.setattr(duals, "_order_face",
-                        lambda rows, members, normal: tuple(sorted(members)))
-    convex_faces(pts)
-    assert n == 10 and len(subs) == n * (n - 2)
-    assert own and not any(own)
+    sub, cross, sign = duals._sub_rows, duals._cross_rows, duals.surd_sign
+    monkeypatch.setattr(duals, "_sub_rows", lambda a, b: Row(sub(a, b)))
+    monkeypatch.setattr(duals, "_cross_rows",
+                        lambda a, b: crosses.append(1) or cross(a, b))
+    monkeypatch.setattr(duals, "surd_sign",
+                        lambda p, q: signs.append(1) or sign(p, q))
+    assert convex_faces(pts) == oracle_faces(pts)
+    assert n == 10
+    assert len(crosses) == comb(n - 2, 2) == 28
+    assert len(reads) == comb(n - 1, 3) == 84
+    assert len(signs) == comb(n, 4) == 210
+
+
+# a hull's input either gives the oracle's faces or names its fault: grid
+# draws make coplanar, collinear and repeated points common, sphere draws
+# (signed permutations of one row) keep every point a vertex, and the
+# midpoint of two sphere points is never one
+FAULTS = ("empty geometry", "duplicate points", "degenerate (flat) geometry",
+          "points not in convex position")
+_SURD = st.builds(FieldScalar, st.integers(-3, 3), st.integers(-2, 2))
+_GRID = st.builds(FieldScalar, st.integers(-1, 1))
+_SIGNED = [(p, s) for p in permutations(range(3))
+           for s in product((1, -1), repeat=3)]
+_SPHERE = st.builds(
+    lambda row, picks: list(dict.fromkeys(
+        tuple(row[i] * e for i, e in zip(*_SIGNED[k])) for k in picks)),
+    st.tuples(_SURD, _SURD, _SURD),
+    st.lists(st.integers(0, len(_SIGNED) - 1), min_size=4, max_size=12,
+             unique=True))
+_MIDPOINT = st.builds(  # inside the body, inside a face or on an edge
+    lambda pts, a, b: pts + [tuple((x + y) / 2 for x, y in zip(
+        pts[a % len(pts)], pts[b % len(pts)]))],
+    _SPHERE, st.integers(0, 11), st.integers(0, 11))
+POINT_SETS = st.one_of(
+    st.lists(st.tuples(_SURD, _SURD, _SURD), max_size=12, unique=True),
+    st.lists(st.tuples(_GRID, _GRID, _GRID), max_size=12, unique=True),
+    st.lists(st.tuples(_GRID, _GRID, _GRID), max_size=12), _SPHERE,
+    _MIDPOINT)
+
+
+def expected_fault(pts):
+    """The message owed for ``pts``, read off the oracle's faces, or None:
+    a flat set has no face or one holding every point, and a point of a
+    3-polytope is a vertex exactly when it lies in three faces or more."""
+    if not pts:
+        return FAULTS[0]
+    if len(set(pts)) < len(pts):
+        return FAULTS[1]
+    faces = oracle_faces(pts)
+    if not faces or any(len(face) == len(pts) for face in faces):
+        return FAULTS[2]
+    if any(sum(m in face for face in faces) < 3 for m in range(len(pts))):
+        return FAULTS[3]
+    return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(POINT_SETS)
+def test_hull_matches_oracle_or_names_the_fault(pts):
+    fault = expected_fault(pts)
+    if fault is not None:
+        with pytest.raises(ValueError) as err:
+            convex_faces(pts)
+        assert str(err.value) == fault
+    else:
+        assert convex_faces(pts) == oracle_faces(pts)
 
 
 def test_hull_matches_oracle_on_projected_layers():
