@@ -1,18 +1,16 @@
 """Orbit branching under the signed-permutation group W(B4) and under
-W(B3) x A1, whose orbits are the parallel 3D layers, read off the F4
-orbit's dominant forms |q0| >= |q1| >= |q2| >= |q3| (pairs x + y*sqrt2
-over S, :class:`~f4weyl.orbits.Orbit`) without expanding the orbit.
-Each suborbit has one point in its closed chamber (J. E. Humphreys,
-"Reflection Groups and Coxeter Groups", section 1.12).  A B4 part is
-the orbit of one form, with label (q0-q1, q1-q2, q2-q3, sqrt2*q3).  A
-B3 layer is the signed permutations with q0 = +-|q_k| of one form: its
-chamber point is the form's other three coordinates, with label
-(sqrt2*q3, q2-q3, q1-q2) (B3R's roots are sqrt2*e3, e2-e3, e1-e2), at
-height |q_k/sqrt2|, the pair (2*y, x) over 2S.  A part's size is the count
-of its form's signed permutations; the 3D layer at q0 = +-v is the B3
-signed permutations of the other three coordinate ranks of each form
-holding v >= 0 (q0 -> -q0 is in W(B4)).  Each entry point validates its
-label once; the stages behind it take it validated.
+W(B3) x A1 (the parallel 3D layers), read off the F4 orbit's dominant forms
+|q0| >= ... >= |q3| (pairs x + y*sqrt2 over S, :class:`~f4weyl.orbits.Orbit`)
+without expanding the orbit: each suborbit has one point in its closed
+chamber (J. E. Humphreys, "Reflection Groups and Coxeter Groups", section
+1.12).  A B4 part is one form's orbit, label (q0-q1, q1-q2, q2-q3, sqrt2*q3).
+The B3 layer at q0 = +-q_k of a form has chamber point a >= b >= c >= 0, its
+other three coordinates, label (sqrt2*c, b-c, a-b) (B3R's roots are sqrt2*e3,
+e2-e3, e1-e2) and height |q_k/sqrt2|, the pair (2*y, x) over 2S.  Which of
+a == b, b == c, c == 0 hold fixes its sorted signed permutations: one cached
+template per tie pattern gives its size and its points (q0 -> -q0 is in
+W(B4)).  Entry points validate a label once; the stages behind them take it
+validated.
 """
 
 from __future__ import annotations
@@ -71,26 +69,35 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 
 @lru_cache(maxsize=64)
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
-    f4, b3 = f4_system(), b3r_system()
+    f4 = f4_system()
     orbit = _orbit_cached(f4.name, labels)
     s = orbit.den * f4.weight_den
-    layers = set()  # (B3 label, height, size) for each form and each q_k
-    for form in orbit.forms:
-        for k in (0, 2, 4, 6):
-            x1, y1, x2, y2, x3, y3 = rest = form[:k] + form[k + 2:]
-            layers.add(((from_ints(2 * y3, x3, s),
-                         from_ints(x2 - x3, y2 - y3, s),
-                         from_ints(x1 - x2, y1 - y2, s)),
-                        from_ints(2 * form[k + 1], form[k], 2 * s),
-                        b3.orbit_count([(0, 0) + rest])))
+    layers = sorted(((from_ints(2 * y3, x3, s), from_ints(x2 - x3, y2 - y3, s),
+                      from_ints(x1 - x2, y1 - y2, s)), from_ints(2 * yk, xk, 2 * s),
+                     len(_b3_template((x1, y1) == (x2, y2), (x2, y2) == (x3, y3),
+                                      (x3, y3) == (0, 0))))
+                    for x1, y1, x2, y2, x3, y3, xk, yk in {  # (rest, q_k) once
+                        form[:k] + form[k + 2:] + form[k:k + 2]
+                        for form in orbit.forms for k in (0, 2, 4, 6)})
     return tuple(Slice(part, height, size, height.sign() > 0)
-                 for part, height, size in sorted(layers))
+                 for part, height, size in layers)
+
+
+@lru_cache(maxsize=8)
+def _b3_template(ab: bool, bc: bool, c0: bool) -> Tuple[Tuple[int, ...], ...]:
+    """Distinct signed permutations of a B3 chamber point a >= b >= c >= 0
+    with these ties, ascending, as index triples into (-a, -b, -c, 0, c, b, a)."""
+    a, b, c = 3 - ab - bc - c0, 2 - bc - c0, 1 - c0  # each tie drops a step
+    slot = {v: i for i, v in enumerate((-a, -b, -c, 0, c, b, a))}
+    return tuple(sorted((slot[r[2]], slot[r[4]], slot[r[6]]) for r in
+                        b3r_system().signed_permutations((0, 0, a, 0, b, 0, c, 0))))
 
 
 def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
                ) -> Tuple[Tuple[FieldScalar, tuple], ...]:
     """Exact 3D layers of a (possibly rescaled) orbit, top to bottom: the
-    (height, distinct imaginary coordinate triples, ascending) pairs."""
+    (height, distinct imaginary coordinate triples, ascending) pairs: a
+    filled B3 template per form holding q0, forms sharing q0 sorted once."""
     f4 = f4_system()
     labels = _validated(f4, labels)
     scale = as_scalar(scale)
@@ -99,23 +106,26 @@ def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
     orbit = _orbit_cached(f4.name, labels)
     den = orbit.den * f4.weight_den * scale.d
     forms = [list(zip(f[::2], f[1::2])) for f in scale_rows(orbit.forms, scale)]
-    # rank i of the n sorted +- coordinates is key 2*i - n + 1, which keeps
-    # order, negates with the value and is 0 at 0: key rows sort as points
-    values = sorted({v for form in forms for x, y in form
-                     for v in ((x, y), (-x, -y))}, key=surd_order)
+    # rank i of the n sorted +- coordinates and 0 is key 2*i - n + 1, which
+    # keeps order, negates with the value and is 0 at 0: key rows sort as points
+    values = sorted({(0, 0)} | {v for form in forms for x, y in form
+                                for v in ((x, y), (-x, -y))}, key=surd_order)
     key = {xy: 2 * i - len(values) + 1 for i, xy in enumerate(values)}
     scalars = {key[xy]: from_ints(*xy, den) for xy in values}
-    b3, rows = b3r_system(), {}  # the B3 key rows of each layer q0 = v >= 0
-    for form in forms:
-        keyed = tuple(k for xy in form for k in (key[xy], 0))
-        for i in (0, 2, 4, 6):
-            if keyed[i] not in keyed[:i:2]:  # each distinct v once
-                rows.setdefault(keyed[i], []).extend(b3.signed_permutations(
-                    keyed[i:i + 2] + keyed[:i] + keyed[i + 2:]))
-    # the height is q0 / sqrt2, a positive factor: q0 order is height order
-    top = [(scalars[v] * INV_SQRT2, tuple([
-        (scalars[r[2]], scalars[r[4]], scalars[r[6]]) for r in sorted(rows[v])]))
-        for v in sorted(rows, reverse=True)]
+    rests = {}  # the other three keys of each form holding q0 = v >= 0
+    for keys in ([key[xy] for xy in form] for form in forms):
+        for i in {keys.index(v) for v in keys}:  # each distinct v once
+            rests.setdefault(keys[i], []).append(keys[:i] + keys[i + 1:])
+    top = []  # the height is q0 / sqrt2, a positive factor: q0 order
+    for v in sorted(rests, reverse=True):
+        many = len(rests[v]) > 1  # coset forms sharing v: sort key rows
+        rows = [(k[i], k[j], k[m]) for a, b, c in rests[v]
+                for k in [[x if many else scalars[x]
+                           for x in (-a, -b, -c, 0, c, b, a)]]
+                for i, j, m in _b3_template(a == b, b == c, c == 0)]
+        if many:
+            rows = [(scalars[i], scalars[j], scalars[m]) for i, j, m in sorted(rows)]
+        top.append((scalars[v] * INV_SQRT2, tuple(rows)))
     return tuple(top + [(-h, pts) for h, pts in reversed(top) if h])
 
 

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from f4weyl import cli, refdata
 from f4weyl.binocta import OMEGA0, build_subsets
-from f4weyl.branching import (branch_b3a1, branch_b4, project_3d,
-                              verify_b3a1_slices, verify_b4_branching)
+from f4weyl.branching import (_b3_template, branch_b3a1, branch_b4,
+                              project_3d, verify_b3a1_slices,
+                              verify_b4_branching)
 from f4weyl.orbits import generate_orbit
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
@@ -90,6 +94,28 @@ def test_b3a1_family_formulas():
             expected.add((lab, abs(h)))
         got = set((s.labels, s.height) for s in branch_b3a1(labels))
         assert got == expected
+
+
+@pytest.mark.parametrize("ties", list(product((False, True), repeat=3)))
+def test_b3_template_is_the_sorted_kernel_orbit(ties):
+    # the template of a tie pattern (a == b, b == c, c == 0) lists the
+    # sorted signed permutations of every chamber point with those ties
+    ab, bc, c0 = ties
+    b3, template = b3r_system(), _b3_template(*ties)
+    assert list(template) == sorted(set(template))
+    for step in (1, 5):
+        c = 0 if c0 else 2 * step
+        b = c if bc else c + 3 * step
+        a = b if ab else b + step
+        slots = (-a, -b, -c, 0, c, b, a)
+        form = (0, 0, a, 0, b, 0, c, 0)
+        rows = sorted((r[2], r[4], r[6]) for r in b3.signed_permutations(form))
+        assert [(slots[i], slots[j], slots[k]) for i, j, k in template] == rows
+        assert len(template) == b3.orbit_count([form])
+    # and each index names the slot of the value it stands for
+    slot = {v: i for i, v in enumerate(slots)}
+    assert template == tuple(sorted((slot[r[0]], slot[r[1]], slot[r[2]])
+                                    for r in rows))
 
 
 def test_one_walk_per_label(monkeypatch):

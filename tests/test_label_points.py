@@ -3,8 +3,9 @@
 Full orbits are the signed permutations of their coset rows, and their
 sizes and the subgroup orders are counted off those rows' dominant
 forms; the branchings and the cell centers read those rows, each +-
-pair of 3D layers the B3 signed permutations of the forms' coordinate
-ranks, and the dual shells and the dual cell integer vertex rows; no
+pair of 3D layers fills one cached B3 template per form with the forms'
+coordinate ranks (tied labels merge the layers of several forms), and
+the dual shells and the dual cell integer vertex rows; no
 stage expands the label's orbit; the CLI prints the branching and orbit
 text from its payload.
 ``oracles`` holds the routes they replaced: the inverse dominance walk
@@ -20,8 +21,10 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from f4weyl import cli, orbits
+from f4weyl import branching, cli, orbits
 from f4weyl.binocta import OMEGA0
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
 from f4weyl.duals import dual_cell, dual_polytope
@@ -135,6 +138,67 @@ def test_layers_come_in_mirrored_pairs(monkeypatch, labels):
         assert not zero or layers[len(layers) // 2][0] == 0, scale
         assert sum(len(pts) for _, pts in layers) == orbit.size, scale
     assert "F4" not in expanded, expanded
+
+
+def test_layers_and_slices_expand_no_forms(monkeypatch):
+    # each layer and slice reads a cached B3 template: once the templates
+    # are warm, project_3d expands no form and branch_b3a1 counts none
+    for labels in LAYER_CASES:
+        for scale in [1] + SCALES:
+            project_3d(labels, scale)
+        branch_b3a1(labels)
+    calls = []
+    for name in ("signed_permutations", "orbit_count"):
+        def counted(self, arg, kernel=getattr(RootSystem, name), name=name):
+            calls.append((self.name, name))
+            return kernel(self, arg)
+        monkeypatch.setattr(RootSystem, name, counted)
+    branching._branch_b3a1.cache_clear()
+    for labels in LAYER_CASES:
+        for scale in [1] + SCALES:
+            project_3d(labels, scale)
+        branch_b3a1(labels)
+    assert calls == []
+
+
+# label entries that make coordinates coincide, so that coset forms share
+# a coordinate value and their layers merge
+TIED = st.sampled_from([parse_scalar(t) for t in
+                        ("0", "1", "2", "sqrt2", "1+sqrt2", "1/2")])
+POSITIVE = st.builds(FieldScalar, st.fractions(-9, 9, max_denominator=4),
+                     st.fractions(-9, 9, max_denominator=4)).filter(
+                         lambda a: a.sign() > 0)
+
+
+def _shared_value(labels):
+    """Whether two coset forms of the label share a coordinate value."""
+    forms = [{f[k:k + 2] for k in (0, 2, 4, 6)}
+             for f in generate_orbit(F4, labels).forms]
+    return any(a & b for a, b in combinations(forms, 2))
+
+
+def test_tied_labels_match_vertex_oracles():
+    # layers (content and order) and slices of tied labels at random
+    # scales match the vertex and walk oracles, merged layers included
+    merged = []
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              database=None)
+    @given(st.lists(TIED, min_size=4, max_size=4).filter(any), POSITIVE)
+    def check(labels, scale):
+        labels = tuple(labels)
+        merged.append(_shared_value(labels))
+        got = project_3d(labels, scale)
+        assert [(h, frozenset(pts)) for h, pts in got] == \
+            list(oracles.project_3d(labels, scale))
+        assert [(h, sorted(pts)) for h, pts in
+                oracles.project_3d_walked(labels, scale)] == \
+            [(h, list(pts)) for h, pts in got]
+        assert branch_b3a1(labels) == oracles.branch_b3a1(labels)
+        assert branch_b3a1(labels) == oracles.branch_b3a1_by_labels(labels)
+
+    check()
+    assert any(merged), "no draw reached a layer shared by two forms"
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=IDS)
