@@ -20,8 +20,8 @@ from typing import Sequence, Tuple
 
 from .orbits import Record, _orbit_cached, _validated, generate_orbit
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
-                      scale_rows, surd_order)
-from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints
+                      scale_rows)
+from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints, surd_order
 
 
 class B4Part(Record):

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from .orbits import f_vector, generate_orbit
 from .quat import _render
 from .rootsys import format_labels, f4_system
-from .scalar import FieldScalar, parse_scalar
+from .scalar import FieldScalar, pair_values, parse_scalar
 
 
 def __getattr__(name: str):
@@ -124,7 +124,8 @@ def _cmd_orbit(args):
     orbit = generate_orbit(f4_system(), args.label)
     payload, _ = _cmd_fvector(args)
     rows = sorted(orbit.rows)  # the order of orbit.vertices
-    text = f4_system()._pair_values(rows, orbit.den, str)
+    text = {xy: str(v) for xy, v in
+            pair_values(rows, orbit.den * f4_system().weight_den).items()}
     payload["vertices"] = [[text[r[k:k + 2]] for k in (0, 2, 4, 6)]
                            for r in rows]
     lines = [f"{payload['label']}  {orbit.size} vertices"]

@@ -28,8 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
-from math import lcm
-from operator import mul, sub
+from operator import sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .orbits import (Orbit, Record, _complex_cached, _orbit_cached, f_vector,
@@ -37,7 +36,8 @@ from .orbits import (Orbit, Record, _complex_cached, _orbit_cached, f_vector,
 from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
-from .scalar import INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, surd_sign
+from .scalar import (INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, over_lcm,
+                     row_dot, surd_sign)
 
 Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
 
@@ -56,15 +56,13 @@ PUBLISHED: Dict[Tuple[int, ...], Tuple[int, FieldScalar]] = {
 def _point_rows(points: Sequence[Triple]) -> Tuple[List[Tuple[int, ...]], int]:
     """Exact 3D points as flat Z[sqrt2] rows (x0, y0, ..., x2, y2) over their
     denominators' lcm, and that lcm: the hull, metrics and kite read them."""
-    scale = lcm(*(c.d for p in points for c in p))
-    return [(a.x * (i := scale // a.d), a.y * i, b.x * (j := scale // b.d),
-             b.y * j, c.x * (k := scale // c.d), c.y * k)
-            for a, b, c in points], scale
+    flat, scale = over_lcm([c for p in points for c in p])
+    return [flat[k:k + 6] for k in range(0, len(flat), 6)], scale
 
 
 def _dist_sq(a: Tuple[int, ...], b: Tuple[int, ...], scale: int) -> FieldScalar:
     d = _sub_rows(a, b)
-    return from_ints(*_dot_with(d)(d), scale * scale)
+    return from_ints(*row_dot(d)(d), scale * scale)
 
 
 def _sub_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -117,7 +115,8 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
             (p1, q1), (p2, q2), (p3, q3) = ce[a], be[a], bc[a]
             chi[a, b, c, e] = surd_sign(p - p1 + p2 - p3, q - q1 + q2 - q3)
 
-    def orient(i: int, j: int, k: int, m: int) -> int:  # i < j < k
+    def orient(i: int, j: int, k: int, m: int) -> int:  # i < j < k, m off
+        # them: chi of the sorted 4-set, negated for m below i or in (j, k)
         return (chi[i, j, k, m] if m > k else -chi[i, j, m, k] if m > j
                 else chi[i, m, j, k] if m > i else -chi[m, i, j, k])
 
@@ -128,11 +127,8 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
             continue
         i, j, k = t
         side, members = 0, []
-        for m in range(n):  # orient(i, j, k, m): chi of the sorted 4-set,
-            # negated for m below i or between j and k; 0 on the triple
-            s = m not in t and (
-                chi[i, j, k, m] if m > k else -chi[i, j, m, k] if m > j
-                else chi[i, m, j, k] if m > i else -chi[m, i, j, k])
+        for m in range(n):
+            s = m not in t and orient(i, j, k, m)  # 0 on the triple
             if not s:
                 members.append(m)
             elif not side:
@@ -168,13 +164,6 @@ class CellFamily(Record):
     name: str
     center_node: int                # the complementary node, 1-based
     centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
-
-
-def _dot_with(b: Tuple[int, ...]):
-    """a -> (P, Q) with (a, b) = P + Q*sqrt2, on flat Z[sqrt2] rows."""
-    p = tuple(v << (k & 1) for k, v in enumerate(b))  # (x, 2y) per pair
-    q = tuple(b[k ^ 1] for k in range(len(b)))  # (y, x) per pair
-    return lambda a: (sum(map(mul, a, p)), sum(map(mul, a, q)))
 
 
 def _unit_orbit(sys: RootSystem, j: int) -> Orbit:
@@ -227,7 +216,7 @@ def _vertex_figure(sys_name: str, labels: Labels):
     row is its own form)."""
     sys, orbit = get_system(sys_name), _orbit_cached(sys_name, labels)
     lam, den, families, tops = orbit.forms[0], orbit.den, [], {}
-    dot = _dot_with(lam)
+    dot = row_dot(lam)
     zeros = zero_nodes(labels)
     for entry in _complex_cached(sys_name, zeros)[-1]:  # the cells
         (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
@@ -239,7 +228,7 @@ def _vertex_figure(sys_name: str, labels: Labels):
     top_ref = from_ints(*tops[ref if ref in tops else min(tops)], 1)
     scales = {j: top_ref / from_ints(*tops[j], 1) for j in sorted(tops)}
     x0, y0, x1, y1, x2, y2, x3, y3 = lam
-    frame = [_dot_with(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
+    frame = [row_dot(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
                                     (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
                                     (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
     over, coords = den * sys.weight_den ** 2, []  # c's weight_den, Lambda's
@@ -375,13 +364,13 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]
                   for p, q in ((a, b1), (b1, c), (c, b2), (b2, a)))
     d_axis, d_cross = _dist_sq(a, c, scale), _dist_sq(b1, b2, scale)
     # the diagonals must be perpendicular for the half-product area rule
-    if any(_dot_with(_sub_rows(c, a))(_sub_rows(b2, b1))):
+    if any(row_dot(_sub_rows(c, a))(_sub_rows(b2, b1))):
         raise ArithmeticError("kite diagonals are not perpendicular")
     area_sq = d_axis * d_cross / 4
 
     def tri_area(p, q, r) -> float:  # half the float norm of the cross product
         cx = _cross_rows(_sub_rows(q, p), _sub_rows(r, p))
-        return 0.5 * float(from_ints(*_dot_with(cx)(cx), scale ** 4)) ** 0.5
+        return 0.5 * float(from_ints(*row_dot(cx)(cx), scale ** 4)) ** 0.5
 
     area_float = tri_area(a, b1, c) + tri_area(a, c, b2)
     return {

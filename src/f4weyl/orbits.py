@@ -45,8 +45,8 @@ from typing import FrozenSet, Sequence, Tuple
 
 from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
-                      get_system, surd_order)
-from .scalar import surd_sign
+                      get_system)
+from .scalar import surd_order, surd_sign
 
 #: face and cell names keyed by |W_S|, the vertex count |W_S| / |W_(S & J)|
 #: and the largest vertex count among the 2-faces of S (a polygon's own)
@@ -185,10 +185,6 @@ def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
 def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
     """Order of the subgroup W_J of the given simple reflections (0-based)."""
     return _node_sets(sys_name)[sum(1 << i for i in nodes)][2]
-
-
-def weyl_order(sys: RootSystem) -> int:
-    return _node_sets(sys.name)[-1][2]
 
 
 def zero_nodes(labels: Labels) -> FrozenSet[int]:

@@ -14,11 +14,10 @@ they can be cross-checked against each other):
 
 from __future__ import annotations
 
-from math import lcm
-from operator import mul
 from typing import Sequence, Tuple, Union
 
-from .scalar import FieldScalar, Rational, as_scalar, from_ints
+from .scalar import (FieldScalar, Rational, as_scalar, from_ints, over_lcm,
+                     row_dot)
 
 ScalarLike = Union[FieldScalar, Rational]
 
@@ -64,7 +63,9 @@ class Quaternion:
     def __mul__(self, other: Union["Quaternion", ScalarLike]) -> "Quaternion":
         if isinstance(other, Quaternion):
             # (A + sqrt2 B)(C + sqrt2 F) = AC + 2BF + sqrt2 (AF + BC)
-            (a, b, d), (c, f, e) = _over_lcm(self), _over_lcm(other)
+            (r, d), (s, e) = map(over_lcm, (self.components(),
+                                            other.components()))
+            a, b, c, f = r[::2], r[1::2], s[::2], s[1::2]
             ac, bf, af, bc = map(_hamilton, (a, b, a, b), (c, f, f, c))
             return from_scalars(*[from_ints(ac[k] + 2 * bf[k], af[k] + bc[k],
                                             d * e) for k in range(4)])
@@ -88,9 +89,8 @@ class Quaternion:
 
     def dot(self, other: "Quaternion") -> FieldScalar:
         """Euclidean scalar product, a FieldScalar."""
-        (a, b, d), (c, f, e) = _over_lcm(self), _over_lcm(other)
-        return from_ints(sum(map(mul, a, c)) + 2 * sum(map(mul, b, f)),
-                         sum(map(mul, a, f)) + sum(map(mul, b, c)), d * e)
+        (a, d), (b, e) = map(over_lcm, (self.components(), other.components()))
+        return from_ints(*row_dot(b)(a), d * e)
 
     def norm_sq(self) -> FieldScalar:
         return self.dot(self)
@@ -147,15 +147,6 @@ def _render(components: Sequence[str]) -> str:
 _new = object.__new__
 _set0, _set1, _set2, _set3 = (Quaternion.q0.__set__, Quaternion.q1.__set__,
                               Quaternion.q2.__set__, Quaternion.q3.__set__)
-
-
-def _over_lcm(q: Quaternion) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    """(A, B, D): integer 4-tuples with q = (A + sqrt2 B)/D, D the lcm."""
-    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
-    d = lcm(q0.d, q1.d, q2.d, q3.d)
-    m0, m1, m2, m3 = d // q0.d, d // q1.d, d // q2.d, d // q3.d
-    return ((q0.x * m0, q1.x * m1, q2.x * m2, q3.x * m3),
-            (q0.y * m0, q1.y * m1, q2.y * m2, q3.y * m3), d)
 
 
 def _hamilton(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:

@@ -19,15 +19,15 @@ of the signed permutations of q_fixed..q3:
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
 from .scalar import (HALF, INV_SQRT2, SQRT2, FieldScalar, Rational, as_scalar,
-                     from_ints, surd_sign)
+                     from_ints, over_lcm, pair_values, surd_order, surd_sign)
 
 LabelLike = Union[FieldScalar, Rational]
 Labels = Tuple[FieldScalar, ...]
@@ -35,14 +35,6 @@ Labels = Tuple[FieldScalar, ...]
 #: (x_1, y_1, ..., x_r, y_r); the common denominator D travels beside it
 IntLabels = Tuple[int, ...]
 IntRow = Tuple[int, ...]  # a vertex (q0, ..., q3), flattened the same way
-
-#: sort key ordering pairs (x, y), or rows by their first pair, by x + y*sqrt2
-surd_order = cmp_to_key(lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1]))
-
-
-def _denominator(values: Sequence[FieldScalar]) -> int:
-    """Least common denominator of the rational and sqrt2 parts."""
-    return lcm(*(v.d for v in values))
 
 
 def scalar_labels(mu: IntLabels, den: int) -> Labels:
@@ -110,17 +102,17 @@ class RootSystem:
             tuple(a.dot(b) for b in self.weights) for a in self.weights)
         # sparse integer rows of (k, p, q): C_ik = p + q*sqrt2, and
         # component k of a weight is (p + q*sqrt2) / weight_den
-        if _denominator([c for row in self.cartan for c in row]) != 1:
+        if over_lcm([c for row in self.cartan for c in row])[1] != 1:
             raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
         self._cartan_rows = tuple(
             tuple((j, c.x, c.y) for j, c in enumerate(row) if c)
             for row in self.cartan)
-        den = self.weight_den = _denominator(
+        flat, self.weight_den = over_lcm(
             [c for w in self.weights for c in w.components()])
+        pairs = list(zip(flat[::2], flat[1::2]))  # four per weight
         self._weight_rows = tuple(
-            tuple((k, c.x * (den // c.d), c.y * (den // c.d))
-                  for k, c in enumerate(w.components()) if c)
-            for w in self.weights)
+            tuple((k, p, q) for k, (p, q) in enumerate(pairs[i:i + 4])
+                  if p or q) for i in range(0, len(pairs), 4))
         f = 2 * fixed  # one getter per permutation of the pairs q_fixed..q3
         self._arrangements = tuple(
             itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
@@ -158,8 +150,7 @@ class RootSystem:
 
     def integer_labels(self, labels: Labels) -> Tuple[IntLabels, int]:
         """Labels as flat Z[sqrt2] integer pairs over a common denominator."""
-        den = _denominator(labels)
-        return tuple(v * (den // a.d) for a in labels for v in (a.x, a.y)), den
+        return over_lcm(labels)
 
     def reflect_labels(self, mu: IntLabels, i: int) -> IntLabels:
         """Simple reflection s_i in label space: mu_j <- mu_j - mu_i * C_ij."""
@@ -214,15 +205,9 @@ class RootSystem:
         """Sorted quaternions of integer vertex rows over ``den * weight_den``
         (over one positive denominator, integer order is Quaternion order)."""
         coords = sorted(rows)
-        scalars = self._pair_values(coords, den)
+        scalars = pair_values(coords, den * self.weight_den)
         return tuple(from_scalars(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
                      for c in coords)
-
-    def _pair_values(self, rows: Sequence[IntRow], den: int,
-                     value: Callable = lambda s: s) -> dict:
-        """``value`` of each distinct coordinate pair's scalar, made once."""
-        return {xy: value(from_ints(xy[0], xy[1], den * self.weight_den))
-                for xy in {r[k:k + 2] for r in rows for k in (0, 2, 4, 6)}}
 
     def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
         """Dominant label of the orbit of v and the word of the dominance

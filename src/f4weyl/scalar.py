@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm, sqrt
 from sys import hash_info
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, "Fraction"]  # bools count as ints
 
@@ -40,6 +41,10 @@ def surd_sign(a: Rational, b: Rational) -> int:
         return sb
     # mixed signs: the term with the larger square wins (never a tie)
     return sb if 2 * b * b > a * a else -sb
+
+
+#: sort key ordering pairs (x, y), or rows by their first pair, by x + y*sqrt2
+surd_order = cmp_to_key(lambda u, v: surd_sign(u[0] - v[0], u[1] - v[1]))
 
 
 def _order(op):
@@ -285,6 +290,31 @@ def _parts(v: object) -> Tuple[int, int, Optional[int]]:
     return (n, 0, d) if type(n) is int and type(d) is int else (0, 0, None)
 
 
+def over_lcm(values: Sequence[FieldScalar]) -> Tuple[Tuple[int, ...], int]:
+    """Values as one flat Z[sqrt2] row (x0, y0, x1, y1, ...) over the lcm
+    of their denominators, and that lcm."""
+    d, row = lcm(*{v.d for v in values}), []
+    for v in values:
+        m = d // v.d
+        row += v.x * m, v.y * m
+    return tuple(row), d
+
+
+def row_dot(b: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, int]]:
+    """a -> (P, Q) with (a, b) = P + Q*sqrt2, on flat Z[sqrt2] rows."""
+    p, q = [2 * v for v in b], list(b)  # (x, 2y) and (y, x) per pair
+    p[::2], q[::2], q[1::2] = b[::2], b[1::2], b[::2]
+    return lambda a: (sum(map(operator.mul, a, p)),
+                      sum(map(operator.mul, a, q)))
+
+
+def pair_values(rows: Sequence[Sequence[int]],
+                den: int) -> Dict[Tuple[int, int], FieldScalar]:
+    """{(x, y): (x + y*sqrt2)/den} over the distinct pairs of flat rows."""
+    return {xy: from_ints(*xy, den)
+            for xy in {p for r in rows for p in zip(r[::2], r[1::2])}}
+
+
 def as_scalar(x: Union[FieldScalar, Rational]) -> FieldScalar:
     return x if isinstance(x, FieldScalar) else FieldScalar(x)
 
@@ -320,13 +350,6 @@ def parse_scalar(text: str) -> FieldScalar:
     ``"3/2*sqrt2"``, ``"1/2-3/2sqrt2"``, ``"1/sqrt2"``, ``" sqrt2 / 2 "``;
     raises ValueError on anything else, "1 2" and zero denominators too.
     """
-    try:
-        return _parse_terms(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar literal {text!r}") from None
-
-
-def _parse_terms(text: str) -> FieldScalar:
     if re.search("[0-9] +[0-9]", text):  # "1 2" is no 12
         raise ValueError(f"space inside a number in scalar literal {text!r}")
     s = text.strip().replace(" ", "").lower()
@@ -344,7 +367,7 @@ def _parse_terms(text: str) -> FieldScalar:
         if q:  # p/q/sqrt2 = p/2q*sqrt2; p/q*sqrt2/k = p/qk*sqrt2 (k after q)
             q *= 2 if m.group("den") else int(m.group("sdiv") or 1)
         if not q:
-            raise ZeroDivisionError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in scalar literal {text!r}")
         surd = m.group("num") is None or m.group("den")
         total = total + (from_ints(0, p, q) if surd else from_ints(p, 0, q))
         pos = m.end()

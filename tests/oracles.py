@@ -39,17 +39,18 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from f4weyl.binocta import (GROUP_NAMES, SUBSET_ORDER, _element, build_subsets,
                             unit_tables)
+from f4weyl import orbits
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
-from f4weyl.duals import Triple, _dot_with, _unit_orbit, solve_scales
+from f4weyl.duals import Triple, _unit_orbit, solve_scales
 from f4weyl.orbits import (_NAMES, FaceEntry, _complex_cached, _orbit_cached,
                            _validated, f_vector, generate_orbit,
-                           stabilizer_order, weyl_order, zero_nodes)
+                           stabilizer_order, zero_nodes)
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
 from f4weyl.rootsys import (RootSystem, b3r_system, b4_system, f4_system,
                             first_negative, format_labels, get_system,
                             scalar_labels)
 from f4weyl.scalar import (_TERM_RE, INV_SQRT2, FieldScalar, as_scalar,
-                           from_ints, surd_sign)
+                           from_ints, row_dot, surd_sign)
 
 
 def zero_one_labels(rank):
@@ -213,7 +214,8 @@ def parabolic_order(sys_name, nodes):
 
 def orbit_size(sys, labels):
     """The closed-form orbit size |W| / |W_J|, J the zero-label nodes."""
-    return weyl_order(sys) // stabilizer_order(sys, labels)
+    whole = orbits.parabolic_order(sys.name, frozenset(range(sys.rank)))
+    return whole // stabilizer_order(sys, labels)
 
 
 def cell_centers(sys, labels):
@@ -235,7 +237,7 @@ def scanned_centers(sys, labels):
     (omega_j, Lambda), Lambda the first form of the labels' cached orbit."""
     lab = _validated(sys, labels)
     orbit = _orbit_cached(sys.name, lab)
-    dot = _dot_with(orbit.forms[0])
+    dot = row_dot(orbit.forms[0])
     zeros = zero_nodes(lab)
     out = []
     for entry in _complex_cached(sys.name, zeros)[-1]:  # the cells
@@ -342,7 +344,7 @@ def complex_walk(sys_name: str, zeros: FrozenSet[int]) -> tuple:
     ``parabolic_order`` (the same node-set table as the library's)."""
     sys = get_system(sys_name)
     active = frozenset(range(sys.rank)) - zeros
-    order = weyl_order(sys)
+    order = orbits.parabolic_order(sys.name, frozenset(range(sys.rank)))
 
     def count_for(nodes: Tuple[int, ...]) -> int:
         return order // parabolic_order(sys.name, _halo(sys, nodes, active))
@@ -414,7 +416,7 @@ def diagram_inventories(sys, labels):
     counts are ``|W| / |W(S + halo(S))|`` with |W_J| from the walk of rho."""
     lab = _validated(sys, labels)
     active = frozenset(i for i, a in enumerate(lab) if not a.is_zero())
-    order = weyl_order(sys)
+    order = orbits.parabolic_order(sys.name, frozenset(range(sys.rank)))
 
     def count_for(nodes):
         return order // parabolic_order(sys.name, _halo(sys, nodes, active))

@@ -10,8 +10,9 @@ from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           dual_polytope, kite_face, solve_scales)
 from f4weyl.orbits import Orbit, f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
-from f4weyl.rootsys import RootSystem, b4_system, f4_system, surd_order
-from f4weyl.scalar import SQRT2, FieldScalar, from_ints, parse_scalar
+from f4weyl.rootsys import RootSystem, b4_system, f4_system
+from f4weyl.scalar import (SQRT2, FieldScalar, from_ints, parse_scalar,
+                           row_dot, surd_order)
 from oracles import (dist_sq, frame_vectors, label_orbit, pattern_labels,
                      random_labels, scanned_centers, zero_one_labels)
 
@@ -461,7 +462,7 @@ def _surd_rank(rows):
 def _faces_at(rows, lam, functional):
     """(maximizer set, affine Q(sqrt2) rank) of a functional row over the
     orbit's rows, by exact integer products p + q*sqrt2."""
-    products = list(map(duals._dot_with(functional), rows))
+    products = list(map(row_dot(functional), rows))
     top = max(set(products), key=surd_order)
     face = frozenset(r for r, p in zip(rows, products) if p == top)
     return face, _surd_rank([[a - b for a, b in zip(r, lam)] for r in face])

@@ -45,3 +45,20 @@ def test_scan_finds_unused_names():
                          ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def takes_lcm(source: str) -> bool:
+    """Whether a module imports ``lcm`` from ``math`` or reads ``math.lcm``."""
+    return any(isinstance(n, ast.ImportFrom) and n.module == "math"
+               and any(a.name == "lcm" for a in n.names)
+               or isinstance(n, ast.Attribute) and n.attr == "lcm"
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_only_scalar_takes_an_lcm():
+    # scalar.over_lcm is the one flattening of FieldScalars into Z[sqrt2]
+    # integer rows over one denominator; no other module keeps a copy
+    assert takes_lcm("from math import gcd, lcm\n")
+    assert takes_lcm("import math\nd = math.lcm(2, 3)\n")
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if takes_lcm(p.read_text())] == ["scalar.py"]

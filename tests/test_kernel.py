@@ -25,7 +25,7 @@ from f4weyl.branching import (B4Part, Slice, branch_b3a1, branch_b4,
                               verify_b3a1_slices, verify_b4_branching)
 from f4weyl.duals import cells_at_vertex, dual_polytope
 from f4weyl.orbits import (f_vector, generate_orbit, parabolic_elements,
-                           parabolic_order, stabilizer_order, weyl_order)
+                           parabolic_order, stabilizer_order)
 from f4weyl.quat import E1, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system, get_system
 from f4weyl.scalar import INV_SQRT2, FieldScalar
@@ -206,7 +206,8 @@ def test_property_kernel_matches_oracle(case):
 def test_property_orbit_stabilizer(case):
     sys, labels = case
     size = generate_orbit(sys, labels).size
-    assert size * stabilizer_order(sys, labels) == weyl_order(sys)
+    assert size * stabilizer_order(sys, labels) == \
+        parabolic_order(sys.name, frozenset(range(sys.rank)))
     assert size == oracles.orbit_size(sys, labels)
 
 

@@ -7,7 +7,7 @@ import pytest
 from f4weyl import orbits
 from f4weyl.binocta import build_subsets
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
-                           parabolic_order, stabilizer_order, weyl_order)
+                           parabolic_order, stabilizer_order)
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import RootSystem, b4_system, f4_system, get_system
 from f4weyl.scalar import SQRT2, FieldScalar
@@ -70,7 +70,8 @@ def test_small_orbits_are_scaled_binocta_sets():
 def test_orbit_stabilizer_identity():
     for pattern in ALL_PATTERNS:
         orbit = generate_orbit(F4, pattern)
-        assert orbit.size * stabilizer_order(F4, pattern) == weyl_order(F4)
+        assert orbit.size * stabilizer_order(F4, pattern) == \
+            parabolic_order("F4", frozenset(range(4)))
         assert orbit.size == orbit_size(F4, pattern)
 
 

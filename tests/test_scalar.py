@@ -2,7 +2,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from f4weyl.quat import Quaternion
 from f4weyl.scalar import (FieldScalar, HALF, ONE, SQRT2, ZERO, from_ints,
-                           parse_scalar)
+                           over_lcm, pair_values, parse_scalar, row_dot)
 import oracles
 
 
@@ -543,3 +543,37 @@ def test_quaternion_scales_by_rationals_only():
             Quaternion(1, 0, 0, 0) * bad
         with pytest.raises(TypeError):
             Quaternion(1, 0, 0, 0) / bad
+
+
+# ---------------------------------------------------------------------------
+# flat Z[sqrt2] integer rows over one denominator, against FieldScalar
+# arithmetic on random surd values
+
+SURDS = st.builds(from_ints, st.integers(-99, 99), st.integers(-99, 99),
+                  st.integers(1, 12))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(SURDS, max_size=12))
+@example([])
+def test_over_lcm_round_trips_through_from_ints(values):
+    row, d = over_lcm(values)
+    assert d == lcm(*(v.d for v in values)) and len(row) == 2 * len(values)
+    assert all(type(v) is int for v in row)
+    assert [from_ints(*row[k:k + 2], d) for k in range(0, len(row), 2)] \
+        == values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(SURDS, SURDS), max_size=8))
+@example([])
+def test_row_dot_and_pair_values_are_field_arithmetic(pairs):
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    (a, d), (b, e) = over_lcm(us), over_lcm(vs)
+    assert from_ints(*row_dot(b)(a), d * e) == \
+        sum((u * v for u, v in pairs), ZERO)
+    # both rows over one denominator: one value per distinct pair
+    flat, den = over_lcm(us + vs)
+    table = pair_values([flat[:len(a)], flat[len(a):]], den)
+    assert len(table) == len(set(us + vs))
+    assert [table[flat[k:k + 2]] for k in range(0, len(flat), 2)] == us + vs
