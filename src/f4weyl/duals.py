@@ -166,10 +166,11 @@ class CellFamily(Record):
     centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
 
 
-def _unit_orbit(sys: RootSystem, j: int) -> Orbit:
-    """The orbit of omega_j (node j, 1-based), on FieldScalar labels."""
-    return _orbit_cached(sys.name, tuple(FieldScalar(int(i == j - 1))
-                                         for i in range(sys.rank)))
+@lru_cache(maxsize=None)
+def _unit_orbit(sys_name: str, j: int) -> Orbit:
+    """The orbit of omega_j (node j, 1-based), kept off the label LRU."""
+    return _orbit_cached.__wrapped__(sys_name, tuple(
+        FieldScalar(int(i == j - 1)) for i in range(get_system(sys_name).rank)))
 
 
 class DualCell(Record):
@@ -190,15 +191,17 @@ def _centers(sys_name: str, zeros: FrozenSet[int], j: int) -> Tuple[IntRow, ...]
     """Sorted rows of W_J omega_j (node j, 1-based): the walk of omega_j's
     label under the reflections of J, stepping where the label is positive
     (omega_j is dominant, so the downward steps reach its whole W_J-orbit;
-    off J it is fixed)."""
+    off J it is fixed), each step's row reflected beside its label."""
     sys = get_system(sys_name)
-    found = [tuple(v for i in range(sys.rank) for v in (int(i == j - 1), 0))]
-    for mu in found:  # the list grows as it is walked
+    unit = (0, 0) * (j - 1) + (1, 0) + (0, 0) * (sys.rank - j)
+    found, walk = {unit: sys.weight_rows[j - 1]}, [unit]  # label -> its row
+    for mu in walk:  # the list grows as it is walked
         for i in zeros:
             if surd_sign(mu[2 * i], mu[2 * i + 1]) > 0 and \
                     (nu := sys.reflect_labels(mu, i)) not in found:
-                found.append(nu)
-    return tuple(sorted(map(sys.integer_vector, found)))
+                found[nu] = sys.reflect_row(found[mu], mu, i)
+                walk.append(nu)
+    return tuple(sorted(found.values()))
 
 
 @lru_cache(maxsize=64)
@@ -307,7 +310,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
                    for j, s in scales.items())
     return DualPolytope(source.labels, shells,
                         (source.n3, source.n2, source.n1, source.n0),
-                        tuple(_unit_orbit(sys, j) for j in scales))
+                        tuple(_unit_orbit(sys.name, j) for j in scales))
 
 
 # ---------------------------------------------------------------------------

@@ -234,36 +234,33 @@ def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
     return PolytopeComplex(lab, *_complex_cached(sys.name, zero_nodes(lab)))
 
 
+#: the sets of at most three of four nodes, by size: (1-based nodes,
+#: bitmask, the bitmasks of its 2-sets), the same for every pattern
+_SUBSETS = tuple((tuple(i + 1 for i in c), sum(1 << i for i in c),
+                  tuple(sum(1 << i for i in p) for p in combinations(c, 2)))
+                 for k in range(4) for c in combinations(range(4), k))
+
+
 @lru_cache(maxsize=None)
 def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
-    """(N0, N1, N2, N3, faces, cells) for zeros on J: 2^rank keys at most,
-    each count, halo and validity test read off ``_node_sets``."""
+    """(N0, N1, N2, N3, faces, cells) for zeros on J: 2^rank keys at most.
+    A k-set S with no component inside J spans |W| / |W_(S + halo)| k-faces
+    (N0 and N1 from the empty set and single nodes), each order and test
+    read off ``_node_sets``: the halo is J off S and its neighbours."""
     table, zmask = _node_sets(sys_name), sum(1 << i for i in zeros)
-    order = table[-1][2]
-
-    def count_for(s: int) -> int:  # the halo: J off S and its neighbours
-        return order // table[s | zmask & ~table[s][1]][2]
-
-    def shape(s: int) -> Tuple[int, int]:  # |W_S|, vertices
-        return table[s][2], table[s][2] // table[s & zmask][2]
-
-    def sets(k: int) -> dict:  # the k-sets with no component inside J
-        masks = {c: sum(1 << i for i in c) for c in combinations(range(4), k)}
-        return {c: s for c, s in masks.items()
-                if all(comp & ~zmask for comp in table[s][0])}
-
-    def entry(nodes: Tuple[int, ...], s: int, *key: int) -> FaceEntry:
-        return FaceEntry(tuple(i + 1 for i in nodes), _NAMES[key], count_for(s))
-
-    polygons = {p: (s, shape(s)) for p, s in sets(2).items()}
-    faces = [entry(p, s, *key, key[1]) for p, (s, key) in polygons.items()]
-    cells = [entry(c, s, *shape(s), max(polygons[p][1][1] for p in
-                                        combinations(c, 2) if p in polygons))
-             for c, s in sets(3).items()]
-    n0 = count_for(0)  # the halo of no nodes: every zero-label node
-    n1 = sum(count_for(1 << i) for i in range(4) if not zmask >> i & 1)
-    return (n0, n1, sum(f.count for f in faces), sum(c.count for c in cells),
-            tuple(faces), tuple(cells))
+    order, off = table[-1][2], (~zmask).__and__  # off(S): S's nodes off J
+    counts, verts, found = [0] * 4, [0] * 16, ([], [], [], [])
+    for nodes, s, pairs in _SUBSETS:
+        comps, near, size = table[s]
+        if all(map(off, comps)):
+            count = order // table[s | zmask & ~near][2]
+            counts[len(nodes)] += count
+            if pairs:  # a polygon or a polyhedron, named by its 2-faces
+                verts[s] = n = size // table[s & zmask][2]
+                top = max(map(verts.__getitem__, pairs))  # 0 if not a face
+                found[len(nodes)].append(
+                    FaceEntry(nodes, _NAMES[size, n, top], count))
+    return (*counts, tuple(found[2]), tuple(found[3]))
 
 
 # ---------------------------------------------------------------------------

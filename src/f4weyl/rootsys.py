@@ -27,7 +27,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
 from .scalar import (HALF, INV_SQRT2, SQRT2, FieldScalar, Rational, as_scalar,
-                     from_ints, over_lcm, pair_values, surd_order, surd_sign)
+                     from_ints, over_lcm, pair_values, row_dot, surd_order,
+                     surd_sign)
 
 LabelLike = Union[FieldScalar, Rational]
 Labels = Tuple[FieldScalar, ...]
@@ -94,25 +95,24 @@ class RootSystem:
         self.rank = len(simple_roots)
         self.simple_roots = tuple(simple_roots)
         self.weights = tuple(weights)
-        self.cartan = tuple(
-            tuple(a.dot(b) for b in self.simple_roots) for a in self.simple_roots
-        )
-        # the weights are dual to the roots, so their Gram matrix is C^-1
-        self.cartan_inv = tuple(
-            tuple(a.dot(b) for b in self.weights) for a in self.weights)
-        # sparse integer rows of (k, p, q): C_ik = p + q*sqrt2, and
-        # component k of a weight is (p + q*sqrt2) / weight_den
-        if over_lcm([c for row in self.cartan for c in row])[1] != 1:
-            raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
-        self._cartan_rows = tuple(
-            tuple((j, c.x, c.y) for j, c in enumerate(row) if c)
-            for row in self.cartan)
+        # integer rows of the roots, then the weights, over one weight_den:
+        # the Gram matrices are C and (weights dual to roots) C^-1
         flat, self.weight_den = over_lcm(
-            [c for w in self.weights for c in w.components()])
-        pairs = list(zip(flat[::2], flat[1::2]))  # four per weight
-        self._weight_rows = tuple(
-            tuple((k, p, q) for k, (p, q) in enumerate(pairs[i:i + 4])
-                  if p or q) for i in range(0, len(pairs), 4))
+            [c for v in self.simple_roots + self.weights for c in v.components()])
+        rows = [flat[k:k + 8] for k in range(0, len(flat), 8)]
+        roots, self.weight_rows = rows[:self.rank], tuple(rows[self.rank:])
+        self.cartan, self.cartan_inv = (
+            tuple(tuple(from_ints(*row_dot(a)(b), self.weight_den ** 2)
+                        for b in vs) for a in vs)
+            for vs in (roots, self.weight_rows))
+        if any(c.d != 1 for row in self.cartan for c in row):
+            raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
+        # sparse rows of (k, p, q): C_ik, or entry k of a root or weight
+        # over weight_den, is p + q*sqrt2
+        self._cartan_rows, self._root_rows, self._weight_rows = (
+            tuple(tuple((k, *r[2 * k:2 * k + 2]) for k in range(len(r) // 2)
+                        if any(r[2 * k:2 * k + 2])) for r in rs) for rs in (
+                [over_lcm(row)[0] for row in self.cartan], roots, self.weight_rows))
         f = 2 * fixed  # one getter per permutation of the pairs q_fixed..q3
         self._arrangements = tuple(
             itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])
@@ -156,6 +156,10 @@ class RootSystem:
         """Simple reflection s_i in label space: mu_j <- mu_j - mu_i * C_ij."""
         return _add_multiple(mu, -mu[2 * i], -mu[2 * i + 1],
                              self._cartan_rows[i])
+
+    def reflect_row(self, row: IntRow, mu: IntLabels, i: int) -> IntRow:
+        """s_i v = v - mu_i * alpha_i (|alpha_i|^2 = 2) on v's row and labels."""
+        return _add_multiple(row, -mu[2 * i], -mu[2 * i + 1], self._root_rows[i])
 
     def coset_forms(self, mu: IntLabels) -> Tuple[IntRow, ...]:
         """The distinct dominant forms (|q_fixed| >= ... >= |q3|) of the

@@ -242,7 +242,7 @@ def scanned_centers(sys, labels):
     out = []
     for entry in _complex_cached(sys.name, zeros)[-1]:  # the cells
         (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
-        unit = _unit_orbit(sys, j)
+        unit = _unit_orbit(sys.name, j)
         omega = unit.forms[0]  # a dominant row is its own dominant form
         rows = (unit.rows if j - 1 in zeros
                 else [omega])  # W_J fixes omega_j unless j is in J
@@ -340,8 +340,9 @@ def _halo(sys: RootSystem, nodes: Tuple[int, ...], active: FrozenSet[int]) -> Fr
 
 def complex_walk(sys_name: str, zeros: FrozenSet[int]) -> tuple:
     """(N0, N1, N2, N3, faces, cells) for zeros on J by the sub-diagram
-    walk: each S's components and halo found per pattern, |W_S| from
-    ``parabolic_order`` (the same node-set table as the library's)."""
+    walk: each S's components and halo found per pattern, each |W_S| from
+    this module's ``parabolic_order`` (the free W_S-walk of rho, not the
+    library's node-set table); only |W| is read off that table."""
     sys = get_system(sys_name)
     active = frozenset(range(sys.rank)) - zeros
     order = orbits.parabolic_order(sys.name, frozenset(range(sys.rank)))

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from f4weyl import duals, orbits, refdata
+from f4weyl import branching, duals, orbits, refdata
 from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
                           cells_at_vertex, convex_faces, dual_cell,
                           dual_polytope, kite_face, solve_scales)
@@ -337,6 +337,50 @@ def test_walked_centers_match_the_unit_orbit_scan():
             families = duals._vertex_figure(sys.name, lab)[0]
             assert [(j, list(rows)) for _, j, rows in families] == \
                 scanned_centers(sys, lab), (sys.name, labels)
+
+
+def test_fresh_patterns_make_no_kernel_calls(monkeypatch):
+    # with the node-set table warm, the per-pattern tables of all 15 F4
+    # zero patterns (the complex, the walked cell centers and the B3 layer
+    # templates of every tie pattern) read only rows built with the system:
+    # no label row, coset form or orbit count, and one kernel orbit, the
+    # untied B3 template's
+    orbits._node_sets("F4")
+    calls = []
+    for name in ("integer_vector", "coset_forms", "orbit_count",
+                 "signed_permutations"):
+        monkeypatch.setattr(RootSystem, name, lambda sys, *args, _name=name,
+                            _real=getattr(RootSystem, name):
+                            calls.append(_name) or _real(sys, *args))
+    for cache in (orbits._complex_cached, duals._centers,
+                  branching._b3_template):
+        cache.cache_clear()
+    for pattern in zero_one_labels(4):
+        zeros = frozenset(i for i, a in enumerate(pattern) if not a)
+        for entry in orbits._complex_cached("F4", zeros)[-1]:  # the cells
+            (j,) = {1, 2, 3, 4} - set(entry.nodes)
+            duals._centers("F4", zeros, j)
+    for ties in product((False, True), repeat=3):
+        branching._b3_template(*ties)
+    assert calls == ["signed_permutations"]
+
+
+def test_unit_orbits_outlive_a_sweep_of_labels(monkeypatch):
+    # the unit orbits of the dual shells have a cache of their own: after
+    # 75 distinct labels through the 64-entry label LRU, the duals of
+    # labels with four nonzero entries build only their own orbits
+    full = [lab for lab in pattern_labels(3, 34) if all(lab)]
+    dual_polytope(F4, full[0])  # one shell per node
+    sweep = pattern_labels(5, 33)
+    assert len(set(sweep)) == 75
+    for labels in sweep:
+        generate_orbit(F4, labels)
+    forms, real = [], RootSystem.coset_forms
+    monkeypatch.setattr(RootSystem, "coset_forms",
+                        lambda sys, mu: forms.append(mu) or real(sys, mu))
+    for labels in full:
+        assert len(dual_polytope(F4, labels).units) == 4
+    assert forms and all(all(map(any, zip(mu[::2], mu[1::2]))) for mu in forms)
 
 
 def test_solve_reads_no_unit_orbit_rows(monkeypatch):

@@ -75,6 +75,18 @@ def test_weights_dual_to_roots():
                 assert wi.dot(wj) == sys.cartan_inv[i][j], (sys.name, i, j)
 
 
+def test_gram_matrices_are_the_quaternion_dots():
+    # both Gram matrices are read off the integer root and weight rows over
+    # weight_den: each entry against the FieldScalar quaternion product
+    for sys in (f4_system(), b4_system(), b3r_system()):
+        for gram, vectors in ((sys.cartan, sys.simple_roots),
+                              (sys.cartan_inv, sys.weights)):
+            assert [list(r) for r in gram] == \
+                [[a.dot(b) for b in vectors] for a in vectors], sys.name
+        for row, omega in zip(sys.weight_rows, sys.weights):
+            assert sys.vertices([row], 1) == (omega,), sys.name
+
+
 def test_label_to_vector():
     f4 = f4_system()
     assert f4.label_to_vector((1, 0, 0, 0)) == ONE_Q * SQRT2
