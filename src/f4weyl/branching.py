@@ -86,15 +86,9 @@ def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
 @lru_cache(maxsize=8)
 def _b3_template(ab: bool, bc: bool, c0: bool) -> Tuple[Tuple[int, ...], ...]:
     """Distinct signed permutations of a B3 chamber point a >= b >= c >= 0
-    with these ties, ascending, as index triples into (-a, -b, -c, 0, c, b, a),
-    a tied value at its last slot: the untied template's equal slots merged."""
+    with these ties, ascending, as index triples into (-a, -b, -c, 0, c, b, a)."""
     a, b, c = 3 - ab - bc - c0, 2 - bc - c0, 1 - c0  # each tie drops a step
-    values = (-a, -b, -c, 0, c, b, a)
-    slot = {v: i for i, v in enumerate(values)}
-    if a < 3:  # m: the slot of each untied slot's value
-        m = [slot[v] for v in values]
-        return tuple(sorted({(m[i], m[j], m[k]) for i, j, k in
-                             _b3_template(False, False, False)}))
+    slot = {v: i for i, v in enumerate((-a, -b, -c, 0, c, b, a))}
     return tuple(sorted((slot[r[2]], slot[r[4]], slot[r[6]]) for r in
                         b3r_system().signed_permutations((0, 0, a, 0, b, 0, c, 0))))
 

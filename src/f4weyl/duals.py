@@ -194,7 +194,7 @@ def _centers(sys_name: str, zeros: FrozenSet[int], j: int) -> Tuple[IntRow, ...]
     off J it is fixed), each step's row reflected beside its label."""
     sys = get_system(sys_name)
     unit = (0, 0) * (j - 1) + (1, 0) + (0, 0) * (sys.rank - j)
-    found, walk = {unit: sys.weight_rows[j - 1]}, [unit]  # label -> its row
+    found, walk = {unit: sys.weight_vectors[j - 1]}, [unit]  # label -> its row
     for mu in walk:  # the list grows as it is walked
         for i in zeros:
             if surd_sign(mu[2 * i], mu[2 * i + 1]) > 0 and \

@@ -234,8 +234,8 @@ def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
     return PolytopeComplex(lab, *_complex_cached(sys.name, zero_nodes(lab)))
 
 
-#: the sets of at most three of four nodes, by size: (1-based nodes,
-#: bitmask, the bitmasks of its 2-sets), the same for every pattern
+#: the sets of at most three of four nodes, by size, so each 3-set comes
+#: after its 2-sets: (1-based nodes, bitmask, the bitmasks of its 2-sets)
 _SUBSETS = tuple((tuple(i + 1 for i in c), sum(1 << i for i in c),
                   tuple(sum(1 << i for i in p) for p in combinations(c, 2)))
                  for k in range(4) for c in combinations(range(4), k))
@@ -248,16 +248,16 @@ def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
     (N0 and N1 from the empty set and single nodes), each order and test
     read off ``_node_sets``: the halo is J off S and its neighbours."""
     table, zmask = _node_sets(sys_name), sum(1 << i for i in zeros)
-    order, off = table[-1][2], (~zmask).__and__  # off(S): S's nodes off J
-    counts, verts, found = [0] * 4, [0] * 16, ([], [], [], [])
-    for nodes, s, pairs in _SUBSETS:
+    order, counts, found = table[-1][2], [0] * 4, ([], [], [], [])
+    verts = [0] * 16  # per bitmask: its face's vertices, 0 if it spans none
+    for nodes, s, pairs in _SUBSETS:  # a 3-set reads its 2-sets' verts
         comps, near, size = table[s]
-        if all(map(off, comps)):
+        if all(comp & ~zmask for comp in comps):
             count = order // table[s | zmask & ~near][2]
             counts[len(nodes)] += count
             if pairs:  # a polygon or a polyhedron, named by its 2-faces
                 verts[s] = n = size // table[s & zmask][2]
-                top = max(map(verts.__getitem__, pairs))  # 0 if not a face
+                top = max(verts[p] for p in pairs)
                 found[len(nodes)].append(
                     FaceEntry(nodes, _NAMES[size, n, top], count))
     return (*counts, tuple(found[2]), tuple(found[3]))

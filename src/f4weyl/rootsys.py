@@ -43,6 +43,11 @@ def scalar_labels(mu: IntLabels, den: int) -> Labels:
     return tuple(from_ints(mu[k], mu[k + 1], den) for k in range(0, len(mu), 2))
 
 
+def _sparse_row(v: IntRow) -> Tuple[Tuple[int, int, int], ...]:
+    """v's nonzero components as (k, p, q): v_k = p + q*sqrt2."""
+    return tuple((k, p, q) for k, (p, q) in enumerate(zip(v[::2], v[1::2])) if p or q)
+
+
 def _add_multiple(v: Tuple[int, ...], x: int, y: int,
                   w: Sequence[Tuple[int, int, int]]) -> Tuple[int, ...]:
     """v + (x + y*sqrt2) * w, w sparse: (k, p, q) is w_k = p + q*sqrt2."""
@@ -95,24 +100,25 @@ class RootSystem:
         self.rank = len(simple_roots)
         self.simple_roots = tuple(simple_roots)
         self.weights = tuple(weights)
-        # integer rows of the roots, then the weights, over one weight_den:
-        # the Gram matrices are C and (weights dual to roots) C^-1
+        # integer vectors of the roots, then the weights, over one
+        # weight_den: their Gram matrices are C and (weights dual to roots) C^-1
         flat, self.weight_den = over_lcm(
             [c for v in self.simple_roots + self.weights for c in v.components()])
-        rows = [flat[k:k + 8] for k in range(0, len(flat), 8)]
-        roots, self.weight_rows = rows[:self.rank], tuple(rows[self.rank:])
+        vectors = [flat[k:k + 8] for k in range(0, len(flat), 8)]
+        roots, self.weight_vectors = vectors[:self.rank], tuple(vectors[self.rank:])
         self.cartan, self.cartan_inv = (
             tuple(tuple(from_ints(*row_dot(a)(b), self.weight_den ** 2)
                         for b in vs) for a in vs)
-            for vs in (roots, self.weight_rows))
+            for vs in (roots, self.weight_vectors))
         if any(c.d != 1 for row in self.cartan for c in row):
             raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
-        # sparse rows of (k, p, q): C_ik, or entry k of a root or weight
-        # over weight_den, is p + q*sqrt2
-        self._cartan_rows, self._root_rows, self._weight_rows = (
-            tuple(tuple((k, *r[2 * k:2 * k + 2]) for k in range(len(r) // 2)
-                        if any(r[2 * k:2 * k + 2])) for r in rs) for rs in (
-                [over_lcm(row)[0] for row in self.cartan], roots, self.weight_rows))
+        # sparse integer rows of (k, p, q): C_ik = p + q*sqrt2, and
+        # component k of a root or weight is (p + q*sqrt2) / weight_den
+        self._cartan_rows = tuple(
+            tuple((j, c.x, c.y) for j, c in enumerate(row) if c)
+            for row in self.cartan)
+        self._root_rows = tuple(map(_sparse_row, roots))
+        self._weight_rows = tuple(map(_sparse_row, self.weight_vectors))
         f = 2 * fixed  # one getter per permutation of the pairs q_fixed..q3
         self._arrangements = tuple(
             itemgetter(*range(f), *[j for i in p for j in (i, i + 1)])

@@ -312,6 +312,7 @@ def test_fresh_label_builds_its_vertex_row_once(monkeypatch):
     # and its vertex-figure solve share one integer_vector call: the solve
     # reads Lambda's row off the cached orbit
     orbits._orbit_cached.cache_clear()
+    duals._unit_orbit.cache_clear()
     duals._vertex_figure.cache_clear()
     for pattern in zero_one_labels(4):
         dual_polytope(F4, pattern)
@@ -340,11 +341,10 @@ def test_walked_centers_match_the_unit_orbit_scan():
 
 
 def test_fresh_patterns_make_no_kernel_calls(monkeypatch):
-    # with the node-set table warm, the per-pattern tables of all 15 F4
-    # zero patterns (the complex, the walked cell centers and the B3 layer
-    # templates of every tie pattern) read only rows built with the system:
-    # no label row, coset form or orbit count, and one kernel orbit, the
-    # untied B3 template's
+    # with the node-set table warm, the complexes and walked cell centers
+    # of all 15 F4 zero patterns read only rows built with the system: no
+    # label row, coset form, orbit count or kernel orbit; the B3 layer
+    # templates of the 8 tie patterns make one kernel orbit each
     orbits._node_sets("F4")
     calls = []
     for name in ("integer_vector", "coset_forms", "orbit_count",
@@ -360,9 +360,10 @@ def test_fresh_patterns_make_no_kernel_calls(monkeypatch):
         for entry in orbits._complex_cached("F4", zeros)[-1]:  # the cells
             (j,) = {1, 2, 3, 4} - set(entry.nodes)
             duals._centers("F4", zeros, j)
+    assert calls == []
     for ties in product((False, True), repeat=3):
         branching._b3_template(*ties)
-    assert calls == ["signed_permutations"]
+    assert calls == ["signed_permutations"] * 8
 
 
 def test_unit_orbits_outlive_a_sweep_of_labels(monkeypatch):
@@ -391,6 +392,7 @@ def test_solve_reads_no_unit_orbit_rows(monkeypatch):
     monkeypatch.setattr(Orbit, "rows", property(
         lambda orbit: reads.append(orbit.labels) or rows(orbit)))
     orbits._orbit_cached.cache_clear()
+    duals._unit_orbit.cache_clear()
     duals._vertex_figure.cache_clear()
     duals._centers.cache_clear()
     try:
@@ -401,6 +403,7 @@ def test_solve_reads_no_unit_orbit_rows(monkeypatch):
                 cells_at_vertex(sys, labels)
     finally:
         orbits._orbit_cached.cache_clear()
+        duals._unit_orbit.cache_clear()
     assert reads == []
 
 

@@ -83,7 +83,7 @@ def test_gram_matrices_are_the_quaternion_dots():
                               (sys.cartan_inv, sys.weights)):
             assert [list(r) for r in gram] == \
                 [[a.dot(b) for b in vectors] for a in vectors], sys.name
-        for row, omega in zip(sys.weight_rows, sys.weights):
+        for row, omega in zip(sys.weight_vectors, sys.weights):
             assert sys.vertices([row], 1) == (omega,), sys.name
 
 
