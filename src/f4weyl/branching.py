@@ -39,9 +39,8 @@ def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
 
 @lru_cache(maxsize=64)
 def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
-    f4, b4 = f4_system(), b4_system()
-    orbit = _orbit_cached(f4.name, labels)
-    s = orbit.den * f4.weight_den
+    orbit, b4 = _orbit_cached("F4", labels), b4_system()
+    s = orbit.den
     parts = sorted(((from_ints(x0 - x1, y0 - y1, s),
                      from_ints(x1 - x2, y1 - y2, s),
                      from_ints(x2 - x3, y2 - y3, s), from_ints(2 * y3, x3, s)),
@@ -69,9 +68,8 @@ def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
 
 @lru_cache(maxsize=64)
 def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
-    f4 = f4_system()
-    orbit = _orbit_cached(f4.name, labels)
-    s = orbit.den * f4.weight_den
+    orbit = _orbit_cached("F4", labels)
+    s = orbit.den
     layers = sorted(((from_ints(2 * y3, x3, s), from_ints(x2 - x3, y2 - y3, s),
                       from_ints(x1 - x2, y1 - y2, s)), from_ints(2 * yk, xk, 2 * s),
                      len(_b3_template((x1, y1) == (x2, y2), (x2, y2) == (x3, y3),
@@ -104,7 +102,7 @@ def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
     if scale.sign() <= 0:
         raise ValueError("scale must be positive")
     orbit = _orbit_cached(f4.name, labels)
-    den = orbit.den * f4.weight_den * scale.d
+    den = orbit.den * scale.d
     forms = [list(zip(f[::2], f[1::2])) for f in scale_rows(orbit.forms, scale)]
     # rank i of the n sorted +- coordinates and 0 is key 2*i - n + 1, which
     # keeps order, negates with the value and is 0 at 0: key rows sort as points

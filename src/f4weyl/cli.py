@@ -124,8 +124,7 @@ def _cmd_orbit(args):
     orbit = generate_orbit(f4_system(), args.label)
     payload, _ = _cmd_fvector(args)
     rows = sorted(orbit.rows)  # the order of orbit.vertices
-    text = {xy: str(v) for xy, v in
-            pair_values(rows, orbit.den * f4_system().weight_den).items()}
+    text = {xy: str(v) for xy, v in pair_values(rows, orbit.den).items()}
     payload["vertices"] = [[text[r[k:k + 2]] for k in (0, 2, 4, 6)]
                            for r in rows]
     lines = [f"{payload['label']}  {orbit.size} vertices"]

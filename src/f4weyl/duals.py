@@ -20,7 +20,8 @@ takes their integer products with Lambda for the scales and the cell,
 and the scales, shells and cell all read that solve; it reads Lambda
 off the cached orbit, J off ``orbits.zero_nodes`` and ``PUBLISHED`` for
 F4 only.  Each public entry point validates its label once, by
-``f_vector``, and reads it back; the internal stages take it validated.
+``_validated`` (``dual_polytope`` by ``f_vector``); the internal stages,
+whose complex checks the rank, take it validated.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from itertools import combinations
 from operator import sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import (Orbit, Record, _complex_cached, _orbit_cached, f_vector,
-                     zero_nodes)
+from .orbits import (Record, _complex_cached, _orbit_cached, _validated,
+                     f_vector, generate_orbit, zero_nodes)
 from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
                       get_system, scale_rows)
@@ -166,13 +167,6 @@ class CellFamily(Record):
     centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
 
 
-@lru_cache(maxsize=None)
-def _unit_orbit(sys_name: str, j: int) -> Orbit:
-    """The orbit of omega_j (node j, 1-based), kept off the label LRU."""
-    return _orbit_cached.__wrapped__(sys_name, tuple(
-        FieldScalar(int(i == j - 1)) for i in range(get_system(sys_name).rank)))
-
-
 class DualCell(Record):
     """The dual cell at the dominant vertex in local u-coordinates."""
 
@@ -211,14 +205,14 @@ def _vertex_figure(sys_name: str, labels: Labels):
     ascending node order, the DualCell).
 
     The centers are ``_centers``, walked once per J and j; every center c
-    has (c, Lambda) = (omega_j, Lambda) = top_j (times den * weight_den^2),
-    the scale of node j is top_ref / top_j (the common factor cancels),
-    and a center's u-triple is its (c, e_a * Lambda) times its scale, one
-    product with the frame times the scale's integers; e_a * Lambda is a
-    signed permutation of Lambda's row, the orbit's first form (a dominant
-    row is its own form)."""
+    has (c, Lambda) = (omega_j, Lambda) = top_j (over the orbit's den times
+    weight_den), the scale of node j is top_ref / top_j (the common factor
+    cancels), and a center's u-triple is its (c, e_a * Lambda) times its
+    scale, one product with the frame times the scale's integers; e_a *
+    Lambda is a signed permutation of Lambda's row, the orbit's first form
+    (a dominant row is its own form)."""
     sys, orbit = get_system(sys_name), _orbit_cached(sys_name, labels)
-    lam, den, families, tops = orbit.forms[0], orbit.den, [], {}
+    lam, families, tops = orbit.forms[0], [], {}
     dot = row_dot(lam)
     zeros = zero_nodes(labels)
     for entry in _complex_cached(sys_name, zeros)[-1]:  # the cells
@@ -234,7 +228,7 @@ def _vertex_figure(sys_name: str, labels: Labels):
     frame = [row_dot(f) for f in ((-x1, -y1, x0, y0, -x3, -y3, x2, y2),
                                     (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
                                     (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
-    over, coords = den * sys.weight_den ** 2, []  # c's weight_den, Lambda's
+    over, coords = orbit.den * sys.weight_den, []  # Lambda's den, c's
     for _, j, rows in families:
         x, y, d = scales[j].x, scales[j].y, over * scales[j].d
         coords += [(j, tuple(from_ints(p * x + 2 * q * y, p * y + q * x, d)
@@ -249,8 +243,9 @@ def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellF
     rows c of the orbit of omega_j with (c, Lambda) = (omega_j, Lambda),
     since omega_j - c = sum c_i alpha_i, c_i >= 0, and sum c_i a_i = 0 iff
     c_i = 0 wherever a_i > 0; off J, omega_j is the only one."""
-    families, _, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
-    return tuple(CellFamily(entry.nodes, entry.name, j, sys.vertices(rows, 1))
+    families, _, _ = _vertex_figure(sys.name, _validated(sys, labels))
+    return tuple(CellFamily(entry.nodes, entry.name, j,
+                            sys.vertices(rows, sys.weight_den))
                  for entry, j, rows in families)
 
 
@@ -265,7 +260,7 @@ def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, Fiel
     patterns, else (other F4 patterns, every B4 pattern) it is the
     smallest center node.
     """
-    _, scales, _ = _vertex_figure(sys.name, f_vector(sys, labels).labels)
+    _, scales, _ = _vertex_figure(sys.name, _validated(sys, labels))
     return dict(scales)
 
 
@@ -282,16 +277,17 @@ class DualPolytope(Record):
     source: Labels
     shells: Tuple[Shell, ...]
     f_tuple: Tuple[int, int, int, int]
-    units: Tuple[Orbit, ...]  # per shell node j, the orbit of omega_j
+    system: str
 
     @cached_property
     def vertices(self) -> FrozenSet[Quaternion]:
         """The union of the shells, built on first read: the rows of the
-        orbit of omega_j times the shell's scale s = (x + y*sqrt2)/d."""
-        vertices: set = set()
-        for shell, unit in zip(self.shells, self.units):
-            vertices.update(get_system(unit.system).vertices(
-                scale_rows(unit.rows, shell.scale), unit.den * shell.scale.d))
+        cached orbit of omega_j times the shell's scale s = (x + y*sqrt2)/d."""
+        sys, vertices = get_system(self.system), set()
+        for shell in self.shells:
+            unit = generate_orbit(sys, [int(i == shell.node) for i in range(1, 5)])
+            vertices.update(sys.vertices(scale_rows(unit.rows, shell.scale),
+                                         unit.den * shell.scale.d))
         return frozenset(vertices)
 
 
@@ -309,8 +305,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     shells = tuple(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s, sizes[j])
                    for j, s in scales.items())
     return DualPolytope(source.labels, shells,
-                        (source.n3, source.n2, source.n1, source.n0),
-                        tuple(_unit_orbit(sys.name, j) for j in scales))
+                        (source.n3, source.n2, source.n1, source.n0), sys.name)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
 def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
     """The dual cell at the dominant vertex of the labels: each center's
     (c, e_a * Lambda) times its scale, read off the shared solve."""
-    return _vertex_figure(sys.name, f_vector(sys, labels).labels)[2]
+    return _vertex_figure(sys.name, _validated(sys, labels))[2]
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],

@@ -109,8 +109,8 @@ class FaceEntry(Record):
 
 
 class Orbit(Record):
-    """Dominant forms of the coset rows over ``den * weight_den``; rows
-    (their signed permutations) and vertices are built on first read."""
+    """Dominant forms of the coset rows over ``den`` (the labels' times
+    ``weight_den``); rows and vertices are built on first read."""
     system: str
     labels: Labels
     forms: Tuple[IntRow, ...]
@@ -150,7 +150,10 @@ class PolytopeComplex:
 
 def _validated(sys: RootSystem, labels: Sequence[LabelLike],
                require_nonzero: bool = True) -> Labels:
-    """The one label check: right length, dominant and (by default) nonzero."""
+    """The one label check: the registered system of its name (every cache
+    keys on the name), right length, dominant and (by default) nonzero."""
+    if get_system(sys.name) is not sys:
+        raise ValueError(f"{sys.name} is not the registered {sys.name} system")
     lab = sys.coerce_labels(labels)
     if not sys.is_dominant(lab):
         raise ValueError("the label is not dominant (negative entry)")
@@ -163,7 +166,7 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
     mu, den = sys.integer_labels(labels)
-    return Orbit(sys_name, labels, sys.coset_forms(mu), den)
+    return Orbit(sys_name, labels, sys.coset_forms(mu), den * sys.weight_den)
 
 
 def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
@@ -228,8 +231,6 @@ def _node_sets(sys_name: str) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
 
 def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
     """The validated labels' counts and named inventories (cached per J)."""
-    if sys.rank != 4:
-        raise ValueError("f_vector needs a rank-4 system")
     lab = _validated(sys, labels)
     return PolytopeComplex(lab, *_complex_cached(sys.name, zero_nodes(lab)))
 
@@ -247,6 +248,8 @@ def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
     A k-set S with no component inside J spans |W| / |W_(S + halo)| k-faces
     (N0 and N1 from the empty set and single nodes), each order and test
     read off ``_node_sets``: the halo is J off S and its neighbours."""
+    if get_system(sys_name).rank != 4:
+        raise ValueError("f_vector needs a rank-4 system")
     table, zmask = _node_sets(sys_name), sum(1 << i for i in zeros)
     order, counts, found = table[-1][2], [0] * 4, ([], [], [], [])
     verts = [0] * 16  # per bitmask: its face's vertices, 0 if it spans none

@@ -143,7 +143,7 @@ class RootSystem:
     def label_to_vector(self, labels: Sequence[LabelLike]) -> Quaternion:
         """Sum a_i * omega_i as an exact quaternion."""
         mu, den = self.integer_labels(self.coerce_labels(labels))
-        return self.vertices([self.integer_vector(mu)], den)[0]
+        return self.vertices([self.integer_vector(mu)], den * self.weight_den)[0]
 
     def vector_to_label(self, v: Quaternion) -> Labels:
         """Coordinates in the weight basis: a_i = (v, alpha_i)."""
@@ -212,10 +212,10 @@ class RootSystem:
         return row
 
     def vertices(self, rows: Sequence[IntRow], den: int) -> Tuple[Quaternion, ...]:
-        """Sorted quaternions of integer vertex rows over ``den * weight_den``
+        """Sorted quaternions of integer vertex rows over their own ``den``
         (over one positive denominator, integer order is Quaternion order)."""
         coords = sorted(rows)
-        scalars = pair_values(coords, den * self.weight_den)
+        scalars = pair_values(coords, den)
         return tuple(from_scalars(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
                      for c in coords)
 
@@ -270,12 +270,14 @@ def b3r_system() -> RootSystem:
     return RootSystem("B3R", roots, duals, fixed=1)
 
 
+_SYSTEMS = {"F4": f4_system, "B4": b4_system, "B3": b3r_system,
+            "B3R": b3r_system}
+
+
 def get_system(name: str) -> RootSystem:
-    systems = {"F4": f4_system, "B4": b4_system, "B3": b3r_system,
-               "B3R": b3r_system}
-    if name.upper() not in systems:
+    if (build := _SYSTEMS.get(name.upper())) is None:
         raise ValueError(f"unknown root system {name!r}")
-    return systems[name.upper()]()
+    return build()
 
 
 def format_labels(labels: Sequence[FieldScalar]) -> str:

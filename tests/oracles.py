@@ -41,7 +41,7 @@ from f4weyl.binocta import (GROUP_NAMES, SUBSET_ORDER, _element, build_subsets,
                             unit_tables)
 from f4weyl import orbits
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
-from f4weyl.duals import Triple, _unit_orbit, solve_scales
+from f4weyl.duals import Triple, solve_scales
 from f4weyl.orbits import (_NAMES, FaceEntry, _complex_cached, _orbit_cached,
                            _validated, f_vector, generate_orbit,
                            stabilizer_order, zero_nodes)
@@ -150,7 +150,7 @@ def project_3d_walked(labels, scale=1):
     scale = as_scalar(scale)
     orbit = generate_orbit(f4, tuple(a * scale for a in
                                      _validated(f4, labels)))
-    den = orbit.den * f4.weight_den
+    den = orbit.den
     pairs = {r[k:k + 2] for r in orbit.rows for k in (0, 2, 4, 6)}
     scalars = {xy: from_ints(*xy, den) for xy in pairs}
     layers: Dict[tuple, set] = {}
@@ -242,7 +242,7 @@ def scanned_centers(sys, labels):
     out = []
     for entry in _complex_cached(sys.name, zeros)[-1]:  # the cells
         (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
-        unit = _unit_orbit(sys.name, j)
+        unit = generate_orbit(sys, [int(i == j - 1) for i in range(sys.rank)])
         omega = unit.forms[0]  # a dominant row is its own dominant form
         rows = (unit.rows if j - 1 in zeros
                 else [omega])  # W_J fixes omega_j unless j is in J
@@ -265,7 +265,7 @@ def dual_cell_coords(sys, labels):
     scales = solve_scales(sys, labels)
     return tuple((j, tuple(c.dot(f) * scales[j] for f in frame))
                  for j, rows in cell_centers(sys, labels)
-                 for c in sys.vertices(rows, 1))
+                 for c in sys.vertices(rows, sys.weight_den))
 
 
 def scalar_str(s):

@@ -308,11 +308,10 @@ def test_dual_steps_solve_the_scales_once():
 
 
 def test_fresh_label_builds_its_vertex_row_once(monkeypatch):
-    # with the unit orbits and the complexes warm, a fresh label's orbit
-    # and its vertex-figure solve share one integer_vector call: the solve
-    # reads Lambda's row off the cached orbit
+    # with the complexes warm, a fresh label's orbit and its vertex-figure
+    # solve share one integer_vector call: the solve reads Lambda's row
+    # off the cached orbit
     orbits._orbit_cached.cache_clear()
-    duals._unit_orbit.cache_clear()
     duals._vertex_figure.cache_clear()
     for pattern in zero_one_labels(4):
         dual_polytope(F4, pattern)
@@ -366,22 +365,23 @@ def test_fresh_patterns_make_no_kernel_calls(monkeypatch):
     assert calls == ["signed_permutations"] * 8
 
 
-def test_unit_orbits_outlive_a_sweep_of_labels(monkeypatch):
-    # the unit orbits of the dual shells have a cache of their own: after
-    # 75 distinct labels through the 64-entry label LRU, the duals of
-    # labels with four nonzero entries build only their own orbits
-    full = [lab for lab in pattern_labels(3, 34) if all(lab)]
-    dual_polytope(F4, full[0])  # one shell per node
-    sweep = pattern_labels(5, 33)
-    assert len(set(sweep)) == 75
-    for labels in sweep:
-        generate_orbit(F4, labels)
+def test_fresh_dual_builds_only_its_own_orbit(monkeypatch):
+    # with its pattern warm, a fresh dual of a label with four nonzero
+    # entries builds Lambda's orbit alone; the vertex union, read later,
+    # takes the four omega_j orbits from the one label-orbit cache
+    dual_polytope(F4, (1, 1, 1, 1))
+    orbits._orbit_cached.cache_clear()
     forms, real = [], RootSystem.coset_forms
     monkeypatch.setattr(RootSystem, "coset_forms",
                         lambda sys, mu: forms.append(mu) or real(sys, mu))
-    for labels in full:
-        assert len(dual_polytope(F4, labels).units) == 4
-    assert forms and all(all(map(any, zip(mu[::2], mu[1::2]))) for mu in forms)
+    labels = next(lab for lab in pattern_labels(1, 34) if all(lab))
+    dual = dual_polytope(F4, labels)
+    assert forms == [F4.integer_labels(F4.coerce_labels(labels))[0]]
+    assert len(dual.vertices) == dual.f_tuple[0]
+    assert len(forms) == 5
+    assert orbits._orbit_cached.cache_info().currsize == 5
+    orbits._orbit_cached.cache_clear()  # drops the omega_j orbits too
+    assert orbits._orbit_cached.cache_info().currsize == 0
 
 
 def test_solve_reads_no_unit_orbit_rows(monkeypatch):
@@ -392,7 +392,6 @@ def test_solve_reads_no_unit_orbit_rows(monkeypatch):
     monkeypatch.setattr(Orbit, "rows", property(
         lambda orbit: reads.append(orbit.labels) or rows(orbit)))
     orbits._orbit_cached.cache_clear()
-    duals._unit_orbit.cache_clear()
     duals._vertex_figure.cache_clear()
     duals._centers.cache_clear()
     try:
@@ -403,7 +402,6 @@ def test_solve_reads_no_unit_orbit_rows(monkeypatch):
                 cells_at_vertex(sys, labels)
     finally:
         orbits._orbit_cached.cache_clear()
-        duals._unit_orbit.cache_clear()
     assert reads == []
 
 
@@ -431,7 +429,7 @@ def test_polar_duality_certificate(labels):
     zeros = frozenset(i for i, a in enumerate(lab) if a.is_zero())
     source = generate_orbit(F4, lab)
     lam = F4.integer_vector(F4.integer_labels(lab)[0])
-    over = source.den * F4.weight_den ** 2  # a source row's times omega's
+    over = source.den * F4.weight_den  # a source row's times omega's
     dual = dual_polytope(F4, lab)
     centers = {f.center_node: frozenset(f.centers)
                for f in cells_at_vertex(F4, lab)}
@@ -447,11 +445,12 @@ def test_polar_duality_certificate(labels):
         assert products.count(top) == parabolic_order(
             "F4", rest) // parabolic_order("F4", rest & zeros), shell.node
     (k,) = shell_tops
-    for shell, unit in zip(dual.shells, dual.units):
+    for shell in dual.shells:
+        unit = generate_orbit(F4, [int(i == shell.node - 1) for i in range(4)])
         products = [_row_dot(r, lam, over) * shell.scale for r in unit.rows]
         assert max(products) == k, shell.node
         on_top = [r for r, p in zip(unit.rows, products) if p == k]
-        assert frozenset(F4.vertices(on_top, 1)) == centers[shell.node]
+        assert frozenset(F4.vertices(on_top, unit.den)) == centers[shell.node]
 
 
 # the vertex count of each face and cell name that f_vector gives

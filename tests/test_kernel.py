@@ -13,7 +13,7 @@ every run sees the same examples).
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import List
 
 import pytest
@@ -83,14 +83,10 @@ def coset_branch_b3a1(labels):
                  for p, h in sorted(layers))
 
 
-def zero_one_labels(rank):
-    return [p for p in product((0, 1), repeat=rank) if any(p)]
-
-
 @pytest.mark.parametrize("sys", [f4_system(), b4_system(), b3r_system()],
                          ids=lambda s: s.name)
 def test_kernel_matches_quaternion_search_on_01_labels(sys):
-    for labels in zero_one_labels(sys.rank):
+    for labels in oracles.zero_one_labels(sys.rank):
         assert generate_orbit(sys, labels).vertices == \
             quaternion_orbit(sys, labels), labels
 
@@ -106,7 +102,7 @@ def test_parabolic_order_matches_quaternion_closure(sys):
 
 # the 0/1 labels and two seeded random labels of each 0/1 pattern: the
 # centers are read off the unit orbits by their products with the labels
-CENTER_CASES = zero_one_labels(4) + oracles.pattern_labels(2, 19)
+CENTER_CASES = oracles.zero_one_labels(4) + oracles.pattern_labels(2, 19)
 
 
 @pytest.mark.parametrize("labels", CENTER_CASES, ids=[
@@ -130,7 +126,7 @@ def test_branching_premises():
         build_group("WB4")
 
 
-@pytest.mark.parametrize("labels", zero_one_labels(4), ids=str)
+@pytest.mark.parametrize("labels", oracles.zero_one_labels(4), ids=str)
 def test_branchings_match_coset_route_on_01_labels(labels):
     assert branch_b4(labels) == coset_branch_b4(labels)
     assert branch_b3a1(labels) == coset_branch_b3a1(labels)
@@ -147,7 +143,7 @@ def assert_chains_are_chambers(labels):
             b3.is_dominant(b3.vector_to_label(v)), v
 
 
-@pytest.mark.parametrize("labels", zero_one_labels(4), ids=str)
+@pytest.mark.parametrize("labels", oracles.zero_one_labels(4), ids=str)
 def test_branching_chains_are_chambers_on_01_labels(labels):
     assert_chains_are_chambers(labels)
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -12,11 +12,11 @@ from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import RootSystem, b4_system, f4_system, get_system
 from f4weyl.scalar import SQRT2, FieldScalar
 from oracles import (_components, complex_walk, diagram_inventories, euler_ok,
-                     orbit_size, pattern_labels)
+                     orbit_size, pattern_labels, zero_one_labels)
 
 F4 = f4_system()
 
-ALL_PATTERNS = [p for p in product((0, 1), repeat=4) if any(p)]
+ALL_PATTERNS = zero_one_labels(4)
 
 # the ten labels worked out in detail downstream, with golden f-vectors
 GOLDEN_FVECTORS = FVECTOR_GOLDEN

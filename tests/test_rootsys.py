@@ -84,7 +84,7 @@ def test_gram_matrices_are_the_quaternion_dots():
             assert [list(r) for r in gram] == \
                 [[a.dot(b) for b in vectors] for a in vectors], sys.name
         for row, omega in zip(sys.weight_vectors, sys.weights):
-            assert sys.vertices([row], 1) == (omega,), sys.name
+            assert sys.vertices([row], sys.weight_den) == (omega,), sys.name
 
 
 def test_label_to_vector():

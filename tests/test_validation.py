@@ -2,8 +2,8 @@
 
 Internal stages take labels that are already validated: the branchings
 and the 3D layers read the cached orbit, their part sizes are counted
-off its coset forms, and the duals read the cached complex and the unit
-orbits.  One label through the seven stages of a full request is
+off its coset forms, and the duals read the cached orbit and complex.
+One label through the seven stages of a full request is
 checked seven times, and each entry point still rejects a bad label
 with the same one-line message.
 """
@@ -14,9 +14,9 @@ import pytest
 
 from f4weyl import orbits
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
-from f4weyl.duals import dual_cell, dual_polytope, solve_scales
+from f4weyl.duals import cells_at_vertex, dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import f_vector, generate_orbit, stabilizer_order
-from f4weyl.rootsys import f4_system
+from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
 import oracles
 
 F4 = f4_system()
@@ -88,3 +88,22 @@ def test_entry_points_reject_bad_labels(name, entry, labels, message):
     with pytest.raises(ValueError) as info:
         entry(labels)
     assert str(info.value) == message
+
+
+def test_a_system_apart_from_the_registry_is_refused():
+    # every cache keys on the system's name, so an F4 built from B4's roots
+    # would read F4's orbit (24 vertices; its own roots give 8)
+    b4 = b4_system()
+    posing = RootSystem("F4", b4.simple_roots, b4.weights)
+    with pytest.raises(ValueError) as info:
+        generate_orbit(posing, (1, 0, 0, 0))
+    assert str(info.value) == "F4 is not the registered F4 system"
+
+
+@pytest.mark.parametrize("entry", [f_vector, dual_polytope, dual_cell,
+                                   solve_scales, cells_at_vertex],
+                         ids=lambda entry: entry.__name__)
+def test_rank_4_readers_refuse_a_rank_3_label(entry):
+    with pytest.raises(ValueError) as info:
+        entry(b3r_system(), (1, 0, 0))
+    assert str(info.value) == "f_vector needs a rank-4 system"

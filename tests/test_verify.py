@@ -6,7 +6,7 @@ import json
 import random
 from pathlib import Path
 
-from f4weyl import duals, verify
+from f4weyl import verify
 from f4weyl.orbits import _orbit_cached
 from f4weyl.rootsys import RootSystem
 from oracles import random_quaternion_fraction
@@ -45,14 +45,12 @@ def test_dropped_arrangement_fails_both_orbit_size_checks(monkeypatch):
 
     monkeypatch.setattr(RootSystem, "signed_permutations", faulty)
     _orbit_cached.cache_clear()
-    duals._unit_orbit.cache_clear()
     try:
         assert not verify.check_b4_branching()[0]
         assert not verify.check_orbit_stabilizer()[0]
         assert not verify.check_b3a1_slices()[0]
     finally:
         _orbit_cached.cache_clear()  # drop the faulty orbits
-        duals._unit_orbit.cache_clear()
 
 
 def test_kite_quote_within_a_quarter_of_the_area_fails(monkeypatch):
