@@ -14,14 +14,14 @@ weight's orbit that Lambda supports.  Local coordinates use the frame
 norm ``(Lambda, Lambda)``, so u-space squared distances are the true
 ones times ``(Lambda, Lambda)``.  Both are read on integer rows.
 
-The centers of one family depend only on J, so they are walked once per
-J and node (``_centers``); one cached solve per label, ``_vertex_figure``,
-takes their integer products with Lambda for the scales and the cell,
-and the scales, shells and cell all read that solve; it reads Lambda
-off the cached orbit, J off ``orbits.zero_nodes`` and ``PUBLISHED`` for
-F4 only.  Each public entry point validates its label once, by
-``_validated`` (``dual_polytope`` by ``f_vector``); the internal stages,
-whose complex checks the rank, take it validated.
+The centers of one family depend only on J, so they come walked with
+the cached ``orbits._pattern`` of J; one cached solve per label,
+``_vertex_figure``, takes their integer products with Lambda for the
+scales and the cell, and the scales, shells and cell all read that
+solve; it reads Lambda off the cached orbit and ``PUBLISHED`` for F4
+only.  Each public entry point validates its label once, by
+``_validated``; the internal stages, whose pattern checks the rank, take
+it validated.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from itertools import combinations
 from operator import sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .orbits import (Record, _complex_cached, _orbit_cached, _validated,
-                     f_vector, generate_orbit, zero_nodes)
+from .orbits import (Record, _orbit_cached, _pattern, _validated,
+                     generate_orbit, zero_nodes)
 from .quat import Quaternion
-from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
-                      get_system, scale_rows)
+from .rootsys import (LabelLike, Labels, RootSystem, format_labels, get_system,
+                      scale_rows)
 from .scalar import (INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, over_lcm,
                      row_dot, surd_sign)
 
@@ -180,46 +180,24 @@ class DualCell(Record):
                 for node, u in self.coords]
 
 
-@lru_cache(maxsize=None)
-def _centers(sys_name: str, zeros: FrozenSet[int], j: int) -> Tuple[IntRow, ...]:
-    """Sorted rows of W_J omega_j (node j, 1-based): the walk of omega_j's
-    label under the reflections of J, stepping where the label is positive
-    (omega_j is dominant, so the downward steps reach its whole W_J-orbit;
-    off J it is fixed), each step's row reflected beside its label."""
-    sys = get_system(sys_name)
-    unit = (0, 0) * (j - 1) + (1, 0) + (0, 0) * (sys.rank - j)
-    found, walk = {unit: sys.weight_vectors[j - 1]}, [unit]  # label -> its row
-    for mu in walk:  # the list grows as it is walked
-        for i in zeros:
-            if surd_sign(mu[2 * i], mu[2 * i + 1]) > 0 and \
-                    (nu := sys.reflect_labels(mu, i)) not in found:
-                found[nu] = sys.reflect_row(found[mu], mu, i)
-                walk.append(nu)
-    return tuple(sorted(found.values()))
-
-
 @lru_cache(maxsize=64)
 def _vertex_figure(sys_name: str, labels: Labels):
     """The shared (read-only) solve around Lambda of validated labels:
-    ([(cell entry, node j, sorted W_J omega_j rows)], {node j: scale} in
-    ascending node order, the DualCell).
+    (the ``orbits.Pattern`` of their zeros, {node j: scale} in ascending
+    node order, the DualCell).
 
-    The centers are ``_centers``, walked once per J and j; every center c
-    has (c, Lambda) = (omega_j, Lambda) = top_j (over the orbit's den times
-    weight_den), the scale of node j is top_ref / top_j (the common factor
-    cancels), and a center's u-triple is its (c, e_a * Lambda) times its
-    scale, one product with the frame times the scale's integers; e_a *
-    Lambda is a signed permutation of Lambda's row, the orbit's first form
-    (a dominant row is its own form)."""
-    sys, orbit = get_system(sys_name), _orbit_cached(sys_name, labels)
-    lam, families, tops = orbit.forms[0], [], {}
+    Every center c of the pattern's family of node j has (c, Lambda) =
+    (omega_j, Lambda) = top_j (over the orbit's den times weight_den), the
+    scale of node j is top_ref / top_j (the common factor cancels), and a
+    center's u-triple is its (c, e_a * Lambda) times its scale, one
+    product with the frame times the scale's integers; e_a * Lambda is a
+    signed permutation of Lambda's row, the orbit's first form (a
+    dominant row is its own form)."""
+    zeros, sys = zero_nodes(labels), get_system(sys_name)
+    pattern, orbit = _pattern(sys_name, zeros), _orbit_cached(sys_name, labels)
+    lam = orbit.forms[0]
     dot = row_dot(lam)
-    zeros = zero_nodes(labels)
-    for entry in _complex_cached(sys_name, zeros)[-1]:  # the cells
-        (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
-        rows = _centers(sys_name, zeros, j)
-        tops[j] = dot(rows[0])  # the same product for every center
-        families.append((entry, j, rows))
+    tops = {j: dot(rows[0]) for _, j, rows in pattern.families}
     ref, row_scale = (PUBLISHED if sys_name == "F4" else {}).get(
         tuple(int(i not in zeros) for i in range(4)), (None, ONE))
     top_ref = from_ints(*tops[ref if ref in tops else min(tops)], 1)
@@ -229,24 +207,24 @@ def _vertex_figure(sys_name: str, labels: Labels):
                                     (-x2, -y2, x3, y3, x0, y0, -x1, -y1),
                                     (-x3, -y3, -x2, -y2, x1, y1, x0, y0))]
     over, coords = orbit.den * sys.weight_den, []  # Lambda's den, c's
-    for _, j, rows in families:
+    for _, j, rows in pattern.families:
         x, y, d = scales[j].x, scales[j].y, over * scales[j].d
         coords += [(j, tuple(from_ints(p * x + 2 * q * y, p * y + q * x, d)
                              for p, q in (f(c) for f in frame)))
                    for c in rows]
-    return families, scales, DualCell(labels, row_scale, tuple(coords))
+    return pattern, scales, DualCell(labels, row_scale, tuple(coords))
 
 
 def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
-    """Cell families around the dominant vertex.  The type-S centers are
-    W_J omega_j (J = ``zero_nodes``), walked by ``_centers``: they are the
-    rows c of the orbit of omega_j with (c, Lambda) = (omega_j, Lambda),
+    """Cell families around the dominant vertex, read off the pattern of
+    J = ``zero_nodes`` alone.  The type-S centers are W_J omega_j: they are
+    the rows c of the orbit of omega_j with (c, Lambda) = (omega_j, Lambda),
     since omega_j - c = sum c_i alpha_i, c_i >= 0, and sum c_i a_i = 0 iff
     c_i = 0 wherever a_i > 0; off J, omega_j is the only one."""
-    families, _, _ = _vertex_figure(sys.name, _validated(sys, labels))
+    pattern = _pattern(sys.name, zero_nodes(_validated(sys, labels)))
     return tuple(CellFamily(entry.nodes, entry.name, j,
                             sys.vertices(rows, sys.weight_den))
-                 for entry, j, rows in families)
+                 for entry, j, rows in pattern.families)
 
 
 def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, FieldScalar]:
@@ -299,13 +277,12 @@ def dual_polytope(sys: RootSystem, labels: Sequence[LabelLike]) -> DualPolytope:
     count.  Its vertex count equals the source cell count and vice
     versa; the dual f-vector is the reversed source f-vector.
     """
-    source = f_vector(sys, labels)
-    families, scales, _ = _vertex_figure(sys.name, source.labels)
-    sizes = {j: entry.count for entry, j, _ in families}
+    lab = _validated(sys, labels)
+    pattern, scales, _ = _vertex_figure(sys.name, lab)
+    sizes = {j: entry.count for entry, j, _ in pattern.families}
     shells = tuple(Shell(j, s, sys.cartan_inv[j - 1][j - 1] * s * s, sizes[j])
                    for j, s in scales.items())
-    return DualPolytope(source.labels, shells,
-                        (source.n3, source.n2, source.n1, source.n0), sys.name)
+    return DualPolytope(lab, shells, pattern.counts[::-1], sys.name)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ and the largest vertex count among its 2-faces (a polygon's own).
 A3 24, B3 48) and the counts its label pattern up to symmetry, so the
 21 keys of F4 and B4, the rank-4 systems ``f_vector`` accepts, differ.
 A label enters only through J, read by ``zero_nodes`` (as for the
-stabilizer and the dual cells), so the complex is cached per system and
-J.  Node sets are bitmasks, and one table per system holds each set's
+stabilizer), so one cached :class:`Pattern` per system and J holds the
+counts, the inventories and the cell centers W_J omega_j that the duals
+read.  Node sets are bitmasks, and one table per system holds each set's
 components, the nodes in or adjacent to it and |W_S| (its only holder):
 a fresh pattern's halos, validity tests and counts are bit operations.
 
@@ -46,7 +47,7 @@ from typing import FrozenSet, Sequence, Tuple
 from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
                       get_system)
-from .scalar import surd_order, surd_sign
+from .scalar import over_lcm, surd_order, surd_sign
 
 #: face and cell names keyed by |W_S|, the vertex count |W_S| / |W_(S & J)|
 #: and the largest vertex count among the 2-faces of S (a polygon's own)
@@ -165,7 +166,7 @@ def _validated(sys: RootSystem, labels: Sequence[LabelLike],
 @lru_cache(maxsize=64)
 def _orbit_cached(sys_name: str, labels: Labels) -> Orbit:
     sys = get_system(sys_name)
-    mu, den = sys.integer_labels(labels)
+    mu, den = over_lcm(labels)
     return Orbit(sys_name, labels, sys.coset_forms(mu), den * sys.weight_den)
 
 
@@ -232,7 +233,8 @@ def _node_sets(sys_name: str) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
 def f_vector(sys: RootSystem, labels: Sequence[LabelLike]) -> PolytopeComplex:
     """The validated labels' counts and named inventories (cached per J)."""
     lab = _validated(sys, labels)
-    return PolytopeComplex(lab, *_complex_cached(sys.name, zero_nodes(lab)))
+    pattern = _pattern(sys.name, zero_nodes(lab))
+    return PolytopeComplex(lab, *pattern.counts, pattern.faces, pattern.cells)
 
 
 #: the sets of at most three of four nodes, by size, so each 3-set comes
@@ -242,13 +244,26 @@ _SUBSETS = tuple((tuple(i + 1 for i in c), sum(1 << i for i in c),
                  for k in range(4) for c in combinations(range(4), k))
 
 
+class Pattern(Record):
+    """What the zero nodes J fix: N0..N3, the face and cell entries, and
+    per cell (its entry, the node j off it, the sorted rows of W_J omega_j)."""
+    counts: Tuple[int, int, int, int]
+    faces: Tuple[FaceEntry, ...]
+    cells: Tuple[FaceEntry, ...]
+    families: Tuple[Tuple[FaceEntry, int, Tuple[IntRow, ...]], ...]
+
+
 @lru_cache(maxsize=None)
-def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
-    """(N0, N1, N2, N3, faces, cells) for zeros on J: 2^rank keys at most.
-    A k-set S with no component inside J spans |W| / |W_(S + halo)| k-faces
-    (N0 and N1 from the empty set and single nodes), each order and test
-    read off ``_node_sets``: the halo is J off S and its neighbours."""
-    if get_system(sys_name).rank != 4:
+def _pattern(sys_name: str, zeros: FrozenSet[int]) -> Pattern:
+    """The pattern of zeros on J: 2^rank keys at most.  A k-set S with no
+    component inside J spans |W| / |W_(S + halo)| k-faces (N0 and N1 from
+    the empty set and single nodes), each order and test read off
+    ``_node_sets``: the halo is J off S and its neighbours.  A cell's
+    centers walk omega_j's label under the reflections of J, stepping
+    where it is positive (omega_j is dominant, so the downward steps reach
+    its whole W_J-orbit), each step's row reflected beside its label."""
+    sys = get_system(sys_name)
+    if sys.rank != 4:
         raise ValueError("f_vector needs a rank-4 system")
     table, zmask = _node_sets(sys_name), sum(1 << i for i in zeros)
     order, counts, found = table[-1][2], [0] * 4, ([], [], [], [])
@@ -263,7 +278,19 @@ def _complex_cached(sys_name: str, zeros: FrozenSet[int]) -> tuple:
                 top = max(verts[p] for p in pairs)
                 found[len(nodes)].append(
                     FaceEntry(nodes, _NAMES[size, n, top], count))
-    return (*counts, tuple(found[2]), tuple(found[3]))
+    families = []
+    for entry in found[3]:
+        (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
+        unit = (0, 0) * (j - 1) + (1, 0) + (0, 0) * (4 - j)
+        rows, walk = {unit: sys.weight_vectors[j - 1]}, [unit]  # label -> row
+        for mu in walk:  # the list grows as it is walked
+            for i in zeros:
+                if surd_sign(mu[2 * i], mu[2 * i + 1]) > 0 and \
+                        (nu := sys.reflect_labels(mu, i)) not in rows:
+                    rows[nu] = sys.reflect_row(rows[mu], mu, i)
+                    walk.append(nu)
+        families.append((entry, j, tuple(sorted(rows.values()))))
+    return Pattern(tuple(counts), *map(tuple, found[2:]), tuple(families))
 
 
 # ---------------------------------------------------------------------------

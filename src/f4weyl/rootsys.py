@@ -142,7 +142,7 @@ class RootSystem:
 
     def label_to_vector(self, labels: Sequence[LabelLike]) -> Quaternion:
         """Sum a_i * omega_i as an exact quaternion."""
-        mu, den = self.integer_labels(self.coerce_labels(labels))
+        mu, den = over_lcm(self.coerce_labels(labels))
         return self.vertices([self.integer_vector(mu)], den * self.weight_den)[0]
 
     def vector_to_label(self, v: Quaternion) -> Labels:
@@ -153,10 +153,6 @@ class RootSystem:
         return all(as_scalar(a).sign() >= 0 for a in labels)
 
     # -- label-space kernel ------------------------------------------------
-
-    def integer_labels(self, labels: Labels) -> Tuple[IntLabels, int]:
-        """Labels as flat Z[sqrt2] integer pairs over a common denominator."""
-        return over_lcm(labels)
 
     def reflect_labels(self, mu: IntLabels, i: int) -> IntLabels:
         """Simple reflection s_i in label space: mu_j <- mu_j - mu_i * C_ij."""
@@ -222,7 +218,7 @@ class RootSystem:
     def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
         """Dominant label of the orbit of v and the word of the dominance
         walk (reflect on the lowest negative label) that reaches it."""
-        mu, den = self.integer_labels(self.vector_to_label(v))
+        mu, den = over_lcm(self.vector_to_label(v))
         word: List[int] = []  # the walk ends: W is finite
         while (i := first_negative(mu, range(self.rank))) is not None:
             mu = self.reflect_labels(mu, i)

@@ -42,7 +42,7 @@ from f4weyl.binocta import (GROUP_NAMES, SUBSET_ORDER, _element, build_subsets,
 from f4weyl import orbits
 from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
 from f4weyl.duals import Triple, solve_scales
-from f4weyl.orbits import (_NAMES, FaceEntry, _complex_cached, _orbit_cached,
+from f4weyl.orbits import (_NAMES, FaceEntry, _orbit_cached, _pattern,
                            _validated, f_vector, generate_orbit,
                            stabilizer_order, zero_nodes)
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
@@ -50,7 +50,7 @@ from f4weyl.rootsys import (RootSystem, b3r_system, b4_system, f4_system,
                             first_negative, format_labels, get_system,
                             scalar_labels)
 from f4weyl.scalar import (_TERM_RE, INV_SQRT2, FieldScalar, as_scalar,
-                           from_ints, row_dot, surd_sign)
+                           from_ints, over_lcm, row_dot, surd_sign)
 
 
 def zero_one_labels(rank):
@@ -104,7 +104,7 @@ def label_orbit(sys, mu, nodes):
 
 def walked_rows(sys, labels):
     """Vertex rows of the full orbit from the label walk over all nodes."""
-    mu, _ = sys.integer_labels(sys.coerce_labels(labels))
+    mu, _ = over_lcm(sys.coerce_labels(labels))
     return [row for _, row in label_orbit(sys, mu, range(sys.rank))]
 
 
@@ -134,7 +134,7 @@ def branch_b3a1_by_labels(labels):
     are alpha_2..alpha_4), those labels being the B3 label, at height
     |q0/sqrt2| read off the row as the pair (2*y0, x0) over 2S."""
     f4, b3 = f4_system(), b3r_system()
-    mu, den = f4.integer_labels(_validated(f4, labels))
+    mu, den = over_lcm(_validated(f4, labels))
     layers = {(scalar_labels(nu[2:], den),
                abs(from_ints(2 * row[1], row[0], 2 * den * f4.weight_den)))
               for nu, row in label_orbit(f4, mu, range(4))
@@ -240,7 +240,7 @@ def scanned_centers(sys, labels):
     dot = row_dot(orbit.forms[0])
     zeros = zero_nodes(lab)
     out = []
-    for entry in _complex_cached(sys.name, zeros)[-1]:  # the cells
+    for entry in _pattern(sys.name, zeros).cells:
         (j,) = {1, 2, 3, 4} - set(entry.nodes)  # the node off the cell
         unit = generate_orbit(sys, [int(i == j - 1) for i in range(sys.rank)])
         omega = unit.forms[0]  # a dominant row is its own dominant form

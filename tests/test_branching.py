@@ -12,7 +12,7 @@ from f4weyl.branching import (_b3_template, branch_b3a1, branch_b4,
 from f4weyl.orbits import generate_orbit
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
-from f4weyl.scalar import FieldScalar, SQRT2
+from f4weyl.scalar import FieldScalar, SQRT2, over_lcm
 import oracles
 
 
@@ -124,7 +124,7 @@ def test_one_walk_per_label(monkeypatch):
     f4 = f4_system()
     labels = f4.coerce_labels((Fraction(3, 11), 0, FieldScalar(2, 1),
                                Fraction(5, 13)))
-    top, _ = f4.integer_labels(labels)
+    top, _ = over_lcm(labels)
     built = []
     cosets = RootSystem.coset_forms
 

@@ -11,8 +11,8 @@ from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
 from f4weyl.orbits import Orbit, f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b4_system, f4_system
-from f4weyl.scalar import (SQRT2, FieldScalar, from_ints, parse_scalar,
-                           row_dot, surd_order)
+from f4weyl.scalar import (SQRT2, FieldScalar, from_ints, over_lcm,
+                           parse_scalar, row_dot, surd_order)
 from oracles import (dist_sq, frame_vectors, label_orbit, pattern_labels,
                      random_labels, scanned_centers, zero_one_labels)
 
@@ -272,14 +272,14 @@ def test_published_table_matches_the_golden_data():
 
 
 def test_dual_steps_build_the_complex_once():
-    # cells_at_vertex, solve_scales and dual_polytope all read the f-vector,
-    # whose counts and inventories are built once per zero pattern
-    orbits._complex_cached.cache_clear()
+    # cells_at_vertex, solve_scales and dual_polytope all read the zero
+    # pattern, whose counts, inventories and centers are built once
+    orbits._pattern.cache_clear()
     dual_polytope(F4, (2, 1, 0, 1))
     dual_cell(F4, (2, 1, 0, 1))
     cells_at_vertex(F4, (2, 1, 0, 1))
     solve_scales(F4, (2, 1, 0, 1))
-    assert orbits._complex_cached.cache_info().misses == 1
+    assert orbits._pattern.cache_info().misses == 1
 
 
 def test_b4_duals_take_the_unpublished_conventions():
@@ -334,14 +334,14 @@ def test_walked_centers_match_the_unit_orbit_scan():
     for sys in (F4, b4_system()):
         for labels in pattern_labels(4, 31):
             lab = sys.coerce_labels(labels)
-            families = duals._vertex_figure(sys.name, lab)[0]
+            families = duals._vertex_figure(sys.name, lab)[0].families
             assert [(j, list(rows)) for _, j, rows in families] == \
                 scanned_centers(sys, lab), (sys.name, labels)
 
 
 def test_fresh_patterns_make_no_kernel_calls(monkeypatch):
-    # with the node-set table warm, the complexes and walked cell centers
-    # of all 15 F4 zero patterns read only rows built with the system: no
+    # with the node-set table warm, the patterns (complexes and walked cell
+    # centers) of all 15 F4 zero patterns read only rows of the system: no
     # label row, coset form, orbit count or kernel orbit; the B3 layer
     # templates of the 8 tie patterns make one kernel orbit each
     orbits._node_sets("F4")
@@ -351,18 +351,47 @@ def test_fresh_patterns_make_no_kernel_calls(monkeypatch):
         monkeypatch.setattr(RootSystem, name, lambda sys, *args, _name=name,
                             _real=getattr(RootSystem, name):
                             calls.append(_name) or _real(sys, *args))
-    for cache in (orbits._complex_cached, duals._centers,
-                  branching._b3_template):
+    for cache in (orbits._pattern, branching._b3_template):
         cache.cache_clear()
     for pattern in zero_one_labels(4):
-        zeros = frozenset(i for i, a in enumerate(pattern) if not a)
-        for entry in orbits._complex_cached("F4", zeros)[-1]:  # the cells
-            (j,) = {1, 2, 3, 4} - set(entry.nodes)
-            duals._centers("F4", zeros, j)
+        orbits._pattern("F4", frozenset(i for i, a in enumerate(pattern)
+                                        if not a))
     assert calls == []
     for ties in product((False, True), repeat=3):
         branching._b3_template(*ties)
     assert calls == ["signed_permutations"] * 8
+
+
+def test_fresh_dual_builds_no_polytope_complex(monkeypatch):
+    # with its pattern warm, a fresh dual reads its f-vector and shell
+    # sizes off the pattern: no PolytopeComplex is built for it
+    for pattern in zero_one_labels(4):
+        dual_polytope(F4, pattern)
+    duals._vertex_figure.cache_clear()
+    built, real = [], orbits.PolytopeComplex
+    monkeypatch.setattr(orbits, "PolytopeComplex",
+                        lambda *args: built.append(args) or real(*args))
+    labels = pattern_labels(1, 35)
+    made = [dual_polytope(F4, lab) for lab in labels]
+    assert built == []
+    monkeypatch.undo()
+    for lab, dual in zip(labels, made):
+        assert dual.f_tuple == f_vector(F4, lab).f_tuple()[::-1], lab
+
+
+def test_fresh_cells_at_vertex_build_no_orbit(monkeypatch):
+    # the cell families depend on J alone: with its pattern warm, a fresh
+    # label's families come off the pattern, with no solve and no orbit
+    for pattern in zero_one_labels(4):
+        cells_at_vertex(F4, pattern)
+    orbits._orbit_cached.cache_clear()
+    duals._vertex_figure.cache_clear()
+    forms, real = [], RootSystem.coset_forms
+    monkeypatch.setattr(RootSystem, "coset_forms",
+                        lambda sys, mu: forms.append(mu) or real(sys, mu))
+    for labels, pattern in zip(pattern_labels(1, 36), zero_one_labels(4)):
+        assert cells_at_vertex(F4, labels) == cells_at_vertex(F4, pattern)
+    assert forms == []
 
 
 def test_fresh_dual_builds_only_its_own_orbit(monkeypatch):
@@ -376,7 +405,7 @@ def test_fresh_dual_builds_only_its_own_orbit(monkeypatch):
                         lambda sys, mu: forms.append(mu) or real(sys, mu))
     labels = next(lab for lab in pattern_labels(1, 34) if all(lab))
     dual = dual_polytope(F4, labels)
-    assert forms == [F4.integer_labels(F4.coerce_labels(labels))[0]]
+    assert forms == [over_lcm(F4.coerce_labels(labels))[0]]
     assert len(dual.vertices) == dual.f_tuple[0]
     assert len(forms) == 5
     assert orbits._orbit_cached.cache_info().currsize == 5
@@ -393,7 +422,7 @@ def test_solve_reads_no_unit_orbit_rows(monkeypatch):
         lambda orbit: reads.append(orbit.labels) or rows(orbit)))
     orbits._orbit_cached.cache_clear()
     duals._vertex_figure.cache_clear()
-    duals._centers.cache_clear()
+    orbits._pattern.cache_clear()
     try:
         for sys in (F4, b4_system()):
             for labels in pattern_labels(1, 32):
@@ -428,7 +457,7 @@ def test_polar_duality_certificate(labels):
     lab = F4.coerce_labels(labels)
     zeros = frozenset(i for i, a in enumerate(lab) if a.is_zero())
     source = generate_orbit(F4, lab)
-    lam = F4.integer_vector(F4.integer_labels(lab)[0])
+    lam = F4.integer_vector(over_lcm(lab)[0])
     over = source.den * F4.weight_den  # a source row's times omega's
     dual = dual_polytope(F4, lab)
     centers = {f.center_node: frozenset(f.centers)
@@ -531,7 +560,7 @@ def test_face_count_certificate(sys):
     # over that count is the entry's count.  No group table enters.
     for labels in FACE_CERTIFIED:
         lab = sys.coerce_labels(labels)
-        mu, _ = sys.integer_labels(lab)
+        mu, _ = over_lcm(lab)
         zeros = [i for i, a in enumerate(lab) if a.is_zero()]
         rows, lam = generate_orbit(sys, lab).rows, sys.integer_vector(mu)
         fv, n0 = f_vector(sys, lab), len(set(rows))

@@ -28,7 +28,7 @@ from f4weyl.orbits import (f_vector, generate_orbit, parabolic_elements,
                            parabolic_order, stabilizer_order)
 from f4weyl.quat import E1, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system, get_system
-from f4weyl.scalar import INV_SQRT2, FieldScalar
+from f4weyl.scalar import INV_SQRT2, FieldScalar, over_lcm
 import oracles
 
 PROPERTY = dict(derandomize=True, deadline=None, database=None)
@@ -156,7 +156,7 @@ def test_cartan_must_be_integral():
 
 def test_reflect_labels_is_an_involution():
     f4 = f4_system()
-    mu, _ = f4.integer_labels(f4.coerce_labels((1, 2, 3, 4)))
+    mu, _ = over_lcm(f4.coerce_labels((1, 2, 3, 4)))
     for i in range(4):
         image = f4.reflect_labels(mu, i)
         assert image[2 * i:2 * i + 2] == (-mu[2 * i], -mu[2 * i + 1])

@@ -31,7 +31,7 @@ from f4weyl.duals import dual_cell, dual_polytope
 from f4weyl.orbits import f_vector, generate_orbit, parabolic_order
 from f4weyl.rootsys import (RootSystem, f4_system, format_labels, get_system,
                             omega0_row)
-from f4weyl.scalar import FieldScalar, parse_scalar
+from f4weyl.scalar import FieldScalar, over_lcm, parse_scalar
 import oracles
 
 F4 = f4_system()
@@ -257,7 +257,7 @@ def test_orbit_count_matches_rows(name):
         oracles.pattern_labels(2, 18) if name == "F4"
         else oracles.random_labels(sys.rank, 20, 18))
     for lab in labels:
-        mu, _ = sys.integer_labels(sys.coerce_labels(lab))
+        mu, _ = over_lcm(sys.coerce_labels(lab))
         rows = generate_orbit(sys, lab).rows
         assert sys.orbit_count(sys.coset_forms(mu)) == len(rows), lab
     assert sys.orbit_count(sys.coset_forms((0, 0) * sys.rank)) == 1

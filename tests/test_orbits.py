@@ -145,17 +145,17 @@ def test_b4_f_vector_cross_check():
 def test_f_vector_reads_only_the_zero_pattern():
     # Wythoff: the face lattice depends on the zero-label nodes alone, so
     # each label's counts and inventories are its 0/1 pattern's, and the
-    # complex cache holds one entry per pattern and system
+    # pattern cache holds one entry per pattern and system
     for sys in (F4, b4_system()):
-        orbits._complex_cached.cache_clear()
+        orbits._pattern.cache_clear()
         for labels in pattern_labels(4, 28):
             pattern = tuple(int(not a.is_zero()) for a in labels)
             got, want = f_vector(sys, labels), f_vector(sys, pattern)
             assert (got.f_tuple(), got.faces, got.cells) == \
                 (want.f_tuple(), want.faces, want.cells), (sys.name, labels)
             assert got.labels == sys.coerce_labels(labels)
-        assert orbits._complex_cached.cache_info().currsize <= 15, sys.name
-    orbits._complex_cached.cache_clear()
+        assert orbits._pattern.cache_info().currsize <= 15, sys.name
+    orbits._pattern.cache_clear()
 
 
 def test_node_set_table_matches_the_sub_diagram_walk():
@@ -165,7 +165,8 @@ def test_node_set_table_matches_the_sub_diagram_walk():
     for sys in (F4, b4_system()):
         for pattern in ALL_PATTERNS:
             zeros = frozenset(i for i, a in enumerate(pattern) if not a)
-            assert orbits._complex_cached(sys.name, zeros) == \
+            p = orbits._pattern(sys.name, zeros)
+            assert (*p.counts, p.faces, p.cells) == \
                 complex_walk(sys.name, zeros), (sys.name, pattern)
 
 
@@ -213,7 +214,7 @@ def test_names_match_the_diagram_walk(monkeypatch):
     # complexes, and every key of the table is read on the way
     table = _ReadKeys(orbits._NAMES)
     monkeypatch.setattr(orbits, "_NAMES", table)
-    orbits._complex_cached.cache_clear()
+    orbits._pattern.cache_clear()
     try:
         for sys in (F4, b4_system()):
             for pattern in ALL_PATTERNS:
@@ -221,7 +222,7 @@ def test_names_match_the_diagram_walk(monkeypatch):
                 assert (complex_.faces, complex_.cells) == \
                     diagram_inventories(sys, pattern), (sys.name, pattern)
     finally:
-        orbits._complex_cached.cache_clear()
+        orbits._pattern.cache_clear()
     assert table.read == set(orbits._NAMES)
 
 
