@@ -199,6 +199,145 @@ def test_double_dash_label_reaches_the_parser():
             2, "", f"f4weyl: error: unrecognized arguments: {option}\n")
 
 
+# help, usage and error texts with their exit codes, as argparse renders
+# them at 80 columns.  Where argparse's rendering changed between Python
+# releases, each rendering is listed: 3.13 wraps the top-level usage line
+# differently, and later 3.13 releases drop the quotes around the choices
+_TOP_USAGE = ("usage: f4weyl [-h]\n"
+              "              {verify,orbit,fvector,branch-b4,branch-b3a1,"
+              "project,dual,export}%s...\n")
+_TOP_HELP = """
+exact F4 orbit polytopes, branchings and duals
+
+positional arguments:
+  {verify,orbit,fvector,branch-b4,branch-b3a1,project,dual,export}
+    verify              run the full invariant battery
+    orbit               orbit vertices and counts
+    fvector             vertex/edge/face/cell counts and inventories
+    branch-b4           split into signed-permutation orbits
+    branch-b3a1         slice into octahedral orbits by height
+    project             exact 3D layer decomposition
+    dual                dual polytope: scales, shells, cell
+    export              OFF mesh of the dual cell
+
+options:
+  -h, --help            show this help message and exit
+"""
+_LABEL_HELP = """\
+usage: f4weyl {} [-h] [--format {{text,json}}] [--output OUTPUT] label
+
+positional arguments:
+  label                 four comma-separated scalars, e.g. 1,0,0,1
+
+options:
+  -h, --help            show this help message and exit
+  --format {{text,json}}
+  --output OUTPUT
+"""
+_CHOICES = "verify, orbit, fvector, branch-b4, branch-b3a1, project, dual, export"
+_B4_JSON = """\
+{
+  "label": "(1,0,0,0)",
+  "parts": [
+    {
+      "labels": "(0,0,0,1)",
+      "size": 16
+    },
+    {
+      "labels": "(sqrt2,0,0,0)",
+      "size": 8
+    }
+  ]
+}
+"""
+_B4_TEXT = "(1,0,0,0)_F4 = (0,0,0,1)_B4 + (sqrt2,0,0,0)_B4\n"
+PINNED_TEXTS = {
+    "-h": (0, [_TOP_USAGE % s + _TOP_HELP for s in ("\n              ", " ")],
+           ""),
+    "verify -h": (0, """\
+usage: f4weyl verify [-h] [--seed SEED] [--format {text,json}]
+                     [--output OUTPUT] [--timings]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           seed for the randomized property checks
+  --format {text,json}
+  --output OUTPUT
+  --timings             report the wall time of each check
+""", ""),
+    **{f"{cmd} -h": (0, _LABEL_HELP.format(cmd), "")
+       for cmd in ("orbit", "fvector", "branch-b4", "branch-b3a1", "dual")},
+    "project -h": (0, """\
+usage: f4weyl project [-h] [--format {text,json}] [--scale SCALE]
+                      [--output OUTPUT]
+                      label
+
+positional arguments:
+  label                 four comma-separated scalars, e.g. 1,0,0,1
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --scale SCALE         positive scalar applied to the orbit
+  --output OUTPUT
+""", ""),
+    "export -h": (0, """\
+usage: f4weyl export [-h] [--format {off}] [--output OUTPUT] label
+
+positional arguments:
+  label            four comma-separated scalars, e.g. 1,0,0,1
+
+options:
+  -h, --help       show this help message and exit
+  --format {off}
+  --output OUTPUT
+""", ""),
+    "": (2, "", "f4weyl: error: the following arguments are required: "
+                "command\n"),
+    "nosuch 1,0,0,1": (2, "", [
+        "f4weyl: error: argument command: invalid choice: 'nosuch' "
+        f"(choose from {choices})\n"
+        for choices in (", ".join(f"'{c}'" for c in _CHOICES.split(", ")),
+                        _CHOICES)]),
+    "fvector": (2, "", "f4weyl fvector: error: the following arguments are "
+                       "required: label\n"),
+    "branch-b4 1,0,0,0 --format xml": (2, "", [
+        "f4weyl branch-b4: error: argument --format: invalid choice: 'xml' "
+        f"(choose from {choices})\n"
+        for choices in ("'text', 'json'", "text, json")]),
+    "branch-b4 1,0,0,0 --bogus": (
+        2, "", "f4weyl: error: unrecognized arguments: --bogus\n"),
+    "branch-b4 1,0,0,0 --format=json": (0, _B4_JSON, ""),
+    "branch-b4 -- 1,0,0,0": (0, _B4_TEXT, ""),
+    "branch-b4 1,0,0,0 --form json": (0, _B4_JSON, ""),
+    "branch-b4 1,0,0,0 --format json --format text": (0, _B4_TEXT, ""),
+    "branch-b4 1,0,0,0 --output {missing}": (
+        1, "", "error: cannot write {missing}: [Errno 2] No such file or "
+               "directory: '{missing}'\n"),
+    "verify --seed x": (2, "", "f4weyl: error: seed 'x' must be an "
+                               "integer\n"),
+    "fvector 1,2x,0,0": (2, "", "f4weyl: error: label '1,2x,0,0': bad "
+                                "scalar literal: '2x' (at 'x')\n"),
+    "fvector -1,0,0,0": (1, "", "error for label (-1,0,0,0): the label is "
+                                "not dominant (negative entry)\n"),
+}
+
+
+def test_cli_texts_are_pinned(tmp_path, monkeypatch):
+    # every help text, usage error and command error keeps its bytes and
+    # its exit code, whichever parser reads the command line
+    monkeypatch.setenv("COLUMNS", "80")
+    missing = str(tmp_path / "missing" / "cell.off")
+    for key, want in PINNED_TEXTS.items():
+        argv = [a.replace("{missing}", missing) for a in key.split()]
+        code, out, err = run_cli(argv)
+        assert code == want[0], (key, code, err)
+        for text, pinned in ((out, want[1]), (err, want[2])):
+            pinned = pinned if isinstance(pinned, list) else [pinned]
+            assert text in [p.replace("{missing}", missing)
+                            for p in pinned], (key, text)
+
+
 # grammar-biased fuzz alphabet: the literal grammar's tokens, separators and
 # digits that are not ASCII
 _TOKENS = ("0", "1", "2", "7", "12", "18446744073709551617", "/", "+", "-",
