@@ -9,8 +9,14 @@ and exact dual polytopes with cell geometry in the field Q(sqrt2).
 """
 
 from .scalar import FieldScalar, parse_scalar
-from .quat import Quaternion
 
 __all__ = ["FieldScalar", "parse_scalar", "Quaternion"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # Quaternion loads quat on first read (PEP 562)
+    if name != "Quaternion":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .quat import Quaternion
+    return Quaternion

@@ -16,7 +16,7 @@ validated.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
 from .orbits import Record, _orbit_cached, _validated, generate_orbit
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
@@ -31,14 +31,14 @@ class B4Part(Record):
     size: int
 
 
-def branch_b4(labels: Sequence[LabelLike]) -> Tuple[B4Part, ...]:
+def branch_b4(labels: Sequence[LabelLike]) -> tuple[B4Part, ...]:
     """Split a rank-4 orbit into signed-permutation orbits, one per
     distinct dominant form of its coset rows."""
     return _branch_b4(_validated(f4_system(), labels))
 
 
 @lru_cache(maxsize=64)
-def _branch_b4(labels: Labels) -> Tuple[B4Part, ...]:
+def _branch_b4(labels: Labels) -> tuple[B4Part, ...]:
     orbit, b4 = _orbit_cached("F4", labels), b4_system()
     s = orbit.den
     parts = sorted(((from_ints(x0 - x1, y0 - y1, s),
@@ -60,14 +60,14 @@ class Slice(Record):
     paired: bool
 
 
-def branch_b3a1(labels: Sequence[LabelLike]) -> Tuple[Slice, ...]:
+def branch_b3a1(labels: Sequence[LabelLike]) -> tuple[Slice, ...]:
     """Slice a rank-4 orbit into octahedral orbits at fixed heights;
     layers at heights h and -h share their label and merge into a pair."""
     return _branch_b3a1(_validated(f4_system(), labels))
 
 
 @lru_cache(maxsize=64)
-def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
+def _branch_b3a1(labels: Labels) -> tuple[Slice, ...]:
     orbit = _orbit_cached("F4", labels)
     s = orbit.den
     layers = sorted(((from_ints(2 * y3, x3, s), from_ints(x2 - x3, y2 - y3, s),
@@ -82,7 +82,7 @@ def _branch_b3a1(labels: Labels) -> Tuple[Slice, ...]:
 
 
 @lru_cache(maxsize=8)
-def _b3_template(ab: bool, bc: bool, c0: bool) -> Tuple[Tuple[int, ...], ...]:
+def _b3_template(ab: bool, bc: bool, c0: bool) -> tuple[tuple[int, ...], ...]:
     """Distinct signed permutations of a B3 chamber point a >= b >= c >= 0
     with these ties, ascending, as index triples into (-a, -b, -c, 0, c, b, a)."""
     a, b, c = 3 - ab - bc - c0, 2 - bc - c0, 1 - c0  # each tie drops a step
@@ -92,7 +92,7 @@ def _b3_template(ab: bool, bc: bool, c0: bool) -> Tuple[Tuple[int, ...], ...]:
 
 
 def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
-               ) -> Tuple[Tuple[FieldScalar, tuple], ...]:
+               ) -> tuple[tuple[FieldScalar, tuple], ...]:
     """Exact 3D layers of a (possibly rescaled) orbit, top to bottom: the
     (height, distinct imaginary coordinate triples, ascending) pairs: a
     filled B3 template per form holding q0, forms sharing q0 sorted once."""

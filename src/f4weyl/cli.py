@@ -15,14 +15,13 @@ text.  Labels are given as four comma-separated scalar literals, e.g.
 
 from __future__ import annotations
 
-import argparse
 import math
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .orbits import f_vector, generate_orbit
-from .quat import _render
 from .rootsys import format_labels, f4_system
 from .scalar import FieldScalar, pair_values, parse_scalar
 
@@ -36,7 +35,7 @@ def __getattr__(name: str):
     return convex_faces
 
 
-def parse_label(text: str) -> Tuple[FieldScalar, ...]:
+def parse_label(text: str) -> tuple[FieldScalar, ...]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(
@@ -61,7 +60,7 @@ def parse_scale(text: str) -> FieldScalar:
 # OFF meshes
 
 
-def export_off(points: Sequence[Tuple[FieldScalar, ...]]) -> str:
+def export_off(points: Sequence[tuple[FieldScalar, ...]]) -> str:
     """Render exact 3D points in convex position (each a vertex of their
     hull, as in every dual cell) as OFF text (17 significant digits)."""
     from . import duals  # per call, so a rebound duals.convex_faces is run
@@ -84,7 +83,7 @@ def export_off(points: Sequence[Tuple[FieldScalar, ...]]) -> str:
 # it; no other module renders text
 
 
-def _inventory(entries) -> List[dict]:
+def _inventory(entries) -> list[dict]:
     return [{"nodes": list(e.nodes), "name": e.name, "count": e.count}
             for e in entries]
 
@@ -121,6 +120,7 @@ def _cmd_fvector(args):
 
 
 def _cmd_orbit(args):
+    from .quat import _render  # the one command that renders quaternions
     orbit = generate_orbit(f4_system(), args.label)
     payload, _ = _cmd_fvector(args)
     rows = sorted(orbit.rows)  # the order of orbit.vertices
@@ -231,12 +231,13 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one line, without the usage block
-        self.exit(2, f"{self.prog}: error: {message}\n")
+def build_parser():
+    import argparse  # help, usage errors and what _table_parse defers
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # one line, without the usage block
+            self.exit(2, f"{self.prog}: error: {message}\n")
 
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="f4weyl",
         description="exact F4 orbit polytopes, branchings and duals")
@@ -264,9 +265,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+# by command, the defaults of the options besides --format and --output
+_DEFAULTS = {"verify": {"seed": None, "timings": False},
+             "project": {"label": None, "scale": "1"}}
+
+
+def _table_parse(argv: Sequence[str] | None) -> SimpleNamespace | None:
+    """argparse's namespace for a command, its label and its ``--name value``
+    options (``--timings`` bare), each at most once, no value "-" then a
+    non-digit; None for any other argv, which argparse is left to read."""
+    name, *words = (sys.argv[1:] if argv is None else argv) or [""]
+    if name not in COMMANDS:
+        return None
+    formats = ("off",) if name == "export" else ("text", "json")
+    args = {"format": formats[0], "output": None,
+            **_DEFAULTS.get(name, {"label": None})}
+    seen, words = set(), iter(words)
+    for word in words:
+        key = word[2:] if word[:2] == "--" else "label"
+        value = (True if key == "timings" else word if key == "label"
+                 else next(words, "--"))
+        if key not in args or key in seen or re.match(r"-\D", str(value)):
+            return None
+        seen.add(key)
+        args[key] = value
+    ok = args["format"] in formats and args.get("label", "") is not None
+    return SimpleNamespace(command=name, **args) if ok else None
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _table_parse(argv) or build_parser().parse_args(argv)
     try:
         if getattr(args, "label", None) is not None:
             args.label = parse_label(args.label)
@@ -277,7 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError(f"seed {args.seed!r} must be an integer")
             args.seed = int(args.seed)
     except ValueError as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
     # a computed value may have more digits than a literal may: lift the
     # int-to-str limit (Python 3.10.7 on) while the command renders them
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -30,22 +30,21 @@ from collections import Counter
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
 from operator import sub
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .orbits import (Record, _orbit_cached, _pattern, _validated,
                      generate_orbit, zero_nodes)
-from .quat import Quaternion
 from .rootsys import (LabelLike, Labels, RootSystem, format_labels, get_system,
                       scale_rows)
 from .scalar import (INV_SQRT2, ONE, SQRT2, FieldScalar, from_ints, over_lcm,
                      row_dot, surd_sign)
 
-Triple = Tuple[FieldScalar, FieldScalar, FieldScalar]
+Triple = tuple[FieldScalar, FieldScalar, FieldScalar]
 
 #: per published F4 0/1 pattern: the reference node (cell-center scale 1)
 #: and the row scale of the printed cell rows, printed = row_scale * (c, e_a
 #: L); other patterns and systems take the smallest center node and scale 1
-PUBLISHED: Dict[Tuple[int, ...], Tuple[int, FieldScalar]] = {
+PUBLISHED: dict[tuple[int, ...], tuple[int, FieldScalar]] = {
     (1, 0, 0, 0): (4, ONE), (0, 1, 0, 0): (4, INV_SQRT2),
     (0, 0, 1, 0): (1, ONE), (1, 1, 0, 0): (4, SQRT2),
     (1, 0, 1, 0): (2, ONE), (1, 0, 0, 1): (2, SQRT2 - 1),
@@ -54,24 +53,24 @@ PUBLISHED: Dict[Tuple[int, ...], Tuple[int, FieldScalar]] = {
 }
 
 
-def _point_rows(points: Sequence[Triple]) -> Tuple[List[Tuple[int, ...]], int]:
+def _point_rows(points: Sequence[Triple]) -> tuple[list[tuple[int, ...]], int]:
     """Exact 3D points as flat Z[sqrt2] rows (x0, y0, ..., x2, y2) over their
     denominators' lcm, and that lcm: the hull, metrics and kite read them."""
     flat, scale = over_lcm([c for p in points for c in p])
     return [flat[k:k + 6] for k in range(0, len(flat), 6)], scale
 
 
-def _dist_sq(a: Tuple[int, ...], b: Tuple[int, ...], scale: int) -> FieldScalar:
+def _dist_sq(a: tuple[int, ...], b: tuple[int, ...], scale: int) -> FieldScalar:
     d = _sub_rows(a, b)
     return from_ints(*row_dot(d)(d), scale * scale)
 
 
-def _sub_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+def _sub_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(sub, a, b))
 
 
-def _cross_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    out: List[int] = []
+def _cross_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out: list[int] = []
     for i, j in ((2, 4), (4, 0), (0, 2)):  # the axis pairs yz, zx, xy
         out += (a[i] * b[j] - a[j] * b[i]
                 + 2 * (a[i + 1] * b[j + 1] - a[j + 1] * b[i + 1]),
@@ -80,7 +79,7 @@ def _cross_rows(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
+def convex_faces(points: Sequence[Triple]) -> list[tuple[int, ...]]:
     """Faces of the convex hull of exact 3D points in convex position, as
     index cycles counter-clockwise from outside; a point inside the body, a
     face or an edge lies in fewer than three faces and is refused.  Every
@@ -121,7 +120,7 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
         return (chi[i, j, k, m] if m > k else -chi[i, j, m, k] if m > j
                 else chi[i, m, j, k] if m > i else -chi[m, i, j, k])
 
-    planes: Dict[Tuple[int, ...], int] = {}  # members -> side of the rest
+    planes: dict[tuple[int, ...], int] = {}  # members -> side of the rest
     covered, count = set(), [0] * n  # count: the faces through each point
     for t in combinations(range(n), 3):
         if t in covered:
@@ -161,10 +160,10 @@ def convex_faces(points: Sequence[Triple]) -> List[Tuple[int, ...]]:
 class CellFamily(Record):
     """All cells of one type incident to the dominant vertex."""
 
-    nodes: Tuple[int, ...]          # defining sub-diagram, 1-based
+    nodes: tuple[int, ...]          # defining sub-diagram, 1-based
     name: str
     center_node: int                # the complementary node, 1-based
-    centers: Tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
+    centers: tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
 
 
 class DualCell(Record):
@@ -172,9 +171,9 @@ class DualCell(Record):
 
     source: Labels
     row_scale: FieldScalar  # published row scale of the 0/1 pattern, else 1
-    coords: Tuple[Tuple[int, Triple], ...]  # (center node, u-triple) per vertex
+    coords: tuple[tuple[int, Triple], ...]  # (center node, u-triple) per vertex
 
-    def rows(self) -> List[Tuple[int, Triple]]:
+    def rows(self) -> list[tuple[int, Triple]]:
         """The vertices as published: each u-triple times ``row_scale``."""
         return [(node, tuple(x * self.row_scale for x in u))
                 for node, u in self.coords]
@@ -215,7 +214,7 @@ def _vertex_figure(sys_name: str, labels: Labels):
     return pattern, scales, DualCell(labels, row_scale, tuple(coords))
 
 
-def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellFamily, ...]:
+def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> tuple[CellFamily, ...]:
     """Cell families around the dominant vertex, read off the pattern of
     J = ``zero_nodes`` alone.  The type-S centers are W_J omega_j: they are
     the rows c of the orbit of omega_j with (c, Lambda) = (omega_j, Lambda),
@@ -227,7 +226,7 @@ def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> Tuple[CellF
                  for entry, j, rows in pattern.families)
 
 
-def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[int, FieldScalar]:
+def solve_scales(sys: RootSystem, labels: Sequence[LabelLike]) -> dict[int, FieldScalar]:
     """Scale factor per center node making all incident centers coplanar.
 
     The center of the type-S cell is proportional to the complementary
@@ -253,12 +252,12 @@ class Shell(Record):
 
 class DualPolytope(Record):
     source: Labels
-    shells: Tuple[Shell, ...]
-    f_tuple: Tuple[int, int, int, int]
+    shells: tuple[Shell, ...]
+    f_tuple: tuple[int, int, int, int]
     system: str
 
     @cached_property
-    def vertices(self) -> FrozenSet[Quaternion]:
+    def vertices(self) -> frozenset[Quaternion]:
         """The union of the shells, built on first read: the rows of the
         cached orbit of omega_j times the shell's scale s = (x + y*sqrt2)/d."""
         sys, vertices = get_system(self.system), set()
@@ -296,7 +295,7 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
 
 
 def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
-                 scale_sq: Optional[FieldScalar] = None) -> Dict[FieldScalar, int]:
+                 scale_sq: FieldScalar | None = None) -> dict[FieldScalar, int]:
     """Multiset of squared distances between dual-cell vertices.
 
     With the default scale the distances are true 4-space distances
@@ -313,7 +312,7 @@ def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
                    for p, q in combinations(rows, 2))
 
 
-def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]:
+def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> dict[str, object]:
     """Exact geometry of one kite face of a trapezohedral dual cell.
 
     Works for labels whose dual cell is an apex / 4-ring / 4-ring / apex
@@ -362,7 +361,7 @@ def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> Dict[str, object]
 
 
 def cell_vertices_for_center(vertices: Sequence[Quaternion],
-                             center: Quaternion) -> FrozenSet[Quaternion]:
+                             center: Quaternion) -> frozenset[Quaternion]:
     """Vertices of the cell supported by the hyperplane of ``center``:
     the orbit points maximizing the scalar product with it."""
     best = max(v.dot(center) for v in vertices)

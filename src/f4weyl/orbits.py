@@ -42,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import FrozenSet, Sequence, Tuple
+from collections.abc import Sequence
 
-from .quat import Quaternion
 from .rootsys import (IntRow, LabelLike, Labels, RootSystem, format_labels,
                       get_system)
 from .scalar import over_lcm, surd_order, surd_sign
@@ -71,7 +70,7 @@ class Record:
     arguments, and it compares, hashes and prints on them as a frozen
     dataclass does, without the cost of building one at import."""
 
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields += tuple(cls.__annotations__)  # after inherited ones
@@ -104,7 +103,7 @@ class Record:
 
 class FaceEntry(Record):
     """One face/cell type: 1-based diagram nodes, polygon/polyhedron name, count."""
-    nodes: Tuple[int, ...]
+    nodes: tuple[int, ...]
     name: str
     count: int
 
@@ -114,7 +113,7 @@ class Orbit(Record):
     ``weight_den``); rows and vertices are built on first read."""
     system: str
     labels: Labels
-    forms: Tuple[IntRow, ...]
+    forms: tuple[IntRow, ...]
     den: int
 
     @property
@@ -122,15 +121,15 @@ class Orbit(Record):
         return get_system(self.system).orbit_count(self.forms)
 
     @cached_property
-    def rows(self) -> Tuple[IntRow, ...]:
+    def rows(self) -> tuple[IntRow, ...]:
         perms = get_system(self.system).signed_permutations
         return tuple(row for form in self.forms for row in perms(form))
 
     @cached_property
-    def vertices(self) -> Tuple[Quaternion, ...]:
+    def vertices(self) -> tuple[Quaternion, ...]:
         return get_system(self.system).vertices(self.rows, self.den)
 
-    def vertex_set(self) -> FrozenSet[Quaternion]:
+    def vertex_set(self) -> frozenset[Quaternion]:
         return frozenset(self.vertices)
 
 
@@ -142,10 +141,10 @@ class PolytopeComplex:
     n1: int
     n2: int
     n3: int
-    faces: Tuple[FaceEntry, ...]
-    cells: Tuple[FaceEntry, ...]
+    faces: tuple[FaceEntry, ...]
+    cells: tuple[FaceEntry, ...]
 
-    def f_tuple(self) -> Tuple[int, int, int, int]:
+    def f_tuple(self) -> tuple[int, int, int, int]:
         return (self.n0, self.n1, self.n2, self.n3)
 
 
@@ -177,7 +176,7 @@ def generate_orbit(sys: RootSystem, labels: Sequence[LabelLike]) -> Orbit:
 
 
 @lru_cache(maxsize=None)
-def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
+def parabolic_elements(sys_name: str, nodes: frozenset[int]) -> frozenset:
     """GroupElements of the subgroup of the given simple reflections (0-based)."""
     from .binocta import GroupElement, generate_from
     sys = get_system(sys_name)
@@ -186,12 +185,12 @@ def parabolic_elements(sys_name: str, nodes: FrozenSet[int]) -> frozenset:
     return generate_from([sys.reflections[i] for i in sorted(nodes)])
 
 
-def parabolic_order(sys_name: str, nodes: FrozenSet[int]) -> int:
+def parabolic_order(sys_name: str, nodes: frozenset[int]) -> int:
     """Order of the subgroup W_J of the given simple reflections (0-based)."""
     return _node_sets(sys_name)[sum(1 << i for i in nodes)][2]
 
 
-def zero_nodes(labels: Labels) -> FrozenSet[int]:
+def zero_nodes(labels: Labels) -> frozenset[int]:
     """J, the 0-based nodes of the zero entries: all the face lattice reads."""
     return frozenset(i for i, a in enumerate(labels) if a.is_zero())
 
@@ -206,7 +205,7 @@ def stabilizer_order(sys: RootSystem, labels: Sequence[LabelLike]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _node_sets(sys_name: str) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
+def _node_sets(sys_name: str) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """Per node set S, a bitmask: (S's components as bitmasks, the nodes
     in or adjacent to S, |W_S|) for all 2^rank sets of a system.  |W_S| is
     |W| / |W lambda_S| (ones off S), or its components' product if split."""
@@ -247,14 +246,14 @@ _SUBSETS = tuple((tuple(i + 1 for i in c), sum(1 << i for i in c),
 class Pattern(Record):
     """What the zero nodes J fix: N0..N3, the face and cell entries, and
     per cell (its entry, the node j off it, the sorted rows of W_J omega_j)."""
-    counts: Tuple[int, int, int, int]
-    faces: Tuple[FaceEntry, ...]
-    cells: Tuple[FaceEntry, ...]
-    families: Tuple[Tuple[FaceEntry, int, Tuple[IntRow, ...]], ...]
+    counts: tuple[int, int, int, int]
+    faces: tuple[FaceEntry, ...]
+    cells: tuple[FaceEntry, ...]
+    families: tuple[tuple[FaceEntry, int, tuple[IntRow, ...]], ...]
 
 
 @lru_cache(maxsize=None)
-def _pattern(sys_name: str, zeros: FrozenSet[int]) -> Pattern:
+def _pattern(sys_name: str, zeros: frozenset[int]) -> Pattern:
     """The pattern of zeros on J: 2^rank keys at most.  A k-set S with no
     component inside J spans |W| / |W_(S + halo)| k-faces (N0 and N1 from
     the empty set and single nodes), each order and test read off

@@ -14,12 +14,11 @@ they can be cross-checked against each other):
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from collections.abc import Sequence
 
-from .scalar import (FieldScalar, Rational, as_scalar, from_ints, over_lcm,
-                     row_dot)
+from .scalar import FieldScalar, as_scalar, from_ints, over_lcm, row_dot
 
-ScalarLike = Union[FieldScalar, Rational]
+ScalarLike = "FieldScalar | int | Fraction"  # for annotations (PEP 563)
 
 
 class Quaternion:
@@ -37,7 +36,7 @@ class Quaternion:
 
     # -- containers ------------------------------------------------------
 
-    def components(self) -> Tuple[FieldScalar, FieldScalar, FieldScalar, FieldScalar]:
+    def components(self) -> tuple[FieldScalar, FieldScalar, FieldScalar, FieldScalar]:
         return (self.q0, self.q1, self.q2, self.q3)
 
     def is_zero(self) -> bool:
@@ -60,7 +59,7 @@ class Quaternion:
     def __neg__(self) -> "Quaternion":
         return from_scalars(-self.q0, -self.q1, -self.q2, -self.q3)
 
-    def __mul__(self, other: Union["Quaternion", ScalarLike]) -> "Quaternion":
+    def __mul__(self, other: Quaternion | ScalarLike) -> "Quaternion":
         if isinstance(other, Quaternion):
             # (A + sqrt2 B)(C + sqrt2 F) = AC + 2BF + sqrt2 (AF + BC)
             (r, d), (s, e) = map(over_lcm, (self.components(),
@@ -149,7 +148,7 @@ _set0, _set1, _set2, _set3 = (Quaternion.q0.__set__, Quaternion.q1.__set__,
                               Quaternion.q2.__set__, Quaternion.q3.__set__)
 
 
-def _hamilton(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
+def _hamilton(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """The Hamilton product of two integer quaternions given as 4-tuples."""
     (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
     return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,

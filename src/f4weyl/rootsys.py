@@ -19,23 +19,21 @@ of the signed permutations of q_fixed..q3:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial, prod
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple, Union
 
-from .quat import E1, E2, E3, ONE_Q, Quaternion, from_scalars
-from .scalar import (HALF, INV_SQRT2, SQRT2, FieldScalar, Rational, as_scalar,
-                     from_ints, over_lcm, pair_values, row_dot, surd_order,
-                     surd_sign)
+from .scalar import (FieldScalar, as_scalar, from_ints, over_lcm, pair_values,
+                     row_dot, surd_order, surd_sign)
 
-LabelLike = Union[FieldScalar, Rational]
-Labels = Tuple[FieldScalar, ...]
+LabelLike = "FieldScalar | int | Fraction"  # for annotations (PEP 563)
+Labels = tuple[FieldScalar, ...]
 #: labels (x_1 + y_1*sqrt2, ..., x_r + y_r*sqrt2) / D flattened to
 #: (x_1, y_1, ..., x_r, y_r); the common denominator D travels beside it
-IntLabels = Tuple[int, ...]
-IntRow = Tuple[int, ...]  # a vertex (q0, ..., q3), flattened the same way
+IntLabels = tuple[int, ...]
+IntRow = tuple[int, ...]  # a vertex (q0, ..., q3), flattened the same way
 
 
 def scalar_labels(mu: IntLabels, den: int) -> Labels:
@@ -43,13 +41,13 @@ def scalar_labels(mu: IntLabels, den: int) -> Labels:
     return tuple(from_ints(mu[k], mu[k + 1], den) for k in range(0, len(mu), 2))
 
 
-def _sparse_row(v: IntRow) -> Tuple[Tuple[int, int, int], ...]:
+def _sparse_row(v: IntRow) -> tuple[tuple[int, int, int], ...]:
     """v's nonzero components as (k, p, q): v_k = p + q*sqrt2."""
     return tuple((k, p, q) for k, (p, q) in enumerate(zip(v[::2], v[1::2])) if p or q)
 
 
-def _add_multiple(v: Tuple[int, ...], x: int, y: int,
-                  w: Sequence[Tuple[int, int, int]]) -> Tuple[int, ...]:
+def _add_multiple(v: tuple[int, ...], x: int, y: int,
+                  w: Sequence[tuple[int, int, int]]) -> tuple[int, ...]:
     """v + (x + y*sqrt2) * w, w sparse: (k, p, q) is w_k = p + q*sqrt2."""
     out = list(v)
     for k, p, q in w:
@@ -80,7 +78,7 @@ def omega0_row(row: IntRow) -> IntRow:
             (x0 - x1 + x2 + x3) >> 1, (y0 - y1 + y2 + y3) >> 1)
 
 
-def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
+def first_negative(mu: IntLabels, nodes: Sequence[int]) -> int | None:
     """Lowest node of the ascending ``nodes`` whose label is negative, or
     None when mu is dominant on them."""
     for i in nodes:
@@ -89,27 +87,29 @@ def first_negative(mu: IntLabels, nodes: Sequence[int]) -> Optional[int]:
     return None
 
 
-class RootSystem:
-    """Immutable bundle of simple roots, weights and simple reflections."""
+def _quaternions(rows: Sequence[IntRow], den: int) -> tuple[Quaternion, ...]:
+    from .quat import from_scalars  # no label command but orbit loads quat
+    scalars = pair_values(rows, den)
+    return tuple(from_scalars(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
+                 for c in rows)
 
-    def __init__(self, name: str, simple_roots: Sequence[Quaternion],
-                 weights: Sequence[Quaternion], cosets: int = 1,
+
+class RootSystem:
+    """Immutable bundle of simple roots, weights and simple reflections, given
+    as integer rows (flattened as above) over one ``weight_den``: 2 for the
+    three systems below, whose quaternions tests/test_rootsys.py writes out."""
+
+    def __init__(self, name: str, roots: Sequence[IntRow],
+                 weights: Sequence[IntRow], weight_den: int, cosets: int = 1,
                  fixed: int = 0) -> None:
-        self.name = name
-        self.cosets, self.fixed = cosets, fixed
-        self.rank = len(simple_roots)
-        self.simple_roots = tuple(simple_roots)
-        self.weights = tuple(weights)
-        # integer vectors of the roots, then the weights, over one
-        # weight_den: their Gram matrices are C and (weights dual to roots) C^-1
-        flat, self.weight_den = over_lcm(
-            [c for v in self.simple_roots + self.weights for c in v.components()])
-        vectors = [flat[k:k + 8] for k in range(0, len(flat), 8)]
-        roots, self.weight_vectors = vectors[:self.rank], tuple(vectors[self.rank:])
+        self.name, self.cosets, self.fixed = name, cosets, fixed
+        self.rank, self.weight_den = len(roots), weight_den
+        self.root_vectors, self.weight_vectors = tuple(roots), tuple(weights)
+        # Gram matrices: C and (weights dual to roots) C^-1
         self.cartan, self.cartan_inv = (
-            tuple(tuple(from_ints(*row_dot(a)(b), self.weight_den ** 2)
+            tuple(tuple(from_ints(*row_dot(a)(b), weight_den ** 2)
                         for b in vs) for a in vs)
-            for vs in (roots, self.weight_vectors))
+            for vs in (self.root_vectors, self.weight_vectors))
         if any(c.d != 1 for row in self.cartan for c in row):
             raise ValueError(f"{name}: Cartan matrix is not over Z[sqrt2]")
         # sparse integer rows of (k, p, q): C_ik = p + q*sqrt2, and
@@ -117,7 +117,7 @@ class RootSystem:
         self._cartan_rows = tuple(
             tuple((j, c.x, c.y) for j, c in enumerate(row) if c)
             for row in self.cartan)
-        self._root_rows = tuple(map(_sparse_row, roots))
+        self._root_rows = tuple(map(_sparse_row, self.root_vectors))
         self._weight_rows = tuple(map(_sparse_row, self.weight_vectors))
         f = 2 * fixed  # one getter per permutation of the pairs q_fixed..q3
         self._arrangements = tuple(
@@ -126,6 +126,11 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
+
+    # the roots and weights as quaternions, built on first read: the group
+    # layer and verify read them, label commands do not
+    simple_roots = cached_property(lambda s: _quaternions(s.root_vectors, s.weight_den))
+    weights = cached_property(lambda s: _quaternions(s.weight_vectors, s.weight_den))
 
     @cached_property
     def reflections(self) -> tuple:
@@ -163,7 +168,7 @@ class RootSystem:
         """s_i v = v - mu_i * alpha_i (|alpha_i|^2 = 2) on v's row and labels."""
         return _add_multiple(row, -mu[2 * i], -mu[2 * i + 1], self._root_rows[i])
 
-    def coset_forms(self, mu: IntLabels) -> Tuple[IntRow, ...]:
+    def coset_forms(self, mu: IntLabels) -> tuple[IntRow, ...]:
         """The distinct dominant forms (|q_fixed| >= ... >= |q3|) of the
         coset rows r, omega0*r, ... of r = sum mu_i omega_i."""
         row, forms, f = self.integer_vector(mu), [], 2 * self.fixed
@@ -176,7 +181,7 @@ class RootSystem:
                 forms.append(form)
         return tuple(forms)
 
-    def signed_permutations(self, form: IntRow) -> List[IntRow]:
+    def signed_permutations(self, form: IntRow) -> list[IntRow]:
         """The distinct signed permutations of q_fixed..q3 of a form: each
         distinct arrangement once (the getters built with the system, in
         permutation order), zero coordinates never negated."""
@@ -207,19 +212,16 @@ class RootSystem:
             row = _add_multiple(row, mu[2 * i], mu[2 * i + 1], weight)
         return row
 
-    def vertices(self, rows: Sequence[IntRow], den: int) -> Tuple[Quaternion, ...]:
+    def vertices(self, rows: Sequence[IntRow], den: int) -> tuple[Quaternion, ...]:
         """Sorted quaternions of integer vertex rows over their own ``den``
         (over one positive denominator, integer order is Quaternion order)."""
-        coords = sorted(rows)
-        scalars = pair_values(coords, den)
-        return tuple(from_scalars(*(scalars[c[k:k + 2]] for k in (0, 2, 4, 6)))
-                     for c in coords)
+        return _quaternions(sorted(rows), den)
 
-    def dominant_representative(self, v: Quaternion) -> Tuple[Labels, Tuple[int, ...]]:
+    def dominant_representative(self, v: Quaternion) -> tuple[Labels, tuple[int, ...]]:
         """Dominant label of the orbit of v and the word of the dominance
         walk (reflect on the lowest negative label) that reaches it."""
         mu, den = over_lcm(self.vector_to_label(v))
-        word: List[int] = []  # the walk ends: W is finite
+        word: list[int] = []  # the walk ends: W is finite
         while (i := first_negative(mu, range(self.rank))) is not None:
             mu = self.reflect_labels(mu, i)
             word.append(i)
@@ -228,42 +230,29 @@ class RootSystem:
 
 @lru_cache(maxsize=1)
 def f4_system() -> RootSystem:
-    roots = (
-        Quaternion(HALF, -HALF, -HALF, -HALF) * SQRT2,  # (1-e1-e2-e3)/sqrt2
-        E3 * SQRT2,
-        E2 - E3,
-        E1 - E2,
-    )
-    weights = (
-        ONE_Q * SQRT2,                                   # (sqrt2, 0, 0, 0)
-        Quaternion(3, 1, 1, 1) * INV_SQRT2,
-        Quaternion(2, 1, 1, 0),
-        Quaternion(1, 1, 0, 0),
-    )
-    return RootSystem("F4", roots, weights, cosets=3)
+    return RootSystem("F4", (
+        (0, 1, 0, -1, 0, -1, 0, -1), (0, 0, 0, 0, 0, 0, 0, 2),
+        (0, 0, 0, 0, 2, 0, -2, 0), (0, 0, 2, 0, -2, 0, 0, 0)), (
+        (0, 2, 0, 0, 0, 0, 0, 0), (0, 3, 0, 1, 0, 1, 0, 1),
+        (4, 0, 2, 0, 2, 0, 0, 0), (2, 0, 2, 0, 0, 0, 0, 0)), 2, cosets=3)
 
 
 @lru_cache(maxsize=1)
 def b4_system() -> RootSystem:
-    roots = (ONE_Q - E1, E1 - E2, E2 - E3, E3 * SQRT2)
-    weights = (
-        ONE_Q,
-        Quaternion(1, 1, 0, 0),
-        Quaternion(1, 1, 1, 0),
-        Quaternion(1, 1, 1, 1) * INV_SQRT2,
-    )
-    return RootSystem("B4", roots, weights)
+    return RootSystem("B4", (
+        (2, 0, -2, 0, 0, 0, 0, 0), (0, 0, 2, 0, -2, 0, 0, 0),
+        (0, 0, 0, 0, 2, 0, -2, 0), (0, 0, 0, 0, 0, 0, 0, 2)), (
+        (2, 0, 0, 0, 0, 0, 0, 0), (2, 0, 2, 0, 0, 0, 0, 0),
+        (2, 0, 2, 0, 2, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 1)), 2)
 
 
 @lru_cache(maxsize=1)
 def b3r_system() -> RootSystem:
-    roots = (E3 * SQRT2, E2 - E3, E1 - E2)
-    duals = (
-        (E1 + E2 + E3) * INV_SQRT2,
-        E1 + E2,
-        E1,
-    )
-    return RootSystem("B3R", roots, duals, fixed=1)
+    return RootSystem("B3R", (
+        (0, 0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 2, 0, -2, 0),
+        (0, 0, 2, 0, -2, 0, 0, 0)), (
+        (0, 0, 0, 1, 0, 1, 0, 1), (0, 0, 2, 0, 2, 0, 0, 0),
+        (0, 0, 2, 0, 0, 0, 0, 0)), 2, fixed=1)
 
 
 _SYSTEMS = {"F4": f4_system, "B4": b4_system, "B3": b3r_system,

@@ -21,12 +21,12 @@ import re
 from functools import cmp_to_key
 from math import gcd, isqrt, lcm, sqrt
 from sys import hash_info
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from collections.abc import Callable, Sequence
 
-Rational = Union[int, "Fraction"]  # bools count as ints
+Rational = "int | Fraction"  # for annotations (PEP 563); bools are ints
 
 
-def _isqrt_exact(n: int) -> Optional[int]:
+def _isqrt_exact(n: int) -> int | None:
     """Exact square root of an integer, or None."""
     r = isqrt(max(n, 0))
     return r if r * r == n else None
@@ -101,7 +101,7 @@ class FieldScalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
+    def __add__(self, other: FieldScalar | Rational) -> "FieldScalar":
         x, y, d = _parts(other)
         if d is None:
             return NotImplemented
@@ -112,7 +112,7 @@ class FieldScalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
+    def __sub__(self, other: FieldScalar | Rational) -> "FieldScalar":
         x, y, d = _parts(other)
         if d is None:
             return NotImplemented
@@ -121,10 +121,10 @@ class FieldScalar:
         return from_ints(self.x * d - x * self.d, self.y * d - y * self.d,
                          self.d * d)
 
-    def __rsub__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
+    def __rsub__(self, other: FieldScalar | Rational) -> "FieldScalar":
         return (-self).__add__(other)
 
-    def __mul__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
+    def __mul__(self, other: FieldScalar | Rational) -> "FieldScalar":
         x, y, d = _parts(other)
         if d is None:
             return NotImplemented
@@ -133,7 +133,7 @@ class FieldScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["FieldScalar", Rational]) -> "FieldScalar":
+    def __truediv__(self, other: FieldScalar | Rational) -> "FieldScalar":
         x, y, d = _parts(other)
         if d is None:
             return NotImplemented
@@ -170,7 +170,7 @@ class FieldScalar:
         """Galois conjugate ``a - b*sqrt(2)``."""
         return _raw(self.x, -self.y, self.d)
 
-    def sqrt(self) -> Optional["FieldScalar"]:
+    def sqrt(self) -> FieldScalar | None:
         """Exact square root within the field, or None.
 
         The root of (x + y*sqrt2)/d is sqrt(m + n*sqrt2)/d with m = x*d,
@@ -279,7 +279,7 @@ def from_ints(x: int, y: int, d: int) -> FieldScalar:
     return _raw(x, y, d)
 
 
-def _parts(v: object) -> Tuple[int, int, Optional[int]]:
+def _parts(v: object) -> tuple[int, int, int | None]:
     """(x, y, d) of a FieldScalar, int, bool or Fraction, the rationals whose
     numerator and denominator are Python ints; d is None otherwise."""
     if type(v) is FieldScalar:
@@ -290,7 +290,7 @@ def _parts(v: object) -> Tuple[int, int, Optional[int]]:
     return (n, 0, d) if type(n) is int and type(d) is int else (0, 0, None)
 
 
-def over_lcm(values: Sequence[FieldScalar]) -> Tuple[Tuple[int, ...], int]:
+def over_lcm(values: Sequence[FieldScalar]) -> tuple[tuple[int, ...], int]:
     """Values as one flat Z[sqrt2] row (x0, y0, x1, y1, ...) over the lcm
     of their denominators, and that lcm."""
     d, row = lcm(*{v.d for v in values}), []
@@ -300,7 +300,7 @@ def over_lcm(values: Sequence[FieldScalar]) -> Tuple[Tuple[int, ...], int]:
     return tuple(row), d
 
 
-def row_dot(b: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, int]]:
+def row_dot(b: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, int]]:
     """a -> (P, Q) with (a, b) = P + Q*sqrt2, on flat Z[sqrt2] rows."""
     p, q = [2 * v for v in b], list(b)  # (x, 2y) and (y, x) per pair
     p[::2], q[::2], q[1::2] = b[::2], b[1::2], b[::2]
@@ -309,13 +309,13 @@ def row_dot(b: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, int]]:
 
 
 def pair_values(rows: Sequence[Sequence[int]],
-                den: int) -> Dict[Tuple[int, int], FieldScalar]:
+                den: int) -> dict[tuple[int, int], FieldScalar]:
     """{(x, y): (x + y*sqrt2)/den} over the distinct pairs of flat rows."""
     return {xy: from_ints(*xy, den)
             for xy in {p for r in rows for p in zip(r[::2], r[1::2])}}
 
 
-def as_scalar(x: Union[FieldScalar, Rational]) -> FieldScalar:
+def as_scalar(x: FieldScalar | Rational) -> FieldScalar:
     return x if isinstance(x, FieldScalar) else FieldScalar(x)
 
 

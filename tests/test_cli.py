@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f4weyl
-from f4weyl import verify
+from f4weyl import cli, verify
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
-from f4weyl.cli import convex_faces, export_off, main, parse_label
+from f4weyl.cli import (build_parser, convex_faces, export_off, main,
+                        parse_label)
 from f4weyl.duals import dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import generate_orbit
 from f4weyl.rootsys import f4_system
@@ -370,6 +371,33 @@ def test_parse_of_fuzzed_entries_matches_fraction_parser(text):
         oracles.parse_outcome(oracles.parse_scalar_fraction, text)
 
 
+def fuzzed_argv(cmd, label, scale, seed, json_out, usual):
+    if cmd == "verify":
+        argv = ["verify"] + (["--seed", seed] if usual else [f"--seed={seed}"])
+    else:
+        argv = [cmd, label] if usual else [cmd]
+        if cmd == "project":
+            argv += ["--scale", scale] if usual else [f"--scale={scale}"]
+    if json_out and cmd != "export":
+        argv.append("--format=json")
+    if cmd != "verify" and not usual:
+        argv += ["--", label]
+    return argv
+
+
+def parsers_agree(argv):
+    """Whether the table parse accepts ``argv``; where it does, its
+    namespace is argparse's, and where argparse exits, it defers."""
+    table = cli._table_parse(list(argv))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit:  # help or a usage error
+            want = None
+    assert table is None or vars(table) == want, (argv, vars(table), want)
+    return table is not None
+
+
 def _labels(text):
     """The scalars of a rendered label ``(a,b,c,d)``, parsed back."""
     assert text[0] == "(" and text[-1] == ")", text
@@ -421,18 +449,9 @@ def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out,
     # either way it reaches the program's own validators or argparse's
     # one-line error
     seen = []
-    if cmd == "verify":
-        # the battery's run is replaced by a recorder: the seed's way
-        # through main is what is fuzzed here, and the battery takes 1 s
-        argv = ["verify"] + (["--seed", seed] if usual else [f"--seed={seed}"])
-    else:
-        argv = [cmd, label] if usual else [cmd]
-        if cmd == "project":
-            argv += ["--scale", scale] if usual else [f"--scale={scale}"]
-    if json_out and cmd != "export":
-        argv.append("--format=json")
-    if cmd != "verify" and not usual:
-        argv += ["--", label]
+    argv = fuzzed_argv(cmd, label, scale, seed, json_out, usual)
+    # the battery's run is replaced by a recorder: the seed's way through
+    # main is what is fuzzed here, and the battery takes 1 s
     with mock.patch.object(verify, "run_all",
                            lambda seed: seen.append(seed) or []):
         code, out, err = run_cli(argv)
@@ -447,6 +466,78 @@ def test_fuzzed_arguments_exit_cleanly(cmd, label, scale, seed, json_out,
     elif json_out and cmd != "export":
         _check_json_scalars(cmd, json.loads(out), parse_label(label),
                             parse_scalar(scale) if cmd == "project" else None)
+
+
+@pytest.mark.parametrize("cmd", ("verify", "orbit", "fvector", "branch-b4",
+                                 "branch-b3a1", "project", "dual", "export"))
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(label=_LABEL, scale=_ENTRY, seed=_SEED,
+       json_out=st.sampled_from((True, False)),
+       usual=st.sampled_from((True, False)))
+def test_table_parse_agrees_with_argparse_on_fuzzed_arguments(
+        cmd, label, scale, seed, json_out, usual):
+    # the corpus of test_fuzzed_arguments_exit_cleanly; the --name=value
+    # and "--" forms always go to argparse
+    accepted = parsers_agree(fuzzed_argv(cmd, label, scale, seed, json_out,
+                                         usual))
+    assert usual or not accepted
+
+
+# command lines the table parse defers, beside the pinned ones: a second
+# label, an option twice, an option of another command, a missing value,
+# a refused choice, "--label", a value "-" then a non-digit and an empty
+# or unknown command
+DEFERRED = (["fvector", "1,0,0,1", "0,1,0,0"], ["fvector", "--label", "x"],
+            ["verify", "--timings", "--timings"],
+            ["verify", "--seed", "1", "--seed", "2"],
+            ["fvector", "1,0,0,1", "--scale", "2"],
+            ["fvector", "--timings", "1,0,0,1"], ["verify", "1,0,0,1"],
+            ["project", "1,0,0,1", "--scale"],
+            ["export", "1,0,0,1", "--format", "text"],
+            ["fvector", "-x,0,0,0"], ["fvector", "1,0,0,1", "--output"],
+            ["project", "1,0,0,1", "--scale", "-sqrt2"],
+            ["fvector", "--format", "--output", "x", "1,0,0,1"],
+            ["", "1,0,0,1"], ["FVECTOR", "1,0,0,1"])
+# command lines it accepts that no recorded run holds: options before the
+# label, empty values, values "-" and "-" then a digit (argparse reads
+# each as an argument) and every verify option
+ACCEPTED = (["fvector", "-"], ["project", "1,0,0,1", "--scale", "-1"],
+            ["verify", "--seed", "-3"], ["fvector", "-1/2,0,0,1"],
+            ["fvector", "--format", "json", "1,0,0,1"],
+            ["project", "--scale", "2", "--output", "o.txt", "1,0,0,1"],
+            ["fvector", ""], ["export", "1,0,0,1", "--output", ""],
+            ["verify", "--seed", "7", "--timings", "--format", "json",
+             "--output", "report.json"], ["verify", "--timings"],
+            ["export", "1,0,0,1", "--format", "off"])
+
+
+def test_table_parse_agrees_with_argparse():
+    # every recorded command is accepted, so the agreement is not vacuous
+    recorded = [key.split() for key in
+                json.loads(RANDOM_RECORDED.read_text())]
+    recorded += [[cmd, label] + (["--format", "json"] if fmt == "json"
+                                 else [])
+                 for cmd, label, fmt in map(str.split,
+                                            json.loads(RECORDED.read_text()))]
+    assert len(recorded) == 544 + 195
+    assert [argv for argv in recorded + list(ACCEPTED)
+            if not parsers_agree(argv)] == []
+    assert [argv for argv in DEFERRED if parsers_agree(argv)] == []
+    # of the pinned command lines, only those whose error comes after the
+    # parse: an unwritable output, a bad seed, a bad literal and a negative
+    # label
+    assert {key for key in PINNED_TEXTS if parsers_agree(key.split())} == {
+        "branch-b4 1,0,0,0 --output {missing}", "verify --seed x",
+        "fvector 1,2x,0,0", "fvector -1,0,0,0"}
+
+
+def test_table_parse_reads_the_label_through_the_module(monkeypatch):
+    # the benchmark's tracer spans cli.parse_label by rebinding the name
+    seen = []
+    monkeypatch.setattr(cli, "parse_label",
+                        lambda text: seen.append(text) or parse_label(text))
+    assert run_cli(["fvector", "1,0,0,1"])[0] == 0
+    assert seen == ["1,0,0,1"]
 
 
 def test_orbit_json_schema():
@@ -671,7 +762,9 @@ NOT_RUN = {"orbit": ("branching", "duals"), "fvector": ("branching", "duals"),
 def test_label_commands_leave_verify_refdata_binocta_unloaded():
     # the golden tables, the battery and the group layer cost a cold start
     # more than a label; no label command reads them, none loads a layer it
-    # does not run, and a text command does not load json
+    # does not run, and a text command does not load json.  A well-formed
+    # command is parsed without argparse, and only orbit renders
+    # quaternions
     script = ("import io, sys, contextlib\n"
               "before = set(sys.modules)\n"
               "from f4weyl import cli\n"
@@ -684,10 +777,27 @@ def test_label_commands_leave_verify_refdata_binocta_unloaded():
                   ("refdata", "verify", "binocta") + NOT_RUN[argv[0]]}
         # the scalars compute on integers: no label command loads the
         # rational and decimal number modules
-        unused |= {"fractions", "decimal", "numbers"}
+        unused |= {"fractions", "decimal", "numbers", "argparse"}
         if "json" not in argv:
             unused.add("json")
+        if argv[0] != "orbit":
+            unused.add("f4weyl.quat")
         assert not loaded & unused, (argv, sorted(loaded & unused))
+
+
+def test_clean_interpreter_label_command_leaves_typing_unloaded():
+    # python -S: no site module, so what loads is what f4weyl imports
+    # (-X importtime names each module as it loads)
+    src = str(Path(f4weyl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "f4weyl", "fvector",
+         "1,0,0,1"], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in proc.stderr.splitlines()}
+    assert proc.stdout.startswith("(1,0,0,1)  N0=144 ")
+    assert "f4weyl.cli" in loaded
+    assert not {"typing", "argparse", "f4weyl.quat"} & loaded
 
 
 def test_verify_json_default_seed():

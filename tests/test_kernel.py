@@ -26,7 +26,7 @@ from f4weyl.branching import (B4Part, Slice, branch_b3a1, branch_b4,
 from f4weyl.duals import cells_at_vertex, dual_polytope
 from f4weyl.orbits import (f_vector, generate_orbit, parabolic_elements,
                            parabolic_order, stabilizer_order)
-from f4weyl.quat import E1, ONE_Q, Quaternion
+from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system, get_system
 from f4weyl.scalar import INV_SQRT2, FieldScalar, over_lcm
 import oracles
@@ -149,9 +149,12 @@ def test_branching_chains_are_chambers_on_01_labels(labels):
 
 
 def test_cartan_must_be_integral():
-    roots = (ONE_Q, (ONE_Q + E1) * INV_SQRT2)  # (a1, a2) = sqrt2/2
+    # rows over 2 of the roots 1 and (1+e1)/sqrt2, so (a1, a2) = sqrt2/2,
+    # and of the weights 1 and e1
+    roots = ((2, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0))
+    weights = ((2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="Cartan"):
-        RootSystem("X", roots, (ONE_Q, E1))
+        RootSystem("X", roots, weights, 2)
 
 
 def test_reflect_labels_is_an_involution():

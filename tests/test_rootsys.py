@@ -5,10 +5,10 @@ from operator import itemgetter
 
 from f4weyl import rootsys
 from f4weyl.binocta import GroupElement, build_group
-from f4weyl.quat import ONE_Q, Quaternion
+from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import (b3r_system, b4_system, f4_system, format_labels,
                             get_system)
-from f4weyl.scalar import FieldScalar, SQRT2
+from f4weyl.scalar import INV_SQRT2, FieldScalar, SQRT2, from_ints
 
 S = lambda a=0, b=0: FieldScalar(a, b)  # noqa: E731 - compact matrix literals
 
@@ -75,16 +75,36 @@ def test_weights_dual_to_roots():
                 assert wi.dot(wj) == sys.cartan_inv[i][j], (sys.name, i, j)
 
 
+# each system's simple roots and weights as the paper's quaternions,
+# written out: the oracle of the integer rows the systems are built from
+QUATERNIONS = {
+    "F4": ((Quaternion(1, -1, -1, -1) * INV_SQRT2, E3 * SQRT2, E2 - E3,
+            E1 - E2),
+           (ONE_Q * SQRT2, Quaternion(3, 1, 1, 1) * INV_SQRT2,
+            Quaternion(2, 1, 1, 0), Quaternion(1, 1, 0, 0))),
+    "B4": ((ONE_Q - E1, E1 - E2, E2 - E3, E3 * SQRT2),
+           (ONE_Q, Quaternion(1, 1, 0, 0), Quaternion(1, 1, 1, 0),
+            Quaternion(1, 1, 1, 1) * INV_SQRT2)),
+    "B3R": ((E3 * SQRT2, E2 - E3, E1 - E2),
+            ((E1 + E2 + E3) * INV_SQRT2, E1 + E2, E1)),
+}
+
+
 def test_gram_matrices_are_the_quaternion_dots():
-    # both Gram matrices are read off the integer root and weight rows over
-    # weight_den: each entry against the FieldScalar quaternion product
+    # the integer root and weight rows over weight_den are the quaternions,
+    # and both Gram matrices, read off the rows, are their FieldScalar dots
     for sys in (f4_system(), b4_system(), b3r_system()):
-        for gram, vectors in ((sys.cartan, sys.simple_roots),
-                              (sys.cartan_inv, sys.weights)):
+        roots, weights = QUATERNIONS[sys.name]
+        for rows, quaternions in ((sys.root_vectors, roots),
+                                  (sys.weight_vectors, weights)):
+            assert [tuple(from_ints(r[k], r[k + 1], sys.weight_den)
+                          for k in (0, 2, 4, 6)) for r in rows] == \
+                [q.components() for q in quaternions], sys.name
+        for gram, vectors in ((sys.cartan, roots), (sys.cartan_inv, weights)):
             assert [list(r) for r in gram] == \
                 [[a.dot(b) for b in vectors] for a in vectors], sys.name
-        for row, omega in zip(sys.weight_vectors, sys.weights):
-            assert sys.vertices([row], sys.weight_den) == (omega,), sys.name
+        # the quaternions the group layer reads, built on first read
+        assert (sys.simple_roots, sys.weights) == (roots, weights), sys.name
 
 
 def test_label_to_vector():

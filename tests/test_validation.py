@@ -94,7 +94,8 @@ def test_a_system_apart_from_the_registry_is_refused():
     # every cache keys on the system's name, so an F4 built from B4's roots
     # would read F4's orbit (24 vertices; its own roots give 8)
     b4 = b4_system()
-    posing = RootSystem("F4", b4.simple_roots, b4.weights)
+    posing = RootSystem("F4", b4.root_vectors, b4.weight_vectors,
+                        b4.weight_den)
     with pytest.raises(ValueError) as info:
         generate_orbit(posing, (1, 0, 0, 0))
     assert str(info.value) == "F4 is not the registered F4 system"
