@@ -19,9 +19,9 @@ WB3R_C2 (96), WB3L_C2 (96).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import product, repeat
-from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .quat import E1, E2, E3, ONE_Q, Quaternion
 from .scalar import HALF, INV_SQRT2
@@ -35,7 +35,7 @@ OMEGA0 = Quaternion(*([HALF] * 4))
 
 
 @lru_cache(maxsize=1)
-def build_subsets() -> Dict[str, Tuple[Quaternion, ...]]:
+def build_subsets() -> dict[str, tuple[Quaternion, ...]]:
     """The nine named quaternion sets, each sorted deterministically."""
     units = (ONE_Q, E1, E2, E3)
     v0 = [u * s for u in units for s in (1, -1)]
@@ -46,7 +46,7 @@ def build_subsets() -> Dict[str, Tuple[Quaternion, ...]]:
     vplus = [q for signs, q in halves.items() if signs.count(1) % 2 == 0]
     vminus = [q for signs, q in halves.items() if signs.count(1) % 2]
 
-    def mix(a: Quaternion, b: Quaternion) -> List[Quaternion]:
+    def mix(a: Quaternion, b: Quaternion) -> list[Quaternion]:
         return [(a * sa + b * sb) * INV_SQRT2
                 for sa, sb in product((1, -1), repeat=2)]
 
@@ -62,7 +62,7 @@ def build_subsets() -> Dict[str, Tuple[Quaternion, ...]]:
 
 
 @lru_cache(maxsize=1)
-def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
+def subset_product_table() -> tuple[tuple[str, ...], ...]:
     """6x6 multiplication table of the V-subsets, on the units' indices.
 
     Entry (i, j) names the single subset equal to ``{x*y : x in row_i,
@@ -82,7 +82,7 @@ def subset_product_table() -> Tuple[Tuple[str, ...], ...]:
 
 
 @lru_cache(maxsize=1)
-def unit_tables() -> Tuple[tuple, Dict[Quaternion, int], tuple, tuple]:
+def unit_tables() -> tuple[tuple, dict[Quaternion, int], tuple, tuple]:
     """The 48 sorted units of O, their index, product and conjugate tables.
     Negation reverses the order: ``-units[k] == units[47 - k]``, and
     ``units[24:]`` are the units whose first nonzero component is positive.
@@ -190,7 +190,7 @@ def diagram_symmetry() -> GroupElement:
     return GroupElement(-(E2 + E3) * INV_SQRT2, E2, False)
 
 
-def generate_from(generators: Iterable[GroupElement]) -> FrozenSet[GroupElement]:
+def generate_from(generators: Iterable[GroupElement]) -> frozenset[GroupElement]:
     """Closure of the generators under composition (breadth-first)."""
     gens = list(generators)
     found = [GroupElement.identity()]
@@ -219,7 +219,7 @@ def _unit_classes() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def build_group(name: str) -> FrozenSet[GroupElement]:
+def build_group(name: str) -> frozenset[GroupElement]:
     """One of the named groups as a frozen set of canonical elements.
 
     For each star and each first half i >= 24, the group lists the second
@@ -231,7 +231,7 @@ def build_group(name: str) -> FrozenSet[GroupElement]:
     _, _, mul, conj = unit_tables()
     _, side, partner, a = _unit_classes()
 
-    def wb3l(star: bool, i: int) -> Tuple[int, int]:
+    def wb3l(star: bool, i: int) -> tuple[int, int]:
         # [x, +-conj(a) conj(x) a] and [x, +-a conj(x) a]*
         k = mul[mul[a if star else conj[a]][conj[i]]][a]
         return k, 47 - k
@@ -253,12 +253,12 @@ def group_order(name: str) -> int:
     return len(build_group(name))
 
 
-def sorted_elements(group: Iterable[GroupElement]) -> List[GroupElement]:
+def sorted_elements(group: Iterable[GroupElement]) -> list[GroupElement]:
     return sorted(group)
 
 
-def coset_decompose(big: FrozenSet[GroupElement],
-                    small: FrozenSet[GroupElement]) -> List[GroupElement]:
+def coset_decompose(big: frozenset[GroupElement],
+                    small: frozenset[GroupElement]) -> list[GroupElement]:
     """Deterministic right-coset representatives of small inside big: big
     is partitioned into the sets ``small . g``, each represented by its
     least canonical element.
@@ -268,7 +268,7 @@ def coset_decompose(big: FrozenSet[GroupElement],
     if len(big) % len(small):
         raise ValueError("small cannot be a subgroup (order mismatch)")
     remaining = set(big)
-    reps: List[GroupElement] = []
+    reps: list[GroupElement] = []
     for g in sorted_elements(big):
         if g not in remaining:
             continue

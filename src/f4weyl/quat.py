@@ -168,7 +168,6 @@ def from_scalars(q0: FieldScalar, q1: FieldScalar, q2: FieldScalar,
     return q
 
 
-ZERO_Q = Quaternion(0, 0, 0, 0)
 ONE_Q = Quaternion(1, 0, 0, 0)
 E1 = Quaternion(0, 1, 0, 0)
 E2 = Quaternion(0, 0, 1, 0)

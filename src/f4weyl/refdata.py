@@ -16,13 +16,11 @@ quoted variant is kept alongside for the record.  Computation prevails.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from .quat import E1, E2, E3, ONE_Q, Quaternion
 from .scalar import HALF, FieldScalar, parse_scalar as _p
 
 
-def _lab(*texts: str) -> Tuple[FieldScalar, ...]:
+def _lab(*texts: str) -> tuple[FieldScalar, ...]:
     return tuple(_p(t) for t in texts)
 
 
@@ -58,7 +56,7 @@ FVECTOR_GOLDEN = {
 #
 # keys: 0/1 F4 label patterns; values: ordered B4 parts.
 
-B4_BRANCH_GOLDEN: Dict[Tuple[int, int, int, int], Tuple[Tuple[FieldScalar, ...], ...]] = {
+B4_BRANCH_GOLDEN: dict[tuple[int, int, int, int], tuple[tuple[FieldScalar, ...], ...]] = {
     (0, 0, 0, 1): (_lab("0", "1", "0", "0"),),
     (0, 0, 1, 0): (_lab("1", "0", "1", "0"),),
     (0, 0, 1, 1): (_lab("1", "1", "1", "0"),),
@@ -80,17 +78,6 @@ B4_BRANCH_GOLDEN: Dict[Tuple[int, int, int, int], Tuple[Tuple[FieldScalar, ...],
                    _lab("1+2sqrt2", "1", "1", "1")),
 }
 
-#: coefficient matrices of the three generic B4 parts: row k gives the
-#: coefficients of (a1, a2, a3, a4) in the k-th B4 label entry.
-B4_PART_MATRICES = (
-    (_lab("sqrt2", "sqrt2", "1", "0"), _lab("0", "0", "0", "1"),
-     _lab("0", "0", "1", "0"), _lab("0", "1", "0", "0")),
-    (_lab("0", "0", "1", "0"), _lab("0", "0", "0", "1"),
-     _lab("0", "sqrt2", "1", "0"), _lab("1", "0", "0", "0")),
-    (_lab("0", "sqrt2", "1", "0"), _lab("0", "0", "0", "1"),
-     _lab("0", "0", "1", "0"), _lab("1", "1", "0", "0")),
-)
-
 
 # ---------------------------------------------------------------------------
 # slice decompositions under the octahedral x reflection split
@@ -98,8 +85,8 @@ B4_PART_MATRICES = (
 # values: ((b1, b2, b3), height) with height >= 0; a positive height
 # stands for the +/- pair of hyperplanes.
 
-B3A1_GOLDEN: Dict[Tuple[int, int, int, int],
-                  Tuple[Tuple[Tuple[FieldScalar, ...], FieldScalar], ...]] = {
+B3A1_GOLDEN: dict[tuple[int, int, int, int],
+                  tuple[tuple[tuple[FieldScalar, ...], FieldScalar], ...]] = {
     (0, 0, 0, 1): (
         (_lab("0", "0", "1"), _p("1/sqrt2")),
         (_lab("0", "1", "0"), _p("0")),
@@ -223,38 +210,6 @@ B3A1_GOLDEN: Dict[Tuple[int, int, int, int],
     ),
 }
 
-#: the twelve generic slice families: (3x4 label-coefficient matrix,
-#: 4-vector of height coefficients); heights are the +/- values.
-#: Two of the quoted family formulas contain typos (see ERRATA entries
-#: slice-family-6-height and slice-family-9-label); the corrected
-#: coefficients below reproduce every block of B3A1_GOLDEN.
-B3A1_FAMILY_FORMULAS = (
-    ((_lab("0", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("0", "0", "0", "1")),
-     _lab("1", "3/2", "sqrt2", "sqrt2/2")),
-    ((_lab("0", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("sqrt2", "sqrt2", "1", "1")),
-     _lab("0", "1/2", "sqrt2/2", "sqrt2/2")),
-    ((_lab("0", "1", "0", "0"), _lab("0", "0", "1", "1"), _lab("sqrt2", "sqrt2", "1", "0")),
-     _lab("0", "1/2", "sqrt2/2", "0")),
-    ((_lab("0", "1", "sqrt2", "0"), _lab("0", "0", "0", "1"), _lab("sqrt2", "sqrt2", "1", "0")),
-     _lab("0", "1/2", "0", "0")),
-    ((_lab("1", "2", "sqrt2", "0"), _lab("0", "0", "0", "1"), _lab("0", "0", "1", "0")),
-     _lab("1/2", "0", "0", "0")),
-    ((_lab("1", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("0", "0", "0", "1")),
-     _lab("1/2", "3/2", "sqrt2", "sqrt2/2")),
-    ((_lab("1", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("0", "sqrt2", "1", "1")),
-     _lab("1/2", "1/2", "sqrt2/2", "sqrt2/2")),
-    ((_lab("1", "1", "0", "0"), _lab("0", "0", "1", "1"), _lab("0", "sqrt2", "1", "0")),
-     _lab("1/2", "1/2", "sqrt2/2", "0")),
-    ((_lab("1", "1", "sqrt2", "0"), _lab("0", "0", "0", "1"), _lab("0", "sqrt2", "1", "0")),
-     _lab("1/2", "1/2", "0", "0")),
-    ((_lab("1", "0", "0", "0"), _lab("0", "sqrt2", "1", "0"), _lab("0", "0", "0", "1")),
-     _lab("1/2", "1", "sqrt2", "sqrt2/2")),
-    ((_lab("1", "0", "0", "0"), _lab("0", "sqrt2", "1", "1"), _lab("0", "0", "1", "0")),
-     _lab("1/2", "1", "sqrt2/2", "0")),
-    ((_lab("1", "0", "0", "0"), _lab("0", "sqrt2", "1", "0"), _lab("0", "0", "1", "1")),
-     _lab("1/2", "1", "sqrt2/2", "sqrt2/2")),
-)
-
 
 # ---------------------------------------------------------------------------
 # worked 3D projections (heights paired with exact slice point sets)
@@ -300,7 +255,7 @@ PROJECTED_DUAL24 = (
 # dual polytopes: scale factors, printed cell rows
 
 #: exact scale factors per center node, after fixing the reference to 1
-DUAL_SCALES_GOLDEN: Dict[Tuple[int, int, int, int], Dict[int, FieldScalar]] = {
+DUAL_SCALES_GOLDEN: dict[tuple[int, int, int, int], dict[int, FieldScalar]] = {
     (1, 0, 0, 0): {4: _p("1")},
     (0, 1, 0, 0): {1: _p("2/3sqrt2"), 4: _p("1")},
     (1, 1, 0, 0): {1: _p("3/5sqrt2"), 4: _p("1")},
@@ -317,7 +272,7 @@ DUAL_SCALES_GOLDEN: Dict[Tuple[int, int, int, int], Dict[int, FieldScalar]] = {
 }
 
 
-def _row(x: str, y: str, z: str) -> Tuple[FieldScalar, FieldScalar, FieldScalar]:
+def _row(x: str, y: str, z: str) -> tuple[FieldScalar, FieldScalar, FieldScalar]:
     return (_p(x), _p(y), _p(z))
 
 
@@ -325,7 +280,7 @@ def _row(x: str, y: str, z: str) -> Tuple[FieldScalar, FieldScalar, FieldScalar]
 #: factor s relating the quoted triples to the raw frame coordinates
 #: (quoted = s * (c, e_a Lambda)), and the vertex rows.  Each row is
 #: (correct triple, quoted-variant-if-misprinted-or-None).
-DUAL_CELL_PRINTED: Dict[Tuple[int, int, int, int], Tuple[FieldScalar, tuple]] = {
+DUAL_CELL_PRINTED: dict[tuple[int, int, int, int], tuple[FieldScalar, tuple]] = {
     (0, 1, 0, 0): (_p("1/sqrt2"), (
         (_row("1", "0", "-1"), None),
         (_row("-1", "1", "0"), None),
@@ -391,17 +346,6 @@ DUAL_CELL_PRINTED: Dict[Tuple[int, int, int, int], Tuple[FieldScalar, tuple]] = 
     )),
 }
 
-#: dual-cell pair-distance goldens: per label, a scale choice and the
-#: squared lengths (with multiplicities) the metric must contain.
-#: "unit" scale divides raw frame coordinates by |Lambda|^2 (true 4-space
-#: lengths); "quoted" uses the same overall factor as the printed rows.
-DUAL_METRIC_GOLDEN = {
-    (0, 1, 0, 0): ("unit", {_p("10/9"): 6, _p("2"): 3, _p("16/9"): 1}),
-    (1, 1, 0, 0): ("unit", {_p("26/25"): 3, _p("2"): 3}),
-    (0, 1, 1, 0): ("unit", {_p("4-2sqrt2"): 4, _p("2"): 2}),
-    (1, 0, 0, 1): ("quoted", {_p("16-10sqrt2"): 8, _p("80-56sqrt2"): 8}),
-}
-
 #: the kite face of the (1,0,0,1) dual cell, in the quoted coordinate
 #: scale: side and diagonal squares are exact; the quoted area value is
 #: a misprint (see ERRATA).
@@ -419,7 +363,7 @@ KITE_GOLDEN = {
 # self-duality of the 24-cell: octahedron cells at the vertex sqrt2*1,
 # with unit-scale centers 1 +/- e_k and their six cell vertices.
 
-def _cell_row(center: Quaternion, axis: Quaternion) -> Tuple[Quaternion, frozenset]:
+def _cell_row(center: Quaternion, axis: Quaternion) -> tuple[Quaternion, frozenset]:
     others = [e for e in (E1, E2, E3) if e != axis and -e != axis]
     return center, frozenset(
         [ONE_Q, axis] + [(ONE_Q + axis + others[0] * si + others[1] * sj)

@@ -255,12 +255,11 @@ def b3r_system() -> RootSystem:
         (0, 0, 2, 0, 0, 0, 0, 0)), 2, fixed=1)
 
 
-_SYSTEMS = {"F4": f4_system, "B4": b4_system, "B3": b3r_system,
-            "B3R": b3r_system}
+_SYSTEMS = {"F4": f4_system, "B4": b4_system, "B3R": b3r_system}
 
 
 def get_system(name: str) -> RootSystem:
-    if (build := _SYSTEMS.get(name.upper())) is None:
+    if (build := _SYSTEMS.get(name)) is None:
         raise ValueError(f"unknown root system {name!r}")
     return build()
 

@@ -320,7 +320,6 @@ def as_scalar(x: FieldScalar | Rational) -> FieldScalar:
 
 
 # Shared constants; FieldScalar is immutable so these are safe to reuse.
-ZERO = FieldScalar(0)
 ONE = FieldScalar(1)
 HALF = from_ints(1, 0, 2)
 SQRT2 = FieldScalar(0, 1)

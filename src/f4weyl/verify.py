@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, List, Sequence, Tuple
 
 from . import refdata
 from .binocta import (build_group, diagram_symmetry, generate_from,
@@ -56,11 +56,11 @@ class CheckResult(Record):
         return text + (f": {self.detail}" if self.detail else "")
 
 
-def _verdict(ok: bool, good: str, bad: str) -> Tuple[bool, str]:
+def _verdict(ok: bool, good: str, bad: str) -> tuple[bool, str]:
     return ok, good if ok else bad
 
 
-def check_group_orders() -> Tuple[bool, str]:
+def check_group_orders() -> tuple[bool, str]:
     expected = {"WF4": 1152, "AutF4": 2304, "WB4": 384,
                 "WB3R": 48, "WB3R_C2": 96, "WB3L_C2": 96}
     got = {name: group_order(name) for name in expected}
@@ -70,14 +70,14 @@ def check_group_orders() -> Tuple[bool, str]:
         f"expected {expected}, got {got}")
 
 
-def check_subset_table() -> Tuple[bool, str]:
+def check_subset_table() -> tuple[bool, str]:
     table = tuple(tuple(row) for row in subset_product_table())
     ok = table == refdata.SUBSET_TABLE_GOLDEN
     return _verdict(ok, "36/36 products as published",
                     f"table mismatch: {table}")
 
 
-def check_presentation() -> Tuple[bool, str]:
+def check_presentation() -> tuple[bool, str]:
     refl = f4_system().reflections
     orders = [r.order() for r in refl]
     pair = {(i + 1, j + 1): refl[i].compose(refl[j]).order()
@@ -97,7 +97,7 @@ def check_presentation() -> Tuple[bool, str]:
         f"orders={orders} pair={pair} generated={len(generated)}")
 
 
-def check_f_vectors() -> Tuple[bool, str]:
+def check_f_vectors() -> tuple[bool, str]:
     bad = []
     for pattern in NINE_PATTERNS:
         fv = f_vector(f4_system(), pattern)
@@ -117,7 +117,7 @@ def check_f_vectors() -> Tuple[bool, str]:
         f"mismatches: {bad}")
 
 
-def check_b4_branching() -> Tuple[bool, str]:
+def check_b4_branching() -> tuple[bool, str]:
     bad = []
     for pattern in ALL_PATTERNS:
         parts = tuple(p.labels for p in branch_b4(pattern))
@@ -132,7 +132,7 @@ def check_b4_branching() -> Tuple[bool, str]:
         f"failed: {bad}")
 
 
-def check_b3a1_slices() -> Tuple[bool, str]:
+def check_b3a1_slices() -> tuple[bool, str]:
     bad = []
     for pattern in ALL_PATTERNS:
         got = {(s.labels, s.height) for s in branch_b3a1(pattern)}
@@ -147,7 +147,7 @@ def check_b3a1_slices() -> Tuple[bool, str]:
         f"failed: {bad}")
 
 
-def check_projections() -> Tuple[bool, str]:
+def check_projections() -> tuple[bool, str]:
     half = FieldScalar(0, Fraction(1, 2))
     bad = []
     for pattern, table in (((1, 0, 0, 0), refdata.PROJECTED_24CELL),
@@ -164,7 +164,7 @@ def check_projections() -> Tuple[bool, str]:
         f"failed for: {bad}")
 
 
-def check_dual_scales() -> Tuple[bool, str]:
+def check_dual_scales() -> tuple[bool, str]:
     bad = []
     for pattern in NINE_PATTERNS:
         got = solve_scales(f4_system(), pattern)
@@ -177,7 +177,7 @@ def check_dual_scales() -> Tuple[bool, str]:
         f"mismatch: {bad}")
 
 
-def check_dual_shells() -> Tuple[bool, str]:
+def check_dual_shells() -> tuple[bool, str]:
     sys = f4_system()
     bad = []
     for pattern in NINE_PATTERNS:
@@ -206,7 +206,7 @@ def check_dual_shells() -> Tuple[bool, str]:
         f"failed: {bad}")
 
 
-def check_dual_cells() -> Tuple[bool, str]:
+def check_dual_cells() -> tuple[bool, str]:
     sys = f4_system()
     bad = []
     flagged = 0
@@ -239,7 +239,7 @@ def check_dual_cells() -> Tuple[bool, str]:
         f"failed: {bad}")
 
 
-def check_kite() -> Tuple[bool, str]:
+def check_kite() -> tuple[bool, str]:
     g = refdata.KITE_GOLDEN
     face = kite_face(f4_system(), (1, 0, 0, 1))
     sides = sorted(face["sides_sq"])
@@ -258,7 +258,7 @@ def check_kite() -> Tuple[bool, str]:
         f"got sides {sides}, area {face['area_float']}")
 
 
-def check_self_duality() -> Tuple[bool, str]:
+def check_self_duality() -> tuple[bool, str]:
     sys = f4_system()
     bad = []
     dual = dual_polytope(sys, (1, 0, 0, 0))
@@ -284,7 +284,7 @@ def check_self_duality() -> Tuple[bool, str]:
         f"failed: {bad}")
 
 
-def check_orbit_stabilizer() -> Tuple[bool, str]:
+def check_orbit_stabilizer() -> tuple[bool, str]:
     # three independent computations: the expanded coset rows (not the
     # closed-form size), the quaternion closure of the zero-label
     # reflections and the octet-built group
@@ -302,7 +302,7 @@ def check_orbit_stabilizer() -> Tuple[bool, str]:
         f"failed: {bad}")
 
 
-def check_reflection_forms(seed: int) -> Tuple[bool, str]:
+def check_reflection_forms(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     trials = 1000
     for i in range(trials):
@@ -330,7 +330,7 @@ def _random_quaternion(rng: random.Random) -> Quaternion:
                         for (a, b), (c, d) in zip(pairs, pairs)])
 
 
-def check_edge_oracle() -> Tuple[bool, str]:
+def check_edge_oracle() -> tuple[bool, str]:
     sys = f4_system()
     counts = [geometric_edge_check(generate_orbit(sys, pattern))
               for pattern in NINE_PATTERNS]
@@ -345,7 +345,7 @@ def check_edge_oracle() -> Tuple[bool, str]:
 
 #: the one place that holds the check titles: the report, the JSON and the
 #: benchmark's ``verify.<slug>_s`` metrics all read them here
-CHECKS: Tuple[Tuple[str, Callable[..., Tuple[bool, str]]], ...] = (
+CHECKS: tuple[tuple[str, Callable[..., tuple[bool, str]]], ...] = (
     ("group orders", check_group_orders),
     ("octet coset table", check_subset_table),
     ("reflection presentation", check_presentation),
@@ -364,7 +364,7 @@ CHECKS: Tuple[Tuple[str, Callable[..., Tuple[bool, str]]], ...] = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED) -> List[CheckResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     results = []
     for title, func in CHECKS:
         start = time.perf_counter()

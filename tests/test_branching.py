@@ -12,8 +12,56 @@ from f4weyl.branching import (_b3_template, branch_b3a1, branch_b4,
 from f4weyl.orbits import generate_orbit
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
-from f4weyl.scalar import FieldScalar, SQRT2, over_lcm
+from f4weyl.scalar import FieldScalar, SQRT2, over_lcm, parse_scalar
 import oracles
+
+
+def _lab(*texts):
+    return tuple(parse_scalar(t) for t in texts)
+
+
+#: coefficient matrices of the three generic B4 parts: row k gives the
+#: coefficients of (a1, a2, a3, a4) in the k-th B4 label entry.
+B4_PART_MATRICES = (
+    (_lab("sqrt2", "sqrt2", "1", "0"), _lab("0", "0", "0", "1"),
+     _lab("0", "0", "1", "0"), _lab("0", "1", "0", "0")),
+    (_lab("0", "0", "1", "0"), _lab("0", "0", "0", "1"),
+     _lab("0", "sqrt2", "1", "0"), _lab("1", "0", "0", "0")),
+    (_lab("0", "sqrt2", "1", "0"), _lab("0", "0", "0", "1"),
+     _lab("0", "0", "1", "0"), _lab("1", "1", "0", "0")),
+)
+
+#: the twelve generic slice families: (3x4 label-coefficient matrix,
+#: 4-vector of height coefficients); heights are the +/- values.
+#: Two of the quoted family formulas contain typos (see ERRATA entries
+#: slice-family-6-height and slice-family-9-label); the corrected
+#: coefficients below reproduce every block of B3A1_GOLDEN.
+B3A1_FAMILY_FORMULAS = (
+    ((_lab("0", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("0", "0", "0", "1")),
+     _lab("1", "3/2", "sqrt2", "sqrt2/2")),
+    ((_lab("0", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("sqrt2", "sqrt2", "1", "1")),
+     _lab("0", "1/2", "sqrt2/2", "sqrt2/2")),
+    ((_lab("0", "1", "0", "0"), _lab("0", "0", "1", "1"), _lab("sqrt2", "sqrt2", "1", "0")),
+     _lab("0", "1/2", "sqrt2/2", "0")),
+    ((_lab("0", "1", "sqrt2", "0"), _lab("0", "0", "0", "1"), _lab("sqrt2", "sqrt2", "1", "0")),
+     _lab("0", "1/2", "0", "0")),
+    ((_lab("1", "2", "sqrt2", "0"), _lab("0", "0", "0", "1"), _lab("0", "0", "1", "0")),
+     _lab("1/2", "0", "0", "0")),
+    ((_lab("1", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("0", "0", "0", "1")),
+     _lab("1/2", "3/2", "sqrt2", "sqrt2/2")),
+    ((_lab("1", "1", "0", "0"), _lab("0", "0", "1", "0"), _lab("0", "sqrt2", "1", "1")),
+     _lab("1/2", "1/2", "sqrt2/2", "sqrt2/2")),
+    ((_lab("1", "1", "0", "0"), _lab("0", "0", "1", "1"), _lab("0", "sqrt2", "1", "0")),
+     _lab("1/2", "1/2", "sqrt2/2", "0")),
+    ((_lab("1", "1", "sqrt2", "0"), _lab("0", "0", "0", "1"), _lab("0", "sqrt2", "1", "0")),
+     _lab("1/2", "1/2", "0", "0")),
+    ((_lab("1", "0", "0", "0"), _lab("0", "sqrt2", "1", "0"), _lab("0", "0", "0", "1")),
+     _lab("1/2", "1", "sqrt2", "sqrt2/2")),
+    ((_lab("1", "0", "0", "0"), _lab("0", "sqrt2", "1", "1"), _lab("0", "0", "1", "0")),
+     _lab("1/2", "1", "sqrt2/2", "0")),
+    ((_lab("1", "0", "0", "0"), _lab("0", "sqrt2", "1", "0"), _lab("0", "0", "1", "1")),
+     _lab("1/2", "1", "sqrt2/2", "sqrt2/2")),
+)
 
 
 def test_b4_branch_golden_table():
@@ -50,7 +98,7 @@ def test_b4_part_matrices_match_walk():
         if all(x.sign() == 0 for x in labels):
             continue
         expected = set()
-        for matrix in refdata.B4_PART_MATRICES:
+        for matrix in B4_PART_MATRICES:
             expected.add(tuple(sum((row[i] * labels[i] for i in range(4)),
                                    FieldScalar(0)) for row in matrix))
         got = set(p.labels for p in branch_b4(labels))
@@ -87,7 +135,7 @@ def test_b3a1_family_formulas():
         if all(x.sign() == 0 for x in labels):
             continue
         expected = set()
-        for matrix, hrow in refdata.B3A1_FAMILY_FORMULAS:
+        for matrix, hrow in B3A1_FAMILY_FORMULAS:
             lab = tuple(sum((row[i] * labels[i] for i in range(4)), zero)
                         for row in matrix)
             h = sum((hrow[i] * labels[i] for i in range(4)), zero)

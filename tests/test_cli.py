@@ -152,23 +152,6 @@ def test_malformed_seed_is_a_usage_error(capsys):
         assert "Traceback" not in err and "usage" not in err, err
 
 
-def test_argparse_errors_are_one_line(capsys):
-    for argv, message in (
-            (["fvector", "1,0,0,1", "-x"],
-             "f4weyl: error: unrecognized arguments: -x"),
-            (["fvector", "1,0,0,1", "--format", "xml"],
-             "f4weyl fvector: error: argument --format: invalid choice: "
-             "'xml' (choose from 'text', 'json')"),
-            ([], "f4weyl: error: the following arguments are required: "
-                 "command")):
-        try:
-            main(argv)
-            assert False, argv
-        except SystemExit as exc:
-            assert exc.code == 2
-        assert capsys.readouterr().err == message + "\n"
-
-
 def test_negative_label_reaches_the_validator():
     # exit 1 and one stderr line, whose prefix is the one place that
     # names the label
@@ -308,6 +291,12 @@ options:
         for choices in ("'text', 'json'", "text, json")]),
     "branch-b4 1,0,0,0 --bogus": (
         2, "", "f4weyl: error: unrecognized arguments: --bogus\n"),
+    "fvector 1,0,0,1 -x": (
+        2, "", "f4weyl: error: unrecognized arguments: -x\n"),
+    "fvector 1,0,0,1 --format xml": (2, "", [
+        "f4weyl fvector: error: argument --format: invalid choice: 'xml' "
+        f"(choose from {choices})\n"
+        for choices in ("'text', 'json'", "text, json")]),
     "branch-b4 1,0,0,0 --format=json": (0, _B4_JSON, ""),
     "branch-b4 -- 1,0,0,0": (0, _B4_TEXT, ""),
     "branch-b4 1,0,0,0 --form json": (0, _B4_JSON, ""),
@@ -785,19 +774,30 @@ def test_label_commands_leave_verify_refdata_binocta_unloaded():
         assert not loaded & unused, (argv, sorted(loaded & unused))
 
 
-def test_clean_interpreter_label_command_leaves_typing_unloaded():
+def _clean_interpreter_run(*args):
     # python -S: no site module, so what loads is what f4weyl imports
     # (-X importtime names each module as it loads)
     src = str(Path(f4weyl.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "f4weyl", "fvector",
-         "1,0,0,1"], capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-X", "importtime", "-m", "f4weyl", *args],
+        capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src))
-    loaded = {line.rsplit("|", 1)[-1].strip()
-              for line in proc.stderr.splitlines()}
-    assert proc.stdout.startswith("(1,0,0,1)  N0=144 ")
+    return proc.stdout, {line.rsplit("|", 1)[-1].strip()
+                         for line in proc.stderr.splitlines()}
+
+
+def test_clean_interpreter_label_command_leaves_typing_unloaded():
+    out, loaded = _clean_interpreter_run("fvector", "1,0,0,1")
+    assert out.startswith("(1,0,0,1)  N0=144 ")
     assert "f4weyl.cli" in loaded
     assert not {"typing", "argparse", "f4weyl.quat"} & loaded
+
+
+def test_clean_interpreter_verify_leaves_typing_unloaded():
+    out, loaded = _clean_interpreter_run("verify", "--format", "json")
+    assert json.loads(out)["ok"] is True
+    assert "f4weyl.verify" in loaded
+    assert "typing" not in loaded
 
 
 def test_verify_json_default_seed():

@@ -17,6 +17,7 @@ from oracles import (dist_sq, frame_vectors, label_orbit, pattern_labels,
                      random_labels, scanned_centers, zero_one_labels)
 
 F4 = f4_system()
+_p = parse_scalar
 
 NINE = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
         (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1),
@@ -33,6 +34,17 @@ CENTER_COUNTS = {
     (1, 1, 1, 0): {4: 2, 2: 1, 1: 1},
     (1, 1, 0, 1): {4: 1, 3: 2, 2: 1, 1: 1},
     (1, 1, 1, 1): {4: 1, 3: 1, 2: 1, 1: 1},
+}
+
+#: dual-cell pair-distance goldens: per label, a scale choice and the
+#: squared lengths (with multiplicities) the metric must contain.
+#: "unit" scale divides raw frame coordinates by |Lambda|^2 (true 4-space
+#: lengths); "quoted" uses the same overall factor as the printed rows.
+DUAL_METRIC_GOLDEN = {
+    (0, 1, 0, 0): ("unit", {_p("10/9"): 6, _p("2"): 3, _p("16/9"): 1}),
+    (1, 1, 0, 0): ("unit", {_p("26/25"): 3, _p("2"): 3}),
+    (0, 1, 1, 0): ("unit", {_p("4-2sqrt2"): 4, _p("2"): 2}),
+    (1, 0, 0, 1): ("quoted", {_p("16-10sqrt2"): 8, _p("80-56sqrt2"): 8}),
 }
 
 
@@ -160,7 +172,7 @@ def test_dual_radii():
 
 
 def test_cell_metric_golden():
-    for pat, (mode, want) in refdata.DUAL_METRIC_GOLDEN.items():
+    for pat, (mode, want) in DUAL_METRIC_GOLDEN.items():
         if mode == "unit":
             got = cell_metrics(F4, pat)
         else:

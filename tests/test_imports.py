@@ -1,8 +1,10 @@
-"""No module of the package imports a top-level name it never uses.
+"""No module of the package imports or defines a name that nothing reads.
 
-No linter ships with the project, so this is a small AST scan: every
+No linter ships with the project, so these are small AST scans: every
 name bound by a top-level ``import`` must appear as a name somewhere in
-the module or be listed in its ``__all__``.
+the module or be listed in its ``__all__``; every name a module defines
+at top level must be read by the package or the benchmark harness; and
+no module imports ``typing``.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 import f4weyl
 
 SRC = Path(f4weyl.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str):
@@ -62,3 +65,77 @@ def test_only_scalar_takes_an_lcm():
     assert takes_lcm("import math\nd = math.lcm(2, 3)\n")
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if takes_lcm(p.read_text())] == ["scalar.py"]
+
+
+def imports_typing(source: str) -> bool:
+    """Whether a module imports ``typing`` anywhere, at top level or not."""
+    return any(isinstance(n, ast.Import)
+               and any(a.name.split(".")[0] == "typing" for a in n.names)
+               or isinstance(n, ast.ImportFrom) and n.level == 0
+               and n.module.split(".")[0] == "typing"
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_no_module_imports_typing():
+    # builtin generics, X | Y and collections.abc cover every annotation,
+    # and typing costs a cold command several ms
+    assert imports_typing("from typing import Dict\n")
+    assert imports_typing("def f():\n    import typing.re\n")
+    assert not imports_typing("from collections.abc import Sequence\n")
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if imports_typing(p.read_text())] == []
+
+
+def defined_names(source: str):
+    """The names a module binds at top level by def, class or assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def read_names(source: str, strings=False):
+    """The names a module reads: loaded names, attributes and imports, and
+    with ``strings`` every string constant (the harness binds by strings)."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            read |= {a.name for a in n.names}
+        elif strings and isinstance(n, ast.Constant) \
+                and isinstance(n.value, str):
+            read.add(n.value)
+    return read
+
+
+def test_scan_finds_defined_and_read_names():
+    source = ("X = 1\nY, Z = X, 2\nW: int = 3\n__all__ = []\n"
+              "def f():\n    v = 4\nclass C:\n    u = 5\n")
+    assert defined_names(source) == ["X", "Y", "Z", "W", "__all__", "f", "C"]
+    source = "from m import a\nb.c = d\ne = 'g'\n"
+    assert read_names(source) == {"a", "b", "c", "d"}
+    assert read_names(source, strings=True) == {"a", "b", "c", "d", "g"}
+
+
+def test_every_top_level_name_is_read_by_src_or_the_harness():
+    # a name that only tests read belongs in the tests; a dunder is read by
+    # the interpreter
+    read = set()
+    for path in SRC.glob("*.py"):
+        read |= read_names(path.read_text())
+    for path in BENCH.rglob("*.py"):
+        read |= read_names(path.read_text(), strings=True)
+    unread = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in defined_names(path.read_text())
+              if name not in read
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from f4weyl.binocta import build_group, sorted_elements, unit_tables
-from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, ZERO_Q, _render,
-                         reflect, reflect_classical)
+from f4weyl.quat import (E1, E2, E3, ONE_Q, Quaternion, _render, reflect,
+                         reflect_classical)
 from f4weyl.scalar import FieldScalar
 from f4weyl.verify import _random_quaternion
 from oracles import (quaternion_dot_scalar, quaternion_inverse,
                      quaternion_product_scalar, quaternion_str)
+
+ZERO_Q = Quaternion(0, 0, 0, 0)
 
 
 def rand_quat(rng, span=6):

@@ -245,9 +245,10 @@ def test_dominant_representative():
 
 def test_format_labels():
     assert format_labels((S(1), S(0, 1), S(0))) == "(1,sqrt2,0)"
-    assert get_system("b3").name == "B3R"
-    try:
-        get_system("E8")
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
+    # only the registered names: no case folding and no "B3" alias
+    for name in ("E8", "b3", "B3"):
+        try:
+            get_system(name)
+            assert False, f"expected ValueError for {name!r}"
+        except ValueError:
+            pass
