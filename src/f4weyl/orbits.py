@@ -129,9 +129,6 @@ class Orbit(Record):
     def vertices(self) -> tuple[Quaternion, ...]:
         return get_system(self.system).vertices(self.rows, self.den)
 
-    def vertex_set(self) -> frozenset[Quaternion]:
-        return frozenset(self.vertices)
-
 
 # a dataclass still: perfbench/selftest.py calls dataclasses.replace on it
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def check_self_duality() -> tuple[bool, str]:
     sys = f4_system()
     bad = []
     dual = dual_polytope(sys, (1, 0, 0, 0))
-    mirror = generate_orbit(sys, (0, 0, 0, 1)).vertex_set()
+    mirror = frozenset(generate_orbit(sys, (0, 0, 0, 1)).vertices)
     if dual.vertices != mirror:
         bad.append("vertex set")
     families = cells_at_vertex(sys, (1, 0, 0, 0))

@@ -207,7 +207,7 @@ def test_criterion_08_dual_geometry():
 def test_criterion_09_self_duality():
     orbit = generate_orbit(F4, (1, 0, 0, 0))
     dual = dual_polytope(F4, (1, 0, 0, 0))
-    mirror = generate_orbit(F4, (0, 0, 0, 1)).vertex_set()
+    mirror = frozenset(generate_orbit(F4, (0, 0, 0, 1)).vertices)
     ok = dual.vertices == mirror  # global scale 1 relates the two sets
     (family,) = cells_at_vertex(F4, (1, 0, 0, 0))
     table = dict(refdata.SELF_DUAL_CELL_TABLE)

@@ -224,6 +224,14 @@ def test_wb4_generated_by_reflections():
     roots = (ONE_Q - E1, E1 - E2, E2 - E3, E3 * SQRT2)
     gens = [reflection_element(a) for a in roots]
     assert generate_from(gens) == build_group("WB4")
+    # a zero root, and one whose norm (3) is not a square in Q(sqrt2)
+    for root, message in ((Quaternion(0, 0, 0, 0),
+                           "cannot reflect in a zero root"),
+                          (ONE_Q + E1 + E2, "root norm is not a square in "
+                                            "Q(sqrt2)")):
+        with pytest.raises(ValueError) as err:
+            reflection_element(root)
+        assert str(err.value) == message
 
 
 def test_wb3r_is_r234():
@@ -259,6 +267,16 @@ def test_wf4_over_wb4_cosets():
     assert len(cosets[0] & cosets[1]) == 0
     assert len(cosets[0] & cosets[2]) == 0
     assert len(cosets[1] & cosets[2]) == 0
+    # a set that is not inside the group, whose order does not divide the
+    # group's, or that is no subgroup (g2 has order 3) is refused
+    for big, small, message in (
+            (wb4, WF4, "small is not contained in big"),
+            (WF4, frozenset(sorted(wb4)[:5]),
+             "small cannot be a subgroup (order mismatch)"),
+            (WF4, frozenset((IDENT, g2)), "small is not a subgroup of big")):
+        with pytest.raises(ValueError) as err:
+            coset_decompose(big, small)
+        assert str(err.value) == message
 
 
 def test_wf4_over_wb3r_transversal():

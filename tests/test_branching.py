@@ -270,3 +270,6 @@ def test_branch_rejects_bad_labels():
             pass
         else:
             assert False, bad
+    for scale in (0, -1, 1 - SQRT2):
+        with pytest.raises(ValueError, match="^scale must be positive$"):
+            project_3d((1, 0, 0, 0), scale)

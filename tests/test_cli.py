@@ -94,10 +94,12 @@ def test_branch_b3a1_text():
 
 
 def test_zero_label_is_an_error():
-    code, out, err = run_cli(["orbit", "0,0,0,0"])
-    assert code == 1
-    assert out == ""
-    assert "(0,0,0,0)" in err
+    for cmd in ("orbit", "fvector", "branch-b4", "branch-b3a1", "project",
+                "dual", "export"):
+        code, out, err = run_cli([cmd, "0,0,0,0"])
+        assert (code, out) == (1, "")
+        assert err == ("error for label (0,0,0,0): the zero label spans no "
+                       "polytope\n"), cmd
 
 
 def test_malformed_label_is_a_usage_error(capsys):
@@ -175,7 +177,7 @@ def test_argparse_errors_are_one_line(capsys):
 def test_negative_label_reaches_the_validator():
     # exit 1 and one stderr line, whose prefix is the one place that
     # names the label
-    for text in ("-1,0,0,0", "-1/2,1,0,0", "1-sqrt2,0,0,1"):
+    for text in ("-1,0,0,0", "-1/2,1,0,0", "1-sqrt2,0,0,1", "1,-1,0,0"):
         for cmd in ("orbit", "fvector", "branch-b4", "branch-b3a1",
                     "project", "dual", "export"):
             code, out, err = run_cli([cmd, text])
@@ -690,15 +692,18 @@ def test_random_label_outputs_byte_identical():
 
 def test_random_label_payload_invariants():
     # each JSON payload against counts read off the payloads themselves,
-    # on two seeded random labels of each 0/1 pattern
-    for labels in oracles.pattern_labels(2, 20):
-        text = ",".join(map(str, labels))
+    # on two seeded random labels of each 0/1 pattern and a surd label
+    texts = [",".join(map(str, labels))
+             for labels in oracles.pattern_labels(2, 20)]
+    for text in texts + ["7/3-sqrt2,0,1/2+sqrt2,2"]:
         payloads = {}
-        for cmd in ("fvector", "branch-b4", "branch-b3a1", "dual"):
+        for cmd in ("orbit", "fvector", "branch-b4", "branch-b3a1", "dual"):
             code, out, _ = run_cli([cmd, text, "--format", "json"])
             assert code == 0, (cmd, text)
             payloads[cmd] = json.loads(out)
         n0, n3 = payloads["fvector"]["N0"], payloads["fvector"]["N3"]
+        rows = {tuple(v) for v in payloads["orbit"]["vertices"]}
+        assert len(rows) == payloads["orbit"]["N0"] == n0, text
         parts = payloads["branch-b4"]["parts"]
         assert sum(p["size"] for p in parts) == n0, text
         slices = payloads["branch-b3a1"]["slices"]
@@ -871,17 +876,18 @@ def test_export_bipyramid_counts():
 
 
 def test_export_trapezohedron_counts():
-    code, out, _ = run_cli(["export", "1,0,0,1"])
-    assert code == 0
-    lines = out.splitlines()
-    nv, nf, ne = map(int, lines[1].split())
-    assert (nv, nf, ne) == (10, 8, 16)
-    assert nv - ne + nf == 2
-    faces = lines[2 + nv:]
-    assert all(line.startswith("4 ") for line in faces)
-    for line in faces:
-        idx = list(map(int, line.split()[1:]))
-        assert len(set(idx)) == 4
+    for label in ("1,0,0,1", "7/3-sqrt2,0,0,1/2+sqrt2"):
+        code, out, _ = run_cli(["export", label])
+        assert code == 0
+        lines = out.splitlines()
+        nv, nf, ne = map(int, lines[1].split())
+        assert (nv, nf, ne) == (10, 8, 16)
+        assert nv - ne + nf == 2
+        faces = lines[2 + nv:]
+        assert all(line.startswith("4 ") for line in faces)
+        for line in faces:
+            idx = list(map(int, line.split()[1:]))
+            assert len(set(idx)) == 4
 
 
 def test_export_off_vertex_precision():
@@ -924,6 +930,7 @@ def test_convex_faces_rejects_points_that_are_not_vertices():
     cube = [(FieldScalar(x), FieldScalar(y), FieldScalar(z))
             for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     assert len(convex_faces(cube)) == 6
+    assert export_off(cube).splitlines()[1] == "8 6 12"
     for extra in ((half, half, half), (half, half, zero), (half, zero, zero),
                   (surd, half, surd), (surd, surd, zero), (surd, zero, zero)):
         for pts in (cube + [extra], [extra] + cube, sorted(cube + [extra])):

@@ -19,6 +19,9 @@ from oracles import (dist_sq, frame_vectors, label_orbit, pattern_labels,
 F4 = f4_system()
 _p = parse_scalar
 
+# a surd label of the unpublished pattern (1,0,1,1)
+SURD = (_p("7/3-sqrt2"), 0, _p("1/2+sqrt2"), 2)
+
 NINE = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
         (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1),
         (1, 1, 1, 1))
@@ -215,16 +218,21 @@ def test_kite_shape_sanity():
     kite = kite_face(F4, (1, 0, 0, 1))
     a, b, c, d = kite["sides_sq"]
     assert a == d and b == c and a != b
+    # a cell of another shape has no kite
+    with pytest.raises(ValueError) as err:
+        kite_face(F4, (1, 1, 1, 1))
+    assert str(err.value) == \
+        "dual cell is not a trapezohedron for (1,1,1,1)"
 
 
 def test_self_dual_24cell():
     # the dual of the (1,0,0,0) orbit is the (0,0,0,1) orbit at scale 1
     d = dual_polytope(F4, (1, 0, 0, 0))
     other = generate_orbit(F4, (0, 0, 0, 1))
-    assert d.vertices == other.vertex_set()
+    assert d.vertices == frozenset(other.vertices)
     # and vice versa
     d2 = dual_polytope(F4, (0, 0, 0, 1))
-    assert d2.vertices == generate_orbit(F4, (1, 0, 0, 0)).vertex_set()
+    assert d2.vertices == frozenset(generate_orbit(F4, (1, 0, 0, 0)).vertices)
 
 
 def test_self_dual_cell_table():
@@ -251,12 +259,19 @@ def test_diagram_symmetry_on_dual_cell():
 
 
 def test_solve_scales_general_labels():
-    # a non-unit dominant label reuses the pattern's reference node
-    scales = solve_scales(F4, (2, 1, 0, 0))
-    assert scales[4] == FieldScalar(1)
-    lam = F4.label_to_vector(F4.coerce_labels((2, 1, 0, 0)))
-    for j, s in scales.items():
-        assert s * F4.weights[j - 1].dot(lam) == F4.weights[3].dot(lam)
+    # a non-unit dominant label reuses the pattern's reference node, and an
+    # unpublished pattern takes its smallest center node; the scales come
+    # in ascending node order, and the dual cell has vertices at the
+    # centers of the same nodes
+    for labels, ref in (((2, 1, 0, 0), 4), (SURD, 1)):
+        scales = solve_scales(F4, labels)
+        assert list(scales) == sorted(scales)
+        assert [j for j, s in scales.items() if s == 1] == [ref], scales
+        assert {j for j, _ in dual_cell(F4, labels).coords} == set(scales)
+        lam = F4.label_to_vector(F4.coerce_labels(labels))
+        for j, s in scales.items():
+            assert s * F4.weights[j - 1].dot(lam) == \
+                F4.weights[ref - 1].dot(lam)
 
 
 def test_degenerate_dual_rejected():
@@ -423,6 +438,10 @@ def test_fresh_dual_builds_only_its_own_orbit(monkeypatch):
     assert orbits._orbit_cached.cache_info().currsize == 5
     orbits._orbit_cached.cache_clear()  # drops the omega_j orbits too
     assert orbits._orbit_cached.cache_info().currsize == 0
+    # the source has 240 cells, the dual 240 vertices
+    for labels in ((1, 0, 0, 1), SURD):
+        dual = dual_polytope(F4, labels)
+        assert len(dual.vertices) == dual.f_tuple[0] == 240, labels
 
 
 def test_solve_reads_no_unit_orbit_rows(monkeypatch):

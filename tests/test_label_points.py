@@ -40,7 +40,7 @@ IDS = [str(i) for i in range(len(LABELS))]
 # two labels of each 0/1 pattern: the face filter reads label values
 PATTERNS = oracles.zero_one_labels(4) + oracles.pattern_labels(2, 17)
 PATTERN_IDS = [str(i) for i in range(len(PATTERNS))]
-SCALES = [2, parse_scalar("1+sqrt2")] + [
+SCALES = [2, parse_scalar("1+sqrt2"), parse_scalar("1/2+sqrt2")] + [
     a for labels in oracles.random_labels(1, 4, 15) for a in labels]
 
 
@@ -110,8 +110,10 @@ def test_layers_match_vertex_oracle(labels):
             assert sorted(walked_pts) == list(pts), (scale, h)
 
 
-# LABELS and PATTERNS share the 15 0/1 patterns: each label once
-LAYER_CASES = list(dict.fromkeys(LABELS + PATTERNS))
+# LABELS and PATTERNS share the 15 0/1 patterns: each label once, then a
+# surd label
+LAYER_CASES = list(dict.fromkeys(LABELS + PATTERNS)) + [
+    (parse_scalar("7/3-sqrt2"), 0, parse_scalar("1/2+sqrt2"), 2)]
 
 
 @pytest.mark.parametrize("labels", LAYER_CASES,
@@ -134,6 +136,7 @@ def test_layers_come_in_mirrored_pairs(monkeypatch, labels):
         layers = project_3d(labels, scale)
         for (h, pts), (mirror, mirror_pts) in zip(layers, reversed(layers)):
             assert h == -mirror and pts == mirror_pts, (scale, h)
+            assert len(set(pts)) == len(pts), (scale, h)
         assert any(h == 0 for h, _ in layers) == zero, scale
         assert not zero or layers[len(layers) // 2][0] == 0, scale
         assert sum(len(pts) for _, pts in layers) == orbit.size, scale

@@ -10,7 +10,7 @@ from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
                            parabolic_order, stabilizer_order)
 from f4weyl.refdata import FVECTOR_GOLDEN
 from f4weyl.rootsys import RootSystem, b4_system, f4_system, get_system
-from f4weyl.scalar import SQRT2, FieldScalar
+from f4weyl.scalar import SQRT2, FieldScalar, parse_scalar
 from oracles import (_components, complex_walk, diagram_inventories, euler_ok,
                      orbit_size, pattern_labels, zero_one_labels)
 
@@ -61,10 +61,10 @@ def test_small_orbits_are_scaled_binocta_sets():
     sets = build_subsets()
     orbit1 = generate_orbit(F4, (1, 0, 0, 0))
     assert orbit1.size == 24
-    assert orbit1.vertex_set() == {t * SQRT2 for t in sets["T"]}
+    assert frozenset(orbit1.vertices) == {t * SQRT2 for t in sets["T"]}
     orbit4 = generate_orbit(F4, (0, 0, 0, 1))
     assert orbit4.size == 24
-    assert orbit4.vertex_set() == {t * SQRT2 for t in sets["T'"]}
+    assert frozenset(orbit4.vertices) == {t * SQRT2 for t in sets["T'"]}
 
 
 def test_orbit_stabilizer_identity():
@@ -146,9 +146,10 @@ def test_f_vector_reads_only_the_zero_pattern():
     # Wythoff: the face lattice depends on the zero-label nodes alone, so
     # each label's counts and inventories are its 0/1 pattern's, and the
     # pattern cache holds one entry per pattern and system
+    surd = tuple(map(parse_scalar, "7/3-sqrt2,0,0,1/2+sqrt2".split(",")))
     for sys in (F4, b4_system()):
         orbits._pattern.cache_clear()
-        for labels in pattern_labels(4, 28):
+        for labels in pattern_labels(4, 28) + [surd]:
             pattern = tuple(int(not a.is_zero()) for a in labels)
             got, want = f_vector(sys, labels), f_vector(sys, pattern)
             assert (got.f_tuple(), got.faces, got.cells) == \

@@ -151,11 +151,10 @@ def test_reflection_geometry():
             w = v - a * (v.dot(a) / a.norm_sq())
             assert w.dot(a).is_zero()
             assert reflect(a, w) == w
-    try:
-        reflect(ZERO_Q, ONE_Q)
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
+    for kernel in (reflect, reflect_classical):
+        with pytest.raises(ValueError) as err:
+            kernel(ZERO_Q, ONE_Q)
+        assert str(err.value) == "cannot reflect in a zero vector"
 
 
 def test_string_and_json():

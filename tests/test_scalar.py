@@ -210,6 +210,8 @@ def test_pow_and_abs():
     assert (ONE - SQRT2) ** 0 == ONE
     assert abs(FieldScalar(1, -1)) == FieldScalar(-1, 1)
     assert abs(FieldScalar(5)) == FieldScalar(5)
+    with pytest.raises(ValueError, match="^only non-negative integer powers$"):
+        FieldScalar(2) ** -1
 
 
 # ---------------------------------------------------------------------------
