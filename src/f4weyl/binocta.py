@@ -61,7 +61,6 @@ def build_subsets() -> dict[str, tuple[Quaternion, ...]]:
     return {name: tuple(sorted(els)) for name, els in sets.items()}
 
 
-@lru_cache(maxsize=1)
 def subset_product_table() -> tuple[tuple[str, ...], ...]:
     """6x6 multiplication table of the V-subsets, on the units' indices.
 

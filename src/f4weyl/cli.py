@@ -16,6 +16,7 @@ text.  Labels are given as four comma-separated scalar literals, e.g.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -295,6 +296,9 @@ def _table_parse(argv: Sequence[str] | None) -> SimpleNamespace | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _table_parse(argv) or build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse's "--name=--" before 3.13
+            build_parser().error(f"argument --{name}: expected one argument")
     try:
         if getattr(args, "label", None) is not None:
             args.label = parse_label(args.label)
@@ -327,14 +331,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = "\n".join(lines) + "\n"
     # verify is the one command whose payload carries "ok"
     code = 0 if payload is None or payload.get("ok", True) else 1
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}",
-                  file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:  # started with fd 1 closed
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write {args.output or 'stdout'}: {exc}",
+              file=sys.stderr)
+        if not args.output:  # keep the interpreter's final flush quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        return 1
     return code

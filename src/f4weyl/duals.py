@@ -294,19 +294,13 @@ def dual_cell(sys: RootSystem, labels: Sequence[LabelLike]) -> DualCell:
     return _vertex_figure(sys.name, _validated(sys, labels))[2]
 
 
-def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike],
-                 scale_sq: FieldScalar | None = None) -> dict[FieldScalar, int]:
-    """Multiset of squared distances between dual-cell vertices.
-
-    With the default scale the distances are true 4-space distances
-    (u-distances divided by |Lambda|^2); pass an explicit ``scale_sq``
-    to use another convention, e.g. the square of a quoted overall
-    coordinate factor.
-    """
+def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike]
+                 ) -> dict[FieldScalar, int]:
+    """Multiset of squared distances between dual-cell vertices: true
+    4-space distances, the u-distances divided by |Lambda|^2."""
     cell = dual_cell(sys, labels)
     lam = sys.label_to_vector(cell.source)
-    if scale_sq is None:
-        scale_sq = FieldScalar(1) / lam.dot(lam)
+    scale_sq = FieldScalar(1) / lam.dot(lam)
     rows, scale = _point_rows([u for _, u in cell.coords])
     return Counter(_dist_sq(p, q, scale) * scale_sq
                    for p, q in combinations(rows, 2))

@@ -105,8 +105,6 @@ class FieldScalar:
         x, y, d = _parts(other)
         if d is None:
             return NotImplemented
-        if d == self.d:
-            return from_ints(self.x + x, self.y + y, d)
         return from_ints(self.x * d + x * self.d, self.y * d + y * self.d,
                          self.d * d)
 
@@ -116,8 +114,6 @@ class FieldScalar:
         x, y, d = _parts(other)
         if d is None:
             return NotImplemented
-        if d == self.d:
-            return from_ints(self.x - x, self.y - y, d)
         return from_ints(self.x * d - x * self.d, self.y * d - y * self.d,
                          self.d * d)
 

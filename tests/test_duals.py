@@ -179,8 +179,10 @@ def test_cell_metric_golden():
         if mode == "unit":
             got = cell_metrics(F4, pat)
         else:
-            s = refdata.DUAL_CELL_PRINTED[pat][0]
-            got = cell_metrics(F4, pat, scale_sq=s * s)
+            # the u-distances times the quoted coordinate factor squared
+            lam, s = F4.label_to_vector(pat), refdata.DUAL_CELL_PRINTED[pat][0]
+            factor = lam.dot(lam) * s * s
+            got = {d * factor: n for d, n in cell_metrics(F4, pat).items()}
         for dist_sq, count in want.items():
             assert got.get(dist_sq) == count, (pat, str(dist_sq))
 

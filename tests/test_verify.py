@@ -1,7 +1,6 @@
 """The verify battery: its check titles and the checks that compare the
 expanded orbit rows with their closed-form count."""
 
-import importlib.util
 import json
 import random
 from pathlib import Path
@@ -10,22 +9,15 @@ from f4weyl import verify
 from f4weyl.orbits import _orbit_cached
 from f4weyl.rootsys import RootSystem
 from oracles import random_quaternion_fraction
+from test_bench_names import TRACER
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_tracer():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_check_titles_name_the_report_and_the_benchmark_metrics():
     titles = [title for title, _ in verify.CHECKS]
     assert [r.name for r in verify.run_all()] == titles
-    slug = _load_tracer().slug
+    slug = TRACER.slug
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [f"verify.{slug(t)}_s" for t in titles] == [
         m["name"] for m in bench["per_layer"]
