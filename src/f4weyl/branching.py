@@ -10,7 +10,8 @@ e2-e3, e1-e2) and height |q_k/sqrt2|, the pair (2*y, x) over 2S.  Which of
 a == b, b == c, c == 0 hold fixes its sorted signed permutations: one cached
 template per tie pattern gives its size and its points (q0 -> -q0 is in
 W(B4)).  Entry points validate a label once; the stages behind them take it
-validated.
+validated.  The partition checks that only the ``verify`` battery runs live
+in :mod:`f4weyl.verify`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,18 @@ from __future__ import annotations
 from functools import lru_cache
 from collections.abc import Sequence
 
-from .orbits import Record, _orbit_cached, _validated, generate_orbit
+from .orbits import Record, _orbit_cached, _validated
 from .rootsys import (LabelLike, Labels, b3r_system, b4_system, f4_system,
                       scale_rows)
 from .scalar import INV_SQRT2, FieldScalar, as_scalar, from_ints, surd_order
+
+
+def __getattr__(name: str):
+    # perfbench's tracer spans these verify names here (ROADMAP item 1)
+    if name not in ("verify_b4_branching", "verify_b3a1_slices"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return getattr(verify, name)
 
 
 class B4Part(Record):
@@ -125,19 +134,3 @@ def project_3d(labels: Sequence[LabelLike], scale: FieldScalar | int = 1
             rows = [(scalars[i], scalars[j], scalars[m]) for i, j, m in sorted(rows)]
         top.append((scalars[v] * INV_SQRT2, tuple(rows)))
     return tuple(top + [(-h, pts) for h, pts in reversed(top) if h])
-
-
-def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
-    """Check that the branched orbits exactly partition the source orbit,
-    whose expanded vertices number its closed-form size."""
-    parts = [generate_orbit(b4_system(), p.labels).vertices
-             for p in branch_b4(labels)]
-    orbit = generate_orbit(f4_system(), labels)
-    return (len(orbit.vertices) == orbit.size == sum(map(len, parts))
-            and set().union(*parts) == set(orbit.vertices))
-
-
-def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
-    """Check that the slice sizes account for every expanded orbit row."""
-    total = sum(s.size * (2 if s.paired else 1) for s in branch_b3a1(labels))
-    return total == len(generate_orbit(f4_system(), labels).rows)

@@ -14,12 +14,17 @@ renders them as PASS/FAIL lines and exits nonzero if anything failed.
 Checks that touch a documented misprint (see ``refdata.ERRATA``) verify
 the computed value *and* that the quoted value really differs, so a
 regression in either direction is caught.
+
+The dual-cell geometry and the branching partitions that only the
+battery reads live here, not in :mod:`f4weyl.duals` and
+:mod:`f4weyl.branching`, so a label command compiles none of them.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import combinations
@@ -27,15 +32,14 @@ from itertools import combinations
 from . import refdata
 from .binocta import (build_group, diagram_symmetry, generate_from,
                       group_order, subset_product_table)
-from .branching import (branch_b3a1, branch_b4, project_3d,
-                        verify_b3a1_slices, verify_b4_branching)
-from .duals import (cell_vertices_for_center, cells_at_vertex, dual_cell,
-                    dual_polytope, kite_face, solve_scales)
-from .orbits import (Record, f_vector, generate_orbit, geometric_edge_check,
-                     parabolic_elements, zero_nodes)
+from .branching import branch_b3a1, branch_b4, project_3d
+from .duals import (_cross_rows, _point_rows, _sub_rows, convex_faces,
+                    dual_cell, dual_polytope, solve_scales)
+from .orbits import (Record, _pattern, _validated, f_vector, generate_orbit,
+                     geometric_edge_check, parabolic_elements, zero_nodes)
 from .quat import E1, E2, E3, Quaternion, reflect, reflect_classical
-from .rootsys import f4_system
-from .scalar import FieldScalar, SQRT2, from_ints, parse_scalar
+from .rootsys import LabelLike, RootSystem, b4_system, f4_system, format_labels
+from .scalar import FieldScalar, SQRT2, from_ints, parse_scalar, row_dot
 
 DEFAULT_SEED = 314159
 
@@ -117,6 +121,22 @@ def check_f_vectors() -> tuple[bool, str]:
         f"mismatches: {bad}")
 
 
+def verify_b4_branching(labels: Sequence[LabelLike]) -> bool:
+    """Check that the branched orbits exactly partition the source orbit,
+    whose expanded vertices number its closed-form size."""
+    parts = [generate_orbit(b4_system(), p.labels).vertices
+             for p in branch_b4(labels)]
+    orbit = generate_orbit(f4_system(), labels)
+    return (len(orbit.vertices) == orbit.size == sum(map(len, parts))
+            and set().union(*parts) == set(orbit.vertices))
+
+
+def verify_b3a1_slices(labels: Sequence[LabelLike]) -> bool:
+    """Check that the slice sizes account for every expanded orbit row."""
+    total = sum(s.size * (2 if s.paired else 1) for s in branch_b3a1(labels))
+    return total == len(generate_orbit(f4_system(), labels).rows)
+
+
 def check_b4_branching() -> tuple[bool, str]:
     bad = []
     for pattern in ALL_PATTERNS:
@@ -162,6 +182,100 @@ def check_projections() -> tuple[bool, str]:
         "half-scale 24-cell (point/cube/octahedron layers) and its dual "
         "(octahedron/cuboctahedron layers) reproduced exactly",
         f"failed for: {bad}")
+
+
+# ---------------------------------------------------------------------------
+# dual-cell geometry that only the battery reads
+
+
+class CellFamily(Record):
+    """All cells of one type incident to the dominant vertex."""
+
+    nodes: tuple[int, ...]          # defining sub-diagram, 1-based
+    name: str
+    center_node: int                # the complementary node, 1-based
+    centers: tuple[Quaternion, ...]  # unscaled centers (weight-vector orbit)
+
+
+def cells_at_vertex(sys: RootSystem, labels: Sequence[LabelLike]) -> tuple[CellFamily, ...]:
+    """Cell families around the dominant vertex, read off the pattern of
+    J = ``zero_nodes`` alone.  The type-S centers are W_J omega_j: they are
+    the rows c of the orbit of omega_j with (c, Lambda) = (omega_j, Lambda),
+    since omega_j - c = sum c_i alpha_i, c_i >= 0, and sum c_i a_i = 0 iff
+    c_i = 0 wherever a_i > 0; off J, omega_j is the only one."""
+    pattern = _pattern(sys.name, zero_nodes(_validated(sys, labels)))
+    return tuple(CellFamily(entry.nodes, entry.name, j,
+                            sys.vertices(rows, sys.weight_den))
+                 for entry, j, rows in pattern.families)
+
+
+def _dist_sq(a: tuple[int, ...], b: tuple[int, ...], scale: int) -> FieldScalar:
+    d = _sub_rows(a, b)
+    return from_ints(*row_dot(d)(d), scale * scale)
+
+
+def cell_metrics(sys: RootSystem, labels: Sequence[LabelLike]
+                 ) -> dict[FieldScalar, int]:
+    """Multiset of squared distances between dual-cell vertices: true
+    4-space distances, the u-distances divided by |Lambda|^2."""
+    cell = dual_cell(sys, labels)
+    lam = sys.label_to_vector(cell.source)
+    scale_sq = FieldScalar(1) / lam.dot(lam)
+    rows, scale = _point_rows([u for _, u in cell.coords])
+    return Counter(_dist_sq(p, q, scale) * scale_sq
+                   for p, q in combinations(rows, 2))
+
+
+def kite_face(sys: RootSystem, labels: Sequence[LabelLike]) -> dict[str, object]:
+    """Exact geometry of one kite face of a trapezohedral dual cell.
+
+    Works for labels whose dual cell is an apex / 4-ring / 4-ring / apex
+    arrangement (the (1,0,0,1) pattern).  The kite is the first face of
+    the exact hull of the cell at its published row scale, read as a
+    cycle from its apex (the vertex whose family has one center).
+    Returns squared side lengths, squared diagonals and the exact squared
+    area, plus a float area computed independently by triangulation as a
+    cross-check.
+    """
+    cell = dual_cell(sys, labels)
+    nodes = [node for node, _ in cell.coords]
+    family_size = {node: nodes.count(node) for node in nodes}
+    if sorted(family_size.values()) != [1, 1, 4, 4]:
+        raise ValueError("dual cell is not a trapezohedron for %s"
+                         % format_labels(cell.source))
+    pts = [u for _, u in cell.rows()]
+    rows, scale = _point_rows(pts)
+    face = convex_faces(pts)[0]
+    k = next(k for k, i in enumerate(face) if family_size[nodes[i]] == 1)
+    a, b1, c, b2 = (rows[i] for i in face[k:] + face[:k])
+    sides = tuple(_dist_sq(p, q, scale)
+                  for p, q in ((a, b1), (b1, c), (c, b2), (b2, a)))
+    d_axis, d_cross = _dist_sq(a, c, scale), _dist_sq(b1, b2, scale)
+    # the diagonals must be perpendicular for the half-product area rule
+    if any(row_dot(_sub_rows(c, a))(_sub_rows(b2, b1))):
+        raise ArithmeticError("kite diagonals are not perpendicular")
+    area_sq = d_axis * d_cross / 4
+
+    def tri_area(p, q, r) -> float:  # half the float norm of the cross product
+        cx = _cross_rows(_sub_rows(q, p), _sub_rows(r, p))
+        return 0.5 * float(from_ints(*row_dot(cx)(cx), scale ** 4)) ** 0.5
+
+    area_float = tri_area(a, b1, c) + tri_area(a, c, b2)
+    return {
+        "sides_sq": sides,
+        "axis_diagonal_sq": d_axis,
+        "cross_diagonal_sq": d_cross,
+        "area_sq": area_sq,
+        "area_float": area_float,
+    }
+
+
+def cell_vertices_for_center(vertices: Sequence[Quaternion],
+                             center: Quaternion) -> frozenset[Quaternion]:
+    """Vertices of the cell supported by the hyperplane of ``center``:
+    the orbit points maximizing the scalar product with it."""
+    best = max(v.dot(center) for v in vertices)
+    return frozenset(v for v in vertices if v.dot(center) == best)
 
 
 def check_dual_scales() -> tuple[bool, str]:

@@ -17,15 +17,16 @@ from fractions import Fraction
 from f4weyl import cli, refdata
 from f4weyl.binocta import (build_group, generate_from, group_order,
                             subset_product_table)
-from f4weyl.branching import branch_b3a1, project_3d, verify_b4_branching
-from f4weyl.duals import (cell_vertices_for_center, cells_at_vertex,
-                          dual_cell, dual_polytope, kite_face, solve_scales)
+from f4weyl.branching import branch_b3a1, project_3d
+from f4weyl.duals import dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import (f_vector, generate_orbit, geometric_edge_check,
                            parabolic_elements)
 from f4weyl.quat import Quaternion, reflect, reflect_classical
 from f4weyl.rootsys import f4_system, format_labels
 from f4weyl.scalar import FieldScalar, SQRT2, parse_scalar
-from f4weyl.verify import ALL_PATTERNS, NINE_PATTERNS
+from f4weyl.verify import (ALL_PATTERNS, NINE_PATTERNS,
+                           cell_vertices_for_center, cells_at_vertex,
+                           kite_face, verify_b4_branching)
 import oracles
 
 SEED = 314159

@@ -6,13 +6,12 @@ import pytest
 
 from f4weyl import cli, refdata
 from f4weyl.binocta import OMEGA0, build_subsets
-from f4weyl.branching import (_b3_template, branch_b3a1, branch_b4,
-                              project_3d, verify_b3a1_slices,
-                              verify_b4_branching)
+from f4weyl.branching import _b3_template, branch_b3a1, branch_b4, project_3d
 from f4weyl.orbits import generate_orbit
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
 from f4weyl.scalar import FieldScalar, SQRT2, over_lcm, parse_scalar
+from f4weyl.verify import verify_b3a1_slices, verify_b4_branching
 import oracles
 
 

@@ -826,6 +826,11 @@ def test_clean_interpreter_label_command_leaves_typing_unloaded():
     assert out.startswith("(1,0,0,1)  N0=144 ")
     assert "f4weyl.cli" in loaded
     assert not {"typing", "argparse", "f4weyl.quat"} & loaded
+    # no label command compiles the verify-only code, not even through
+    # the duals and branching forwarders to it
+    for argv in LABEL_COMMANDS:
+        _, loaded = _clean_interpreter_run(*argv)
+        assert not {"typing", "f4weyl.verify"} & loaded, argv
 
 
 def test_clean_interpreter_verify_leaves_typing_unloaded():

@@ -5,14 +5,15 @@ from itertools import combinations, product
 import pytest
 
 from f4weyl import branching, duals, orbits, refdata
-from f4weyl.duals import (PUBLISHED, cell_metrics, cell_vertices_for_center,
-                          cells_at_vertex, convex_faces, dual_cell,
-                          dual_polytope, kite_face, solve_scales)
+from f4weyl.duals import (PUBLISHED, convex_faces, dual_cell, dual_polytope,
+                          solve_scales)
 from f4weyl.orbits import Orbit, f_vector, generate_orbit, parabolic_order
 from f4weyl.quat import E1, E2, E3, ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b4_system, f4_system
 from f4weyl.scalar import (SQRT2, FieldScalar, from_ints, over_lcm,
                            parse_scalar, row_dot, surd_order)
+from f4weyl.verify import (cell_metrics, cell_vertices_for_center,
+                           cells_at_vertex, kite_face)
 from oracles import (dist_sq, frame_vectors, label_orbit, pattern_labels,
                      random_labels, scanned_centers, zero_one_labels)
 

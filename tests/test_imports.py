@@ -3,11 +3,13 @@
 No linter ships with the project, so these are small AST scans: every
 name bound by a top-level ``import`` must appear as a name somewhere in
 the module or be listed in its ``__all__``; every name a module defines
-at top level must be read by the package or the benchmark harness; and
-no module imports ``typing``.
+at top level must be read by the package or the benchmark harness; no
+module imports ``typing``; and no test reads the verify-only names that
+``duals`` and ``branching`` still forward to ``verify``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -139,3 +141,98 @@ def test_every_top_level_name_is_read_by_src_or_the_harness():
               if name not in read
               and not (name.startswith("__") and name.endswith("__"))]
     assert unread == []
+
+
+#: the verify-only names that moved out of duals and branching, and the
+#: ones a module ``__getattr__`` there still resolves for perfbench's tracer
+MOVED = {"duals": ("CellFamily", "cells_at_vertex", "cell_metrics",
+                   "kite_face", "cell_vertices_for_center", "_dist_sq"),
+         "branching": ("verify_b4_branching", "verify_b3a1_slices")}
+FORWARDED = {"duals": ("cells_at_vertex", "cell_metrics", "kite_face"),
+             "branching": ("verify_b4_branching", "verify_b3a1_slices")}
+TESTS = Path(__file__).resolve().parent
+
+
+def forwarded_reads(source: str):
+    """The forwarded names a module imports from duals or branching, or
+    reads off either module (as an attribute or by ``getattr``)."""
+    tree = ast.parse(source)
+    modules = {}  # a local name bound to duals or branching -> its stem
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module:
+            stem = n.module.rsplit(".", 1)[-1]
+            for a in n.names:
+                if a.name in FORWARDED.get(stem, ()):
+                    found.append(f"{stem}.{a.name}")
+                elif a.name in FORWARDED:
+                    modules[a.asname or a.name] = a.name
+        elif isinstance(n, ast.Import):
+            for a in n.names:
+                stem = a.name.rsplit(".", 1)[-1]
+                if stem in FORWARDED and a.asname:
+                    modules[a.asname] = stem
+
+    def stem_of(node):
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        return node.attr if isinstance(node, ast.Attribute) \
+            and node.attr in FORWARDED else None
+
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            stem, name = stem_of(n.value), n.attr
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                and n.func.id == "getattr" and len(n.args) > 1 \
+                and isinstance(n.args[1], ast.Constant):
+            stem, name = stem_of(n.args[0]), n.args[1].value
+        else:
+            continue
+        if name in FORWARDED.get(stem, ()):
+            found.append(f"{stem}.{name}")
+    return sorted(found)
+
+
+def test_scan_finds_forwarded_reads():
+    source = ("from f4weyl.duals import dual_cell, kite_face\n"
+              "from f4weyl import branching, duals as d\n"
+              "import f4weyl.branching as b\n"
+              "d.cell_metrics(1)\nd.dual_cell(1)\nb.verify_b3a1_slices\n"
+              "getattr(branching, 'verify_b4_branching')\n"
+              "f4weyl.duals.cells_at_vertex\n"
+              "from f4weyl.verify import kite_face\nverify.cell_metrics\n")
+    assert forwarded_reads(source) == [
+        "branching.verify_b3a1_slices", "branching.verify_b4_branching",
+        "duals.cell_metrics", "duals.cells_at_vertex", "duals.kite_face"]
+
+
+def test_no_test_reads_a_forwarded_name():
+    # the tests read the moved names from verify; only the harness reads
+    # them through the forwarders, which go with its tracer edit
+    assert {p.name: forwarded_reads(p.read_text())
+            for p in sorted(TESTS.glob("*.py"))
+            if forwarded_reads(p.read_text())} == {}
+
+
+def test_moved_names_are_defined_in_verify_alone():
+    verify_names = defined_names((SRC / "verify.py").read_text())
+    for stem, names in MOVED.items():
+        assert set(names) <= set(verify_names), stem
+        assert not set(names) & set(defined_names(
+            (SRC / f"{stem}.py").read_text())), stem
+
+
+@pytest.mark.parametrize("stem", sorted(MOVED))
+def test_forwarders_hand_out_verify_objects(stem):
+    # the tracer rebinds the object it reads here in every module that
+    # binds it, so reading verify's own object reaches verify's call sites
+    from f4weyl import verify
+    module = importlib.import_module(f"f4weyl.{stem}")
+    for name in FORWARDED[stem]:
+        assert getattr(module, name) is getattr(verify, name), name
+    for name in set(MOVED[stem]) - set(FORWARDED[stem]):
+        assert not hasattr(module, name), name
+    with pytest.raises(AttributeError):
+        module.nope
+    with pytest.raises(ImportError):
+        exec(f"from f4weyl.{stem} import nope", {})

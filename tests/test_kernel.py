@@ -21,14 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4weyl.binocta import OMEGA0, build_group, build_subsets
-from f4weyl.branching import (B4Part, Slice, branch_b3a1, branch_b4,
-                              verify_b3a1_slices, verify_b4_branching)
-from f4weyl.duals import cells_at_vertex, dual_polytope
+from f4weyl.branching import B4Part, Slice, branch_b3a1, branch_b4
+from f4weyl.duals import dual_polytope
 from f4weyl.orbits import (f_vector, generate_orbit, parabolic_elements,
                            parabolic_order, stabilizer_order)
 from f4weyl.quat import ONE_Q, Quaternion
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system, get_system
 from f4weyl.scalar import INV_SQRT2, FieldScalar, over_lcm
+from f4weyl.verify import (cells_at_vertex, verify_b3a1_slices,
+                           verify_b4_branching)
 import oracles
 
 PROPERTY = dict(derandomize=True, deadline=None, database=None)

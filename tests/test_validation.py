@@ -14,9 +14,10 @@ import pytest
 
 from f4weyl import orbits
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
-from f4weyl.duals import cells_at_vertex, dual_cell, dual_polytope, solve_scales
+from f4weyl.duals import dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import f_vector, generate_orbit, stabilizer_order
 from f4weyl.rootsys import RootSystem, b3r_system, b4_system, f4_system
+from f4weyl.verify import cells_at_vertex
 import oracles
 
 F4 = f4_system()

@@ -1,5 +1,5 @@
-"""The value classes: the plain ``Record`` classes of orbits, branching
-and duals behave as the frozen dataclasses they replace, and every value
+"""The value classes: the plain ``Record`` classes of orbits, branching,
+duals and verify behave as the frozen dataclasses they replace, and every value
 type survives copy, deepcopy and pickle."""
 
 import copy
@@ -28,7 +28,7 @@ def _records():
             orbits.generate_orbit(F4, LABEL),
             branching.branch_b4((1, 1, 0, 1))[0],
             branching.branch_b3a1(LABEL)[0],
-            duals.cells_at_vertex(F4, LABEL)[0],
+            verify.cells_at_vertex(F4, LABEL)[0],
             dual.shells[0], dual, duals.dual_cell(F4, LABEL)]
 
 
