@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f4weyl
-from f4weyl import cli, verify
+from f4weyl import cli, commands, verify
 from f4weyl.branching import branch_b3a1, branch_b4, project_3d
-from f4weyl.cli import (build_parser, convex_faces, export_off, main,
-                        parse_label)
-from f4weyl.duals import dual_cell, dual_polytope, solve_scales
+from f4weyl.cli import export_off, main, parse_label
+from f4weyl.commands import build_parser
+from f4weyl.duals import convex_faces, dual_cell, dual_polytope, solve_scales
 from f4weyl.orbits import generate_orbit
 from f4weyl.rootsys import f4_system
 from f4weyl.scalar import SQRT2, FieldScalar, parse_scalar
@@ -409,7 +409,7 @@ def fuzzed_argv(cmd, label, scale, seed, json_out, usual):
 def parsers_agree(argv):
     """Whether the table parse accepts ``argv``; where it does, its
     namespace is argparse's, and where argparse exits, it defers."""
-    table = cli._table_parse(list(argv))
+    table = commands._table_parse(list(argv))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
             want = vars(build_parser().parse_args(argv))
@@ -809,12 +809,14 @@ def test_label_commands_leave_verify_refdata_binocta_unloaded():
         assert not loaded & unused, (argv, sorted(loaded & unused))
 
 
-def _clean_interpreter_run(*args):
+def _clean_interpreter_run(*args, script=None):
     # python -S: no site module, so what loads is what f4weyl imports
-    # (-X importtime names each module as it loads)
+    # (-X importtime names each module as it loads); the command line, or
+    # with ``script`` that script
     src = str(Path(f4weyl.__file__).resolve().parents[1])
+    run = ["-m", "f4weyl"] if script is None else ["-c", script]
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "f4weyl", *args],
+        [sys.executable, "-S", "-X", "importtime", *run, *args],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src))
     return proc.stdout, {line.rsplit("|", 1)[-1].strip()
@@ -831,12 +833,32 @@ def test_clean_interpreter_label_command_leaves_typing_unloaded():
     for argv in LABEL_COMMANDS:
         _, loaded = _clean_interpreter_run(*argv)
         assert not {"typing", "f4weyl.verify"} & loaded, argv
+        assert "f4weyl.commands" in loaded, argv  # main loads the table
+
+
+def test_clean_interpreter_export_off_leaves_commands_unloaded():
+    # a library caller (the benchmark's label worker among them) imports
+    # cli for its helpers and compiles no command code; import f4weyl.cli
+    # loads neither the orbit layer nor dataclasses
+    script = ("import sys\n"
+              "from f4weyl.cli import export_off, parse_label, parse_scale\n"
+              "print(*sorted({'f4weyl.orbits', 'dataclasses'}"
+              " & set(sys.modules)))\n"
+              "from f4weyl.duals import dual_cell\n"
+              "from f4weyl.rootsys import f4_system\n"
+              "cell = dual_cell(f4_system(), parse_label('1,0,0,1'))\n"
+              "print(export_off([u for _, u in cell.rows()]).split()[:4],"
+              " parse_scale('1/2'))\n")
+    out, loaded = _clean_interpreter_run(script=script)
+    assert out == "\n['OFF', '10', '8', '16'] 1/2\n"
+    assert "f4weyl.cli" in loaded and "f4weyl.duals" in loaded
+    assert "f4weyl.commands" not in loaded
 
 
 def test_clean_interpreter_verify_leaves_typing_unloaded():
     out, loaded = _clean_interpreter_run("verify", "--format", "json")
     assert json.loads(out)["ok"] is True
-    assert "f4weyl.verify" in loaded
+    assert {"f4weyl.verify", "f4weyl.commands"} <= loaded
     assert "typing" not in loaded
 
 

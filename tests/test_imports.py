@@ -4,8 +4,9 @@ No linter ships with the project, so these are small AST scans: every
 name bound by a top-level ``import`` must appear as a name somewhere in
 the module or be listed in its ``__all__``; every name a module defines
 at top level must be read by the package or the benchmark harness; no
-module imports ``typing``; and no test reads the verify-only names that
-``duals`` and ``branching`` still forward to ``verify``.
+module imports ``typing``; and no test reads a name through a module
+``__getattr__`` forwarder: the verify-only names that ``duals`` and
+``branching`` forward to ``verify``, and ``cli``'s ``convex_faces``.
 """
 
 import ast
@@ -144,20 +145,22 @@ def test_every_top_level_name_is_read_by_src_or_the_harness():
 
 
 #: the verify-only names that moved out of duals and branching, and the
-#: ones a module ``__getattr__`` there still resolves for perfbench's tracer
+#: ones a module ``__getattr__`` still resolves for perfbench's tracer
+#: (cli's forwards to duals)
 MOVED = {"duals": ("CellFamily", "cells_at_vertex", "cell_metrics",
                    "kite_face", "cell_vertices_for_center", "_dist_sq"),
          "branching": ("verify_b4_branching", "verify_b3a1_slices")}
 FORWARDED = {"duals": ("cells_at_vertex", "cell_metrics", "kite_face"),
-             "branching": ("verify_b4_branching", "verify_b3a1_slices")}
+             "branching": ("verify_b4_branching", "verify_b3a1_slices"),
+             "cli": ("convex_faces",)}
 TESTS = Path(__file__).resolve().parent
 
 
 def forwarded_reads(source: str):
-    """The forwarded names a module imports from duals or branching, or
-    reads off either module (as an attribute or by ``getattr``)."""
+    """The forwarded names a module imports from a forwarding module, or
+    reads off one (as an attribute or by ``getattr``)."""
     tree = ast.parse(source)
-    modules = {}  # a local name bound to duals or branching -> its stem
+    modules = {}  # a local name bound to a forwarding module -> its stem
     found = []
     for n in ast.walk(tree):
         if isinstance(n, ast.ImportFrom) and n.module:
@@ -200,15 +203,19 @@ def test_scan_finds_forwarded_reads():
               "d.cell_metrics(1)\nd.dual_cell(1)\nb.verify_b3a1_slices\n"
               "getattr(branching, 'verify_b4_branching')\n"
               "f4weyl.duals.cells_at_vertex\n"
-              "from f4weyl.verify import kite_face\nverify.cell_metrics\n")
+              "from f4weyl.verify import kite_face\nverify.cell_metrics\n"
+              "from f4weyl.cli import convex_faces, export_off\n"
+              "from f4weyl.duals import convex_faces\n")
     assert forwarded_reads(source) == [
         "branching.verify_b3a1_slices", "branching.verify_b4_branching",
-        "duals.cell_metrics", "duals.cells_at_vertex", "duals.kite_face"]
+        "cli.convex_faces", "duals.cell_metrics", "duals.cells_at_vertex",
+        "duals.kite_face"]
 
 
 def test_no_test_reads_a_forwarded_name():
-    # the tests read the moved names from verify; only the harness reads
-    # them through the forwarders, which go with its tracer edit
+    # the tests read the moved names from verify and convex_faces from
+    # duals; only the harness reads them through the forwarders, which go
+    # with its tracer edit
     assert {p.name: forwarded_reads(p.read_text())
             for p in sorted(TESTS.glob("*.py"))
             if forwarded_reads(p.read_text())} == {}
@@ -236,3 +243,13 @@ def test_forwarders_hand_out_verify_objects(stem):
         module.nope
     with pytest.raises(ImportError):
         exec(f"from f4weyl.{stem} import nope", {})
+
+
+def test_cli_forwarder_hands_out_the_duals_object():
+    # convex_faces lives in duals: cli forwards to it, not to verify
+    from f4weyl import duals
+    module = importlib.import_module("f4weyl.cli")
+    for name in FORWARDED["cli"]:
+        assert getattr(module, name) is getattr(duals, name), name
+    with pytest.raises(AttributeError):
+        module.nope
