@@ -112,7 +112,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # verify is the one command whose payload carries "ok"
     code = 0 if payload is None or payload.get("ok", True) else 1
     try:
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w") as handle:
                 handle.write(text)
         elif sys.stdout is None:  # started with fd 1 closed
@@ -121,9 +121,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write {args.output or 'stdout'}: {exc}",
-              file=sys.stderr)
-        if not args.output:  # keep the interpreter's final flush quiet
+        where = "stdout" if args.output is None else args.output
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        if args.output is None:  # keep the interpreter's final flush quiet
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, 1)
             os.close(devnull)

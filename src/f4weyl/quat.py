@@ -39,9 +39,6 @@ class Quaternion:
     def components(self) -> tuple[FieldScalar, FieldScalar, FieldScalar, FieldScalar]:
         return (self.q0, self.q1, self.q2, self.q3)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components())
-
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "Quaternion") -> "Quaternion":

@@ -127,10 +127,9 @@ class RootSystem:
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
 
-    # the roots and weights as quaternions, built on first read: the group
-    # layer and verify read them, label commands do not
+    # the roots as quaternions, built on first read: the group layer and
+    # verify read them, label commands do not
     simple_roots = cached_property(lambda s: _quaternions(s.root_vectors, s.weight_den))
-    weights = cached_property(lambda s: _quaternions(s.weight_vectors, s.weight_den))
 
     @cached_property
     def reflections(self) -> tuple:

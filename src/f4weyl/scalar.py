@@ -71,14 +71,12 @@ class FieldScalar:
     __slots__ = ("x", "y", "d")
 
     def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        if type(a) is int and type(b) is int:
-            x, y, d = a, b, 1
-        else:  # over the lcm of reduced denominators, gcd(x, y, d) is 1
-            (an, _, ad), (bn, _, bd) = _parts(a), _parts(b)
-            if None in (ad, bd) or FieldScalar in (type(a), type(b)):
-                raise TypeError("FieldScalar parts must be int or Fraction")
-            d = lcm(ad, bd)
-            x, y = an * (d // ad), bn * (d // bd)
+        # over the lcm of reduced denominators, gcd(x, y, d) is 1
+        (an, _, ad), (bn, _, bd) = _parts(a), _parts(b)
+        if None in (ad, bd) or FieldScalar in (type(a), type(b)):
+            raise TypeError("FieldScalar parts must be int or Fraction")
+        d = lcm(ad, bd)
+        x, y = an * (d // ad), bn * (d // bd)
         _set_x(self, x)
         _set_y(self, y)
         _set_d(self, d)
@@ -161,10 +159,6 @@ class FieldScalar:
             base = base * base
             n >>= 1
         return result
-
-    def conj(self) -> "FieldScalar":
-        """Galois conjugate ``a - b*sqrt(2)``."""
-        return _raw(self.x, -self.y, self.d)
 
     def sqrt(self) -> FieldScalar | None:
         """Exact square root within the field, or None.

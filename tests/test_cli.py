@@ -320,6 +320,9 @@ options:
     "branch-b4 1,0,0,0 --output {missing}": (
         1, "", "error: cannot write {missing}: [Errno 2] No such file or "
                "directory: '{missing}'\n"),
+    "fvector 1,0,0,1 --output=": (
+        1, "", "error: cannot write : [Errno 2] No such file or directory: "
+               "''\n"),
     "verify --seed x": (2, "", "f4weyl: error: seed 'x' must be an "
                                "integer\n"),
     "fvector 1,2x,0,0": (2, "", "f4weyl: error: label '1,2x,0,0': bad "
@@ -1036,11 +1039,19 @@ def test_closed_stdout_is_a_one_line_error():
         assert proc.stderr == f"error: cannot write stdout: {reason}\n"
 
 
-def test_unwritable_output_path():
+def test_unwritable_output_path(tmp_path, monkeypatch):
     code, _, err = run_cli(["export", "0,1,0,0",
                             "--output", "/no/such/dir/cell.off"])
     assert code == 1
     assert "cannot write" in err
+    # an empty name cannot be opened either: it is not taken for stdout,
+    # in the form the table parse reads as argparse does
+    monkeypatch.chdir(tmp_path)
+    argv = ["fvector", "1,0,0,1", "--output", ""]
+    assert parsers_agree(argv)
+    assert run_cli(argv) == (1, "", "error: cannot write : [Errno 2] No such "
+                                    "file or directory: ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_text_report():

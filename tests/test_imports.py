@@ -3,10 +3,11 @@
 No linter ships with the project, so these are small AST scans: every
 name bound by a top-level ``import`` must appear as a name somewhere in
 the module or be listed in its ``__all__``; every name a module defines
-at top level must be read by the package or the benchmark harness; no
-module imports ``typing``; and no test reads a name through a module
-``__getattr__`` forwarder: the verify-only names that ``duals`` and
-``branching`` forward to ``verify``, and ``cli``'s ``convex_faces``.
+at top level, and every method and property a class defines, must be
+read by the package or the benchmark harness; no module imports
+``typing``; and no test reads a name through a module ``__getattr__``
+forwarder: the verify-only names that ``duals`` and ``branching`` forward
+to ``verify``, and ``cli``'s ``convex_faces``.
 """
 
 import ast
@@ -141,6 +142,75 @@ def test_every_top_level_name_is_read_by_src_or_the_harness():
               for name in defined_names(path.read_text())
               if name not in read
               and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []
+
+
+def defined_members(source: str):
+    """(class, member, loaded in its class body) for every method and
+    property a class body defines by def or assignment; annotated fields
+    are a value's data, not a code path, and are left out."""
+    members = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names, loaded = [], set()
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names.append(node.name)
+                body = node.decorator_list
+            elif isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets
+                          if isinstance(t, ast.Name)]
+                body = [node.value]
+            else:
+                continue
+            loaded |= {n.id for b in body for n in ast.walk(b)
+                       if isinstance(n, ast.Name)}
+        members += [(cls.name, name, name in loaded) for name in names]
+    return members
+
+
+def attribute_reads(source: str, strings=False):
+    """The attribute names a module loads, and with ``strings`` its string
+    constants; a bare name is not a member read, whatever it is named."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            or strings and isinstance(n, ast.Constant)
+            and isinstance(n.value, str)}
+
+
+def test_scan_finds_members_and_attribute_reads():
+    source = ("class C(B):\n    f: int\n    __slots__ = ()\n"
+              "    a = property(lambda s: s.b)\n"
+              "    def m(self):\n        return self.g()\n"
+              "    @cached_property\n    def n(self):\n        return 1\n"
+              "    def _h(self):\n        pass\n    k = j = _h\n"
+              "def f(weights):\n    class D:\n        def e(self):\n"
+              "            x.y = weights\n    return 'z'\n")
+    assert defined_members(source) == [
+        ("C", "__slots__", False), ("C", "a", False), ("C", "m", False),
+        ("C", "n", False), ("C", "_h", True), ("C", "k", False),
+        ("C", "j", False), ("D", "e", False)]
+    assert attribute_reads(source) == {"b", "g"}
+    assert attribute_reads(source, strings=True) == {"b", "g", "z"}
+
+
+def test_every_member_is_read_by_src_or_the_harness():
+    # as for top-level names, but a member is read as an attribute, so a
+    # parameter or local variable of the same name does not count; the
+    # scan is by name, so a member whose name another class's member
+    # shares passes whether or not anything reads it
+    read, harness = set(), set()
+    for path in SRC.glob("*.py"):
+        read |= attribute_reads(path.read_text())
+    for path in BENCH.rglob("*.py"):
+        harness |= attribute_reads(path.read_text(), strings=True)
+    unread = [f"{path.stem}.{cls}.{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for cls, name, loaded in defined_members(path.read_text())
+              if not (loaded or name in read or name in harness
+                      or name.startswith("__") and name.endswith("__"))]
     assert unread == []
 
 

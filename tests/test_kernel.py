@@ -31,6 +31,7 @@ from f4weyl.scalar import INV_SQRT2, FieldScalar, over_lcm
 from f4weyl.verify import (cells_at_vertex, verify_b3a1_slices,
                            verify_b4_branching)
 import oracles
+from test_rootsys import QUATERNIONS
 
 PROPERTY = dict(derandomize=True, deadline=None, database=None)
 
@@ -55,7 +56,8 @@ def quaternion_orbit(sys, labels):
 def weight_sum(sys, labels):
     """Reference highest-weight vector: sum a_i * omega_i in FieldScalars."""
     v = Quaternion(0, 0, 0, 0)
-    for a, w in zip(sys.coerce_labels(labels), sys.weights):
+    weights = QUATERNIONS[sys.name][1]
+    for a, w in zip(sys.coerce_labels(labels), weights):
         v = v + w * a
     return v
 
@@ -114,7 +116,7 @@ def test_cell_centers_match_quaternion_closure(labels):
     zeros = frozenset(i for i, a in enumerate(labels) if a == 0)
     stabilizer = parabolic_elements("F4", zeros)
     for family in cells_at_vertex(f4, labels):
-        weight = f4.weights[family.center_node - 1]
+        weight = QUATERNIONS["F4"][1][family.center_node - 1]
         assert family.centers == \
             tuple(sorted({g.apply(weight) for g in stabilizer})), family.nodes
 

@@ -114,7 +114,7 @@ def test_inverse():
     rng = random.Random(5)
     for _ in range(50):
         p = rand_quat(rng)
-        if p.is_zero():
+        if not any(p.components()):
             continue
         assert p * quaternion_inverse(p) == ONE_Q
         assert quaternion_inverse(p) * p == ONE_Q
@@ -129,7 +129,7 @@ def test_reflection_agreement():
     rng = random.Random(6)
     for _ in range(200):
         a = rand_quat(rng)
-        if a.is_zero():
+        if not any(a.components()):
             continue
         v = rand_quat(rng)
         assert reflect(a, v) == reflect_classical(a, v)
@@ -139,7 +139,7 @@ def test_reflection_geometry():
     rng = random.Random(7)
     for _ in range(100):
         a = rand_quat(rng)
-        if a.is_zero():
+        if not any(a.components()):
             continue
         v = rand_quat(rng)
         # root goes to its negative, reflection is an involution

@@ -65,13 +65,14 @@ def test_cartan_matrices():
 
 def test_weights_dual_to_roots():
     for sys in (f4_system(), b4_system(), b3r_system()):
+        weights = QUATERNIONS[sys.name][1]
         for i, alpha in enumerate(sys.simple_roots):
             assert alpha.norm_sq() == 2
-            for j, omega in enumerate(sys.weights):
+            for j, omega in enumerate(weights):
                 assert alpha.dot(omega) == (1 if i == j else 0), (sys.name, i, j)
         # weight Gram matrix equals the inverse Cartan matrix
-        for i, wi in enumerate(sys.weights):
-            for j, wj in enumerate(sys.weights):
+        for i, wi in enumerate(weights):
+            for j, wj in enumerate(weights):
                 assert wi.dot(wj) == sys.cartan_inv[i][j], (sys.name, i, j)
 
 
@@ -103,15 +104,15 @@ def test_gram_matrices_are_the_quaternion_dots():
         for gram, vectors in ((sys.cartan, roots), (sys.cartan_inv, weights)):
             assert [list(r) for r in gram] == \
                 [[a.dot(b) for b in vectors] for a in vectors], sys.name
-        # the quaternions the group layer reads, built on first read
-        assert (sys.simple_roots, sys.weights) == (roots, weights), sys.name
+        # the root quaternions the group layer reads, built on first read
+        assert sys.simple_roots == roots, sys.name
 
 
 def test_label_to_vector():
     f4 = f4_system()
     assert f4.label_to_vector((1, 0, 0, 0)) == ONE_Q * SQRT2
     assert f4.label_to_vector((0, 0, 0, 1)) == Quaternion(1, 1, 0, 0)
-    assert f4.label_to_vector((0, 0, 0, 0)).is_zero()
+    assert not any(f4.label_to_vector((0, 0, 0, 0)).components())
     b4 = b4_system()
     assert b4.vector_to_label(ONE_Q * SQRT2) == (SQRT2, S(0), S(0), S(0))
     try:
